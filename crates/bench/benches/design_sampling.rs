@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use pooled_core::query::{execute_queries, execute_queries_support};
+use pooled_core::query::{execute_queries, execute_queries_support_into};
 use pooled_core::signal::Signal;
 use pooled_design::csr::CsrDesign;
 use pooled_design::streaming::StreamingDesign;
@@ -29,8 +29,11 @@ fn bench(c: &mut Criterion) {
     group.bench_function("execute_csr_dense", |b| {
         b.iter(|| black_box(execute_queries(&csr, &sigma)));
     });
-    group.bench_function("execute_csr_support", |b| {
-        b.iter(|| black_box(execute_queries_support(&csr, &sigma)));
+    let mut y = vec![0; m];
+    group.bench_function("execute_csr_support_into", |b| {
+        b.iter(|| {
+            execute_queries_support_into(&csr, black_box(sigma.support()), black_box(&mut y))
+        });
     });
     group.bench_function("execute_streaming", |b| {
         b.iter(|| black_box(execute_queries(&stream, &sigma)));

@@ -86,7 +86,7 @@ pub use durability::{DesignJournal, DurabilityConfig, Recovery, WalJournal};
 pub use engine::{Engine, EngineConfig, EngineStats, ResultRoute, RouteWaker};
 pub use job::{DecoderKind, DesignSpec, JobResult, JobSpec};
 pub use queue::BoundedQueue;
-pub use registry::{decoder, DecodeScratch, EngineDecoder};
+pub use registry::{decoder, DecodeScratch, EngineDecoder, Truth};
 pub use telemetry::{
     render_json, render_prometheus, FlightRecorder, JobTrace, Metric, MetricsRegistry,
     MetricsSnapshot, TelemetryConfig,

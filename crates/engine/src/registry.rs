@@ -9,11 +9,13 @@
 //! comparative traffic, not the hot path).
 //!
 //! A decoder's contract: given the design, the additive query results
-//! `y`, the target weight `k` and the hidden truth (engine jobs are
+//! `y`, the target weight `k` and the hidden [`Truth`] (engine jobs are
 //! self-checking synthetic instances), produce a [`DecodeOutcome`] whose
 //! digests are a pure function of `(design, y, k, seed)` — never of
 //! worker placement or timing. The determinism suite holds every
-//! registered decoder to this.
+//! registered decoder to this. The truth only scores the estimate, so a
+//! worker passes the `k`-entry support it drew and never materializes a
+//! dense `n`-byte signal.
 
 use pooled_baselines::control::{PsiOnlyDecoder, RandomGuessDecoder};
 use pooled_baselines::omp::OmpDecoder;
@@ -59,6 +61,27 @@ pub struct DecodeOutcome {
     pub weight: u32,
 }
 
+/// The hidden signal an estimate is scored against.
+#[derive(Clone, Copy, Debug)]
+pub enum Truth<'a> {
+    /// Dense 0/1 indicator of length `n`.
+    Dense(&'a [u8]),
+    /// The one-entries, ascending (what a worker draws: `k` indices
+    /// instead of `n` bytes).
+    Support(&'a [usize]),
+}
+
+impl Truth<'_> {
+    /// How many of the `selected` entries are one-entries.
+    pub fn hits(self, selected: &[usize]) -> u32 {
+        let hit = |i: usize| match self {
+            Truth::Dense(dense) => dense[i] == 1,
+            Truth::Support(support) => support.binary_search(&i).is_ok(),
+        };
+        selected.iter().filter(|&&i| hit(i)).count() as u32
+    }
+}
+
 /// One servable reconstruction algorithm.
 pub trait EngineDecoder: Send + Sync {
     /// Stable identifier (matches [`DecoderKind::name`]).
@@ -72,6 +95,17 @@ pub trait EngineDecoder: Send + Sync {
     }
 
     /// Decode `y` against `design`, scoring against the hidden `truth`.
+    fn decode_against(
+        &self,
+        design: &AnyDesign,
+        y: &[u64],
+        k: usize,
+        seed: u64,
+        truth: Truth<'_>,
+        scratch: &mut DecodeScratch,
+    ) -> DecodeOutcome;
+
+    /// [`Self::decode_against`] a dense 0/1 truth of length `n`.
     fn decode(
         &self,
         design: &AnyDesign,
@@ -80,7 +114,9 @@ pub trait EngineDecoder: Send + Sync {
         seed: u64,
         truth: &[u8],
         scratch: &mut DecodeScratch,
-    ) -> DecodeOutcome;
+    ) -> DecodeOutcome {
+        self.decode_against(design, y, k, seed, Truth::Dense(truth), scratch)
+    }
 }
 
 /// The registry: one static decoder per [`DecoderKind`].
@@ -96,13 +132,12 @@ pub fn decoder(kind: DecoderKind) -> &'static dyn EngineDecoder {
     }
 }
 
-/// Count support hits against the dense truth and fold the outcome.
-fn outcome(support: &[usize], score_digest: u64, truth: &[u8]) -> DecodeOutcome {
-    let hits = support.iter().filter(|&&i| truth[i] == 1).count() as u32;
+/// Count support hits against the truth and fold the outcome.
+fn outcome(support: &[usize], score_digest: u64, truth: Truth<'_>) -> DecodeOutcome {
     DecodeOutcome {
         support_digest: digest_support(support),
         score_digest,
-        hits,
+        hits: truth.hits(support),
         weight: support.len() as u32,
     }
 }
@@ -119,13 +154,13 @@ impl EngineDecoder for MnEngine {
         true
     }
 
-    fn decode(
+    fn decode_against(
         &self,
         design: &AnyDesign,
         y: &[u64],
         k: usize,
         _seed: u64,
-        truth: &[u8],
+        truth: Truth<'_>,
         scratch: &mut DecodeScratch,
     ) -> DecodeOutcome {
         MnDecoder::new(k).decode_csr_with(design.csr(), y, &mut scratch.ws);
@@ -149,13 +184,13 @@ impl EngineDecoder for GeneralMnEngine {
         true
     }
 
-    fn decode(
+    fn decode_against(
         &self,
         design: &AnyDesign,
         y: &[u64],
         k: usize,
         _seed: u64,
-        truth: &[u8],
+        truth: Truth<'_>,
         scratch: &mut DecodeScratch,
     ) -> DecodeOutcome {
         GeneralMnDecoder::new(k).decode_with(design, y, &mut scratch.ws);
@@ -177,13 +212,13 @@ impl EngineDecoder for ThresholdMnEngine {
         "threshold_mn"
     }
 
-    fn decode(
+    fn decode_against(
         &self,
         design: &AnyDesign,
         y: &[u64],
         k: usize,
         _seed: u64,
-        truth: &[u8],
+        truth: Truth<'_>,
         scratch: &mut DecodeScratch,
     ) -> DecodeOutcome {
         let n = design.n() as u64;
@@ -207,13 +242,13 @@ impl EngineDecoder for PsiOnlyEngine {
         "psi_only"
     }
 
-    fn decode(
+    fn decode_against(
         &self,
         design: &AnyDesign,
         y: &[u64],
         k: usize,
         _seed: u64,
-        truth: &[u8],
+        truth: Truth<'_>,
         _scratch: &mut DecodeScratch,
     ) -> DecodeOutcome {
         let estimate = PsiOnlyDecoder::new().reconstruct(design.csr(), y, k);
@@ -229,13 +264,13 @@ impl EngineDecoder for RandomGuessEngine {
         "random_guess"
     }
 
-    fn decode(
+    fn decode_against(
         &self,
         design: &AnyDesign,
         y: &[u64],
         k: usize,
         seed: u64,
-        truth: &[u8],
+        truth: Truth<'_>,
         _scratch: &mut DecodeScratch,
     ) -> DecodeOutcome {
         let guess = RandomGuessDecoder::new(SeedSequence::new(seed).child("guess", 0));
@@ -253,13 +288,13 @@ impl EngineDecoder for OmpEngine {
         "omp"
     }
 
-    fn decode(
+    fn decode_against(
         &self,
         design: &AnyDesign,
         y: &[u64],
         k: usize,
         _seed: u64,
-        truth: &[u8],
+        truth: Truth<'_>,
         _scratch: &mut DecodeScratch,
     ) -> DecodeOutcome {
         let estimate = OmpDecoder::new().reconstruct(design.csr(), y, k);
@@ -278,13 +313,13 @@ impl EngineDecoder for PanicProbeEngine {
         "panic_probe"
     }
 
-    fn decode(
+    fn decode_against(
         &self,
         _design: &AnyDesign,
         _y: &[u64],
         _k: usize,
         _seed: u64,
-        _truth: &[u8],
+        _truth: Truth<'_>,
         _scratch: &mut DecodeScratch,
     ) -> DecodeOutcome {
         panic!("panic probe decoder: deliberate decode-stage panic");
@@ -336,6 +371,37 @@ mod tests {
             assert_eq!(x.support_digest, z.support_digest, "{}", kind.name());
             assert_eq!(x.score_digest, z.score_digest, "{}", kind.name());
             assert_eq!(x.hits, z.hits, "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn support_and_dense_truths_score_alike() {
+        let (design, sigma, y, k) = instance(46);
+        let mut scratch = DecodeScratch::new();
+        for kind in DecoderKind::ALL {
+            let dense = decoder(kind).decode(&design, &y, k, 3, sigma.dense(), &mut scratch);
+            let sparse = decoder(kind).decode_against(
+                &design,
+                &y,
+                k,
+                3,
+                Truth::Support(sigma.support()),
+                &mut scratch,
+            );
+            assert_eq!(sparse.hits, dense.hits, "{}", kind.name());
+            assert_eq!(sparse.support_digest, dense.support_digest, "{}", kind.name());
+            assert_eq!(sparse.score_digest, dense.score_digest, "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn truth_hits_count_selected_one_entries() {
+        let dense = [0u8, 1, 0, 1, 1, 0];
+        let support = [1usize, 3, 4];
+        for selected in [&[][..], &[0, 2, 5], &[4, 1], &[5, 3, 0, 4]] {
+            let want = selected.iter().filter(|&&i| dense[i] == 1).count() as u32;
+            assert_eq!(Truth::Dense(&dense).hits(selected), want, "{selected:?}");
+            assert_eq!(Truth::Support(&support).hits(selected), want, "{selected:?}");
         }
     }
 

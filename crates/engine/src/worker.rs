@@ -7,27 +7,32 @@
 //! truth. After warm-up at a stable job shape the MN paths perform zero
 //! heap allocations per job (pinned by `tests/alloc_free.rs`).
 //!
+//! The signal is `k`-sparse (`k = n^θ`), so a worker never materializes
+//! it densely: `y = Aᵀσ` is summed from the CSR transpose rows of the `k`
+//! support entries (`O(k·Δ)` work instead of a walk over all `m·Γ`
+//! incidences), and the estimate is scored against the support itself.
+//!
 //! [`process_batch`] is the design-affinity fast path: a run of MN jobs
 //! sharing one cached design is served by **one** traversal of the design
-//! (`pooled_design::batched::decode_sums_fused_batch`) — query execution
-//! and Ψ accumulation for every lane while each CSR row is in cache, one
-//! shared Δ*, and one overlapped query-latency sleep — instead of
-//! re-streaming the CSR index arrays once per job. Every lane's result is
-//! bit-identical to [`process_job`] on that spec alone.
+//! (`pooled_design::batched::scatter_distinct_batch`) — Ψ accumulation
+//! for every lane while each CSR row is in cache, one shared Δ*, and one
+//! overlapped query-latency sleep — instead of re-streaming the CSR index
+//! arrays once per job. Every lane's result is bit-identical to
+//! [`process_job`] on that spec alone.
 
 use std::time::Instant;
 
 use pooled_core::batch::BatchWorkspace;
 use pooled_core::mn::MnDecoder;
-use pooled_core::query::execute_queries_dense_into;
-use pooled_design::batched::decode_sums_fused_batch;
+use pooled_core::query::execute_queries_support_into;
+use pooled_design::batched::scatter_distinct_batch;
 use pooled_design::factory::AnyDesign;
 use pooled_design::PoolingDesign;
 use pooled_rng::shuffle::sample_distinct_floyd_into;
 use pooled_rng::SeedSequence;
 
 use crate::job::{DecoderKind, Digest, JobResult, JobSpec};
-use crate::registry::{decoder, DecodeScratch};
+use crate::registry::{decoder, DecodeScratch, Truth};
 use crate::telemetry::{FlightRecorder, JobTrace, Span};
 
 /// All buffers a worker reuses across jobs.
@@ -36,13 +41,11 @@ pub struct WorkerScratch {
     worker: u32,
     /// Hidden-signal support, ascending.
     support: Vec<usize>,
-    /// Hidden signal, dense 0/1.
-    truth: Vec<u8>,
     /// Additive query results.
     y: Vec<u64>,
     /// Decoder scratch (MN workspace + threshold bits).
     decode: DecodeScratch,
-    /// Batched-path planes (lane-major truths/ys + the batch workspace).
+    /// Batched-path planes (lane supports/ys + the batch workspace).
     batch: BatchScratch,
 }
 
@@ -53,8 +56,10 @@ struct BatchScratch {
     /// window); planes are capacity-reserved for it on first use, so the
     /// first maximal run after warm-up at a shape never allocates.
     window: usize,
-    /// Hidden signals, lane-major `lanes × n` dense 0/1.
-    truths: Vec<u8>,
+    /// Hidden-signal supports, lane after lane, each ascending.
+    supports: Vec<usize>,
+    /// Lane `b`'s support is `supports[bounds[b]..bounds[b + 1]]`.
+    bounds: Vec<usize>,
     /// Query results, lane-major `lanes × m`.
     ys: Vec<u64>,
     /// Ψ lanes + shared Δ* + per-lane finish scratch.
@@ -77,7 +82,6 @@ impl WorkerScratch {
         Self {
             worker,
             support: Vec::new(),
-            truth: Vec::new(),
             y: Vec::new(),
             decode: DecodeScratch::new(),
             batch: BatchScratch { window: batch_window.max(1), ..BatchScratch::default() },
@@ -123,14 +127,9 @@ pub fn process_job_traced(
     let started = Instant::now();
     let seeds = SeedSequence::new(spec.seed);
 
-    // 1. Draw the hidden weight-k signal into reusable buffers.
+    // 1. Draw the hidden weight-k signal's support into a reusable buffer.
     let mut rng = seeds.child("signal", 0).rng();
     sample_distinct_floyd_into(spec.n, spec.k, &mut rng, &mut scratch.support);
-    scratch.truth.clear();
-    scratch.truth.resize(spec.n, 0);
-    for &i in &scratch.support {
-        scratch.truth[i] = 1;
-    }
 
     // 2. Simulate executing the pooled queries — the latency the paper's
     // parallel design exists to hide. Worker shards overlap these sleeps
@@ -139,20 +138,21 @@ pub fn process_job_traced(
         std::thread::sleep(std::time::Duration::from_micros(spec.query_cost_micros as u64));
     }
 
-    // 3. Additive query results y = Aᵀσ.
-    execute_queries_dense_into(design, &scratch.truth, &mut scratch.y);
+    // 3. Additive query results y = Aᵀσ, from the support's transpose rows.
+    scratch.y.resize(design.m(), 0);
+    execute_queries_support_into(design.csr(), &scratch.support, &mut scratch.y);
 
     // 4. Decode through the registry.
     if let Some((recorder, trace)) = tracing.as_mut() {
         trace.stamp(Span::DecodeStart, recorder.now_micros());
     }
     let decode_started = Instant::now();
-    let out = decoder(spec.decoder).decode(
+    let out = decoder(spec.decoder).decode_against(
         design,
         &scratch.y,
         spec.k,
         spec.seed,
-        &scratch.truth,
+        Truth::Support(&scratch.support),
         &mut scratch.decode,
     );
     let decode_micros = decode_started.elapsed().as_micros() as u64;
@@ -177,11 +177,11 @@ pub fn process_job_traced(
 }
 
 /// Serve a whole run of batch-compatible jobs (see [`batch_compatible`])
-/// against their shared design: one design traversal for every lane's
-/// query execution and Ψ accumulation, one shared Δ*, and one sleep for
-/// the batch's query latency (the simulated query executions overlap —
-/// they would run on parallel lab equipment — so the batch waits for the
-/// slowest lane, not the sum).
+/// against their shared design: each lane's `y` from its support's
+/// transpose rows, one design traversal for every lane's Ψ accumulation,
+/// one shared Δ*, and one sleep for the batch's query latency (the
+/// simulated query executions overlap — they would run on parallel lab
+/// equipment — so the batch waits for the slowest lane, not the sum).
 ///
 /// Appends one [`JobResult`] per spec, in spec order. Deterministic:
 /// every lane's result fingerprint equals [`process_job`]'s for the same
@@ -214,18 +214,20 @@ pub fn process_batch(
     let window = batch.window.max(lanes);
     batch.bw.reserve(window, n);
 
-    // 1. Draw every lane's hidden weight-k signal into the truth plane.
-    batch.truths.clear();
-    batch.truths.reserve(window * n);
-    batch.truths.resize(lanes * n, 0);
-    for (b, spec) in specs.iter().enumerate() {
+    // 1. Draw every lane's hidden weight-k signal's support.
+    let k_max = specs.iter().map(|s| s.k).max().unwrap_or(0);
+    batch.supports.clear();
+    batch.supports.reserve(window * k_max);
+    batch.bounds.clear();
+    batch.bounds.reserve(window + 1);
+    batch.bounds.push(0);
+    for spec in specs {
         let mut rng = SeedSequence::new(spec.seed).child("signal", 0).rng();
         sample_distinct_floyd_into(spec.n, spec.k, &mut rng, &mut scratch.support);
-        let lane = &mut batch.truths[b * n..(b + 1) * n];
-        for &i in &scratch.support {
-            lane[i] = 1;
-        }
+        batch.supports.extend_from_slice(&scratch.support);
+        batch.bounds.push(batch.supports.len());
     }
+    let lane_support = |b: usize| &batch.supports[batch.bounds[b]..batch.bounds[b + 1]];
 
     // 2. One overlapped query-execution sleep for the whole batch.
     let cost = specs.iter().map(|s| s.query_cost_micros).max().unwrap_or(0);
@@ -233,18 +235,23 @@ pub fn process_batch(
         std::thread::sleep(std::time::Duration::from_micros(cost as u64));
     }
 
-    // 3. One traversal: every lane's y = Aᵀσ and Ψ, plus the shared Δ*.
-    let decode_started = Instant::now();
+    // 3. Every lane's y = Aᵀσ from its support's transpose rows.
     batch.ys.clear();
     batch.ys.reserve(window * m);
     batch.ys.resize(lanes * m, 0);
+    for b in 0..lanes {
+        execute_queries_support_into(csr, lane_support(b), &mut batch.ys[b * m..(b + 1) * m]);
+    }
+
+    // 4. One traversal: every lane's Ψ, plus the shared Δ*.
+    let decode_started = Instant::now();
     batch.bw.prepare(lanes, n);
     {
         let (psis, dstar) = batch.bw.sums_mut();
-        decode_sums_fused_batch(csr, &batch.truths, lanes, &mut batch.ys, psis, dstar);
+        scatter_distinct_batch(csr, &batch.ys, lanes, psis, dstar);
     }
 
-    // 4. Finish each lane with its own decoder weight and score it.
+    // 5. Finish each lane with its own decoder weight and score it.
     let first = out.len();
     for (b, spec) in specs.iter().enumerate() {
         let ws = batch.bw.finish_lane(&MnDecoder::new(spec.k), b);
@@ -252,8 +259,7 @@ pub fn process_batch(
         for &s in ws.scores() {
             d.push(s as u64);
         }
-        let truth = &batch.truths[b * n..(b + 1) * n];
-        let hits = ws.support().iter().filter(|&&i| truth[i] == 1).count() as u32;
+        let hits = Truth::Support(lane_support(b)).hits(ws.support());
         let weight = ws.support().len() as u32;
         out.push(JobResult {
             id: spec.id,
@@ -337,6 +343,74 @@ mod tests {
         let got: Vec<u64> = out.iter().map(|r| r.fingerprint()).collect();
         assert_eq!(got, want);
         assert!(out.iter().all(|r| r.worker == 1));
+    }
+
+    /// The worker as it was before sparse query execution — a dense 0/1
+    /// truth, the dense `y` walk over every pool, scoring against the
+    /// dense truth — kept as the oracle the sparse paths must match bit
+    /// for bit: `(exact, hits, weight, support digest, score digest)`.
+    fn dense_reference(spec: &JobSpec, design: &AnyDesign) -> (bool, u32, u32, u64, u64) {
+        let mut support = Vec::new();
+        let mut rng = SeedSequence::new(spec.seed).child("signal", 0).rng();
+        sample_distinct_floyd_into(spec.n, spec.k, &mut rng, &mut support);
+        let mut truth = vec![0u8; spec.n];
+        for &i in &support {
+            truth[i] = 1;
+        }
+        let mut y = Vec::new();
+        pooled_core::query::execute_queries_dense_into(design, &truth, &mut y);
+        let out = decoder(spec.decoder).decode(
+            design,
+            &y,
+            spec.k,
+            spec.seed,
+            &truth,
+            &mut DecodeScratch::new(),
+        );
+        let exact = out.hits as usize == spec.k && out.weight as usize == spec.k;
+        (exact, out.hits, out.weight, out.support_digest, out.score_digest)
+    }
+
+    fn observed(r: &JobResult) -> (bool, u32, u32, u64, u64) {
+        (r.exact, r.hits, r.weight, r.support_digest, r.score_digest)
+    }
+
+    fn on_family(kind: pooled_design::factory::DesignKind, spec: JobSpec) -> JobSpec {
+        JobSpec { design: DesignSpec { kind, c_milli: 500, seed: 11 }, ..spec }
+    }
+
+    #[test]
+    fn sparse_jobs_match_the_dense_reference_for_every_decoder_and_family() {
+        let mut scratch = WorkerScratch::new(0);
+        for kind in pooled_design::factory::DesignKind::ALL {
+            let design = DesignKey::of(&on_family(kind, spec(0))).sample();
+            for (i, decoder) in DecoderKind::ALL.into_iter().enumerate() {
+                let s = JobSpec { decoder, ..on_family(kind, spec(20 + i as u64)) };
+                let got = process_job(&s, &design, &mut scratch);
+                assert_eq!(
+                    observed(&got),
+                    dense_reference(&s, &design),
+                    "{} / {}",
+                    kind.name(),
+                    decoder.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_batches_match_the_dense_reference_on_every_family() {
+        let mut scratch = WorkerScratch::with_batch_window(0, 8);
+        for kind in pooled_design::factory::DesignKind::ALL {
+            let mut specs: Vec<JobSpec> = (0..5).map(|s| on_family(kind, spec(40 + s))).collect();
+            specs[2].k = 11;
+            let design = DesignKey::of(&specs[0]).sample();
+            let mut out = Vec::new();
+            process_batch(&specs, &design, &mut scratch, &mut out);
+            for (r, s) in out.iter().zip(&specs) {
+                assert_eq!(observed(r), dense_reference(s, &design), "{} id {}", kind.name(), s.id);
+            }
+        }
     }
 
     #[test]

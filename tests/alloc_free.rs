@@ -6,9 +6,14 @@
 //! allocator pins this down exactly (single-worker pool: with more workers
 //! the scoped-thread fan-out itself allocates, which is outside the decode
 //! path's contract).
+//!
+//! The counter is process-global, so every test holds [`serial`] for its
+//! whole body: under the default parallel harness a test measuring its
+//! window would otherwise count another test's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAllocator;
 
@@ -37,6 +42,13 @@ fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// Run this binary's tests one at a time. A test that fails poisons the
+/// lock; the next one takes it anyway, since the guarded data is `()`.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 use pooled_data::core::mn::MnDecoder;
 use pooled_data::core::query::execute_queries;
 use pooled_data::core::workspace::MnWorkspace;
@@ -49,6 +61,7 @@ use pooled_data::prelude::*;
 
 #[test]
 fn workspace_decode_is_allocation_free_after_warmup() {
+    let _serial = serial();
     let (n, m, k) = (20_000usize, 600usize, 12usize);
     let seeds = SeedSequence::new(1905);
     let design = CsrDesign::sample(n, m, n / 2, &seeds.child("design", 0));
@@ -106,6 +119,7 @@ fn engine_steady_state_serving_is_allocation_free_after_warmup() {
     // every worker has warmed its scratch to the traffic's shape. This is
     // the engine's core scaling contract: steady-state throughput cannot
     // degrade from allocator pressure.
+    let _serial = serial();
     let profile = LoadProfile {
         distinct_designs: 1,
         decoders: vec![DecoderKind::Mn, DecoderKind::GeneralMn],
@@ -160,6 +174,7 @@ fn batched_engine_serving_is_allocation_free_after_warmup() {
     // telemetry, completion queue — must also serve with zero heap
     // allocations per job at steady state. Same contract as the per-job
     // path, now with the batch planes in the worker scratch.
+    let _serial = serial();
     let profile = LoadProfile {
         distinct_designs: 1,
         decoders: vec![DecoderKind::Mn],
@@ -231,6 +246,7 @@ fn full_tracing_engine_serving_is_allocation_free_after_warmup() {
     // the allocator once workers are warm.
     use pooled_data::engine::telemetry::{Metric, TelemetryConfig};
 
+    let _serial = serial();
     let profile = LoadProfile {
         distinct_designs: 1,
         decoders: vec![DecoderKind::Mn, DecoderKind::GeneralMn],
@@ -289,6 +305,7 @@ fn full_tracing_engine_serving_is_allocation_free_after_warmup() {
 #[test]
 fn allocating_api_allocates_per_decode() {
     // Sanity check on the counter itself: the one-shot API must allocate.
+    let _serial = serial();
     let (n, m, k) = (2_000usize, 100usize, 6usize);
     let seeds = SeedSequence::new(3);
     let design = CsrDesign::sample(n, m, n / 2, &seeds.child("design", 0));

@@ -85,6 +85,31 @@ proptest! {
         prop_assert_eq!(dstar2, want_dstar);
     }
 
+    /// Sparse query execution over the support's transpose rows is
+    /// bit-identical to the dense walk over every pool, on every design
+    /// family, and overwrites whatever the output slice held before.
+    #[test]
+    fn support_queries_match_dense_queries(
+        n in 2usize..250,
+        m in 1usize..60,
+        k in 0usize..20,
+        c_milli in 1u32..=1000,
+        seed in any::<u64>(),
+    ) {
+        use pooled_data::core::query::{execute_queries_dense_into, execute_queries_support_into};
+        use pooled_data::design::factory::DesignKind;
+        let seeds = SeedSequence::new(seed);
+        let sigma = Signal::random(n, k.min(n), &mut seeds.child("s", 0).rng());
+        let mut y = vec![u64::MAX; m];
+        for kind in DesignKind::ALL {
+            let design = kind.sample(n, m, c_milli as f64 / 1000.0, &seeds.child("d", 0));
+            let mut want = Vec::new();
+            execute_queries_dense_into(&design, sigma.dense(), &mut want);
+            execute_queries_support_into(design.csr(), sigma.support(), &mut y);
+            prop_assert_eq!(&y, &want, "{}", kind.name());
+        }
+    }
+
     /// Blocked privatized scatter matches `AtomicCounters` on random
     /// designs (the decoder access pattern, both planes).
     #[test]
