@@ -29,7 +29,7 @@ use pooled_design::factory::{AnyDesign, DesignKind};
 use pooled_par::lru::LruCache;
 use pooled_rng::SeedSequence;
 
-use crate::durability::DesignJournal;
+use crate::durability::WalJournal;
 use crate::job::JobSpec;
 
 /// Full identity of a sampled design. Equal keys ⇒ bit-identical designs
@@ -116,11 +116,10 @@ pub struct DesignCache {
     /// exists exactly while one sampler works; racing misses on the same
     /// key wait on it instead of sampling again.
     sampling: Mutex<HashMap<DesignKey, Arc<InFlight>>>,
-    /// The durable tier's observer, if this cache is journaled: every
-    /// admission and eviction is reported so a write-ahead log can
-    /// reconstruct the live set after a crash
-    /// ([`crate::durability::WalJournal`]).
-    journal: Mutex<Option<Arc<dyn DesignJournal>>>,
+    /// The durable tier's write-ahead log, if this cache is journaled:
+    /// every admission and eviction is reported so the log can
+    /// reconstruct the live set after a crash.
+    journal: Mutex<Option<Arc<WalJournal>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -141,7 +140,7 @@ impl DesignCache {
     /// and eviction is reported to it. Designs already resident are
     /// *not* retroactively reported — the caller checkpoints the live
     /// set right after attaching ([`crate::engine::Engine`] does).
-    pub fn set_journal(&self, journal: Arc<dyn DesignJournal>) {
+    pub fn set_journal(&self, journal: Arc<WalJournal>) {
         *self.journal.lock().expect("design journal poisoned") = Some(journal);
     }
 

@@ -25,7 +25,7 @@
 //! both — push the spec back on a retry queue — work unchanged against
 //! either node kind; that is the router's BUSY-aware retry loop.
 
-use std::io::{BufReader, BufWriter};
+use std::io::{BufWriter, Read};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -37,7 +37,7 @@ use crate::engine::{Engine, EngineConfig, EngineStats, ResultRoute, SubmitError}
 use crate::job::{JobResult, JobSpec};
 use crate::queue::{BoundedQueue, TryPop};
 use crate::telemetry::{Metric, MetricsRegistry};
-use crate::transport::frame::{read_frame_metered, Frame, FrameWriter, StatsReply};
+use crate::transport::frame::{Frame, FrameAssembler, FrameWriter, StatsReply};
 use crate::transport::{connect_stream, WireTimeouts};
 
 /// Something a node hands back on its completion stream.
@@ -412,55 +412,69 @@ impl Drop for RemoteNode {
 /// learn the node is gone. A terminal exit *while replies are owed*
 /// pushes [`NodeEvent::Down`] first, so the router learns the difference
 /// between a clean goodbye and a node that died holding its jobs.
+///
+/// Bytes are decoded through a [`FrameAssembler`], so a read deadline
+/// that fires mid-frame keeps the partial frame buffered: a reply split
+/// across the deadline is reassembled, never desynchronized.
 fn pump_replies(
-    stream: TcpStream,
+    mut stream: TcpStream,
     events: &BoundedQueue<NodeEvent>,
     owed: &AtomicU64,
     metrics: &MetricsRegistry,
     scrape: &ScrapeSlot,
 ) {
-    let mut r = BufReader::new(stream);
-    let mut scratch = Vec::new();
+    let mut asm = FrameAssembler::new();
+    let mut read_buf = vec![0u8; 16 * 1024];
     loop {
-        let event = match read_frame_metered(&mut r, &mut scratch, metrics) {
-            Ok(Some(Frame::Result(result))) => NodeEvent::Result(result),
-            Ok(Some(Frame::Busy(id))) => NodeEvent::Busy(id),
-            Ok(Some(Frame::Reject(id))) => NodeEvent::Rejected(id),
+        let event = match asm.next_frame_metered(metrics) {
+            Ok(Some((Frame::Result(result), _))) => NodeEvent::Result(result),
+            Ok(Some((Frame::Busy(id), _))) => NodeEvent::Busy(id),
+            Ok(Some((Frame::Reject(id), _))) => NodeEvent::Rejected(id),
             // A STATS reply answers a scrape, not a submission: hand it
             // to the waiting scraper without touching `owed` and without
             // occupying an event slot.
-            Ok(Some(Frame::Stats(reply))) => {
+            Ok(Some((Frame::Stats(reply), _))) => {
                 let (slot, cvar) = scrape;
                 slot.lock().expect("scrape slot poisoned").reply = Some(reply);
                 cvar.notify_all();
                 continue;
             }
-            // The read deadline expired. Idle silence is legal — keep
-            // listening. Silence while replies are owed means the peer
-            // is half-dead: declare it down.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if owed.load(Ordering::Acquire) == 0 {
+            // Only a frame prefix is buffered: read more.
+            Ok(None) => match stream.read(&mut read_buf) {
+                Ok(0) => {
+                    // EOF is a clean goodbye only between frames and with
+                    // no replies owed.
+                    if asm.buffered() > 0 || owed.load(Ordering::Acquire) > 0 {
+                        let _ = events.push(NodeEvent::Down);
+                    }
+                    break;
+                }
+                Ok(got) => {
+                    asm.extend(&read_buf[..got]);
                     continue;
                 }
-                let _ = events.push(NodeEvent::Down);
-                break;
-            }
-            // Clean EOF: only a failure if the peer still owed replies.
-            Ok(None) => {
-                if owed.load(Ordering::Acquire) > 0 {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    // The read deadline expired. Idle silence is legal —
+                    // keep listening. Silence while replies are owed
+                    // means the peer is half-dead, and any other socket
+                    // error means it is gone: declare it down.
+                    let timed_out = matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    );
+                    if timed_out && owed.load(Ordering::Acquire) == 0 {
+                        continue;
+                    }
                     let _ = events.push(NodeEvent::Down);
+                    break;
                 }
-                break;
-            }
-            // A server never sends SUBMIT/PREWARM/STATS_REQUEST; torn
+            },
+            // A server never sends SUBMIT/PREWARM/STATS_REQUEST; corrupt
             // frames leave no resync point. Either way the conversation
             // is over — and abnormal, so it surfaces as Down.
-            Ok(Some(Frame::Submit(_) | Frame::Prewarm(_) | Frame::StatsRequest(_))) | Err(_) => {
+            Ok(Some((Frame::Submit(_) | Frame::Prewarm(_) | Frame::StatsRequest(_), _)))
+            | Err(_) => {
                 let _ = events.push(NodeEvent::Down);
                 break;
             }
@@ -722,6 +736,44 @@ mod tests {
         drop(hold_tx);
         server.join().unwrap();
         Box::new(node).shutdown();
+    }
+
+    #[test]
+    fn a_stats_reply_split_across_the_read_deadline_is_reassembled() {
+        use crate::transport::frame::{decode_frame, encode_frame, CHECKSUM_LEN, HEADER_LEN};
+        use std::io::Write;
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut request = [0u8; HEADER_LEN + 8 + CHECKSUM_LEN];
+            conn.read_exact(&mut request).unwrap();
+            let Ok((Frame::StatsRequest(token), _)) = decode_frame(&request) else {
+                panic!("expected a STATS_REQUEST");
+            };
+            let mut reply = Vec::new();
+            encode_frame(
+                &Frame::Stats(StatsReply { token, stats: EngineStats::zero() }),
+                &mut reply,
+            );
+            // Half the reply, then silence well past the client's read
+            // deadline, then the rest.
+            let half = reply.len() / 2;
+            conn.write_all(&reply[..half]).unwrap();
+            std::thread::sleep(Duration::from_millis(150));
+            conn.write_all(&reply[half..]).unwrap();
+            // Hold the connection until the client hangs up.
+            let _ = conn.read(&mut [0u8; 1]);
+        });
+        let timeouts = WireTimeouts {
+            connect: Some(Duration::from_secs(2)),
+            read: Some(Duration::from_millis(40)),
+        };
+        let node = RemoteNode::connect_with(addr, timeouts).unwrap();
+        assert!(node.stats().is_some(), "a reply split across the deadline must still land");
+        Box::new(node).shutdown();
+        server.join().unwrap();
     }
 
     #[test]

@@ -67,16 +67,6 @@ impl DurabilityConfig {
     }
 }
 
-/// What the design cache tells the durable tier. Hooks are called
-/// outside the cache's map lock but inside the admission path, so
-/// implementations must be cheap or explicitly accept the latency.
-pub trait DesignJournal: Send + Sync {
-    /// `key`'s design entered the cache.
-    fn admitted(&self, key: &DesignKey, design: &AnyDesign);
-    /// `key`'s design was evicted.
-    fn evicted(&self, key: &DesignKey);
-}
-
 /// Everything recovered from a durability directory.
 pub struct Recovery {
     /// Live keys at the replayed prefix, in admission order.
@@ -176,10 +166,11 @@ impl WalJournal {
         let mut writer = self.writer.lock().expect("WAL writer poisoned");
         writer.compact(live, Some(stats))
     }
-}
 
-impl DesignJournal for WalJournal {
-    fn admitted(&self, key: &DesignKey, design: &AnyDesign) {
+    /// `key`'s design entered the cache. Called by the design cache
+    /// outside its map lock but inside the admission path (write-ahead:
+    /// the record lands before the design serves).
+    pub fn admitted(&self, key: &DesignKey, design: &AnyDesign) {
         if self.spill_designs {
             let _ = snapshot::spill_design(&self.dir, key, design);
         }
@@ -187,7 +178,8 @@ impl DesignJournal for WalJournal {
         let _ = writer.append(&WalRecord::Admit(*key));
     }
 
-    fn evicted(&self, key: &DesignKey) {
+    /// `key`'s design was evicted from the cache.
+    pub fn evicted(&self, key: &DesignKey) {
         {
             let mut writer = self.writer.lock().expect("WAL writer poisoned");
             let _ = writer.append(&WalRecord::Evict(*key));

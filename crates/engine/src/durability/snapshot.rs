@@ -47,8 +47,11 @@ use pooled_design::{
 };
 
 use crate::cache::DesignKey;
+use crate::codec::{
+    checksum, design_code, design_from_code, get_u32, get_u64, get_usize, put_u32, put_u64,
+    CHECKSUM_LEN,
+};
 use crate::job::Digest;
-use crate::transport::frame::checksum;
 
 /// First byte of every snapshot file.
 pub const SNAP_MAGIC: u8 = 0xD7;
@@ -56,7 +59,6 @@ pub const SNAP_MAGIC: u8 = 0xD7;
 pub const SNAP_VERSION: u8 = 1;
 
 const FIXED_HEADER_LEN: usize = 48;
-const CHECKSUM_LEN: usize = 8;
 
 /// Why a snapshot was rejected (the caller resamples from the key).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,10 +97,6 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-fn kind_code(kind: DesignKind) -> u8 {
-    DesignKind::ALL.iter().position(|&k| k == kind).expect("design kind in ALL") as u8
-}
-
 /// Snapshot file name for `key` (a digest keeps the name short and
 /// filesystem-safe regardless of the key's numeric ranges).
 pub fn snapshot_file_name(key: &DesignKey) -> String {
@@ -107,7 +105,7 @@ pub fn snapshot_file_name(key: &DesignKey) -> String {
     d.push(key.m as u64);
     d.push(key.seed);
     d.push(key.c_milli as u64);
-    d.push(kind_code(key.kind) as u64);
+    d.push(design_code(key.kind) as u64);
     format!("design-{:016x}.snap", d.finish())
 }
 
@@ -122,35 +120,35 @@ pub fn spill_design(dir: &Path, key: &DesignKey, design: &AnyDesign) -> io::Resu
     let mut buf = Vec::with_capacity(FIXED_HEADER_LEN + 8 * (m + 1) + 8 * nnz + CHECKSUM_LEN);
     buf.push(SNAP_MAGIC);
     buf.push(SNAP_VERSION);
-    buf.push(kind_code(key.kind));
+    buf.push(design_code(key.kind));
     buf.push(0); // reserved
-    buf.extend_from_slice(&key.c_milli.to_le_bytes());
-    buf.extend_from_slice(&(n as u64).to_le_bytes());
-    buf.extend_from_slice(&(m as u64).to_le_bytes());
-    buf.extend_from_slice(&key.seed.to_le_bytes());
-    buf.extend_from_slice(&(gamma as u64).to_le_bytes());
-    buf.extend_from_slice(&(nnz as u64).to_le_bytes());
+    put_u32(&mut buf, key.c_milli);
+    put_u64(&mut buf, n as u64);
+    put_u64(&mut buf, m as u64);
+    put_u64(&mut buf, key.seed);
+    put_u64(&mut buf, gamma as u64);
+    put_u64(&mut buf, nnz as u64);
     let mut offset = 0u64;
     let mut rows = Vec::with_capacity(m);
     for q in 0..m {
         let (entries, mults) = csr.query_row(q);
         rows.push((entries, mults));
-        buf.extend_from_slice(&offset.to_le_bytes());
+        put_u64(&mut buf, offset);
         offset += entries.len() as u64;
     }
-    buf.extend_from_slice(&offset.to_le_bytes());
+    put_u64(&mut buf, offset);
     for &(entries, _) in &rows {
         for &e in entries {
-            buf.extend_from_slice(&e.to_le_bytes());
+            put_u32(&mut buf, e);
         }
     }
     for &(_, mults) in &rows {
         for &c in mults {
-            buf.extend_from_slice(&c.to_le_bytes());
+            put_u32(&mut buf, c);
         }
     }
     let ck = checksum(&buf);
-    buf.extend_from_slice(&ck.to_le_bytes());
+    put_u64(&mut buf, ck);
     let path = snapshot_path(dir, key);
     let tmp = path.with_extension("tmp");
     fs::write(&tmp, &buf)?;
@@ -164,18 +162,6 @@ pub fn remove_design(dir: &Path, key: &DesignKey) -> io::Result<()> {
         Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
         _ => Ok(()),
     }
-}
-
-fn get_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("bounds checked"))
-}
-
-fn get_u64(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("bounds checked"))
-}
-
-fn get_usize(bytes: &[u8], at: usize) -> Result<usize, SnapshotError> {
-    usize::try_from(get_u64(bytes, at)).map_err(|_| SnapshotError::BadSize)
 }
 
 /// Parse snapshot `bytes` back into the design for `key`, verifying the
@@ -193,14 +179,14 @@ pub fn decode_design(key: &DesignKey, bytes: &[u8]) -> Result<AnyDesign, Snapsho
     if bytes[1] != SNAP_VERSION {
         return Err(SnapshotError::BadVersion(bytes[1]));
     }
-    let kind =
-        DesignKind::ALL.get(bytes[2] as usize).copied().ok_or(SnapshotError::BadKind(bytes[2]))?;
+    let kind = design_from_code(bytes[2]).map_err(|_| SnapshotError::BadKind(bytes[2]))?;
+    let size = |at| get_usize(bytes, at, "size").map_err(|_| SnapshotError::BadSize);
     let c_milli = get_u32(bytes, 4);
-    let n = get_usize(bytes, 8)?;
-    let m = get_usize(bytes, 16)?;
+    let n = size(8)?;
+    let m = size(16)?;
     let seed = get_u64(bytes, 24);
-    let gamma = get_usize(bytes, 32)?;
-    let nnz = get_usize(bytes, 40)?;
+    let gamma = size(32)?;
+    let nnz = size(40)?;
     let expected = FIXED_HEADER_LEN
         .checked_add(m.checked_add(1).and_then(|r| r.checked_mul(8)).ok_or(SnapshotError::BadSize)?)
         .and_then(|t| t.checked_add(nnz.checked_mul(8)?))
@@ -228,7 +214,7 @@ pub fn decode_design(key: &DesignKey, bytes: &[u8]) -> Result<AnyDesign, Snapsho
     let mut rows = Vec::with_capacity(m);
     let mut prev_end = 0usize;
     for q in 0..m {
-        let end = get_usize(bytes, offsets_at + 8 * (q + 1))?;
+        let end = size(offsets_at + 8 * (q + 1))?;
         if end < prev_end || end > nnz {
             return Err(SnapshotError::BadStructure);
         }

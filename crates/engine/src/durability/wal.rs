@@ -1,28 +1,17 @@
-//! The write-ahead design log: append-only, length-prefixed,
-//! checksummed records of design-cache admissions and evictions.
+//! The write-ahead design log: append-only, checksummed records of
+//! design-cache admissions and evictions.
 //!
-//! Every record reuses the transport frame idiom (`header ‖ payload ‖
-//! checksum`, all fields explicit little-endian bytes, never
-//! `unsafe`-transmuted) with a distinct magic byte so a WAL segment can
-//! never be confused with a wire stream:
+//! Every record is one [`crate::codec`] record under magic `0xD6`
+//! (`header ‖ payload ‖ checksum`, explicit little-endian fields), so a
+//! WAL segment can never be confused with a wire stream. This module
+//! keeps the record-type table — `1`=ADMIT `2`=EVICT `3`=STATS:
 //!
-//! ```text
-//! offset  size  field
-//! 0       1     magic      (0xD6)
-//! 1       1     version    (1; any other value is rejected)
-//! 2       1     record type (1=ADMIT 2=EVICT 3=STATS)
-//! 3       1     reserved   (0)
-//! 4       4     payload length, u32 LE (fixed per record type)
-//! 8       len   payload
-//! 8+len   8     checksum, u64 LE over header ‖ payload
-//! ```
-//!
-//! `ADMIT` / `EVICT` carry a [`DesignKey`] (32 bytes, the PREWARM frame
-//! layout: `n:u64, m:u64, seed:u64, c_milli:u32, kind:u8, pad:[u8;3]`).
-//! `STATS` carries a full [`EngineStats`] snapshot (the STATS frame
-//! payload minus its correlation token) — a checkpoint of the engine's
-//! cumulative telemetry, written by the compactor so counters and
-//! latency histograms survive a restart.
+//! `ADMIT` / `EVICT` carry a [`DesignKey`] in the codec's 32-byte key
+//! layout (the PREWARM frame payload). `STATS` carries a full
+//! [`EngineStats`] snapshot in the codec's 7984-byte stats layout (the
+//! STATS frame payload minus its correlation token) — a checkpoint of
+//! the engine's cumulative telemetry, written by the compactor so
+//! counters and latency histograms survive a restart.
 //!
 //! The log is a sequence of segment files `wal-<seq>.log`. Appends go
 //! to the highest segment; once it exceeds the rotation threshold a new
@@ -50,33 +39,30 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use pooled_lab::histogram::{LatencyHistogram, LATENCY_BUCKETS};
-use pooled_stats::summary::Summary;
-
 use crate::cache::DesignKey;
+use crate::codec::{
+    get_key, get_stats, put_key, put_stats, Envelope, RecordError, CHECKSUM_LEN, HEADER_LEN,
+    KEY_LEN, STATS_LEN,
+};
 use crate::engine::EngineStats;
 use crate::telemetry::{Metric, MetricsRegistry};
-use crate::transport::frame::checksum;
-
-use pooled_design::factory::DesignKind;
 
 /// First byte of every WAL record.
 pub const WAL_MAGIC: u8 = 0xD6;
-/// WAL format version this build writes and accepts.
-pub const WAL_VERSION: u8 = 1;
-/// Fixed record header size (magic, version, type, reserved, length).
-pub const RECORD_HEADER_LEN: usize = 8;
-/// Trailing checksum size.
-pub const RECORD_CHECKSUM_LEN: usize = 8;
-/// `ADMIT` / `EVICT` payload size (a [`DesignKey`]).
-pub const KEY_PAYLOAD_LEN: usize = 32;
-/// `STATS` payload size: 9 scalar words, two 5-word latency summaries,
-/// 3 histogram scalars and all [`LATENCY_BUCKETS`] bucket counters.
-pub const STATS_PAYLOAD_LEN: usize = (9 + 10 + 3 + LATENCY_BUCKETS) * 8;
 
 const REC_ADMIT: u8 = 1;
 const REC_EVICT: u8 = 2;
 const REC_STATS: u8 = 3;
+
+const WAL: Envelope = Envelope { magic: WAL_MAGIC, payload_len: payload_len_of };
+
+fn payload_len_of(rec_type: u8) -> Option<usize> {
+    match rec_type {
+        REC_ADMIT | REC_EVICT => Some(KEY_LEN),
+        REC_STATS => Some(STATS_LEN),
+        _ => None,
+    }
+}
 
 /// One write-ahead log record.
 ///
@@ -95,42 +81,6 @@ pub enum WalRecord {
     Stats(EngineStats),
 }
 
-/// Why one record failed to decode (prefix replay stops here).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WalRecordError {
-    /// Fewer bytes than the record claims — a torn write.
-    Truncated,
-    /// First byte is not [`WAL_MAGIC`].
-    BadMagic(u8),
-    /// Unsupported format version.
-    BadVersion(u8),
-    /// Unknown record type.
-    BadType(u8),
-    /// The length field disagrees with the record type's fixed size.
-    BadLength(u32),
-    /// Stored checksum does not match the record bytes.
-    BadChecksum,
-    /// A payload field holds an unrepresentable value (bad enum code or
-    /// an integer that does not fit `usize`).
-    BadValue,
-}
-
-impl std::fmt::Display for WalRecordError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WalRecordError::Truncated => write!(f, "torn record (truncated)"),
-            WalRecordError::BadMagic(b) => write!(f, "bad magic byte 0x{b:02X}"),
-            WalRecordError::BadVersion(v) => write!(f, "unsupported WAL version {v}"),
-            WalRecordError::BadType(t) => write!(f, "unknown record type {t}"),
-            WalRecordError::BadLength(l) => write!(f, "length field {l} contradicts record type"),
-            WalRecordError::BadChecksum => write!(f, "checksum mismatch"),
-            WalRecordError::BadValue => write!(f, "unrepresentable payload value"),
-        }
-    }
-}
-
-impl std::error::Error for WalRecordError {}
-
 /// Why a whole-log replay failed.
 #[derive(Debug)]
 pub enum WalError {
@@ -145,7 +95,7 @@ pub enum WalError {
         /// Byte offset of the corrupt record within that segment.
         offset: usize,
         /// What failed to decode there.
-        cause: WalRecordError,
+        cause: RecordError,
     },
 }
 
@@ -168,177 +118,26 @@ impl From<io::Error> for WalError {
     }
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("bounds checked"))
-}
-
-fn get_u64(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("bounds checked"))
-}
-
-fn get_usize(bytes: &[u8], at: usize) -> Result<usize, WalRecordError> {
-    usize::try_from(get_u64(bytes, at)).map_err(|_| WalRecordError::BadValue)
-}
-
-fn kind_code(kind: DesignKind) -> u8 {
-    DesignKind::ALL.iter().position(|&k| k == kind).expect("design kind in ALL") as u8
-}
-
-fn kind_from_code(code: u8) -> Result<DesignKind, WalRecordError> {
-    DesignKind::ALL.get(code as usize).copied().ok_or(WalRecordError::BadValue)
-}
-
-fn put_key(buf: &mut Vec<u8>, key: &DesignKey) {
-    put_u64(buf, key.n as u64);
-    put_u64(buf, key.m as u64);
-    put_u64(buf, key.seed);
-    put_u32(buf, key.c_milli);
-    buf.push(kind_code(key.kind));
-    buf.extend_from_slice(&[0u8; 3]); // pad
-}
-
-fn get_key(bytes: &[u8], at: usize) -> Result<DesignKey, WalRecordError> {
-    Ok(DesignKey {
-        n: get_usize(bytes, at)?,
-        m: get_usize(bytes, at + 8)?,
-        seed: get_u64(bytes, at + 16),
-        c_milli: get_u32(bytes, at + 24),
-        kind: kind_from_code(bytes[at + 28])?,
-    })
-}
-
-fn put_summary(buf: &mut Vec<u8>, s: &Summary) {
-    let (count, mean, m2, min, max) = s.raw_parts();
-    put_u64(buf, count);
-    put_u64(buf, mean.to_bits());
-    put_u64(buf, m2.to_bits());
-    put_u64(buf, min.to_bits());
-    put_u64(buf, max.to_bits());
-}
-
-fn get_summary(bytes: &[u8], at: usize) -> Summary {
-    Summary::from_raw_parts(
-        get_u64(bytes, at),
-        f64::from_bits(get_u64(bytes, at + 8)),
-        f64::from_bits(get_u64(bytes, at + 16)),
-        f64::from_bits(get_u64(bytes, at + 24)),
-        f64::from_bits(get_u64(bytes, at + 32)),
-    )
-}
-
-fn put_stats(buf: &mut Vec<u8>, s: &EngineStats) {
-    put_u64(buf, s.jobs_completed);
-    put_u64(buf, s.jobs_poisoned);
-    put_u64(buf, s.exact_recoveries);
-    put_u64(buf, s.cache_hits);
-    put_u64(buf, s.cache_misses);
-    put_u64(buf, s.cache_len as u64);
-    put_u64(buf, s.queued_jobs as u64);
-    put_u64(buf, s.pending_results as u64);
-    put_u64(buf, s.workers as u64);
-    put_summary(buf, &s.total_latency);
-    put_summary(buf, &s.decode_latency);
-    put_u64(buf, s.histogram.count());
-    put_u64(buf, s.histogram.sum_micros());
-    put_u64(buf, s.histogram.max_micros());
-    for &b in s.histogram.bucket_counts() {
-        put_u64(buf, b);
-    }
-}
-
-fn get_stats(bytes: &[u8], at: usize) -> Result<EngineStats, WalRecordError> {
-    let mut buckets = [0u64; LATENCY_BUCKETS];
-    for (i, b) in buckets.iter_mut().enumerate() {
-        *b = get_u64(bytes, at + (22 + i) * 8);
-    }
-    Ok(EngineStats {
-        jobs_completed: get_u64(bytes, at),
-        jobs_poisoned: get_u64(bytes, at + 8),
-        exact_recoveries: get_u64(bytes, at + 16),
-        cache_hits: get_u64(bytes, at + 24),
-        cache_misses: get_u64(bytes, at + 32),
-        cache_len: get_usize(bytes, at + 40)?,
-        queued_jobs: get_usize(bytes, at + 48)?,
-        pending_results: get_usize(bytes, at + 56)?,
-        workers: get_usize(bytes, at + 64)?,
-        total_latency: get_summary(bytes, at + 72),
-        decode_latency: get_summary(bytes, at + 112),
-        histogram: LatencyHistogram::from_raw_parts(
-            buckets,
-            get_u64(bytes, at + 152),
-            get_u64(bytes, at + 160),
-            get_u64(bytes, at + 168),
-        ),
-    })
-}
-
 /// Serialize `record` into `buf` (cleared first; reuse across appends).
 pub fn encode_record(record: &WalRecord, buf: &mut Vec<u8>) {
-    buf.clear();
-    let (rec_type, payload_len) = match record {
-        WalRecord::Admit(_) => (REC_ADMIT, KEY_PAYLOAD_LEN),
-        WalRecord::Evict(_) => (REC_EVICT, KEY_PAYLOAD_LEN),
-        WalRecord::Stats(_) => (REC_STATS, STATS_PAYLOAD_LEN),
-    };
-    buf.push(WAL_MAGIC);
-    buf.push(WAL_VERSION);
-    buf.push(rec_type);
-    buf.push(0); // reserved
-    put_u32(buf, payload_len as u32);
     match record {
-        WalRecord::Admit(key) | WalRecord::Evict(key) => put_key(buf, key),
-        WalRecord::Stats(stats) => put_stats(buf, stats),
+        WalRecord::Admit(key) => WAL.encode(buf, REC_ADMIT, |buf| put_key(buf, key)),
+        WalRecord::Evict(key) => WAL.encode(buf, REC_EVICT, |buf| put_key(buf, key)),
+        WalRecord::Stats(stats) => WAL.encode(buf, REC_STATS, |buf| put_stats(buf, stats)),
     }
-    debug_assert_eq!(buf.len(), RECORD_HEADER_LEN + payload_len);
-    let ck = checksum(buf);
-    put_u64(buf, ck);
 }
 
 /// Parse one record from the front of `bytes`; returns the record and
 /// how many bytes it consumed. Magic, version, type, length and
 /// checksum are all verified before any payload byte is interpreted —
-/// the same order as the wire decoder, so corruption can neither
+/// the same envelope as the wire decoder, so corruption can neither
 /// trigger a huge allocation nor desynchronize replay silently.
-pub fn decode_record(bytes: &[u8]) -> Result<(WalRecord, usize), WalRecordError> {
-    if bytes.len() < RECORD_HEADER_LEN {
-        return Err(WalRecordError::Truncated);
-    }
-    if bytes[0] != WAL_MAGIC {
-        return Err(WalRecordError::BadMagic(bytes[0]));
-    }
-    if bytes[1] != WAL_VERSION {
-        return Err(WalRecordError::BadVersion(bytes[1]));
-    }
-    let rec_type = bytes[2];
-    let expected = match rec_type {
-        REC_ADMIT | REC_EVICT => KEY_PAYLOAD_LEN,
-        REC_STATS => STATS_PAYLOAD_LEN,
-        other => return Err(WalRecordError::BadType(other)),
-    };
-    let claimed = get_u32(bytes, 4);
-    if claimed as usize != expected {
-        return Err(WalRecordError::BadLength(claimed));
-    }
-    let total = RECORD_HEADER_LEN + expected + RECORD_CHECKSUM_LEN;
-    if bytes.len() < total {
-        return Err(WalRecordError::Truncated);
-    }
-    let body = &bytes[..RECORD_HEADER_LEN + expected];
-    if checksum(body) != get_u64(bytes, RECORD_HEADER_LEN + expected) {
-        return Err(WalRecordError::BadChecksum);
-    }
+pub fn decode_record(bytes: &[u8]) -> Result<(WalRecord, usize), RecordError> {
+    let (rec_type, p, total) = WAL.decode(bytes)?;
     let record = match rec_type {
-        REC_ADMIT => WalRecord::Admit(get_key(bytes, RECORD_HEADER_LEN)?),
-        REC_EVICT => WalRecord::Evict(get_key(bytes, RECORD_HEADER_LEN)?),
-        _ => WalRecord::Stats(get_stats(bytes, RECORD_HEADER_LEN)?),
+        REC_ADMIT => WalRecord::Admit(get_key(p)?),
+        REC_EVICT => WalRecord::Evict(get_key(p)?),
+        _ => WalRecord::Stats(get_stats(p)?),
     };
     Ok((record, total))
 }
@@ -470,7 +269,7 @@ impl WalWriter {
             segment_max_bytes: segment_max_bytes.max(1),
             fsync,
             metrics,
-            buf: Vec::with_capacity(RECORD_HEADER_LEN + STATS_PAYLOAD_LEN + RECORD_CHECKSUM_LEN),
+            buf: Vec::with_capacity(HEADER_LEN + STATS_LEN + CHECKSUM_LEN),
         })
     }
 
@@ -548,6 +347,7 @@ impl WalWriter {
 mod tests {
     use super::*;
     use crate::durability::testutil::scratch_dir;
+    use pooled_design::factory::DesignKind;
 
     fn key(seed: u64) -> DesignKey {
         DesignKey { n: 120, m: 40, kind: DesignKind::RandomRegular, c_milli: 500, seed }
@@ -570,6 +370,45 @@ mod tests {
             assert_eq!(decoded, record);
             assert_eq!(consumed, buf.len());
         }
+    }
+
+    #[test]
+    fn record_layout_is_stable_little_endian() {
+        // The on-disk format is a durability contract: pin the exact
+        // bytes (checksums included) of a known ADMIT and STATS record,
+        // so a field reorder, endianness or checksum change cannot slip
+        // through as "still round-trips".
+        let key = DesignKey {
+            n: 1000,
+            m: 420,
+            kind: DesignKind::NoReplace,
+            c_milli: 350,
+            seed: 0xDEAD_BEEF,
+        };
+        let mut buf = Vec::new();
+        encode_record(&WalRecord::Admit(key), &mut buf);
+        assert_eq!(buf.len(), 48);
+        assert_eq!(&buf[..8], &[0xD6, 1, 1, 0, 32, 0, 0, 0]);
+        assert_eq!(&buf[8..16], &1000u64.to_le_bytes(), "n");
+        assert_eq!(&buf[16..24], &420u64.to_le_bytes(), "m");
+        assert_eq!(&buf[24..32], &0xDEAD_BEEFu64.to_le_bytes(), "seed");
+        assert_eq!(&buf[32..36], &350u32.to_le_bytes(), "c_milli");
+        assert_eq!(&buf[36..40], &[1, 0, 0, 0], "design kind code (NoReplace), pad");
+        assert_eq!(&buf[40..48], &0x4404_1c47_eb5f_d23fu64.to_le_bytes(), "checksum");
+
+        let mut stats = EngineStats::zero();
+        stats.jobs_completed = 1234;
+        stats.workers = 8;
+        stats.total_latency.push(4_000.0);
+        encode_record(&WalRecord::Stats(stats), &mut buf);
+        assert_eq!(buf.len(), 8000);
+        assert_eq!(&buf[..4], &[0xD6, 1, 3, 0]);
+        assert_eq!(&buf[4..8], &7984u32.to_le_bytes(), "payload length");
+        assert_eq!(&buf[8..16], &1234u64.to_le_bytes(), "jobs_completed");
+        assert_eq!(&buf[72..80], &8u64.to_le_bytes(), "workers");
+        assert_eq!(&buf[80..88], &1u64.to_le_bytes(), "total_latency count");
+        assert_eq!(&buf[88..96], &4_000f64.to_bits().to_le_bytes(), "total_latency mean");
+        assert_eq!(&buf[7992..], &0x0b57_f127_fd95_2723u64.to_le_bytes(), "checksum");
     }
 
     #[test]
@@ -596,7 +435,7 @@ mod tests {
     fn rotation_splits_segments_and_replay_spans_them() {
         let dir = scratch_dir("wal-rotate");
         // Threshold of one record: every append after the first rotates.
-        let record_len = RECORD_HEADER_LEN + KEY_PAYLOAD_LEN + RECORD_CHECKSUM_LEN;
+        let record_len = HEADER_LEN + KEY_LEN + CHECKSUM_LEN;
         let mut w = WalWriter::open(&dir, record_len as u64, false, registry()).unwrap();
         for s in 0..5 {
             w.append(&WalRecord::Admit(key(s))).unwrap();
@@ -657,7 +496,7 @@ mod tests {
     #[test]
     fn corruption_before_the_final_segment_is_a_clean_error() {
         let dir = scratch_dir("wal-corrupt-mid");
-        let record_len = (RECORD_HEADER_LEN + KEY_PAYLOAD_LEN + RECORD_CHECKSUM_LEN) as u64;
+        let record_len = (HEADER_LEN + KEY_LEN + CHECKSUM_LEN) as u64;
         let mut w = WalWriter::open(&dir, record_len, false, registry()).unwrap();
         for s in 0..4 {
             w.append(&WalRecord::Admit(key(s))).unwrap();
@@ -673,7 +512,7 @@ mod tests {
         fs::write(first, bytes).unwrap();
         match replay_dir(&dir) {
             Err(WalError::CorruptSegment { cause, .. }) => {
-                assert_eq!(cause, WalRecordError::BadChecksum);
+                assert_eq!(cause, RecordError::BadChecksum);
             }
             other => panic!("expected CorruptSegment, got {other:?}"),
         }

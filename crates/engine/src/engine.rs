@@ -25,7 +25,7 @@ use pooled_stats::summary::Summary;
 use rayon::ThreadPoolBuilder;
 
 use crate::cache::{DesignCache, DesignKey};
-use crate::durability::{self, DesignJournal, DurabilityConfig, WalJournal};
+use crate::durability::{self, DurabilityConfig, WalJournal};
 use crate::job::{JobResult, JobSpec};
 use crate::queue::{snapshot_lens, BoundedQueue, TryPushError};
 use crate::telemetry::{
@@ -482,7 +482,7 @@ impl Engine {
         // can interleave here: the caller holds the only handle.
         let baseline = *engine.shared.recovered.lock().expect("recovered stats poisoned");
         journal.checkpoint(&engine.shared.cache.keys(), &baseline)?;
-        engine.shared.cache.set_journal(Arc::clone(&journal) as Arc<dyn DesignJournal>);
+        engine.shared.cache.set_journal(Arc::clone(&journal));
         *engine.shared.journal.lock().expect("journal slot poisoned") = Some(journal);
         Ok(engine)
     }

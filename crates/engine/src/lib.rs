@@ -31,6 +31,11 @@
 //!   at any sampling rate.
 //! * [`traffic`] — deterministic load profiles and Poisson arrivals for
 //!   the `engine_load` generator and the throughput benches.
+//! * [`codec`] — the one checksummed-record format: the `header ‖
+//!   payload ‖ checksum` envelope shared by transport frames and WAL
+//!   records, the little-endian field helpers, the `DesignKind` /
+//!   `DecoderKind` codes, and the `DesignKey` and `EngineStats` layouts
+//!   both formats carry.
 //! * [`transport`] — the TCP front: length-prefixed checksummed frames,
 //!   a readiness-driven event-loop server multiplexing every connection
 //!   over a few `poll(2)` threads (backpressure = explicit `BUSY`
@@ -70,6 +75,7 @@
 
 pub mod cache;
 pub mod cluster;
+pub mod codec;
 pub mod durability;
 pub mod engine;
 pub mod job;
@@ -82,7 +88,7 @@ pub mod worker;
 
 pub use cache::{DesignCache, DesignKey};
 pub use cluster::{FailoverConfig, LocalNode, Membership, NodeHandle, RemoteNode, Router};
-pub use durability::{DesignJournal, DurabilityConfig, Recovery, WalJournal};
+pub use durability::{DurabilityConfig, Recovery, WalJournal};
 pub use engine::{Engine, EngineConfig, EngineStats, ResultRoute, RouteWaker};
 pub use job::{DecoderKind, DesignSpec, JobResult, JobSpec};
 pub use queue::BoundedQueue;

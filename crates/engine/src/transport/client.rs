@@ -33,8 +33,9 @@ use std::time::Instant;
 
 use pooled_lab::split::LatencySplit;
 
+use crate::codec::RecordError;
 use crate::job::{JobResult, JobSpec};
-use crate::transport::frame::{write_frame, Frame, FrameAssembler, FrameError};
+use crate::transport::frame::{write_frame, Frame, FrameAssembler};
 use crate::transport::{connect_stream, WireTimeouts};
 
 /// What can go wrong on the client side of the wire.
@@ -78,8 +79,8 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
-impl From<FrameError> for TransportError {
-    fn from(e: FrameError) -> Self {
+impl From<RecordError> for TransportError {
+    fn from(e: RecordError) -> Self {
         TransportError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 }

@@ -1,31 +1,12 @@
 //! Length-prefixed binary framing for the engine's wire types.
 //!
-//! Every frame is `header ‖ payload ‖ checksum` with an **explicit
-//! little-endian field layout** — fields are written byte by byte, never
-//! `unsafe`-transmuted, so the format is identical across platforms and
-//! independent of Rust struct layout:
-//!
-//! ```text
-//! offset  size  field
-//! 0       1     magic      (0xD5 — rejects non-protocol peers fast)
-//! 1       1     version    (1; any other value is rejected)
-//! 2       1     msg type   (1=SUBMIT 2=RESULT 3=BUSY 4=REJECT 5=PREWARM
-//!                           6=STATS 7=STATS_REQUEST)
-//! 3       1     reserved   (0)
-//! 4       4     payload length, u32 LE (fixed per msg type)
-//! 8       len   payload    (layouts below)
-//! 8+len   8     checksum, u64 LE over header ‖ payload
-//! ```
-//!
-//! The payload length is *redundant* on purpose: each message type has
-//! exactly one legal length, and a mismatch is rejected before any
-//! payload byte is interpreted — a corrupted length can neither trigger
-//! a huge allocation nor desynchronize the stream parser. The checksum
-//! is the workspace's `mix64` chain ([`Digest`]) over the length-tagged
-//! bytes; it detects corruption, not tampering (the transport trusts its
-//! network like the in-process queues trust their callers).
-//!
-//! Payload layouts (all integers little-endian):
+//! Every frame is one [`crate::codec`] record under magic `0xD5`
+//! (`header ‖ payload ‖ checksum`, explicit little-endian fields, one
+//! legal payload length per type, checksum verified before any payload
+//! byte is read). This module keeps the wire's message-type table —
+//! `1`=SUBMIT `2`=RESULT `3`=BUSY `4`=REJECT `5`=PREWARM `6`=STATS
+//! `7`=STATS_REQUEST — and the per-type payload layouts (all integers
+//! little-endian):
 //!
 //! `SUBMIT` — a [`JobSpec`], 60 bytes: `id:u64, n:u64, k:u64, m:u64,
 //! design_seed:u64, job_seed:u64, c_milli:u32, query_cost_micros:u32,
@@ -40,21 +21,16 @@
 //! right now (backpressure — retry) or will never accept (infeasible
 //! spec — don't).
 //!
-//! `PREWARM` — a [`DesignKey`], 32 bytes: `n:u64, m:u64, design_seed:u64,
-//! c_milli:u32, design_kind:u8, pad:[u8;3](=0)`. Client → server,
-//! fire-and-forget: warm the node's design cache for this key (the
-//! router's standby-warming path). No reply — a node that cannot warm
-//! simply pays the miss later.
+//! `PREWARM` — a [`DesignKey`] in the codec's 32-byte key layout.
+//! Client → server, fire-and-forget: warm the node's design cache for
+//! this key (the router's standby-warming path). No reply — a node that
+//! cannot warm simply pays the miss later.
 //!
-//! `STATS` — a token-correlated [`EngineStats`] snapshot, 7992 bytes of
-//! u64 LE words (server → client, answering `STATS_REQUEST`): the echoed
-//! request token, the scalar counters and gauges, both latency
-//! [`Summary`] accumulators as raw Welford parts (`count` plus
-//! `mean/m2/min/max` as `f64::to_bits` words — lossless, so the far
-//! side's merged moments are bit-identical to a local merge), and the
-//! full [`LatencyHistogram`]: `count`, `sum_micros`, `max_micros`, then
-//! all [`LATENCY_BUCKETS`] bucket counters. Fixed-size like every other
-//! frame — one legal length, checked before any payload byte is read.
+//! `STATS` — a token-correlated [`EngineStats`] snapshot, 7992 bytes
+//! (server → client, answering `STATS_REQUEST`): the echoed request
+//! token, then the codec's 7984-byte stats layout — lossless, so the far
+//! side's merged moments and quantiles are bit-identical to a local
+//! merge. Fixed-size like every other frame.
 //!
 //! `STATS_REQUEST` — 8 bytes: an opaque correlation token the server
 //! echoes back in its `STATS` reply (client → server). A server whose
@@ -63,23 +39,20 @@
 
 use std::sync::Arc;
 
-use pooled_design::factory::DesignKind;
-use pooled_lab::histogram::{LatencyHistogram, LATENCY_BUCKETS};
-use pooled_stats::summary::Summary;
+pub use crate::codec::{CHECKSUM_LEN, HEADER_LEN, VERSION};
 
 use crate::cache::DesignKey;
+use crate::codec::{
+    decoder_code, decoder_from_code, design_code, design_from_code, get_key, get_stats, get_u32,
+    get_u64, get_usize, put_key, put_stats, put_u32, put_u64, Envelope, RecordError, KEY_LEN,
+    STATS_LEN,
+};
 use crate::engine::EngineStats;
-use crate::job::{DecoderKind, DesignSpec, Digest, JobResult, JobSpec};
+use crate::job::{DesignSpec, JobResult, JobSpec};
 use crate::telemetry::{Metric, MetricsRegistry};
 
 /// First byte of every frame.
 pub const MAGIC: u8 = 0xD5;
-/// Protocol version this build speaks.
-pub const VERSION: u8 = 1;
-/// Fixed header size (magic, version, type, reserved, length).
-pub const HEADER_LEN: usize = 8;
-/// Trailing checksum size.
-pub const CHECKSUM_LEN: usize = 8;
 /// `SUBMIT` payload size.
 pub const SPEC_PAYLOAD_LEN: usize = 60;
 /// `RESULT` payload size.
@@ -87,11 +60,9 @@ pub const RESULT_PAYLOAD_LEN: usize = 64;
 /// `BUSY` / `REJECT` payload size.
 pub const ID_PAYLOAD_LEN: usize = 8;
 /// `PREWARM` payload size.
-pub const KEY_PAYLOAD_LEN: usize = 32;
-/// `STATS` payload size: token + 9 scalar words + 2×5 summary words +
-/// 3 histogram scalars + [`LATENCY_BUCKETS`] bucket counters, 8 bytes
-/// each.
-pub const STATS_PAYLOAD_LEN: usize = (1 + 9 + 10 + 3 + LATENCY_BUCKETS) * 8;
+pub const KEY_PAYLOAD_LEN: usize = KEY_LEN;
+/// `STATS` payload size: the token, then the stats layout.
+pub const STATS_PAYLOAD_LEN: usize = 8 + STATS_LEN;
 /// `STATS_REQUEST` payload size (the correlation token).
 pub const STATS_REQUEST_PAYLOAD_LEN: usize = 8;
 /// Largest whole frame the protocol can produce.
@@ -104,6 +75,20 @@ const TYPE_REJECT: u8 = 4;
 const TYPE_PREWARM: u8 = 5;
 const TYPE_STATS: u8 = 6;
 const TYPE_STATS_REQUEST: u8 = 7;
+
+const WIRE: Envelope = Envelope { magic: MAGIC, payload_len: payload_len_of };
+
+fn payload_len_of(msg_type: u8) -> Option<usize> {
+    match msg_type {
+        TYPE_SUBMIT => Some(SPEC_PAYLOAD_LEN),
+        TYPE_RESULT => Some(RESULT_PAYLOAD_LEN),
+        TYPE_BUSY | TYPE_REJECT => Some(ID_PAYLOAD_LEN),
+        TYPE_PREWARM => Some(KEY_PAYLOAD_LEN),
+        TYPE_STATS => Some(STATS_PAYLOAD_LEN),
+        TYPE_STATS_REQUEST => Some(STATS_REQUEST_PAYLOAD_LEN),
+        _ => None,
+    }
+}
 
 /// A server's answer to a `STATS_REQUEST`: the far-side engine's
 /// telemetry snapshot, tagged with the request's correlation token so a
@@ -147,191 +132,19 @@ pub enum Frame {
     StatsRequest(u64),
 }
 
-/// Why a byte sequence is not a valid frame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrameError {
-    /// First byte is not [`MAGIC`].
-    BadMagic(u8),
-    /// Version byte differs from [`VERSION`].
-    BadVersion(u8),
-    /// Unknown message type byte.
-    UnknownType(u8),
-    /// Payload length does not match the message type's fixed layout.
-    BadLength {
-        /// The offending message type.
-        msg_type: u8,
-        /// The length the header claimed.
-        got: u32,
-    },
-    /// Fewer bytes than the frame needs.
-    Truncated {
-        /// Bytes the frame needs in total.
-        needed: usize,
-        /// Bytes available.
-        got: usize,
-    },
-    /// Checksum mismatch — the frame was corrupted in flight.
-    BadChecksum,
-    /// An enum byte is outside its domain.
-    BadEnum {
-        /// Which field.
-        field: &'static str,
-        /// The offending code.
-        code: u8,
-    },
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::BadMagic(b) => write!(f, "bad magic byte {b:#04x}"),
-            FrameError::BadVersion(v) => write!(f, "unsupported protocol version {v}"),
-            FrameError::UnknownType(t) => write!(f, "unknown message type {t}"),
-            FrameError::BadLength { msg_type, got } => {
-                write!(f, "payload length {got} is illegal for message type {msg_type}")
-            }
-            FrameError::Truncated { needed, got } => {
-                write!(f, "truncated frame: {got} of {needed} bytes")
-            }
-            FrameError::BadChecksum => write!(f, "frame checksum mismatch"),
-            FrameError::BadEnum { field, code } => {
-                write!(f, "field {field} has out-of-domain code {code}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-/// Checksum of the length-tagged byte stream: `mix64`-chained words, the
-/// same digest primitive the determinism fingerprints use. Shared with
-/// the durable tier — WAL records and design snapshots carry exactly
-/// this checksum, so the on-disk and on-wire formats corrupt-detect the
-/// same way.
-pub(crate) fn checksum(bytes: &[u8]) -> u64 {
-    let mut d = Digest::new();
-    d.push(bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        d.push(u64::from_le_bytes(word));
-    }
-    d.finish()
-}
-
-/// Reserved wire code of the hidden panic-probe decoder, which is
-/// deliberately absent from [`DecoderKind::ALL`] (it exists only to
-/// exercise worker panic containment) yet must survive the wire so the
-/// containment tests run over TCP too.
-const DECODER_CODE_PANIC_PROBE: u8 = 0xFE;
-
-/// Wire code of a decoder (index in [`DecoderKind::ALL`] — stable because
-/// `ALL` is the presentation order the whole workspace keys on).
-fn decoder_code(kind: DecoderKind) -> u8 {
-    if kind == DecoderKind::PanicProbe {
-        return DECODER_CODE_PANIC_PROBE;
-    }
-    DecoderKind::ALL.iter().position(|&k| k == kind).expect("decoder in ALL") as u8
-}
-
-fn decoder_from_code(code: u8) -> Result<DecoderKind, FrameError> {
-    if code == DECODER_CODE_PANIC_PROBE {
-        return Ok(DecoderKind::PanicProbe);
-    }
-    DecoderKind::ALL
-        .get(code as usize)
-        .copied()
-        .ok_or(FrameError::BadEnum { field: "decoder", code })
-}
-
-fn design_code(kind: DesignKind) -> u8 {
-    DesignKind::ALL.iter().position(|&k| k == kind).expect("design kind in ALL") as u8
-}
-
-fn design_from_code(code: u8) -> Result<DesignKind, FrameError> {
-    DesignKind::ALL
-        .get(code as usize)
-        .copied()
-        .ok_or(FrameError::BadEnum { field: "design_kind", code })
-}
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("bounds checked"))
-}
-
-fn get_u64(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("bounds checked"))
-}
-
-fn get_usize(bytes: &[u8], at: usize, field: &'static str) -> Result<usize, FrameError> {
-    usize::try_from(get_u64(bytes, at)).map_err(|_| FrameError::BadEnum { field, code: u8::MAX })
-}
-
-fn payload_len_of(msg_type: u8) -> Result<usize, FrameError> {
-    match msg_type {
-        TYPE_SUBMIT => Ok(SPEC_PAYLOAD_LEN),
-        TYPE_RESULT => Ok(RESULT_PAYLOAD_LEN),
-        TYPE_BUSY | TYPE_REJECT => Ok(ID_PAYLOAD_LEN),
-        TYPE_PREWARM => Ok(KEY_PAYLOAD_LEN),
-        TYPE_STATS => Ok(STATS_PAYLOAD_LEN),
-        TYPE_STATS_REQUEST => Ok(STATS_REQUEST_PAYLOAD_LEN),
-        other => Err(FrameError::UnknownType(other)),
-    }
-}
-
-/// Append a [`Summary`]'s raw Welford parts as 5 LE words (`f64`s via
-/// `to_bits`, so the far side reconstructs the accumulator bit-exactly).
-fn put_summary(buf: &mut Vec<u8>, s: &Summary) {
-    let (count, mean, m2, min, max) = s.raw_parts();
-    put_u64(buf, count);
-    put_u64(buf, mean.to_bits());
-    put_u64(buf, m2.to_bits());
-    put_u64(buf, min.to_bits());
-    put_u64(buf, max.to_bits());
-}
-
-fn get_summary(bytes: &[u8], at: usize) -> Summary {
-    Summary::from_raw_parts(
-        get_u64(bytes, at),
-        f64::from_bits(get_u64(bytes, at + 8)),
-        f64::from_bits(get_u64(bytes, at + 16)),
-        f64::from_bits(get_u64(bytes, at + 24)),
-        f64::from_bits(get_u64(bytes, at + 32)),
-    )
-}
-
 /// Serialize `frame` into `buf` (cleared first; reuse the buffer across
 /// frames to keep the wire path allocation-free after warm-up).
 pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) {
-    buf.clear();
-    let (msg_type, payload_len) = match frame {
-        Frame::Submit(_) => (TYPE_SUBMIT, SPEC_PAYLOAD_LEN),
-        Frame::Result(_) => (TYPE_RESULT, RESULT_PAYLOAD_LEN),
-        Frame::Busy(_) => (TYPE_BUSY, ID_PAYLOAD_LEN),
-        Frame::Reject(_) => (TYPE_REJECT, ID_PAYLOAD_LEN),
-        Frame::Prewarm(_) => (TYPE_PREWARM, KEY_PAYLOAD_LEN),
-        Frame::Stats(_) => (TYPE_STATS, STATS_PAYLOAD_LEN),
-        Frame::StatsRequest(_) => (TYPE_STATS_REQUEST, STATS_REQUEST_PAYLOAD_LEN),
+    let msg_type = match frame {
+        Frame::Submit(_) => TYPE_SUBMIT,
+        Frame::Result(_) => TYPE_RESULT,
+        Frame::Busy(_) => TYPE_BUSY,
+        Frame::Reject(_) => TYPE_REJECT,
+        Frame::Prewarm(_) => TYPE_PREWARM,
+        Frame::Stats(_) => TYPE_STATS,
+        Frame::StatsRequest(_) => TYPE_STATS_REQUEST,
     };
-    buf.reserve(HEADER_LEN + payload_len + CHECKSUM_LEN);
-    buf.push(MAGIC);
-    buf.push(VERSION);
-    buf.push(msg_type);
-    buf.push(0); // reserved
-    put_u32(buf, payload_len as u32);
-    match frame {
+    WIRE.encode(buf, msg_type, |buf| match frame {
         Frame::Submit(spec) => {
             put_u64(buf, spec.id);
             put_u64(buf, spec.n as u64);
@@ -343,7 +156,7 @@ pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) {
             put_u32(buf, spec.query_cost_micros);
             buf.push(design_code(spec.design.kind));
             buf.push(decoder_code(spec.decoder));
-            put_u16(buf, 0); // pad
+            buf.extend_from_slice(&[0u8; 2]); // pad
         }
         Frame::Result(r) => {
             put_u64(buf, r.id);
@@ -357,74 +170,24 @@ pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) {
             put_u32(buf, r.worker);
             buf.push(decoder_code(r.decoder));
             buf.push(r.exact as u8);
-            put_u16(buf, 0); // pad
+            buf.extend_from_slice(&[0u8; 2]); // pad
         }
         Frame::Busy(id) | Frame::Reject(id) => put_u64(buf, *id),
-        Frame::Prewarm(key) => {
-            put_u64(buf, key.n as u64);
-            put_u64(buf, key.m as u64);
-            put_u64(buf, key.seed);
-            put_u32(buf, key.c_milli);
-            buf.push(design_code(key.kind));
-            buf.extend_from_slice(&[0u8; 3]); // pad
-        }
+        Frame::Prewarm(key) => put_key(buf, key),
         Frame::Stats(reply) => {
-            let s = &reply.stats;
             put_u64(buf, reply.token);
-            put_u64(buf, s.jobs_completed);
-            put_u64(buf, s.jobs_poisoned);
-            put_u64(buf, s.exact_recoveries);
-            put_u64(buf, s.cache_hits);
-            put_u64(buf, s.cache_misses);
-            put_u64(buf, s.cache_len as u64);
-            put_u64(buf, s.queued_jobs as u64);
-            put_u64(buf, s.pending_results as u64);
-            put_u64(buf, s.workers as u64);
-            put_summary(buf, &s.total_latency);
-            put_summary(buf, &s.decode_latency);
-            put_u64(buf, s.histogram.count());
-            put_u64(buf, s.histogram.sum_micros());
-            put_u64(buf, s.histogram.max_micros());
-            for &b in s.histogram.bucket_counts() {
-                put_u64(buf, b);
-            }
+            put_stats(buf, &reply.stats);
         }
         Frame::StatsRequest(token) => put_u64(buf, *token),
-    }
-    debug_assert_eq!(buf.len(), HEADER_LEN + payload_len);
-    let ck = checksum(buf);
-    put_u64(buf, ck);
+    });
 }
 
 /// Parse one frame from the front of `bytes`; returns the frame and how
 /// many bytes it consumed. Never reads past the frame, never allocates,
 /// and never interprets a payload byte before magic, version, type,
 /// length and checksum have all been verified.
-pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), FrameError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(FrameError::Truncated { needed: HEADER_LEN, got: bytes.len() });
-    }
-    if bytes[0] != MAGIC {
-        return Err(FrameError::BadMagic(bytes[0]));
-    }
-    if bytes[1] != VERSION {
-        return Err(FrameError::BadVersion(bytes[1]));
-    }
-    let msg_type = bytes[2];
-    let expected = payload_len_of(msg_type)?;
-    let claimed = get_u32(bytes, 4);
-    if claimed as usize != expected {
-        return Err(FrameError::BadLength { msg_type, got: claimed });
-    }
-    let total = HEADER_LEN + expected + CHECKSUM_LEN;
-    if bytes.len() < total {
-        return Err(FrameError::Truncated { needed: total, got: bytes.len() });
-    }
-    let body = &bytes[..HEADER_LEN + expected];
-    if checksum(body) != get_u64(bytes, HEADER_LEN + expected) {
-        return Err(FrameError::BadChecksum);
-    }
-    let p = &bytes[HEADER_LEN..HEADER_LEN + expected];
+pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), RecordError> {
+    let (msg_type, p, total) = WIRE.decode(bytes)?;
     let frame = match msg_type {
         TYPE_SUBMIT => Frame::Submit(JobSpec {
             id: get_u64(p, 0),
@@ -446,7 +209,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), FrameError> {
             exact: match p[61] {
                 0 => false,
                 1 => true,
-                code => return Err(FrameError::BadEnum { field: "exact", code }),
+                code => return Err(RecordError::BadValue { field: "exact", value: code as u64 }),
             },
             hits: get_u32(p, 48),
             weight: get_u32(p, 52),
@@ -459,41 +222,8 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), FrameError> {
         }),
         TYPE_BUSY => Frame::Busy(get_u64(p, 0)),
         TYPE_REJECT => Frame::Reject(get_u64(p, 0)),
-        TYPE_PREWARM => Frame::Prewarm(DesignKey {
-            n: get_usize(p, 0, "n")?,
-            m: get_usize(p, 8, "m")?,
-            kind: design_from_code(p[28])?,
-            c_milli: get_u32(p, 24),
-            seed: get_u64(p, 16),
-        }),
-        TYPE_STATS => {
-            let mut buckets = [0u64; LATENCY_BUCKETS];
-            for (i, b) in buckets.iter_mut().enumerate() {
-                *b = get_u64(p, 184 + i * 8);
-            }
-            Frame::Stats(StatsReply {
-                token: get_u64(p, 0),
-                stats: EngineStats {
-                    jobs_completed: get_u64(p, 8),
-                    jobs_poisoned: get_u64(p, 16),
-                    exact_recoveries: get_u64(p, 24),
-                    cache_hits: get_u64(p, 32),
-                    cache_misses: get_u64(p, 40),
-                    cache_len: get_usize(p, 48, "cache_len")?,
-                    queued_jobs: get_usize(p, 56, "queued_jobs")?,
-                    pending_results: get_usize(p, 64, "pending_results")?,
-                    workers: get_usize(p, 72, "workers")?,
-                    total_latency: get_summary(p, 80),
-                    decode_latency: get_summary(p, 120),
-                    histogram: LatencyHistogram::from_raw_parts(
-                        buckets,
-                        get_u64(p, 160),
-                        get_u64(p, 168),
-                        get_u64(p, 176),
-                    ),
-                },
-            })
-        }
+        TYPE_PREWARM => Frame::Prewarm(get_key(p)?),
+        TYPE_STATS => Frame::Stats(StatsReply { token: get_u64(p, 0), stats: get_stats(&p[8..])? }),
         TYPE_STATS_REQUEST => Frame::StatsRequest(get_u64(p, 0)),
         _ => unreachable!("payload_len_of admitted the type"),
     };
@@ -605,79 +335,20 @@ impl<W: SegmentSink> FrameWriter<W> {
     }
 }
 
-/// Read one frame from `r`. `Ok(None)` is a clean end of stream (EOF
-/// before the first header byte); an EOF mid-frame is an error. Malformed
-/// frames surface as [`std::io::ErrorKind::InvalidData`] wrapping the
-/// [`FrameError`] — the caller should drop the connection, since a
-/// framing error leaves no way to resynchronize the stream.
-pub fn read_frame<R: std::io::Read>(
-    r: &mut R,
-    scratch: &mut Vec<u8>,
-) -> std::io::Result<Option<Frame>> {
-    let mut header = [0u8; HEADER_LEN];
-    // Distinguish clean EOF (no bytes at all) from a torn header.
-    let mut filled = 0usize;
-    while filled < HEADER_LEN {
-        let got = r.read(&mut header[filled..])?;
-        if got == 0 {
-            if filled == 0 {
-                return Ok(None);
-            }
-            return Err(invalid(FrameError::Truncated { needed: HEADER_LEN, got: filled }));
-        }
-        filled += got;
-    }
-    // Validate the header before trusting its length (bounded by the
-    // fixed per-type layouts, so no attacker-controlled allocation).
-    if header[0] != MAGIC {
-        return Err(invalid(FrameError::BadMagic(header[0])));
-    }
-    if header[1] != VERSION {
-        return Err(invalid(FrameError::BadVersion(header[1])));
-    }
-    let payload_len = payload_len_of(header[2]).map_err(invalid)?;
-    let rest = payload_len + CHECKSUM_LEN;
-    scratch.clear();
-    scratch.extend_from_slice(&header);
-    scratch.resize(HEADER_LEN + rest, 0);
-    r.read_exact(&mut scratch[HEADER_LEN..])?;
-    match decode_frame(scratch) {
-        Ok((frame, _)) => Ok(Some(frame)),
-        Err(e) => Err(invalid(e)),
-    }
-}
-
-/// [`read_frame`] with wire accounting: a decoded frame adds its whole
-/// byte count (header ‖ payload ‖ checksum) to [`Metric::WireBytesRx`]
-/// and bumps [`Metric::WireFramesRx`]; a checksum mismatch bumps
-/// [`Metric::WireChecksumRejects`] before the error surfaces.
-pub fn read_frame_metered<R: std::io::Read>(
-    r: &mut R,
-    scratch: &mut Vec<u8>,
-    metrics: &MetricsRegistry,
-) -> std::io::Result<Option<Frame>> {
-    let out = read_frame(r, scratch);
-    match &out {
-        Ok(Some(_)) => {
-            metrics.add(Metric::WireBytesRx, scratch.len() as u64);
-            metrics.inc(Metric::WireFramesRx);
-        }
-        Err(e) if is_checksum_reject(e) => metrics.inc(Metric::WireChecksumRejects),
-        _ => {}
-    }
-    out
-}
-
-/// Incremental frame decoder for nonblocking reads: feed whatever byte
-/// run the socket produced via [`FrameAssembler::extend`], then pull
-/// complete frames with [`FrameAssembler::next_frame`] until it returns
-/// `Ok(None)` ("need more bytes"). Partial frames stay buffered across
-/// calls, so a tenant dribbling one byte per readiness tick still
-/// decodes correctly — just slowly, and at its own expense only.
+/// The one stream decoder: feed whatever byte run a socket produced via
+/// [`FrameAssembler::extend`], then pull complete frames with
+/// [`FrameAssembler::next_frame`] until it returns `Ok(None)` ("need
+/// more bytes"). Partial frames stay buffered across calls, so a tenant
+/// dribbling one byte per readiness tick still decodes correctly — just
+/// slowly, and at its own expense only — and a blocking reader whose
+/// read deadline fires mid-frame loses nothing. The event-loop server,
+/// the client and the remote node's reply pump all decode through it.
 ///
-/// Unlike [`read_frame`], truncation is *not* an error here — it is the
-/// steady state between reads. Every other [`FrameError`] is fatal to
-/// the stream (no resync point), exactly as on the blocking path.
+/// Truncation is *not* an error here — it is the steady state between
+/// reads. Every other [`RecordError`] is fatal to the stream (no resync
+/// point), and a stream gone bad is refused at its first wrong magic,
+/// version or type byte — a garbage-spraying peer is dropped at once
+/// instead of being buffered until a full header accumulates.
 #[derive(Default)]
 pub struct FrameAssembler {
     buf: Vec<u8>,
@@ -709,21 +380,7 @@ impl FrameAssembler {
     /// byte count (for wire accounting). `Ok(None)` means the buffer
     /// holds only a frame prefix — extend and retry after the next
     /// read. Any `Err` is unrecoverable: drop the connection.
-    pub fn next_frame(&mut self) -> Result<Option<(Frame, usize)>, FrameError> {
-        // Eager desync detection: magic, version, and type are each a
-        // single byte, so a stream gone bad is caught on the first bad
-        // byte — a garbage-spraying peer is dropped immediately instead
-        // of being buffered until a full header accumulates.
-        let pending = &self.buf[self.pos..];
-        if !pending.is_empty() && pending[0] != MAGIC {
-            return Err(FrameError::BadMagic(pending[0]));
-        }
-        if pending.len() >= 2 && pending[1] != VERSION {
-            return Err(FrameError::BadVersion(pending[1]));
-        }
-        if pending.len() >= 3 {
-            payload_len_of(pending[2])?;
-        }
+    pub fn next_frame(&mut self) -> Result<Option<(Frame, usize)>, RecordError> {
         match decode_frame(&self.buf[self.pos..]) {
             Ok((frame, consumed)) => {
                 self.pos += consumed;
@@ -733,27 +390,27 @@ impl FrameAssembler {
                 }
                 Ok(Some((frame, consumed)))
             }
-            Err(FrameError::Truncated { .. }) => Ok(None),
+            Err(RecordError::Truncated { .. }) => Ok(None),
             Err(e) => Err(e),
         }
     }
 
-    /// [`Self::next_frame`] with the wire accounting contract of
-    /// [`read_frame_metered`]: each decoded frame adds its whole byte
-    /// count to [`Metric::WireBytesRx`] and bumps
-    /// [`Metric::WireFramesRx`]; a checksum mismatch bumps
-    /// [`Metric::WireChecksumRejects`] before the error surfaces.
+    /// [`Self::next_frame`] with wire accounting: each decoded frame
+    /// adds its whole byte count (header ‖ payload ‖ checksum) to
+    /// [`Metric::WireBytesRx`] and bumps [`Metric::WireFramesRx`]; a
+    /// checksum mismatch bumps [`Metric::WireChecksumRejects`] before
+    /// the error surfaces.
     pub fn next_frame_metered(
         &mut self,
         metrics: &MetricsRegistry,
-    ) -> Result<Option<(Frame, usize)>, FrameError> {
+    ) -> Result<Option<(Frame, usize)>, RecordError> {
         let out = self.next_frame();
         match &out {
             Ok(Some((_, consumed))) => {
                 metrics.add(Metric::WireBytesRx, *consumed as u64);
                 metrics.inc(Metric::WireFramesRx);
             }
-            Err(FrameError::BadChecksum) => metrics.inc(Metric::WireChecksumRejects),
+            Err(RecordError::BadChecksum) => metrics.inc(Metric::WireChecksumRejects),
             _ => {}
         }
         out
@@ -769,19 +426,11 @@ impl FrameAssembler {
     }
 }
 
-fn is_checksum_reject(e: &std::io::Error) -> bool {
-    e.get_ref()
-        .and_then(|inner| inner.downcast_ref::<FrameError>())
-        .is_some_and(|fe| *fe == FrameError::BadChecksum)
-}
-
-fn invalid(e: FrameError) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, e)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::DecoderKind;
+    use pooled_design::factory::DesignKind;
 
     fn spec() -> JobSpec {
         JobSpec {
@@ -968,7 +617,7 @@ mod tests {
         wire[tail] ^= 0xFF; // corrupt the checksum
         let mut asm = FrameAssembler::new();
         asm.extend(&wire);
-        assert_eq!(asm.next_frame(), Err(FrameError::BadChecksum));
+        assert_eq!(asm.next_frame(), Err(RecordError::BadChecksum));
         let mut asm = FrameAssembler::new();
         asm.extend(&[0x00, 0x01, 0x02]); // garbage, wrong magic
         assert!(asm.next_frame().is_err(), "desynced stream must not look like 'need more'");
@@ -991,14 +640,17 @@ mod tests {
     }
 
     #[test]
-    fn assembler_metering_matches_the_blocking_reader_contract() {
-        let metrics = MetricsRegistry::new();
-        let mut wire = Vec::new();
-        let mut scratch = Vec::new();
+    fn metered_io_counts_bytes_frames_and_checksum_rejects() {
+        let tx = Arc::new(MetricsRegistry::new());
+        let mut writer = FrameWriter::with_metrics(Vec::new(), Arc::clone(&tx));
         for frame in [Frame::Busy(7), Frame::Reject(8)] {
-            encode_frame(&frame, &mut scratch);
-            wire.extend_from_slice(&scratch);
+            writer.send(&frame).unwrap();
         }
+        let wire = writer.get_ref().clone();
+        assert_eq!(tx.get(Metric::WireBytesTx), wire.len() as u64);
+        assert_eq!(tx.get(Metric::WireFramesTx), 2);
+
+        let metrics = MetricsRegistry::new();
         let mut asm = FrameAssembler::new();
         asm.extend(&wire);
         while asm.next_frame_metered(&metrics).expect("valid").is_some() {}
@@ -1075,7 +727,7 @@ mod tests {
         encode_frame(&Frame::Stats(stats_reply()), &mut buf);
         for cut in [0, 1, 7, 8, 100, HEADER_LEN + STATS_PAYLOAD_LEN, buf.len() - 1] {
             let err = decode_frame(&buf[..cut]).expect_err("truncation must fail");
-            assert!(matches!(err, FrameError::Truncated { .. }), "cut {cut}: {err:?}");
+            assert!(matches!(err, RecordError::Truncated { .. }), "cut {cut}: {err:?}");
         }
         // Checksum coverage: flip a byte in the header, the scalar block,
         // the bucket array, and the checksum itself.
@@ -1097,12 +749,6 @@ mod tests {
         assert_eq!(&buf[24..32], &0xDEAD_BEEFu64.to_le_bytes(), "seed");
         assert_eq!(&buf[32..36], &350u32.to_le_bytes(), "c_milli");
         assert_eq!(buf[36], 1, "design kind code (NoReplace)");
-    }
-
-    #[test]
-    fn panic_probe_decoder_survives_the_wire_under_its_reserved_code() {
-        assert_eq!(decoder_code(DecoderKind::PanicProbe), DECODER_CODE_PANIC_PROBE);
-        assert_eq!(decoder_from_code(DECODER_CODE_PANIC_PROBE), Ok(DecoderKind::PanicProbe));
     }
 
     #[test]
@@ -1128,7 +774,7 @@ mod tests {
         for cut in 0..buf.len() {
             let err = decode_frame(&buf[..cut]).expect_err("truncation must fail");
             assert!(
-                matches!(err, FrameError::Truncated { .. }),
+                matches!(err, RecordError::Truncated { .. }),
                 "cut at {cut} gave {err:?} instead of Truncated"
             );
         }
@@ -1154,85 +800,12 @@ mod tests {
         encode_frame(&Frame::Busy(1), &mut buf);
         let mut bad = buf.clone();
         bad[0] = 0x00;
-        assert_eq!(decode_frame(&bad), Err(FrameError::BadMagic(0x00)));
+        assert_eq!(decode_frame(&bad), Err(RecordError::BadMagic(0x00)));
         let mut bad = buf.clone();
         bad[1] = 9;
-        assert_eq!(decode_frame(&bad), Err(FrameError::BadVersion(9)));
+        assert_eq!(decode_frame(&bad), Err(RecordError::BadVersion(9)));
         let mut bad = buf.clone();
         bad[2] = 77;
-        assert_eq!(decode_frame(&bad), Err(FrameError::UnknownType(77)));
-    }
-
-    #[test]
-    fn decoder_and_design_codes_cover_all_variants() {
-        for (i, &k) in DecoderKind::ALL.iter().enumerate() {
-            assert_eq!(decoder_code(k), i as u8);
-            assert_eq!(decoder_from_code(i as u8), Ok(k));
-        }
-        assert!(decoder_from_code(DecoderKind::ALL.len() as u8).is_err());
-        for (i, &k) in DesignKind::ALL.iter().enumerate() {
-            assert_eq!(design_code(k), i as u8);
-            assert_eq!(design_from_code(i as u8), Ok(k));
-        }
-        assert!(design_from_code(DesignKind::ALL.len() as u8).is_err());
-    }
-
-    #[test]
-    fn stream_reader_round_trips_and_reports_clean_eof() {
-        let mut wire = Vec::new();
-        let mut scratch = Vec::new();
-        for frame in [Frame::Submit(spec()), Frame::Busy(3), Frame::Result(result())] {
-            write_frame(&mut wire, &frame, &mut scratch).unwrap();
-        }
-        let mut cursor = std::io::Cursor::new(wire);
-        let mut rbuf = Vec::new();
-        assert_eq!(read_frame(&mut cursor, &mut rbuf).unwrap(), Some(Frame::Submit(spec())));
-        assert_eq!(read_frame(&mut cursor, &mut rbuf).unwrap(), Some(Frame::Busy(3)));
-        assert_eq!(read_frame(&mut cursor, &mut rbuf).unwrap(), Some(Frame::Result(result())));
-        assert_eq!(read_frame(&mut cursor, &mut rbuf).unwrap(), None, "clean EOF");
-    }
-
-    #[test]
-    fn metered_io_counts_bytes_frames_and_checksum_rejects() {
-        let mut wire = Vec::new();
-        let mut scratch = Vec::new();
-        write_frame(&mut wire, &Frame::Busy(1), &mut scratch).unwrap();
-        let frame_len = wire.len() as u64;
-
-        let metrics = MetricsRegistry::new();
-        let mut cursor = std::io::Cursor::new(wire.clone());
-        let mut rbuf = Vec::new();
-        assert_eq!(
-            read_frame_metered(&mut cursor, &mut rbuf, &metrics).unwrap(),
-            Some(Frame::Busy(1))
-        );
-        assert_eq!(metrics.get(Metric::WireBytesRx), frame_len);
-        assert_eq!(metrics.get(Metric::WireFramesRx), 1);
-
-        let mut corrupt = wire;
-        corrupt[HEADER_LEN + 2] ^= 0x40;
-        let mut cursor = std::io::Cursor::new(corrupt);
-        let err = read_frame_metered(&mut cursor, &mut rbuf, &metrics).expect_err("corrupt");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert_eq!(metrics.get(Metric::WireChecksumRejects), 1);
-        assert_eq!(metrics.get(Metric::WireFramesRx), 1, "rejected frames are not counted rx");
-
-        let tx = Arc::new(MetricsRegistry::new());
-        let mut w = FrameWriter::with_metrics(Vec::new(), Arc::clone(&tx));
-        w.send(&Frame::Busy(1)).unwrap();
-        assert_eq!(tx.get(Metric::WireBytesTx), frame_len);
-        assert_eq!(tx.get(Metric::WireFramesTx), 1);
-    }
-
-    #[test]
-    fn stream_reader_rejects_torn_frames() {
-        let mut wire = Vec::new();
-        let mut scratch = Vec::new();
-        write_frame(&mut wire, &Frame::Busy(3), &mut scratch).unwrap();
-        wire.truncate(wire.len() - 3);
-        let mut cursor = std::io::Cursor::new(wire);
-        let mut rbuf = Vec::new();
-        let err = read_frame(&mut cursor, &mut rbuf).expect_err("torn frame");
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert_eq!(decode_frame(&bad), Err(RecordError::UnknownType(77)));
     }
 }

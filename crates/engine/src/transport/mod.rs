@@ -51,7 +51,7 @@ pub mod reactor;
 pub mod server;
 
 pub use client::{Reply, TransportClient, TransportError};
-pub use frame::{Frame, FrameError};
+pub use frame::Frame;
 pub use reactor::{BackendChoice, BackendKind};
 pub use server::{TransportConfig, TransportServer};
 

@@ -219,9 +219,21 @@ fn set_nonblocking_fd(fd: RawFd) -> io::Result<()> {
 /// Wakeups are edge-coalesced by the `armed` flag: between a `wake` and
 /// the loop's next [`WakePipe::drain`], further `wake` calls are free
 /// (no syscall, no pipe bytes), so a burst of result deliveries costs
-/// one byte in the pipe, not thousands. The drain clears the flag
-/// *before* reading, so a wake racing the drain lands a fresh byte and
-/// the next `poll` returns immediately — no lost wakeups.
+/// one byte in the pipe, not thousands.
+///
+/// The protocol — a waker posts to the loop's inbox and then calls
+/// `wake`; the loop calls `drain` and then takes the inbox under its
+/// lock — must never leave a posted item with no byte in the pipe, or
+/// `armed` set with an empty pipe (every later `wake` would be skipped
+/// and the loop could park forever). So `drain` reads the pipe dry
+/// *before* clearing `armed`. A `wake` that finds the flag clear then
+/// writes its byte after the drain's read, where only the next `poll`
+/// sees it. A `wake` that finds the flag set either ran before the
+/// clear, so the inbox lock orders its post before the loop's take, or
+/// found it set by a later waker whose byte is still pending. Clearing
+/// first loses wakeups: a `wake` between the clear and the read writes
+/// a byte the read swallows, leaving `armed` set over an empty pipe.
+/// `drain_order_never_loses_a_wakeup` checks every interleaving.
 pub struct WakePipe {
     read_fd: RawFd,
     write_fd: RawFd,
@@ -261,19 +273,38 @@ impl WakePipe {
         true
     }
 
-    /// Loop-side: swallow pending wakeup bytes and re-arm. Call once
-    /// per tick before consuming whatever state the wakers advertised.
+    /// Loop-side: swallow pending wakeup bytes, then re-arm (the steps
+    /// and their order are `DRAIN_ORDER`). Call once per tick before
+    /// consuming whatever state the wakers advertised.
     pub fn drain(&self) {
-        self.armed.store(false, Ordering::Release);
-        let mut buf = [0u8; 64];
-        loop {
-            let got = unsafe { read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
-            if got < buf.len() as isize {
-                return; // drained (or EAGAIN / spurious error — same thing here)
+        for step in DRAIN_ORDER {
+            match step {
+                DrainStep::ReadDry => {
+                    let mut buf = [0u8; 64];
+                    // A short read means drained (or EAGAIN / a spurious
+                    // error — the same thing here).
+                    while unsafe { read(self.read_fd, buf.as_mut_ptr(), buf.len()) }
+                        == buf.len() as isize
+                    {}
+                }
+                DrainStep::Disarm => self.armed.store(false, Ordering::Release),
             }
         }
     }
 }
+
+/// One loop-side step of [`WakePipe::drain`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum DrainStep {
+    /// Read the pipe until it is empty.
+    ReadDry,
+    /// Clear `armed`, so the next `wake` writes a byte again.
+    Disarm,
+}
+
+/// The order of [`WakePipe::drain`]'s steps — read first, then clear
+/// (the [`WakePipe`] docs argue why).
+const DRAIN_ORDER: [DrainStep; 2] = [DrainStep::ReadDry, DrainStep::Disarm];
 
 impl Drop for WakePipe {
     fn drop(&mut self) {
@@ -759,6 +790,93 @@ mod tests {
         let mut fds = [PollFd { fd: pipe.read_fd(), events: POLLIN, revents: 0 }];
         let n = poll_fds(&mut fds, Some(Duration::from_millis(10))).expect("poll");
         assert_eq!(n, 0, "drained pipe must not be readable");
+    }
+
+    /// One atomic step of the wake protocol in the interleaving model.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// Waker: post an item to the loop's inbox.
+        Post,
+        /// Waker: `wake`'s swap of `armed`.
+        Swap,
+        /// Waker: `wake`'s pipe write, if its swap found `armed` clear.
+        Write,
+        /// Loop: one step of `drain`.
+        Drain(DrainStep),
+        /// Loop: take everything in the inbox.
+        Consume,
+    }
+
+    #[derive(Clone, Copy)]
+    struct Model {
+        inbox: u32,
+        pipe: u32,
+        armed: bool,
+        /// Per waker: whether its swap found `armed` clear.
+        writes: [bool; 2],
+    }
+
+    /// Walk every interleaving of one loop tick (`drain` in `order`, then
+    /// consume) with two wakers (post, then `wake`), from an idle loop
+    /// and from one just roused by an earlier wake. Each final state must
+    /// leave no posted item without a pipe byte to wake the loop, and no
+    /// `armed` flag without a byte behind it. Returns the number of
+    /// interleavings walked, or the first one (as `(thread, step)` pairs,
+    /// thread 0 the loop) that broke the protocol.
+    fn explore(order: [DrainStep; 2]) -> Result<usize, String> {
+        fn walk(
+            m: Model,
+            pcs: [usize; 3],
+            threads: &[[Step; 3]; 3],
+            trace: &mut Vec<(usize, Step)>,
+        ) -> Result<usize, String> {
+            let mut walked = 0;
+            for t in 0..3 {
+                let Some(&step) = threads[t].get(pcs[t]) else { continue };
+                let mut next = m;
+                match step {
+                    Step::Post => next.inbox += 1,
+                    Step::Swap => next.writes[t - 1] = !std::mem::replace(&mut next.armed, true),
+                    Step::Write => next.pipe += u32::from(next.writes[t - 1]),
+                    Step::Drain(DrainStep::ReadDry) => next.pipe = 0,
+                    Step::Drain(DrainStep::Disarm) => next.armed = false,
+                    Step::Consume => next.inbox = 0,
+                }
+                let mut next_pcs = pcs;
+                next_pcs[t] += 1;
+                trace.push((t, step));
+                walked += walk(next, next_pcs, threads, trace)?;
+                trace.pop();
+            }
+            if walked > 0 {
+                return Ok(walked);
+            }
+            if m.inbox > 0 && m.pipe == 0 {
+                return Err(format!("posted item stranded over an empty pipe: {trace:?}"));
+            }
+            if m.armed && m.pipe == 0 {
+                return Err(format!("armed over an empty pipe, later wakes skipped: {trace:?}"));
+            }
+            Ok(1)
+        }
+        let waker = [Step::Post, Step::Swap, Step::Write];
+        let threads = [[Step::Drain(order[0]), Step::Drain(order[1]), Step::Consume], waker, waker];
+        let idle = Model { inbox: 0, pipe: 0, armed: false, writes: [false; 2] };
+        let roused = Model { inbox: 1, pipe: 1, armed: true, writes: [false; 2] };
+        let mut walked = 0;
+        for start in [idle, roused] {
+            walked += walk(start, [0; 3], &threads, &mut Vec::new())?;
+        }
+        Ok(walked)
+    }
+
+    #[test]
+    fn drain_order_never_loses_a_wakeup() {
+        // 9! / (3! 3! 3!) interleavings from each of the two start states.
+        assert_eq!(explore(DRAIN_ORDER), Ok(2 * 1680));
+        // The model is not vacuous: clearing `armed` before reading the
+        // pipe is the lost wakeup.
+        assert!(explore([DrainStep::Disarm, DrainStep::ReadDry]).is_err());
     }
 
     #[test]

@@ -191,6 +191,21 @@ fn batched_engine_serving_is_allocation_free_after_warmup() {
     let specs = profile.specs(24);
     let mut results = Vec::with_capacity(256);
 
+    // A run of one job takes the per-job path, whose scratch is separate
+    // from the batch planes, and queue timing decides which worker (if
+    // any) pops a lone job in the passes below. Serve lone jobs until
+    // each worker has had one.
+    let mut served_alone = [false; 2];
+    for spec in specs.iter().cycle().take(1_000) {
+        results.clear();
+        engine.run_batch(std::slice::from_ref(spec), &mut results);
+        served_alone[results[0].worker as usize] = true;
+        if served_alone == [true; 2] {
+            break;
+        }
+    }
+    assert_eq!(served_alone, [true; 2], "a worker never served a lone job");
+
     // Warm-up: both workers must have seen full and partial batches at
     // this shape (run lengths depend on queue timing, so several passes).
     for _ in 0..6 {

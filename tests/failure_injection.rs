@@ -132,14 +132,14 @@ fn overestimated_k_still_captures_support() {
 /// the job is **re-served correctly on the standby** — never silently
 /// miscounted from the forged bytes.
 mod cluster_tier {
-    use std::io::Write;
+    use std::io::{Read, Write};
     use std::net::{Shutdown, SocketAddr, TcpListener};
 
     use pooled_data::engine::cluster::{LocalNode, Membership, NodeHandle, RemoteNode, Router};
     use pooled_data::engine::engine::EngineConfig;
     use pooled_data::engine::job::{DecoderKind, JobResult, JobSpec};
     use pooled_data::engine::traffic::LoadProfile;
-    use pooled_data::engine::transport::frame::{encode_frame, read_frame, Frame, HEADER_LEN};
+    use pooled_data::engine::transport::frame::{encode_frame, Frame, FrameAssembler, HEADER_LEN};
 
     #[derive(Clone, Copy)]
     enum Sabotage {
@@ -157,11 +157,22 @@ mod cluster_tier {
         let addr = listener.local_addr().expect("local addr");
         let handle = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accept");
-            let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
-            let mut scratch = Vec::new();
+            let mut asm = FrameAssembler::new();
+            let mut chunk = [0u8; 4096];
             loop {
-                match read_frame(&mut reader, &mut scratch) {
-                    Ok(Some(Frame::Submit(spec))) => {
+                let frame = match asm.next_frame() {
+                    Ok(Some((frame, _))) => frame,
+                    Ok(None) => match stream.read(&mut chunk) {
+                        Ok(0) | Err(_) => return,
+                        Ok(n) => {
+                            asm.extend(&chunk[..n]);
+                            continue;
+                        }
+                    },
+                    Err(_) => return,
+                };
+                match frame {
+                    Frame::Submit(spec) => {
                         // Wrong on purpose: if these bytes ever reach a
                         // fingerprint, the test's comparison catches it.
                         let forged = JobResult {
@@ -196,8 +207,7 @@ mod cluster_tier {
                         }
                     }
                     // PREWARM and anything else: ignore and keep reading.
-                    Ok(Some(_)) => continue,
-                    Ok(None) | Err(_) => return,
+                    _ => continue,
                 }
             }
         });
