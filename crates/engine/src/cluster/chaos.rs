@@ -221,14 +221,6 @@ impl NodeHandle for ChaosNode {
     }
 
     fn try_submit(&self, spec: JobSpec) -> Result<SubmitOutcome, NodeError> {
-        self.try_submit_stamped(spec, None)
-    }
-
-    fn try_submit_stamped(
-        &self,
-        spec: JobSpec,
-        wire_rx: Option<std::time::Instant>,
-    ) -> Result<SubmitOutcome, NodeError> {
         if self.check_killed() {
             return Err(NodeError::Closed);
         }
@@ -247,11 +239,7 @@ impl NodeHandle for ChaosNode {
             self.record_causal(CausalKind::ChaosDrop, spec.id);
             return Ok(SubmitOutcome::Accepted);
         }
-        self.inner.try_submit_stamped(spec, wire_rx)
-    }
-
-    fn note_wire_tx(&self, id: u64) {
-        self.inner.note_wire_tx(id);
+        self.inner.try_submit(spec)
     }
 
     fn flush(&self) -> Result<(), NodeError> {

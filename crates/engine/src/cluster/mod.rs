@@ -7,10 +7,8 @@
 //! * [`node`] — the [`NodeHandle`] abstraction: "a place jobs run",
 //!   with [`LocalNode`] (an in-process [`Engine`] behind a private
 //!   route) and [`RemoteNode`] (one TCP connection speaking the
-//!   transport frame protocol) as interchangeable impls. The transport
-//!   server itself serves per-connection `NodeHandle` sessions minted
-//!   by a [`NodeFactory`], so single-node paths really are a 1-node
-//!   cluster.
+//!   transport frame protocol) as interchangeable impls, so
+//!   single-node paths really are a 1-node cluster.
 //! * [`membership`] — deterministic placement: rendezvous (HRW)
 //!   hashing of [`DesignKey`] → node, so every job carrying a key
 //!   lands on that key's owner, each node's design cache serves a
@@ -49,7 +47,5 @@ pub mod router;
 
 pub use chaos::{ChaosConfig, ChaosController, ChaosNode};
 pub use membership::Membership;
-pub use node::{
-    LocalNode, NodeError, NodeEvent, NodeFactory, NodeHandle, RemoteNode, SubmitOutcome,
-};
+pub use node::{LocalNode, NodeError, NodeEvent, NodeHandle, RemoteNode, SubmitOutcome};
 pub use router::{ClusterStats, FailoverConfig, Router};

@@ -1,18 +1,13 @@
 //! "A place jobs run": the [`NodeHandle`] abstraction and its two impls.
 //!
-//! Everything above the engine — the transport server, the cluster
-//! router, `engine_load` — used to talk to a concrete [`Engine`]. This
-//! module lifts that dependency behind a trait so a single in-process
-//! engine, a remote engine across the PR 4 frame protocol, and (later)
-//! anything else that serves [`JobSpec`]s look identical to the tiers
-//! above: single-node paths are just a 1-node cluster.
+//! The cluster router talks to its nodes through this trait, so a
+//! single in-process engine and a remote engine across the transport
+//! frame protocol look identical to it: single-node paths are just a
+//! 1-node cluster.
 //!
-//! * [`LocalNode`] wraps an [`Engine`] plus a private [`ResultRoute`],
-//!   so a node's completion stream never interleaves with another
-//!   tenant's. It either **owns** its engine ([`LocalNode::start`] — the
-//!   router's usual case) or **attaches** to a shared one
-//!   ([`LocalNode::attach`] — the transport server's per-connection
-//!   session).
+//! * [`LocalNode`] owns an [`Engine`] and reads its completions from a
+//!   private [`ResultRoute`], so a node's completion stream never
+//!   interleaves with another tenant's.
 //! * [`RemoteNode`] wraps one TCP connection speaking the transport
 //!   frame protocol: submissions are written frames, and a pump thread
 //!   turns reply frames into [`NodeEvent`]s so `recv`/`try_recv` have
@@ -94,8 +89,7 @@ pub enum SubmitOutcome {
 }
 
 /// A place jobs run. Object-safe; `Send + Sync` so one handle can be
-/// shared between a submitting thread and a draining thread (the
-/// transport server's reader/writer pair does exactly that).
+/// shared between a submitting thread and a draining thread.
 pub trait NodeHandle: Send + Sync {
     /// Blocking submission: waits out local backpressure, errs once the
     /// node is gone. (A remote node cannot block on the peer's queue —
@@ -105,37 +99,12 @@ pub trait NodeHandle: Send + Sync {
     /// Non-blocking submission (see [`SubmitOutcome`]).
     fn try_submit(&self, spec: JobSpec) -> Result<SubmitOutcome, NodeError>;
 
-    /// [`Self::try_submit`] carrying the monotonic instant the spec's
-    /// SUBMIT frame was read off a socket, so a sampled job's trace can
-    /// show wire ingress → admit. Nodes without a local trace clock
-    /// ignore the stamp (the default).
-    fn try_submit_stamped(
-        &self,
-        spec: JobSpec,
-        _wire_rx: Option<Instant>,
-    ) -> Result<SubmitOutcome, NodeError> {
-        self.try_submit(spec)
-    }
-
-    /// Note that job `id`'s RESULT frame just left a server socket —
-    /// the wire-tx counterpart of a trace already drained to the flight
-    /// recorder, recorded as a causal event. Default no-op for node
-    /// kinds with no recorder to write to.
-    fn note_wire_tx(&self, _id: u64) {}
-
     /// Push buffered submissions toward the node. No-op for local nodes;
     /// remote nodes flush their socket writer. Call before waiting on
     /// events for jobs just submitted.
     fn flush(&self) -> Result<(), NodeError> {
         Ok(())
     }
-
-    /// Install a waker fired after every event delivery to this
-    /// session's completion stream (and at stream close), so an
-    /// event-loop consumer can park in `poll(2)` and drain
-    /// [`NodeHandle::try_recv`] only when woken. Default is a no-op for
-    /// node kinds whose consumers block in [`NodeHandle::recv`] instead.
-    fn register_waker(&self, _waker: crate::engine::RouteWaker) {}
 
     /// Blocking receive; `None` once the node's completion stream is
     /// closed **and** drained.
@@ -156,9 +125,8 @@ pub trait NodeHandle: Send + Sync {
     /// This node's serving telemetry: a local node reads its engine's
     /// stats directly, a remote node **scrapes** them over the wire
     /// (`STATS_REQUEST` → `STATS`, bounded wait). `None` means the stats
-    /// are *unavailable right now* (scrape timeout, dead connection, or
-    /// a session with nothing to observe) — callers must surface that
-    /// distinctly, never treat it as zeros.
+    /// are *unavailable right now* (scrape timeout or dead connection)
+    /// — callers must surface that distinctly, never treat it as zeros.
     fn stats(&self) -> Option<EngineStats>;
 
     /// Close the completion stream: wakes blocked `recv` callers,
@@ -167,18 +135,16 @@ pub trait NodeHandle: Send + Sync {
     fn close(&self);
 
     /// Tear the node down. Returns final telemetry when this handle
-    /// owned the serving resources (a [`LocalNode::start`] node shuts
-    /// its engine down); `None` for attached sessions and remote nodes,
-    /// whose engines outlive the handle.
+    /// owned the serving resources (a [`LocalNode`] shuts its engine
+    /// down); `None` for remote nodes, whose engines outlive the handle.
     fn shutdown(self: Box<Self>) -> Option<EngineStats>;
 }
 
-/// An in-process node: an [`Engine`] behind a private [`ResultRoute`].
+/// An in-process node: an [`Engine`] it owns, behind a private
+/// [`ResultRoute`].
 pub struct LocalNode {
-    engine: Arc<Engine>,
+    engine: Engine,
     route: ResultRoute,
-    /// Whether this handle started (and therefore shuts down) the engine.
-    owned: bool,
 }
 
 impl LocalNode {
@@ -192,37 +158,9 @@ impl LocalNode {
     /// before the node accepts traffic (see
     /// [`Engine::start_prewarmed`]) — the restarted-node path.
     pub fn start_prewarmed(config: EngineConfig, prewarm: &[DesignKey]) -> Self {
-        let engine = Arc::new(Engine::start_prewarmed(config, prewarm));
+        let engine = Engine::start_prewarmed(config, prewarm);
         let route = engine.open_route(config.results_capacity.max(1));
-        Self { engine, route, owned: true }
-    }
-
-    /// [`Self::start`] with crash recovery from a durability directory
-    /// and a live write-ahead log (see [`Engine::start_durable`]): the
-    /// node replays its WAL, reloads spilled designs, and reaches full
-    /// warmth before the route opens — a crashed cluster member rejoins
-    /// with the cache it died with.
-    pub fn start_durable(
-        config: EngineConfig,
-        durability: crate::durability::DurabilityConfig,
-    ) -> std::io::Result<Self> {
-        let engine = Arc::new(Engine::start_durable(config, durability)?);
-        let route = engine.open_route(config.results_capacity.max(1));
-        Ok(Self { engine, route, owned: true })
-    }
-
-    /// Attach a session to a shared engine: a private completion stream
-    /// holding up to `route_capacity` results. Shutting the session down
-    /// closes only the route — the engine belongs to its owner. This is
-    /// the transport server's per-connection handle.
-    pub fn attach(engine: Arc<Engine>, route_capacity: usize) -> Self {
-        let route = engine.open_route(route_capacity.max(1));
-        Self { engine, route, owned: false }
-    }
-
-    /// The wrapped engine (telemetry, extra routes).
-    pub fn engine(&self) -> &Arc<Engine> {
-        &self.engine
+        Self { engine, route }
     }
 }
 
@@ -232,27 +170,11 @@ impl NodeHandle for LocalNode {
     }
 
     fn try_submit(&self, spec: JobSpec) -> Result<SubmitOutcome, NodeError> {
-        self.try_submit_stamped(spec, None)
-    }
-
-    fn try_submit_stamped(
-        &self,
-        spec: JobSpec,
-        wire_rx: Option<Instant>,
-    ) -> Result<SubmitOutcome, NodeError> {
-        match self.engine.try_submit_routed_stamped(spec, &self.route, wire_rx) {
+        match self.engine.try_submit_routed(spec, &self.route) {
             Ok(()) => Ok(SubmitOutcome::Accepted),
             Err(SubmitError::Backpressure(_)) => Ok(SubmitOutcome::Busy),
             Err(SubmitError::Closed(_)) => Err(NodeError::Closed),
         }
-    }
-
-    fn note_wire_tx(&self, id: u64) {
-        self.engine.note_wire_tx(id);
-    }
-
-    fn register_waker(&self, waker: crate::engine::RouteWaker) {
-        self.route.register_waker(waker);
     }
 
     fn recv(&self) -> Option<NodeEvent> {
@@ -282,14 +204,7 @@ impl NodeHandle for LocalNode {
 
     fn shutdown(self: Box<Self>) -> Option<EngineStats> {
         self.route.close();
-        if !self.owned {
-            return None;
-        }
-        let engine = self.engine;
-        // Attached routes (none for owned nodes) aside, this handle holds
-        // the only Arc; a failure to unwrap means the caller leaked a
-        // clone from `engine()` — let them shut it down instead.
-        Arc::try_unwrap(engine).ok().map(Engine::shutdown)
+        Some(self.engine.shutdown())
     }
 }
 
@@ -595,23 +510,6 @@ impl NodeHandle for RemoteNode {
     }
 }
 
-/// Mints per-connection [`NodeHandle`] sessions for the transport
-/// server: each accepted connection gets its own completion stream, so
-/// concurrent tenants only ever see their own events.
-pub trait NodeFactory: Send + Sync {
-    /// A fresh session whose completion stream buffers up to
-    /// `route_capacity` events.
-    fn open_session(&self, route_capacity: usize) -> Box<dyn NodeHandle>;
-}
-
-/// The canonical factory: sessions are private routes into one shared
-/// engine — today's transport server, expressed through the trait.
-impl NodeFactory for Arc<Engine> {
-    fn open_session(&self, route_capacity: usize) -> Box<dyn NodeHandle> {
-        Box::new(LocalNode::attach(Arc::clone(self), route_capacity))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,19 +575,6 @@ mod tests {
             assert!(matches!(node.recv(), Some(NodeEvent::Result(_))));
         }
         Box::new(node).shutdown();
-    }
-
-    #[test]
-    fn attached_sessions_do_not_own_the_engine() {
-        let engine = Arc::new(Engine::start(EngineConfig::with_workers(1)));
-        let session = LocalNode::attach(Arc::clone(&engine), 8);
-        session.submit(spec(1)).unwrap();
-        assert!(matches!(session.recv(), Some(NodeEvent::Result(_))));
-        assert!(Box::new(session).shutdown().is_none(), "sessions must not shut the engine");
-        // The engine survived the session.
-        let engine = Arc::try_unwrap(engine).ok().expect("session released its Arc");
-        let stats = engine.shutdown();
-        assert_eq!(stats.jobs_completed, 1);
     }
 
     #[test]

@@ -740,7 +740,7 @@ impl Router {
     /// then swap the table, re-route its parked slice to the survivors
     /// and shut the node down. Returns the node's final stats when the
     /// handle owned its engine (these are also folded into the router's
-    /// merged telemetry), or `None` for remote/attached nodes — or if
+    /// merged telemetry), or `None` for remote nodes — or if
     /// the node died mid-drain, in which case failover already
     /// re-routed its in-flight work.
     ///
@@ -835,9 +835,9 @@ impl Router {
         }
     }
 
-    /// Shut every node down and return final telemetry (owned nodes
-    /// report their engines' final stats; attached/remote nodes report
-    /// `None` — their engines outlive the router). Nodes that already
+    /// Shut every node down and return final telemetry (local nodes
+    /// report their engines' final stats; remote nodes report `None` —
+    /// their engines outlive the router). Nodes that already
     /// left (failover, [`Self::remove_node`]) stay folded into
     /// `merged`.
     ///
@@ -854,7 +854,7 @@ impl Router {
             match &stats {
                 Some(stats) => merged.merge(stats),
                 // At shutdown `None` means the node's engine outlives
-                // this handle (attached/remote) — its final stats are
+                // this handle (a remote node) — its final stats are
                 // its owner's to report, so it is "unavailable from
                 // here" in the same sense as a failed live scrape.
                 None => stats_unavailable.push(slot.id),

@@ -2,8 +2,8 @@
 //! engine-stats snapshot plus an optional metrics-registry snapshot.
 //!
 //! Both renderers are cold paths (they allocate freely) fed by
-//! `engine_load --metrics` and by anything that wants to scrape a
-//! node. The metric names are a wire contract — the README's metric
+//! `engine_load`'s `telemetry` scenario and by anything that wants to
+//! scrape a node. The metric names are a wire contract — the README's metric
 //! table and the CI smoke greps pin them — so they live in exactly two
 //! places: [`Metric::name`] for the registry counters and the string
 //! literals here for the snapshot-derived series.

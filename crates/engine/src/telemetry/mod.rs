@@ -26,7 +26,7 @@
 //!   Dumpable as JSON for postmortems.
 //! * [`export`] — Prometheus-text and JSON exposition renderers over an
 //!   [`EngineStats`] snapshot and a registry snapshot (used by
-//!   `engine_load --metrics`).
+//!   `engine_load`'s `telemetry` scenario).
 //!
 //! [`EngineStats`]: crate::engine::EngineStats
 

@@ -15,16 +15,15 @@
 //! * [`server`] — a readiness-driven event-loop front: an accept
 //!   thread hands nonblocking sockets to N loop threads, each
 //!   multiplexing thousands of per-connection state machines (one
-//!   [`NodeHandle`] session per connection, minted by a
-//!   [`NodeFactory`]; for the canonical `Arc<Engine>` factory: a
-//!   [`LocalNode`] over a private [`ResultRoute`]). A tick costs
-//!   O(active): the backend holds fd interest across ticks, and
-//!   outbound frames queue as encoded segments drained by `writev` —
-//!   no post-encode byte is ever copied. Backpressure is an explicit
+//!   private [`ResultRoute`] on the served engine per connection). A
+//!   tick costs O(active): the backend holds fd interest across ticks,
+//!   and outbound frames queue as encoded segments drained by `writev`
+//!   — no post-encode byte is ever copied. Backpressure is an explicit
 //!   `BUSY` reply frame — never a silent drop.
 //! * [`client`] — [`TransportClient`]: submit/poll plus a streaming
-//!   batch mode mirroring [`Engine::run_batch`], used by `engine_load
-//!   --transport tcp` to replay a [`LoadProfile`] over loopback.
+//!   batch mode mirroring [`Engine::run_batch`], used by `engine_load`'s
+//!   `tcp` and `connections` scenarios to replay a [`LoadProfile`]
+//!   over loopback.
 //!
 //! The headline invariant, pinned by `tests/transport_loopback.rs` and
 //! the CI smoke job: the same profile submitted over TCP produces
@@ -34,9 +33,6 @@
 //!
 //! [`JobSpec`]: crate::job::JobSpec
 //! [`JobResult`]: crate::job::JobResult
-//! [`NodeHandle`]: crate::cluster::node::NodeHandle
-//! [`NodeFactory`]: crate::cluster::node::NodeFactory
-//! [`LocalNode`]: crate::cluster::node::LocalNode
 //! [`Engine::run_batch`]: crate::engine::Engine::run_batch
 //! [`ResultRoute`]: crate::engine::ResultRoute
 //! [`LoadProfile`]: crate::traffic::LoadProfile

@@ -1,81 +1,60 @@
 //! ENGINE-LOAD: load generator for the `pooled_engine` serving layer.
 //!
 //! Replays a deterministic traffic mix against the engine and measures
-//! serving behaviour the figure binaries cannot see:
+//! serving behaviour the figure binaries cannot see. The run is a table
+//! of named scenarios ([`SCENARIOS`]); `--scenarios a,b,…` picks some,
+//! in the order given, and the default `all` runs every one. Each
+//! scenario is a function of one shared [`Ctx`] that returns its section
+//! of the report and its named checks:
 //!
-//! 1. **Closed-loop worker sweep** — the same job batch at 1, 2, 4, …,
-//!    `--workers` shards, cold pass (empty design cache) then warm pass.
-//!    Reports jobs/sec and checks that every worker count produced
-//!    **bit-identical** result fingerprints (the engine's determinism
-//!    contract).
-//! 2. **Batch-size sweep** — the same warm batch at the top worker count
-//!    with design-affinity batch windows 1, 4, 8, 16: batched vs per-job
-//!    throughput, and a check that the result fingerprint is identical at
-//!    every window (batching must be invisible in results).
-//! 3. **Open-loop Poisson replay** — arrivals at `--rate` jobs/sec that
-//!    do not wait for completions; `try_submit` under backpressure, shed
-//!    jobs counted, p50/p95/p99 latency from the engine histogram.
-//! 4. **TCP loopback replay** (`--transport tcp`) — the same job batch
-//!    submitted through the transport front (frame codec → TCP → reader
-//!    thread → queues) at 1 and `--workers` shards, with the cross-wire
-//!    determinism check: fingerprints must be **bit-identical** to the
-//!    in-process sweep. Reports the queue/service/wire latency split
-//!    only the client side of the socket can observe, and the number of
-//!    BUSY backpressure replies absorbed.
-//! 5. **Cluster sweep** (`--cluster N`, default 3; 0 disables) — a
-//!    design-sharded traffic mix replayed through the router tier:
-//!    once on a 1-node cluster (the single-node baseline *is* a 1-node
-//!    cluster now), once over `N` local nodes, and — with `--transport
-//!    tcp` — once over `N` TCP loopback nodes behind transport servers.
-//!    Reports router-level throughput, each node's design-cache hit
-//!    rate on the warm pass (the point of key-affinity sharding: every
-//!    node's cache serves a stable slice, so per-node warm hit rates
-//!    must not fall below the single-node warm rate at equal total
-//!    traffic), the queue/service/wire latency split seen from the
-//!    router, and the cross-topology determinism check: all three
-//!    topologies must produce **bit-identical** result fingerprints.
-//! 6. **Kill-node failover sweep** (`--kill-node`) — degraded-mode
-//!    serving: the cluster mix replayed fault-free for a baseline, then
-//!    replayed on a chaos-wrapped cluster that **loses a node halfway
-//!    through the stream**. Records the throughput dip and recovery
-//!    time, the survivors' cold-miss count after the kill (zero when
-//!    the HRW top-2 standby prewarm did its job), and the headline
-//!    check: fingerprints of the kill run **bit-identical** to the
-//!    fault-free run, with zero terminally failed jobs.
+//! * `workers` — the same batch at 1, 2, 4, … `--workers` shards, cold
+//!   pass then warm pass; every worker count must give **bit-identical**
+//!   result fingerprints (the engine's determinism contract).
+//! * `batch` — the warm batch at the top worker count with
+//!   design-affinity batch windows 1, 4, 8, 16; batching must not move a
+//!   bit.
+//! * `open_loop` — Poisson arrivals at `--rate` jobs/sec that never wait
+//!   for completions: shed jobs and p50/p95/p99 latency.
+//! * `tcp` — the batch through the loopback transport front at 1 and
+//!   `--workers` shards, with the queue/service/wire latency split only
+//!   the client side of the socket sees; fingerprints must equal
+//!   in-process submission.
+//! * `cluster` — a design-sharded mix through the router on a 1-node
+//!   cluster, a `--cluster`-node local cluster and a `--cluster`-node TCP
+//!   cluster: per-node warm hit rates (key-affinity sharding keeps every
+//!   node at least as warm as the single node at equal traffic) and
+//!   cross-topology fingerprints.
+//! * `failover` — the cluster mix fault-free, then on a chaos-wrapped
+//!   cluster that **loses a node halfway through the stream**: the
+//!   throughput dip, the recovery gap, the survivors' cold misses after
+//!   the kill (zero when the HRW top-2 standby prewarm did its job), and
+//!   no lost job or changed bit.
+//! * `telemetry` — the warm batch with tracing off and with every job
+//!   traced: the overhead (budget 5%), fingerprints, and the Prometheus
+//!   exposition on stdout.
+//! * `durability` — crash recovery against a real WAL in `--wal-dir`
+//!   (default: a fresh temp dir, removed afterwards): a durable engine
+//!   journals the traffic and crashes, and the restart must come back
+//!   warm from disk alone and bit-identical. A given `--wal-dir` is left
+//!   populated, so a second run on it starts warm across processes.
+//! * `connections` — decade tiers of 10, 100, … `--connections`
+//!   concurrent loopback tenants on one server, every tier on every
+//!   readiness backend: merged results bit-identical to in-process, and
+//!   a peak thread count O(event loops), never O(connections).
 //!
-//! 7. **Durability restart sweep** (`--wal-dir <d>`) — crash recovery
-//!    against a real on-disk WAL: a fresh engine produces the
-//!    ground-truth fingerprint, a durable engine journals the same
-//!    traffic into `<d>` and then **crashes** (dropped without a
-//!    shutdown checkpoint), and a restarted engine recovers from disk
-//!    alone. Reports the restart's time-to-warm (recovery happens
-//!    before `start_durable` returns), the first-100-jobs cold-miss
-//!    count (zero when recovery worked), and the headline check:
-//!    recovered fingerprints **bit-identical** to the never-crashed
-//!    run. The directory is left populated, so running the binary
-//!    again with the same `--wal-dir` starts warm across processes.
+//! Jobs carry a simulated query cost (`--latency-micros`, default 4000):
+//! the paper's premise is that queries dominate reconstruction time, and
+//! overlapping that cost across shards is where the multi-worker speedup
+//! comes from.
 //!
-//! 8. **Connection-front sweep** (`--connections N`, with `--transport
-//!    tcp`) — the readiness-driven front under tenant fan-out: 10, 100,
-//!    1000, … up to `N` concurrent loopback tenants on one server, each
-//!    serving its own slice of the batch. Reports per-tier throughput,
-//!    the queue/service/wire p95 split, and the peak process thread
-//!    count — which must stay O(event loops + workers + drivers), never
-//!    O(connections) — plus the headline check: the merged per-tenant
-//!    results **bit-identical** to one in-process `run_batch` of the
-//!    same jobs. Tiers that would exceed the process fd limit (three
-//!    fds per loopback connection: the client end, its cloned read
-//!    half, and the server end) are clamped, loudly.
-//!
-//! Jobs carry a simulated query-execution cost (`--latency-micros`,
-//! default 2000): the paper's premise is that queries dominate
-//! reconstruction time, and overlapping that cost across shards is
-//! exactly where the multi-worker speedup comes from.
-//!
-//! Emits `BENCH_ENGINE.json` (`--out` to relocate) with the sweep table,
-//! the speedup at the top worker count, and the open-loop tail latencies.
-//! Exits non-zero if any worker count broke determinism.
+//! Writes one JSON report (`--out`, default `BENCH_ENGINE.json`): a
+//! section per scenario run and a `checks` map. Exits non-zero if any
+//! check is false. The bare command runs every scenario, so it
+//! regenerates the whole report.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -85,9 +64,7 @@ use pooled_engine::job::{DecoderKind, JobResult};
 use pooled_engine::telemetry::{render_prometheus, Metric, TelemetryConfig};
 use pooled_engine::traffic::{poisson_arrivals, LoadProfile};
 use pooled_engine::transport::reactor::{raise_fd_limit, thread_count};
-use pooled_engine::transport::{
-    BackendChoice, BackendKind, TransportClient, TransportConfig, TransportServer,
-};
+use pooled_engine::transport::{BackendChoice, TransportClient, TransportConfig, TransportServer};
 use pooled_engine::{DurabilityConfig, JobSpec};
 use pooled_experiments::DEFAULT_SEED;
 use pooled_io::Args;
@@ -95,803 +72,681 @@ use pooled_lab::latency::LatencyModel;
 use pooled_lab::split::LatencySplit;
 use pooled_rng::SeedSequence;
 use pooled_theory::thresholds::m_mn_finite;
+use serde_json::{json, Value};
 
-/// One measured closed-loop pass.
-struct Pass {
-    workers: usize,
-    batch_window: usize,
-    cold_jobs_per_sec: f64,
-    warm_jobs_per_sec: f64,
-    exact_rate: f64,
-    cache_misses: u64,
-    fingerprint: u64,
+/// A scenario: measure, and return a report section plus named checks.
+type Scenario = fn(&Ctx) -> Outcome;
+
+/// Every scenario, in the order `all` runs them.
+const SCENARIOS: [(&str, Scenario); 9] = [
+    ("workers", workers),
+    ("batch", batch),
+    ("open_loop", open_loop),
+    ("tcp", tcp),
+    ("cluster", cluster),
+    ("failover", failover),
+    ("telemetry", telemetry),
+    ("durability", durability),
+    ("connections", connections),
+];
+
+/// What one scenario measured.
+struct Outcome {
+    /// The scenario's section of the report.
+    section: Value,
+    /// Named invariants; a false one fails the run.
+    checks: Vec<(&'static str, bool)>,
 }
 
 fn main() {
     let args = Args::parse(std::env::args().skip(1));
-    let seed = args.get_u64("seed", DEFAULT_SEED);
-    let jobs = args.get_usize("jobs", 256);
-    let max_workers = args.get_usize("workers", 8);
-    let n = args.get_usize("n", 1000);
-    let theta = args.get_f64("theta", 0.3);
-    let k = args.get_usize("k", (n as f64).powf(theta).round() as usize);
-    let m = args.get_usize("m", (1.5 * m_mn_finite(n, theta)).ceil() as usize);
-    // Default 4 ms: queries must dominate decode CPU for shard scaling to
-    // show (the paper's regime); `--latency-micros 0` gives pure-CPU jobs.
-    let latency_micros = args.get_u64("latency-micros", 4000);
-    let rate = args.get_f64("rate", 1500.0);
-    let queue = args.get_usize("queue", 64);
-    let cache = args.get_usize("cache", 16);
-    let distinct_designs = args.get_u64("designs", 1);
-    let decoders = parse_decoders(&args.get_str("decoders", "mn"));
-    let transport = args.get_str("transport", "none");
-    assert!(
-        transport == "none" || transport == "tcp",
-        "--transport must be 'none' or 'tcp', got {transport:?}"
-    );
-    let cluster = args.get_usize("cluster", 3);
-    let connections = args.get_usize("connections", 0);
-    assert!(
-        connections == 0 || transport == "tcp",
-        "--connections sweeps the TCP front; pass --transport tcp"
-    );
-    let backend_requested = args.get_str("backend", "auto");
-    let backend_choice = match backend_requested.as_str() {
-        "auto" => BackendChoice::Auto,
-        "poll" => BackendChoice::Poll,
-        "epoll" => BackendChoice::Epoll,
-        other => panic!("--backend must be 'auto', 'poll', or 'epoll', got {other:?}"),
-    };
-    let kill_node = args.flag("kill-node");
-    let metrics_mode = args.flag("metrics");
-    let wal_dir = args.get_str("wal-dir", "");
+    let selected = select(&args.get_str("scenarios", "all")).unwrap_or_else(|err| {
+        eprintln!("engine_load: {err}");
+        std::process::exit(2);
+    });
     let out_path = args.get_str("out", "BENCH_ENGINE.json");
-
-    let profile = LoadProfile {
-        distinct_designs,
-        decoders,
-        query_cost: (latency_micros > 0).then_some(LatencyModel::Fixed(latency_micros as f64)),
-        ..LoadProfile::default_mix(n, k, m, seed)
-    };
-    let specs = profile.specs(jobs);
+    let ctx = Ctx::from_args(&args);
     eprintln!(
-        "engine_load: {jobs} jobs, n={n} k={k} m={m}, {} design(s), query cost {latency_micros}µs",
-        distinct_designs
+        "engine_load: {} jobs, n={} k={} m={}, {} design(s), query cost {}µs",
+        ctx.jobs,
+        ctx.profile.n,
+        ctx.profile.k,
+        ctx.profile.m,
+        ctx.profile.distinct_designs,
+        ctx.latency_micros
     );
 
-    // --- 1. Closed-loop worker sweep -------------------------------------
-    let sweep: Vec<usize> = std::iter::successors(Some(1usize), |w| Some(w * 2))
-        .take_while(|&w| w < max_workers)
-        .chain(std::iter::once(max_workers))
-        .collect();
-    let mut passes = Vec::new();
-    println!("workers  cold jobs/s  warm jobs/s  speedup(warm)  exact%  cache-miss");
-    for &workers in &sweep {
-        let pass = run_closed_loop(workers, queue, cache, 1, &specs);
-        let base = passes.first().map_or(pass.warm_jobs_per_sec, |p: &Pass| p.warm_jobs_per_sec);
-        println!(
-            "{:<8} {:<12.1} {:<12.1} {:<14.2} {:<7.1} {}",
-            pass.workers,
-            pass.cold_jobs_per_sec,
-            pass.warm_jobs_per_sec,
-            pass.warm_jobs_per_sec / base,
-            100.0 * pass.exact_rate,
-            pass.cache_misses,
-        );
-        passes.push(pass);
+    let mut report = vec![
+        ("experiment".to_string(), json!("engine_load")),
+        ("seed".to_string(), json!(ctx.profile.seed)),
+        ("params".to_string(), ctx.params()),
+    ];
+    let mut checks = Vec::new();
+    for (name, scenario) in selected {
+        let outcome = scenario(&ctx);
+        report.push((name.to_string(), outcome.section));
+        checks.extend(outcome.checks);
     }
-    let deterministic = passes.iter().all(|p| p.fingerprint == passes[0].fingerprint);
-    if !deterministic {
-        eprintln!("engine_load: DETERMINISM VIOLATION — fingerprints differ across worker counts");
+    for (name, ok) in &checks {
+        println!("check {name}: {}", if *ok { "yes" } else { "NO" });
     }
-    let speedup = passes.last().unwrap().warm_jobs_per_sec / passes[0].warm_jobs_per_sec;
-    println!(
-        "warm-cache speedup at {} workers: {speedup:.2}x  |  bit-identical across counts: {}",
-        max_workers,
-        if deterministic { "yes" } else { "NO" }
-    );
-
-    // --- 2. Batch-size sweep ---------------------------------------------
-    // Same warm traffic at the top worker count, with the design-affinity
-    // batch window swept; window 1 is the per-job baseline the speedups
-    // are measured against, and every window must reproduce its
-    // fingerprint exactly.
-    let batch_windows = [1usize, 4, 8, 16];
-    let mut batch_passes = Vec::new();
-    println!("batch    warm jobs/s  speedup(vs per-job)  fingerprint-ok");
-    for &window in &batch_windows {
-        let pass = run_closed_loop(max_workers, queue, cache, window, &specs);
-        let base =
-            batch_passes.first().map_or(pass.warm_jobs_per_sec, |p: &Pass| p.warm_jobs_per_sec);
-        println!(
-            "{:<8} {:<12.1} {:<20.2} {}",
-            window,
-            pass.warm_jobs_per_sec,
-            pass.warm_jobs_per_sec / base,
-            if pass.fingerprint == passes[0].fingerprint { "yes" } else { "NO" },
-        );
-        batch_passes.push(pass);
-    }
-    let batch_deterministic = batch_passes.iter().all(|p| p.fingerprint == passes[0].fingerprint);
-    if !batch_deterministic {
-        eprintln!("engine_load: DETERMINISM VIOLATION — batching changed result fingerprints");
-    }
-    let batched_speedup =
-        batch_passes.last().unwrap().warm_jobs_per_sec / batch_passes[0].warm_jobs_per_sec;
-    println!(
-        "batched speedup at window {}: {batched_speedup:.2}x  |  fingerprints identical: {}",
-        batch_windows.last().unwrap(),
-        if batch_deterministic { "yes" } else { "NO" }
-    );
-
-    // --- 3. Open-loop Poisson replay -------------------------------------
-    let open = run_open_loop(max_workers, queue, cache, &profile, jobs, rate, seed);
-    println!(
-        "open-loop @ {rate:.0}/s: served {} shed {} | latency p50 {}µs p95 {}µs p99 {}µs",
-        open.served, open.shed, open.p50, open.p95, open.p99
-    );
-
-    // --- 3b. TCP loopback replay (--transport tcp) ------------------------
-    let mut tcp_passes = Vec::new();
-    let mut tcp_deterministic = true;
-    if transport == "tcp" {
-        println!("tcp      jobs/s       fingerprint-ok  busy  queue-p95  service-p95  wire-p95");
-        for &workers in &[1usize, max_workers] {
-            let pass = run_tcp_loop(workers, queue, cache, &specs);
-            let ok = pass.fingerprint == passes[0].fingerprint;
-            tcp_deterministic &= ok;
-            println!(
-                "{:<8} {:<12.1} {:<15} {:<5} {:<10} {:<12} {}",
-                pass.workers,
-                pass.jobs_per_sec,
-                if ok { "yes" } else { "NO" },
-                pass.busy_retries,
-                pass.queue_p95,
-                pass.service_p95,
-                pass.wire_p95,
-            );
-            tcp_passes.push(pass);
-        }
-        if !tcp_deterministic {
-            eprintln!(
-                "engine_load: DETERMINISM VIOLATION — TCP fingerprints differ from in-process"
-            );
-        } else {
-            println!(
-                "cross-wire fingerprints identical to in-process submission at 1 and \
-                 {max_workers} workers"
-            );
-        }
-    }
-
-    // --- 3c. Cluster sweep (--cluster N) ----------------------------------
-    // A design-sharded mix through the router tier: the same traffic on a
-    // 1-node cluster, an N-node local cluster, and (with --transport tcp)
-    // an N-node TCP loopback cluster. The single-node pass doubles as the
-    // fingerprint baseline and the warm-hit-rate yardstick.
-    let mut cluster_passes: Vec<ClusterPass> = Vec::new();
-    let mut cluster_deterministic = true;
-    let mut cluster_hit_rates_hold = true;
-    let mut single_warm_hit_rate = 0.0f64;
-    let mut cluster_designs = 0u64;
-    if cluster > 0 {
-        // Give each node a key slice to own: at least two distinct
-        // designs per node, never fewer than the profile already has.
-        cluster_designs = distinct_designs.max(2 * cluster as u64);
-        let cluster_profile = LoadProfile { distinct_designs: cluster_designs, ..profile.clone() };
-        let cluster_specs = cluster_profile.specs(jobs);
-        let workers_per_node = (max_workers / cluster).max(1);
-        println!(
-            "cluster  nodes  jobs/s(warm)  fingerprint-ok  busy  min-node-hit%  q-p95  s-p95  w-p95"
-        );
-        let single = run_cluster_local("single", 1, max_workers, queue, cache, &cluster_specs);
-        single_warm_hit_rate = single.min_warm_hit_rate;
-        let mut passes = vec![single];
-        passes.push(run_cluster_local(
-            "local",
-            cluster,
-            workers_per_node,
-            queue,
-            cache,
-            &cluster_specs,
-        ));
-        if transport == "tcp" {
-            passes.push(run_cluster_tcp(cluster, workers_per_node, queue, cache, &cluster_specs));
-        }
-        let baseline = passes[0].fingerprint;
-        for pass in &passes {
-            let ok = pass.fingerprint == baseline;
-            cluster_deterministic &= ok;
-            // Every node that saw traffic must stay at least as warm as
-            // the single-node baseline at equal total traffic.
-            if pass.min_warm_hit_rate < single_warm_hit_rate - 1e-9 {
-                cluster_hit_rates_hold = false;
-            }
-            println!(
-                "{:<8} {:<6} {:<13.1} {:<15} {:<5} {:<14.1} {:<6} {:<6} {}",
-                pass.label,
-                pass.nodes.len(),
-                pass.warm_jobs_per_sec,
-                if ok { "yes" } else { "NO" },
-                pass.busy_retries,
-                100.0 * pass.min_warm_hit_rate,
-                pass.queue_p95,
-                pass.service_p95,
-                pass.wire_p95,
-            );
-        }
-        if !cluster_deterministic {
-            eprintln!(
-                "engine_load: DETERMINISM VIOLATION — cluster fingerprints differ from the \
-                 1-node baseline"
-            );
-        } else {
-            println!(
-                "cluster fingerprints identical across 1-node, {cluster}-node local{} topologies",
-                if transport == "tcp" { format!(" and {cluster}-node TCP") } else { String::new() }
-            );
-        }
-        if !cluster_hit_rates_hold {
-            eprintln!(
-                "engine_load: AFFINITY REGRESSION — a node's warm hit rate fell below the \
-                 single-node warm rate"
-            );
-        }
-        cluster_passes = passes;
-    }
-
-    // --- 3d. Kill-node failover sweep (--kill-node) ------------------------
-    // Degraded-mode serving: the cluster mix fault-free for a baseline,
-    // then again on a chaos-wrapped cluster that loses a node halfway
-    // through the stream. The headline check is bit-identity with the
-    // fault-free run; the telemetry is the throughput dip, the recovery
-    // gap, and the survivors' cold-miss count after the kill (zero when
-    // the HRW top-2 standby prewarm kept them warm).
-    let mut failover: Option<FailoverSweep> = None;
-    let mut failover_ok = true;
-    if kill_node {
-        let fo_nodes = if cluster > 0 { cluster.max(2) } else { 3 };
-        let fo_designs = distinct_designs.max(2 * fo_nodes as u64);
-        let fo_profile = LoadProfile { distinct_designs: fo_designs, ..profile.clone() };
-        let fo_specs = fo_profile.specs(jobs);
-        let fo_workers = (max_workers / fo_nodes).max(1);
-        let sweep = run_failover_sweep(fo_nodes, fo_workers, queue, cache, &fo_specs);
-        failover_ok = sweep.fingerprints_match && sweep.failed_jobs == 0;
-        println!(
-            "failover: killed node {} at job {}/{} | pre-kill {:.1}/s post-kill {:.1}/s | \
-             recovery {}µs | survivor cold misses {} | failed jobs {} | bit-identical: {}",
-            sweep.killed_node,
-            sweep.kill_at,
-            jobs,
-            sweep.pre_kill_jobs_per_sec,
-            sweep.post_kill_jobs_per_sec,
-            sweep.recovery_micros,
-            sweep.survivor_cold_misses_after_kill,
-            sweep.failed_jobs,
-            if failover_ok { "yes" } else { "NO" },
-        );
-        if !failover_ok {
-            eprintln!(
-                "engine_load: FAILOVER VIOLATION — the kill run lost jobs or changed bits \
-                 vs the fault-free run"
-            );
-        }
-        failover = Some(sweep);
-    }
-
-    // --- 3e. Telemetry overhead (--metrics) --------------------------------
-    // The observability plane's price tag: the same warm batch at the top
-    // worker count with tracing off, then with every job traced at full
-    // sampling into the flight recorder. Tracing must stay under 5%
-    // throughput overhead and — the hard invariant — must not move a
-    // single result bit. Also emits the Prometheus exposition so CI can
-    // assert the scrape surface actually parses.
-    let mut telemetry_sweep: Option<TelemetrySweep> = None;
-    let mut telemetry_deterministic = true;
-    if metrics_mode {
-        let (off, full) = run_telemetry_sweep(max_workers, queue, cache, &specs);
-        telemetry_deterministic =
-            off.fingerprint == passes[0].fingerprint && full.fingerprint == passes[0].fingerprint;
-        let overhead_pct = 100.0 * (1.0 - full.warm_jobs_per_sec / off.warm_jobs_per_sec);
-        let within_5pct = overhead_pct <= 5.0;
-        println!(
-            "telemetry: off {:.1}/s  full-tracing {:.1}/s  overhead {:.2}%  within-5%: {}  \
-             bit-identical: {}",
-            off.warm_jobs_per_sec,
-            full.warm_jobs_per_sec,
-            overhead_pct,
-            if within_5pct { "yes" } else { "NO" },
-            if telemetry_deterministic { "yes" } else { "NO" },
-        );
-        if !telemetry_deterministic {
-            eprintln!("engine_load: DETERMINISM VIOLATION — tracing changed result fingerprints");
-        }
-        // The flight-recorder dump must be real JSON, not JSON-shaped.
-        serde_json::from_str(&full.recorder_json).expect("flight recorder dump must parse as JSON");
-        println!("--- prometheus exposition (full tracing) ---");
-        print!("{}", full.prometheus);
-        println!("--- end prometheus exposition ---");
-        telemetry_sweep = Some(TelemetrySweep {
-            warm_jobs_per_sec_off: off.warm_jobs_per_sec,
-            warm_jobs_per_sec_full_tracing: full.warm_jobs_per_sec,
-            overhead_pct,
-            within_5pct,
-        });
-    }
-
-    // --- 3f. Durability restart sweep (--wal-dir <d>) ----------------------
-    // Crash recovery end to end: ground-truth fingerprint from a fresh
-    // engine, a durable incarnation that journals the traffic and then
-    // crashes without a checkpoint, and a restart that must come back
-    // warm from disk alone — zero cold misses over its first 100 jobs
-    // and bit-identical results.
-    let mut durability_sweep: Option<DurabilitySweep> = None;
-    let mut durability_ok = true;
-    if !wal_dir.is_empty() {
-        let sweep = run_durability_sweep(max_workers, queue, cache, &specs, &wal_dir);
-        durability_ok = sweep.fingerprints_match && sweep.restart_first_100_cold_misses == 0;
-        println!(
-            "durability: cold first-100 misses {} | incarnation-1 started {} ({} records) | \
-             restart warm in {}µs, {} records, first-100 cold misses {} | bit-identical: {}",
-            sweep.cold_first_100_misses,
-            if sweep.incarnation_started_warm { "warm" } else { "cold" },
-            sweep.incarnation_records_replayed,
-            sweep.restart_recovery_micros,
-            sweep.restart_records_replayed,
-            sweep.restart_first_100_cold_misses,
-            if sweep.fingerprints_match { "yes" } else { "NO" },
-        );
-        if !durability_ok {
-            eprintln!(
-                "engine_load: DURABILITY VIOLATION — the recovered engine served cold or \
-                 changed bits vs the never-crashed run"
-            );
-        }
-        durability_sweep = Some(sweep);
-    }
-
-    // --- 3g. Connection-front sweep (--connections N) -----------------------
-    // The readiness-driven front under tenant fan-out: decade tiers of
-    // concurrent loopback tenants up to N, each serving a disjoint slice
-    // of one batch. Two headline checks ride every tier: the merged
-    // per-tenant results are bit-identical to a single in-process
-    // run_batch of the same jobs, and the peak process thread count is
-    // O(event loops + workers + drivers) — the whole point of retiring
-    // thread-per-connection.
-    let mut connection_tiers: Vec<ConnectionTier> = Vec::new();
-    let mut alternate_tiers: Vec<ConnectionTier> = Vec::new();
-    let mut connection_fingerprints_ok = true;
-    let mut connection_threads_bounded = true;
-    let backend_resolved = backend_choice.resolve();
-    if connections > 0 {
-        // The headline tiers run on the requested backend; each tier
-        // also reruns on the other backend (when the platform has one)
-        // so the report can put epoll's delivered-events-per-tick next
-        // to poll's scanned-set-per-tick on identical traffic.
-        let alternate_choice = match backend_resolved {
-            BackendKind::Epoll => Some(BackendChoice::Poll),
-            BackendKind::Poll => cfg!(target_os = "linux").then_some(BackendChoice::Epoll),
-        };
-        let tiers: Vec<usize> = std::iter::successors(Some(10usize), |c| Some(c * 10))
-            .take_while(|&c| c < connections)
-            .chain(std::iter::once(connections))
-            .collect();
-        let mut truth = std::collections::HashMap::new();
-        println!(
-            "connection sweep backend: {} (requested {backend_requested})",
-            backend_resolved.name()
-        );
-        println!(
-            "conns    jobs     jobs/s       fingerprint-ok  threads  bound  busy   q-p95   \
-             s-p95   w-p95   ready/tick"
-        );
-        for &tier_conns in &tiers {
-            let tier = run_connection_tier(
-                tier_conns,
-                max_workers,
-                queue,
-                cache,
-                &profile,
-                jobs,
-                backend_choice,
-                &mut truth,
-            );
-            connection_fingerprints_ok &= tier.fingerprints_match;
-            connection_threads_bounded &= tier.threads_bounded;
-            println!(
-                "{:<8} {:<8} {:<12.1} {:<15} {:<8} {:<6} {:<6} {:<7} {:<7} {:<7} {:.1}",
-                tier.connections,
-                tier.total_jobs,
-                tier.jobs_per_sec,
-                if tier.fingerprints_match { "yes" } else { "NO" },
-                tier.peak_threads,
-                tier.thread_bound,
-                tier.busy_retries,
-                tier.queue_p95,
-                tier.service_p95,
-                tier.wire_p95,
-                tier.ready_fds_per_tick(),
-            );
-            if let Some(alt) = alternate_choice {
-                let other = run_connection_tier(
-                    tier_conns,
-                    max_workers,
-                    queue,
-                    cache,
-                    &profile,
-                    jobs,
-                    alt,
-                    &mut truth,
-                );
-                connection_fingerprints_ok &= other.fingerprints_match;
-                connection_threads_bounded &= other.threads_bounded;
-                println!(
-                    "backend-compare @ {}: {} {:.1}/s ({:.1} ready/tick over {} ticks) vs \
-                     {} {:.1}/s ({:.1} ready/tick over {} ticks)",
-                    tier.connections,
-                    tier.backend,
-                    tier.jobs_per_sec,
-                    tier.ready_fds_per_tick(),
-                    tier.ticks,
-                    other.backend,
-                    other.jobs_per_sec,
-                    other.ready_fds_per_tick(),
-                    other.ticks,
-                );
-                alternate_tiers.push(other);
-            }
-            connection_tiers.push(tier);
-        }
-        if !connection_fingerprints_ok {
-            eprintln!(
-                "engine_load: DETERMINISM VIOLATION — connection-sweep results differ from \
-                 in-process submission"
-            );
-        }
-        if !connection_threads_bounded {
-            eprintln!(
-                "engine_load: THREAD REGRESSION — server thread count scaled with connections"
-            );
-        }
-        if connection_fingerprints_ok && connection_threads_bounded {
-            println!(
-                "connection front held to {} tenants: fingerprints bit-identical, threads \
-                 O(event loops)",
-                connection_tiers.last().map_or(0, |t| t.connections)
-            );
-        }
-    }
-
-    // --- 4. Emit BENCH_ENGINE.json ---------------------------------------
-    let sweep_rows: Vec<serde_json::Value> = passes
-        .iter()
-        .map(|p| {
-            serde_json::json!({
-                "workers": p.workers,
-                "cold_jobs_per_sec": p.cold_jobs_per_sec,
-                "warm_jobs_per_sec": p.warm_jobs_per_sec,
-                "exact_rate": p.exact_rate,
-                "cache_misses": p.cache_misses,
-                "fingerprint": p.fingerprint,
-            })
-        })
-        .collect();
-    let params = serde_json::json!({
-        "jobs": jobs, "n": n, "k": k, "m": m,
-        "distinct_designs": distinct_designs,
-        "query_cost_micros": latency_micros,
-        "queue_capacity": queue, "design_cache_capacity": cache,
-    });
-    let open_loop = serde_json::json!({
-        "rate_per_sec": rate,
-        "served": open.served,
-        "shed": open.shed,
-        "latency_p50_micros": open.p50,
-        "latency_p95_micros": open.p95,
-        "latency_p99_micros": open.p99,
-    });
-    let batch_rows: Vec<serde_json::Value> = batch_passes
-        .iter()
-        .map(|p| {
-            serde_json::json!({
-                "batch_window": p.batch_window,
-                "warm_jobs_per_sec": p.warm_jobs_per_sec,
-                "speedup_vs_per_job": p.warm_jobs_per_sec / batch_passes[0].warm_jobs_per_sec,
-                "fingerprint": p.fingerprint,
-            })
-        })
-        .collect();
-    let tcp_rows: Vec<serde_json::Value> = tcp_passes
-        .iter()
-        .map(|p| {
-            serde_json::json!({
-                "workers": p.workers,
-                "jobs_per_sec": p.jobs_per_sec,
-                "fingerprint": p.fingerprint,
-                "busy_retries": p.busy_retries,
-                "queue_p95_micros": p.queue_p95,
-                "service_p95_micros": p.service_p95,
-                "wire_p95_micros": p.wire_p95,
-            })
-        })
-        .collect();
-    let mut report = serde_json::json!({
-        "experiment": "engine_load",
-        "seed": seed,
-        "params": params,
-        "closed_loop": sweep_rows,
-        "warm_speedup_at_max_workers": speedup,
-        "deterministic_across_worker_counts": deterministic,
-        "batch_sweep": batch_rows,
-        "batched_speedup_at_max_window": batched_speedup,
-        "deterministic_across_batch_windows": batch_deterministic,
-        "open_loop": open_loop,
-    });
-    if transport == "tcp" {
-        if let serde_json::Value::Object(members) = &mut report {
-            members.push(("transport".to_string(), serde_json::json!("tcp")));
-            members.push(("tcp_loopback".to_string(), serde_json::Value::Array(tcp_rows)));
-            members.push((
-                "tcp_fingerprints_match_in_process".to_string(),
-                serde_json::Value::Bool(tcp_deterministic),
-            ));
-        }
-    }
-    if cluster > 0 {
-        let pass_rows: Vec<serde_json::Value> = cluster_passes
-            .iter()
-            .map(|p| {
-                let node_rows: Vec<serde_json::Value> = p
-                    .nodes
-                    .iter()
-                    .map(|n| {
-                        serde_json::json!({
-                            "node": n.id,
-                            "jobs_completed": n.jobs_completed,
-                            "warm_cache_hits": n.warm_hits,
-                            "warm_cache_accesses": n.warm_accesses,
-                            "warm_hit_rate": n.warm_hit_rate(),
-                        })
-                    })
-                    .collect();
-                serde_json::json!({
-                    "topology": p.label,
-                    "nodes": p.nodes.len(),
-                    "warm_jobs_per_sec": p.warm_jobs_per_sec,
-                    "fingerprint": p.fingerprint,
-                    "busy_retries": p.busy_retries,
-                    "min_node_warm_hit_rate": p.min_warm_hit_rate,
-                    "queue_p95_micros": p.queue_p95,
-                    "service_p95_micros": p.service_p95,
-                    "wire_p95_micros": p.wire_p95,
-                    "per_node": node_rows,
-                })
-            })
-            .collect();
-        if let serde_json::Value::Object(members) = &mut report {
-            members.push((
-                "cluster_sweep".to_string(),
-                serde_json::json!({
-                    "cluster_nodes": cluster,
-                    "distinct_designs": cluster_designs,
-                    "single_node_warm_hit_rate": single_warm_hit_rate,
-                    "passes": pass_rows,
-                }),
-            ));
-            members.push((
-                "cluster_fingerprints_match_single_node".to_string(),
-                serde_json::Value::Bool(cluster_deterministic),
-            ));
-            members.push((
-                "cluster_node_hit_rates_at_least_single_node_warm_rate".to_string(),
-                serde_json::Value::Bool(cluster_hit_rates_hold),
-            ));
-        }
-    }
-    if let Some(sweep) = &telemetry_sweep {
-        if let serde_json::Value::Object(members) = &mut report {
-            members.push((
-                "telemetry_overhead".to_string(),
-                serde_json::json!({
-                    "warm_jobs_per_sec_off": sweep.warm_jobs_per_sec_off,
-                    "warm_jobs_per_sec_full_tracing": sweep.warm_jobs_per_sec_full_tracing,
-                    "overhead_pct": sweep.overhead_pct,
-                    "telemetry_overhead_within_5pct": sweep.within_5pct,
-                }),
-            ));
-            members.push((
-                "telemetry_fingerprints_match_untraced".to_string(),
-                serde_json::Value::Bool(telemetry_deterministic),
-            ));
-        }
-    }
-    if connections > 0 {
-        let tier_rows: Vec<serde_json::Value> = connection_tiers
-            .iter()
-            .map(|t| {
-                serde_json::json!({
-                    "requested_connections": t.requested,
-                    "connections": t.connections,
-                    "backend": t.backend,
-                    "total_jobs": t.total_jobs,
-                    "jobs_per_sec": t.jobs_per_sec,
-                    "fingerprints_match": t.fingerprints_match,
-                    "peak_threads": t.peak_threads,
-                    "thread_bound": t.thread_bound,
-                    "threads_bounded": t.threads_bounded,
-                    "busy_retries": t.busy_retries,
-                    "queue_p95_micros": t.queue_p95,
-                    "service_p95_micros": t.service_p95,
-                    "wire_p95_micros": t.wire_p95,
-                    "ticks": t.ticks,
-                    "ready_fds": t.ready_fds,
-                    "ready_fds_per_tick": t.ready_fds_per_tick(),
-                    "writev_calls": t.writev_calls,
-                    "partial_writes": t.partial_writes,
-                    "fd_limit": t.fd_limit,
-                })
-            })
-            .collect();
-        // Side-by-side rows keyed by backend name: identical traffic,
-        // the only variable is the readiness mechanism.
-        let compare_rows: Vec<serde_json::Value> = connection_tiers
-            .iter()
-            .map(|t| {
-                let mut row = vec![("connections".to_string(), serde_json::json!(t.connections))];
-                let mut matched = t.fingerprints_match;
-                row.push((t.backend.to_string(), backend_tier_json(t)));
-                if let Some(o) = alternate_tiers.iter().find(|o| o.connections == t.connections) {
-                    matched &= o.fingerprints_match;
-                    row.push((o.backend.to_string(), backend_tier_json(o)));
-                }
-                row.push(("fingerprints_match".to_string(), serde_json::json!(matched)));
-                serde_json::Value::Object(row)
-            })
-            .collect();
-        if let serde_json::Value::Object(members) = &mut report {
-            members.push(("backend_requested".to_string(), serde_json::json!(backend_requested)));
-            members
-                .push(("backend_resolved".to_string(), serde_json::json!(backend_resolved.name())));
-            members.push((
-                "connection_sweep".to_string(),
-                serde_json::json!({
-                    "requested_max": connections,
-                    "backend": backend_resolved.name(),
-                    "tiers": tier_rows,
-                }),
-            ));
-            members.push(("backend_compare".to_string(), serde_json::Value::Array(compare_rows)));
-            members.push((
-                "connection_fingerprints_match_in_process".to_string(),
-                serde_json::Value::Bool(connection_fingerprints_ok),
-            ));
-            members.push((
-                "connection_threads_bounded".to_string(),
-                serde_json::Value::Bool(connection_threads_bounded),
-            ));
-        }
-    }
-    if let Some(sweep) = &failover {
-        if let serde_json::Value::Object(members) = &mut report {
-            members.push((
-                "failover_sweep".to_string(),
-                serde_json::json!({
-                    "cluster_nodes": sweep.nodes,
-                    "killed_node": sweep.killed_node,
-                    "killed_at_job": sweep.kill_at,
-                    "jobs": jobs,
-                    "baseline_warm_jobs_per_sec": sweep.baseline_jobs_per_sec,
-                    "pre_kill_jobs_per_sec": sweep.pre_kill_jobs_per_sec,
-                    "post_kill_jobs_per_sec": sweep.post_kill_jobs_per_sec,
-                    "recovery_micros": sweep.recovery_micros,
-                    "survivor_cold_misses_after_kill": sweep.survivor_cold_misses_after_kill,
-                    "standby_kept_survivors_warm": sweep.survivor_cold_misses_after_kill == 0,
-                    "failed_jobs": sweep.failed_jobs,
-                }),
-            ));
-            members.push((
-                "failover_fingerprints_match_fault_free".to_string(),
-                serde_json::Value::Bool(failover_ok),
-            ));
-        }
-    }
-    if let Some(sweep) = &durability_sweep {
-        if let serde_json::Value::Object(members) = &mut report {
-            members.push((
-                "durability_sweep".to_string(),
-                serde_json::json!({
-                    "wal_dir": sweep.wal_dir,
-                    "cold_pass_micros": sweep.cold_pass_micros,
-                    "cold_first_100_misses": sweep.cold_first_100_misses,
-                    "incarnation_started_warm": sweep.incarnation_started_warm,
-                    "incarnation_records_replayed": sweep.incarnation_records_replayed,
-                    "incarnation_recovery_micros": sweep.incarnation_recovery_micros,
-                    "incarnation_first_100_misses": sweep.incarnation_first_100_misses,
-                    "restart_recovery_micros": sweep.restart_recovery_micros,
-                    "restart_records_replayed": sweep.restart_records_replayed,
-                    "restart_first_100_cold_misses": sweep.restart_first_100_cold_misses,
-                    "restart_warm_jobs_per_sec": sweep.restart_warm_jobs_per_sec,
-                }),
-            ));
-            members.push((
-                "durability_fingerprints_match".to_string(),
-                serde_json::Value::Bool(sweep.fingerprints_match),
-            ));
-        }
-    }
-    std::fs::write(&out_path, serde_json::to_string_pretty(&report).expect("serializable"))
-        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    let check_map = checks.iter().map(|(name, ok)| (name.to_string(), Value::Bool(*ok)));
+    report.push(("checks".to_string(), Value::Object(check_map.collect())));
+    let text = serde_json::to_string_pretty(&Value::Object(report)).expect("serializable");
+    std::fs::write(&out_path, text).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!("engine_load: wrote {out_path}");
-    if !deterministic
-        || !batch_deterministic
-        || !tcp_deterministic
-        || !cluster_deterministic
-        || !failover_ok
-        || !telemetry_deterministic
-        || !durability_ok
-        || !connection_fingerprints_ok
-        || !connection_threads_bounded
-    {
+    if let Err(failed) = verdict(&checks) {
+        eprintln!("engine_load: FAILED checks: {failed}");
         std::process::exit(1);
     }
 }
 
-/// What the durability restart sweep measured.
-struct DurabilitySweep {
-    wal_dir: String,
-    cold_pass_micros: u64,
-    cold_first_100_misses: u64,
-    incarnation_started_warm: bool,
-    incarnation_records_replayed: u64,
-    incarnation_recovery_micros: u64,
-    incarnation_first_100_misses: u64,
-    restart_recovery_micros: u64,
-    restart_records_replayed: u64,
-    restart_first_100_cold_misses: u64,
-    restart_warm_jobs_per_sec: f64,
-    fingerprints_match: bool,
+/// The scenarios `raw` names (comma-separated, or `all`), in the order
+/// given.
+fn select(raw: &str) -> Result<Vec<(&'static str, Scenario)>, String> {
+    if raw == "all" {
+        return Ok(SCENARIOS.to_vec());
+    }
+    let mut picked: Vec<(&'static str, Scenario)> = Vec::new();
+    for name in raw.split(',').map(str::trim) {
+        let Some(&entry) = SCENARIOS.iter().find(|(known, _)| *known == name) else {
+            let valid: Vec<&str> = SCENARIOS.iter().map(|(known, _)| *known).collect();
+            return Err(format!("unknown scenario {name:?}; valid: all, {}", valid.join(", ")));
+        };
+        if picked.iter().any(|(known, _)| *known == name) {
+            return Err(format!("scenario {name:?} named twice"));
+        }
+        picked.push(entry);
+    }
+    Ok(picked)
 }
 
-/// Crash-recovery sweep against a real durability directory. Three
-/// incarnations: a fresh engine (no WAL) for the ground-truth
-/// fingerprint and the cold-miss yardstick; a durable engine that
-/// journals the same traffic into `wal_dir` and then **crashes** —
-/// dropped without a shutdown checkpoint, so recovery has only the
-/// per-admission WAL records and spilled snapshots to work with; and a
-/// restart that recovers from disk alone. `Engine::start_durable`
-/// returns only after replay + prewarm, so the restart's construction
-/// time *is* its time-to-warm, and its first 100 jobs must take zero
-/// cold misses. The directory is deliberately left populated (the
-/// restart shuts down cleanly, checkpointing the log): running the
-/// binary again with the same `--wal-dir` starts incarnation 1 warm,
-/// which is the cross-process recovery CI pins by invoking this twice.
-fn run_durability_sweep(
+/// `Err` listing every false check: one is enough to fail the run.
+fn verdict(checks: &[(&str, bool)]) -> Result<(), String> {
+    let failed: Vec<&str> = checks.iter().filter(|(_, ok)| !ok).map(|(name, _)| *name).collect();
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(failed.join(", "))
+    }
+}
+
+/// What every scenario reads: sizing, the traffic, and the memoised
+/// in-process reference fingerprints.
+struct Ctx {
+    jobs: usize,
+    /// The top worker count; also each reference engine's.
     workers: usize,
     queue: usize,
     cache: usize,
-    specs: &[JobSpec],
-    wal_dir: &str,
-) -> DurabilitySweep {
+    latency_micros: u64,
+    /// Open-loop arrival rate, jobs/sec.
+    rate: f64,
+    /// Nodes in the `cluster` and `failover` topologies.
+    cluster: usize,
+    /// The top tier of the `connections` sweep.
+    connections: usize,
+    /// Where `durability` keeps its WAL; `None` means a fresh temp dir.
+    wal_dir: Option<PathBuf>,
+    profile: LoadProfile,
+    /// The profile's first `jobs` specs: the batch most scenarios replay.
+    specs: Vec<JobSpec>,
+    /// In-process fingerprints of the profile's first `n` specs, by `n`,
+    /// each computed on first use so any scenario can run alone.
+    references: RefCell<BTreeMap<usize, u64>>,
+}
+
+impl Ctx {
+    fn from_args(args: &Args) -> Self {
+        let seed = args.get_u64("seed", DEFAULT_SEED);
+        let jobs = args.get_usize("jobs", 256);
+        let n = args.get_usize("n", 1000);
+        let theta = args.get_f64("theta", 0.3);
+        let k = args.get_usize("k", (n as f64).powf(theta).round() as usize);
+        let m = args.get_usize("m", (1.5 * m_mn_finite(n, theta)).ceil() as usize);
+        // Default 4 ms: queries must dominate decode CPU for shard scaling
+        // to show (the paper's regime); `--latency-micros 0` gives
+        // pure-CPU jobs.
+        let latency_micros = args.get_u64("latency-micros", 4000);
+        let cluster = args.get_usize("cluster", 3);
+        assert!(cluster >= 1, "--cluster sizes the cluster scenarios; it must be at least 1");
+        let connections = args.get_usize("connections", 1000);
+        assert!(connections >= 1, "--connections is the top tenant tier; it must be at least 1");
+        let wal_dir = args.get_str("wal-dir", "");
+        let profile = LoadProfile {
+            distinct_designs: args.get_u64("designs", 1),
+            decoders: parse_decoders(&args.get_str("decoders", "mn")),
+            query_cost: (latency_micros > 0).then_some(LatencyModel::Fixed(latency_micros as f64)),
+            ..LoadProfile::default_mix(n, k, m, seed)
+        };
+        Self {
+            jobs,
+            workers: args.get_usize("workers", 8),
+            queue: args.get_usize("queue", 64),
+            cache: args.get_usize("cache", 16),
+            latency_micros,
+            rate: args.get_f64("rate", 1500.0),
+            cluster,
+            connections,
+            wal_dir: (!wal_dir.is_empty()).then(|| PathBuf::from(wal_dir)),
+            specs: profile.specs(jobs),
+            profile,
+            references: RefCell::new(BTreeMap::new()),
+        }
+    }
+
+    fn params(&self) -> Value {
+        json!({
+            "jobs": self.jobs, "n": self.profile.n, "k": self.profile.k, "m": self.profile.m,
+            "distinct_designs": self.profile.distinct_designs,
+            "query_cost_micros": self.latency_micros,
+            "queue_capacity": self.queue, "design_cache_capacity": self.cache,
+        })
+    }
+
+    /// The engine configuration every scenario starts from.
+    fn config(&self, workers: usize) -> EngineConfig {
+        EngineConfig {
+            workers,
+            queue_capacity: self.queue,
+            results_capacity: self.queue,
+            design_cache_capacity: self.cache,
+            batch_window: 1,
+        }
+    }
+
+    /// Fingerprint of the profile's first `jobs` specs served by one
+    /// in-process engine at the top worker count.
+    fn reference(&self, jobs: usize) -> u64 {
+        if let Some(&fingerprint) = self.references.borrow().get(&jobs) {
+            return fingerprint;
+        }
+        let engine = Engine::start(self.config(self.workers));
+        let mut results = Vec::with_capacity(jobs);
+        engine.run_batch(&self.profile.specs(jobs), &mut results);
+        engine.shutdown();
+        let fingerprint = batch_fingerprint(&results);
+        self.references.borrow_mut().insert(jobs, fingerprint);
+        fingerprint
+    }
+
+    /// The design-sharded mix for a `nodes`-node cluster: at least two
+    /// distinct designs per node, never fewer than the profile has.
+    fn cluster_mix(&self, nodes: usize) -> (u64, Vec<JobSpec>) {
+        let designs = self.profile.distinct_designs.max(2 * nodes as u64);
+        let profile = LoadProfile { distinct_designs: designs, ..self.profile.clone() };
+        (designs, profile.specs(self.jobs))
+    }
+}
+
+/// Closed-loop worker sweep: the batch at 1, 2, 4, … up to `--workers`
+/// shards, every count bit-identical to the reference.
+fn workers(ctx: &Ctx) -> Outcome {
+    let counts = ladder(1, 2, ctx.workers);
+    let rows: Vec<Value> = counts.iter().map(|&w| closed_loop(ctx, ctx.config(w))).collect();
+    let want = ctx.reference(ctx.jobs);
+    let deterministic = rows.iter().all(|row| fingerprint(row) == want);
+    let speedup =
+        num(&rows[rows.len() - 1], "warm_jobs_per_sec") / num(&rows[0], "warm_jobs_per_sec");
+    Outcome {
+        section: json!({"closed_loop": rows, "warm_speedup_at_max_workers": speedup}),
+        checks: vec![("deterministic_across_worker_counts", deterministic)],
+    }
+}
+
+/// Batch-size sweep: the warm batch at the top worker count with the
+/// design-affinity batch window at 1 (the per-job baseline), 4, 8, 16.
+fn batch(ctx: &Ctx) -> Outcome {
+    let rows: Vec<Value> = [1usize, 4, 8, 16]
+        .iter()
+        .map(|&window| closed_loop(ctx, ctx.config(ctx.workers).with_batch_window(window)))
+        .collect();
+    let base = num(&rows[0], "warm_jobs_per_sec");
+    let rows: Vec<Value> = rows
+        .into_iter()
+        .map(|row| {
+            let speedup = num(&row, "warm_jobs_per_sec") / base;
+            join(row, json!({"speedup_vs_per_job": speedup}))
+        })
+        .collect();
+    let want = ctx.reference(ctx.jobs);
+    let deterministic = rows.iter().all(|row| fingerprint(row) == want);
+    let speedup = num(&rows[rows.len() - 1], "speedup_vs_per_job");
+    Outcome {
+        section: json!({"batch_sweep": rows, "batched_speedup_at_max_window": speedup}),
+        checks: vec![("deterministic_across_batch_windows", deterministic)],
+    }
+}
+
+/// Two batch passes on a fresh engine, cold cache then warm.
+fn closed_loop(ctx: &Ctx, config: EngineConfig) -> Value {
+    let engine = Engine::start(config);
+    let mut results = Vec::with_capacity(ctx.jobs);
+    let cold = per_sec(ctx.jobs, || engine.run_batch(&ctx.specs, &mut results));
+    let fingerprint = batch_fingerprint(&results);
+    let cache_misses = engine.stats().cache_misses;
+    results.clear();
+    let warm = per_sec(ctx.jobs, || engine.run_batch(&ctx.specs, &mut results));
+    assert_eq!(
+        batch_fingerprint(&results),
+        fingerprint,
+        "cold and warm passes disagree at {} workers",
+        config.workers
+    );
+    let exact = results.iter().filter(|r| r.exact).count() as f64 / results.len() as f64;
+    engine.shutdown();
+    show(
+        "closed_loop",
+        json!({
+            "workers": config.workers,
+            "batch_window": config.batch_window,
+            "cold_jobs_per_sec": cold,
+            "warm_jobs_per_sec": warm,
+            "exact_rate": exact,
+            "cache_misses": cache_misses,
+            "fingerprint": fingerprint,
+        }),
+    )
+}
+
+/// Open-loop Poisson replay: submit on the arrival schedule, never wait
+/// for completions; a full queue sheds the job.
+fn open_loop(ctx: &Ctx) -> Outcome {
+    let engine = Engine::start(EngineConfig {
+        results_capacity: ctx.jobs.max(1),
+        ..ctx.config(ctx.workers)
+    });
+    let arrivals =
+        poisson_arrivals(ctx.rate, ctx.jobs, &SeedSequence::new(ctx.profile.seed ^ 0xA11));
+    let started = Instant::now();
+    let mut shed = 0u64;
+    for (&spec, &at) in ctx.specs.iter().zip(&arrivals) {
+        let wait = at - started.elapsed().as_secs_f64();
+        if wait > 0.0 {
+            std::thread::sleep(Duration::from_secs_f64(wait));
+        }
+        if engine.try_submit(spec).is_err() {
+            shed += 1;
+        }
+    }
+    let stats = engine.shutdown_into(&mut Vec::new());
+    let latency = |q: f64| {
+        if stats.histogram.count() > 0 {
+            stats.histogram.quantile_micros(q)
+        } else {
+            0
+        }
+    };
+    let section = show(
+        "open_loop",
+        json!({
+            "rate_per_sec": ctx.rate,
+            "served": stats.jobs_completed,
+            "shed": shed,
+            "latency_p50_micros": latency(0.50),
+            "latency_p95_micros": latency(0.95),
+            "latency_p99_micros": latency(0.99),
+        }),
+    );
+    Outcome { section, checks: vec![] }
+}
+
+/// TCP loopback replay: the batch through the transport front (frame
+/// codec → TCP → event loop → engine queues) at 1 and `--workers`
+/// shards.
+fn tcp(ctx: &Ctx) -> Outcome {
+    let rows: Vec<Value> = [1, ctx.workers]
+        .iter()
+        .map(|&workers| {
+            let served = Served::start(ctx.config(workers), TransportConfig::default());
+            let mut client = TransportClient::connect(served.addr()).expect("connect loopback");
+            let mut results = Vec::with_capacity(ctx.jobs);
+            let mut split = LatencySplit::new();
+            let jobs_per_sec = per_sec(ctx.jobs, || {
+                client.run_batch_split(&ctx.specs, &mut results, &mut split).expect("tcp replay");
+            });
+            let busy_retries = client.busy_retries();
+            drop(client);
+            served.stop();
+            let row = json!({
+                "workers": workers,
+                "jobs_per_sec": jobs_per_sec,
+                "fingerprint": batch_fingerprint(&results),
+                "busy_retries": busy_retries,
+            });
+            show("tcp", join(row, p95s(&split)))
+        })
+        .collect();
+    let want = ctx.reference(ctx.jobs);
+    let matched = rows.iter().all(|row| fingerprint(row) == want);
+    Outcome {
+        section: json!({"tcp_loopback": rows}),
+        checks: vec![("tcp_fingerprints_match_in_process", matched)],
+    }
+}
+
+/// Cluster sweep: the design-sharded mix through the router on a 1-node
+/// cluster (the fingerprint baseline and warm-hit-rate yardstick), a
+/// `--cluster`-node local cluster and a `--cluster`-node TCP cluster.
+fn cluster(ctx: &Ctx) -> Outcome {
+    let nodes = ctx.cluster;
+    let (designs, specs) = ctx.cluster_mix(nodes);
+    let per_node = ctx.config((ctx.workers / nodes).max(1));
+    let single = Router::new(local_nodes(1, ctx.config(ctx.workers)), ROUTER_WINDOW);
+    let local = Router::new(local_nodes(nodes, per_node), ROUTER_WINDOW);
+    let mut passes =
+        vec![cluster_pass("single", single, &specs), cluster_pass("local", local, &specs)];
+    // Each TCP node is an engine behind its own transport server,
+    // reached through a `RemoteNode` — the full wire path per shard.
+    let served: Vec<Served> =
+        (0..nodes).map(|_| Served::start(per_node, TransportConfig::default())).collect();
+    let remote: Vec<(u64, Box<dyn NodeHandle>)> = served
+        .iter()
+        .enumerate()
+        .map(|(id, s)| {
+            let node = RemoteNode::connect(s.addr()).expect("connect loopback node");
+            (id as u64, Box::new(node) as Box<dyn NodeHandle>)
+        })
+        .collect();
+    passes.push(cluster_pass("tcp", Router::new(remote, ROUTER_WINDOW), &specs));
+    for s in served {
+        s.stop();
+    }
+
+    let baseline = fingerprint(&passes[0]);
+    let single_rate = num(&passes[0], "min_node_warm_hit_rate");
+    let deterministic = passes.iter().all(|pass| fingerprint(pass) == baseline);
+    // Every node that saw traffic must stay at least as warm as the
+    // single node at equal total traffic.
+    let rates_hold =
+        passes.iter().all(|pass| num(pass, "min_node_warm_hit_rate") >= single_rate - 1e-9);
+    Outcome {
+        section: json!({
+            "cluster_nodes": nodes,
+            "distinct_designs": designs,
+            "single_node_warm_hit_rate": single_rate,
+            "passes": passes,
+            "cluster_node_hit_rates_at_least_single_node_warm_rate": rates_hold,
+        }),
+        checks: vec![("cluster_fingerprints_match_single_node", deterministic)],
+    }
+}
+
+/// Per-node in-flight window for the router (pipelining depth).
+const ROUTER_WINDOW: usize = 16;
+
+/// `count` in-process nodes, ids `0..count`.
+fn local_nodes(count: usize, config: EngineConfig) -> Vec<(u64, Box<dyn NodeHandle>)> {
+    (0..count as u64)
+        .map(|id| (id, Box::new(LocalNode::start(config)) as Box<dyn NodeHandle>))
+        .collect()
+}
+
+/// Every node's stats as the router sees them (a scrape for remote
+/// nodes).
+fn node_stats(router: &Router) -> Vec<(u64, EngineStats)> {
+    let nodes = router.stats().nodes.into_iter();
+    nodes.map(|(id, stats)| (id, stats.expect("every node answers a stats scrape"))).collect()
+}
+
+/// Replay `specs` through `router`: a cold pass, then a timed warm pass
+/// with the router-observed latency split. Per-node warm hit rates come
+/// from the cache delta between the passes.
+fn cluster_pass(topology: &str, mut router: Router, specs: &[JobSpec]) -> Value {
+    let mut results = Vec::with_capacity(specs.len());
+    router.run_batch(specs, &mut results);
+    let fingerprint = batch_fingerprint(&results);
+    let cold = node_stats(&router);
+    results.clear();
+    let mut split = LatencySplit::new();
+    let warm_jobs_per_sec =
+        per_sec(specs.len(), || router.run_batch_split(specs, &mut results, &mut split));
+    assert_eq!(batch_fingerprint(&results), fingerprint, "{topology}: warm pass diverged");
+    let total = node_stats(&router);
+    let busy_retries = router.busy_retries();
+    router.shutdown();
+
+    let mut min_rate = 1.0f64;
+    let per_node: Vec<Value> = cold
+        .iter()
+        .zip(&total)
+        .map(|((id, cold), (_, total))| {
+            let hits = total.cache_hits - cold.cache_hits;
+            let accesses = hits + total.cache_misses - cold.cache_misses;
+            // An idle node (no accesses) is vacuously warm.
+            let rate = if accesses == 0 { 1.0 } else { hits as f64 / accesses as f64 };
+            min_rate = min_rate.min(rate);
+            json!({
+                "node": id,
+                "jobs_completed": total.jobs_completed,
+                "warm_cache_hits": hits,
+                "warm_cache_accesses": accesses,
+                "warm_hit_rate": rate,
+            })
+        })
+        .collect();
+    let row = json!({
+        "topology": topology,
+        "nodes": per_node.len(),
+        "warm_jobs_per_sec": warm_jobs_per_sec,
+        "fingerprint": fingerprint,
+        "busy_retries": busy_retries,
+        "min_node_warm_hit_rate": min_rate,
+    });
+    let row = show("cluster", join(row, p95s(&split)));
+    join(row, json!({"per_node": per_node}))
+}
+
+/// Kill-node failover: a fault-free baseline, then the same stream on a
+/// chaos-wrapped cluster whose victim — the owner of the first spec's
+/// key — is killed after half the completions have arrived.
+fn failover(ctx: &Ctx) -> Outcome {
+    let nodes = ctx.cluster.max(2);
+    let (_, specs) = ctx.cluster_mix(nodes);
+    assert!(specs.len() >= 2, "failover needs jobs on both sides of the kill");
+    let config = ctx.config((ctx.workers / nodes).max(1));
+
+    // Fault-free baseline on an identical topology: a cold pass to warm
+    // the caches, then a timed warm pass.
+    let mut router = Router::new(local_nodes(nodes, config), ROUTER_WINDOW);
+    let mut results = Vec::with_capacity(specs.len());
+    router.run_batch(&specs, &mut results);
+    let baseline = batch_fingerprint(&results);
+    results.clear();
+    let baseline_jobs_per_sec = per_sec(specs.len(), || router.run_batch(&specs, &mut results));
+    assert_eq!(batch_fingerprint(&results), baseline, "failover baseline warm pass diverged");
+    router.shutdown();
+
+    // The kill cluster: every node behind a quiet chaos wrapper, so the
+    // only fault in the run is the one explicit mid-stream kill.
+    let mut controllers = Vec::with_capacity(nodes);
+    let wrapped: Vec<(u64, Box<dyn NodeHandle>)> = local_nodes(nodes, config)
+        .into_iter()
+        .map(|(id, node)| {
+            let (wrapped, controller) = chaos::wrap(node, ChaosConfig::quiet(id));
+            controllers.push(controller);
+            (id, Box::new(wrapped) as Box<dyn NodeHandle>)
+        })
+        .collect();
+    let mut router = Router::new(wrapped, ROUTER_WINDOW);
+    // Cold pass: warms every owner's cache and, through the router's
+    // standby prewarm, every key's HRW runner-up.
+    results.clear();
+    router.run_batch(&specs, &mut results);
+    assert_eq!(batch_fingerprint(&results), baseline, "chaos-wrapped cold pass diverged");
+    let victim = router.membership().owner(&specs[0].design_key());
+
+    // The measured stream: submit everything, timestamp completions,
+    // pull the kill switch once half of them have surfaced.
+    results.clear();
+    let kill_at = (specs.len() / 2).max(1);
+    let started = Instant::now();
+    for &spec in &specs {
+        router.submit(spec);
+    }
+    let mut killed_at: Option<Instant> = None;
+    let mut first_after_kill: Option<Instant> = None;
+    let mut misses_at_kill = 0u64;
+    loop {
+        if let Some(result) = router.poll() {
+            results.push(result);
+            if killed_at.is_some() && first_after_kill.is_none() {
+                first_after_kill = Some(Instant::now());
+            }
+            if results.len() == kill_at && killed_at.is_none() {
+                misses_at_kill = survivor_misses(&router, victim);
+                controllers[victim as usize].kill();
+                killed_at = Some(Instant::now());
+            }
+        } else if router.outstanding() == 0 {
+            break;
+        } else {
+            std::thread::park_timeout(Duration::from_micros(50));
+        }
+    }
+    let finished = Instant::now();
+    let killed_at = killed_at.expect("the kill point is inside the stream");
+    let survivor_cold_misses = survivor_misses(&router, victim) - misses_at_kill;
+    let failed_jobs = router.failed().len();
+    // Poll order is completion order; fingerprints compare in id order.
+    results.sort_by_key(|r| r.id);
+    let matched = results.len() == specs.len() && batch_fingerprint(&results) == baseline;
+    router.shutdown();
+
+    let post_kill_jobs = results.len().saturating_sub(kill_at);
+    let section = show(
+        "failover",
+        json!({
+            "cluster_nodes": nodes,
+            "killed_node": victim,
+            "killed_at_job": kill_at,
+            "jobs": specs.len(),
+            "baseline_warm_jobs_per_sec": baseline_jobs_per_sec,
+            "pre_kill_jobs_per_sec": kill_at as f64
+                / killed_at.duration_since(started).as_secs_f64().max(f64::EPSILON),
+            "post_kill_jobs_per_sec": post_kill_jobs as f64
+                / finished.duration_since(killed_at).as_secs_f64().max(f64::EPSILON),
+            "recovery_micros": first_after_kill
+                .map_or(0, |t| t.duration_since(killed_at).as_micros() as u64),
+            "survivor_cold_misses_after_kill": survivor_cold_misses,
+            "standby_kept_survivors_warm": survivor_cold_misses == 0,
+            "failed_jobs": failed_jobs,
+        }),
+    );
+    Outcome {
+        section,
+        checks: vec![("failover_fingerprints_match_fault_free", matched && failed_jobs == 0)],
+    }
+}
+
+/// Sum of design-cache misses over every live node except `victim`.
+/// `DesignCache::prewarm` is telemetry-silent, so a zero delta across the
+/// kill shows the HRW top-2 standby prewarm (not luck) kept the
+/// survivors warm.
+fn survivor_misses(router: &Router, victim: u64) -> u64 {
+    let nodes = router.stats().nodes;
+    nodes
+        .iter()
+        .filter(|(id, _)| *id != victim)
+        .filter_map(|(_, s)| s.as_ref().map(|s| s.cache_misses))
+        .sum()
+}
+
+/// Telemetry overhead: one engine with tracing off and one tracing every
+/// job, both warmed, then interleaved best-of-5 timed passes. The jobs
+/// are sleep-dominated, so the true overhead is small: interleaving
+/// makes machine-load drift hit both sides equally, and each side's
+/// fastest pass discards scheduler jitter.
+fn telemetry(ctx: &Ctx) -> Outcome {
+    let config = ctx.config(ctx.workers);
+    let engines = [
+        Engine::start_with(config, TelemetryConfig::off()),
+        Engine::start_with(config, TelemetryConfig::full()),
+    ];
+    let mut results = Vec::with_capacity(ctx.jobs);
+    let fingerprints = engines.each_ref().map(|engine| {
+        results.clear();
+        engine.run_batch(&ctx.specs, &mut results);
+        batch_fingerprint(&results)
+    });
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..5 {
+        for (i, engine) in engines.iter().enumerate() {
+            results.clear();
+            let started = Instant::now();
+            engine.run_batch(&ctx.specs, &mut results);
+            best[i] = best[i].min(started.elapsed().as_secs_f64());
+            assert_eq!(batch_fingerprint(&results), fingerprints[i], "warm pass {i} diverged");
+        }
+    }
+    let full = &engines[1];
+    let prometheus = render_prometheus(&full.stats(), Some(&full.metrics().snapshot()));
+    // The flight-recorder dump must be real JSON, not JSON-shaped.
+    serde_json::from_str(&full.flight_recorder().dump_json()).expect("flight recorder dump parses");
+    for engine in engines {
+        engine.shutdown();
+    }
+    println!("--- prometheus exposition (full tracing) ---");
+    print!("{prometheus}");
+    println!("--- end prometheus exposition ---");
+
+    let [off, full] = best.map(|secs| ctx.jobs as f64 / secs);
+    let overhead_pct = 100.0 * (1.0 - full / off);
+    let section = show(
+        "telemetry",
+        json!({
+            "warm_jobs_per_sec_off": off,
+            "warm_jobs_per_sec_full_tracing": full,
+            "overhead_pct": overhead_pct,
+            "telemetry_overhead_within_5pct": overhead_pct <= 5.0,
+        }),
+    );
+    let want = ctx.reference(ctx.jobs);
+    Outcome {
+        section,
+        checks: vec![(
+            "telemetry_fingerprints_match_untraced",
+            fingerprints.iter().all(|&f| f == want),
+        )],
+    }
+}
+
+/// Crash recovery against a real durability directory. A fresh engine
+/// gives the ground-truth fingerprint and the cold-miss yardstick; a
+/// durable engine journals the same traffic and then **crashes** —
+/// dropped without a shutdown checkpoint, so recovery has only the
+/// per-admission WAL records and spilled snapshots — and a restart
+/// recovers from disk alone. `Engine::start_durable` returns only after
+/// replay and prewarm, so the restart's construction time is its
+/// time-to-warm, and its first 100 jobs must take no cold miss. The
+/// restart shuts down cleanly, checkpointing the log for the next
+/// process.
+fn durability(ctx: &Ctx) -> Outcome {
+    let dir = ctx.wal_dir.clone().unwrap_or_else(|| {
+        let dir = std::env::temp_dir().join(format!("engine_load-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir); // fresh
+        dir
+    });
+    let config = ctx.config(ctx.workers);
+    let specs = &ctx.specs;
     let first = &specs[..specs.len().min(100)];
     let mut results = Vec::with_capacity(specs.len());
 
     // Ground truth: a never-durable, never-crashed engine.
-    let engine = Engine::start(node_config(workers, queue, cache));
+    let engine = Engine::start(config);
     let started = Instant::now();
     engine.run_batch(first, &mut results);
     let cold_first_100_misses = engine.stats().cache_misses;
     results.clear();
     engine.run_batch(specs, &mut results);
     let cold_pass_micros = started.elapsed().as_micros() as u64;
-    let fingerprint = batch_fingerprint(&results);
+    let truth = batch_fingerprint(&results);
     engine.shutdown();
 
-    // Incarnation 1: journal the traffic, then crash. Starts warm when
-    // `wal_dir` already holds a previous process's log.
+    // Incarnation 1: journal the traffic, then crash. It starts warm
+    // when `dir` already holds an earlier process's log.
     let started = Instant::now();
-    let durable =
-        Engine::start_durable(node_config(workers, queue, cache), DurabilityConfig::new(wal_dir))
-            .expect("open durability dir");
+    let durable = Engine::start_durable(config, DurabilityConfig::new(&dir)).expect("open WAL dir");
     let incarnation_recovery_micros = started.elapsed().as_micros() as u64;
     let incarnation_records_replayed = durable.metrics().get(Metric::RecoveryRecordsReplayed);
     let miss_base = durable.stats().cache_misses;
@@ -900,14 +755,13 @@ fn run_durability_sweep(
     let incarnation_first_100_misses = durable.stats().cache_misses - miss_base;
     results.clear();
     durable.run_batch(specs, &mut results);
-    let mut fingerprints_match = batch_fingerprint(&results) == fingerprint;
+    let mut matched = batch_fingerprint(&results) == truth;
     drop(durable); // the crash: no shutdown, no checkpoint
 
     // The restart: disk is all it has.
     let started = Instant::now();
     let recovered =
-        Engine::start_durable(node_config(workers, queue, cache), DurabilityConfig::new(wal_dir))
-            .expect("recover durability dir");
+        Engine::start_durable(config, DurabilityConfig::new(&dir)).expect("recover WAL dir");
     let restart_recovery_micros = started.elapsed().as_micros() as u64;
     let restart_records_replayed = recovered.metrics().get(Metric::RecoveryRecordsReplayed);
     let miss_base = recovered.stats().cache_misses;
@@ -915,225 +769,77 @@ fn run_durability_sweep(
     recovered.run_batch(first, &mut results);
     let restart_first_100_cold_misses = recovered.stats().cache_misses - miss_base;
     results.clear();
-    let warm_start = Instant::now();
-    recovered.run_batch(specs, &mut results);
-    let warm_elapsed = warm_start.elapsed().as_secs_f64();
-    fingerprints_match &= batch_fingerprint(&results) == fingerprint;
+    let restart_warm_jobs_per_sec =
+        per_sec(specs.len(), || recovered.run_batch(specs, &mut results));
+    matched &= batch_fingerprint(&results) == truth;
     recovered.shutdown(); // clean: checkpoints for the next process
+    if ctx.wal_dir.is_none() {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-    DurabilitySweep {
-        wal_dir: wal_dir.to_string(),
-        cold_pass_micros,
-        cold_first_100_misses,
-        incarnation_started_warm: incarnation_records_replayed > 0,
-        incarnation_records_replayed,
-        incarnation_recovery_micros,
-        incarnation_first_100_misses,
-        restart_recovery_micros,
-        restart_records_replayed,
-        restart_first_100_cold_misses,
-        restart_warm_jobs_per_sec: specs.len() as f64 / warm_elapsed,
-        fingerprints_match,
+    let section = show(
+        "durability",
+        json!({
+            "wal_dir": dir.display().to_string(),
+            "cold_pass_micros": cold_pass_micros,
+            "cold_first_100_misses": cold_first_100_misses,
+            "incarnation_started_warm": incarnation_records_replayed > 0,
+            "incarnation_records_replayed": incarnation_records_replayed,
+            "incarnation_recovery_micros": incarnation_recovery_micros,
+            "incarnation_first_100_misses": incarnation_first_100_misses,
+            "restart_recovery_micros": restart_recovery_micros,
+            "restart_records_replayed": restart_records_replayed,
+            "restart_first_100_cold_misses": restart_first_100_cold_misses,
+            "restart_warm_jobs_per_sec": restart_warm_jobs_per_sec,
+        }),
+    );
+    Outcome {
+        section,
+        checks: vec![
+            ("durability_fingerprints_match", matched),
+            ("restart_first_100_jobs_warm", restart_first_100_cold_misses == 0),
+        ],
     }
 }
 
-/// What the telemetry-overhead sweep measured.
-struct TelemetrySweep {
-    warm_jobs_per_sec_off: f64,
-    warm_jobs_per_sec_full_tracing: f64,
-    overhead_pct: f64,
-    within_5pct: bool,
+/// Connection-front sweep: decade tiers of concurrent loopback tenants
+/// up to `--connections`, each tier once per readiness backend the
+/// platform has, so epoll's delivered events per tick sit beside poll's
+/// scanned set on identical traffic.
+fn connections(ctx: &Ctx) -> Outcome {
+    let tiers = ladder(10, 10, ctx.connections);
+    let backends: &[BackendChoice] = if cfg!(target_os = "linux") {
+        &[BackendChoice::Epoll, BackendChoice::Poll]
+    } else {
+        &[BackendChoice::Poll]
+    };
+    let rows: Vec<Value> = tiers
+        .iter()
+        .flat_map(|&tier| backends.iter().map(move |&backend| connection_tier(ctx, tier, backend)))
+        .collect();
+    let all =
+        |key: &str| rows.iter().all(|row| row.get(key).and_then(Value::as_bool) == Some(true));
+    let checks = vec![
+        ("connection_fingerprints_match_in_process", all("fingerprints_match")),
+        ("connection_threads_bounded", all("threads_bounded")),
+    ];
+    Outcome { section: json!({"requested_max": ctx.connections, "tiers": rows}), checks }
 }
 
-/// One telemetry pass: cold warm-up, then a timed warm pass, under the
-/// given tracing config. Captures the Prometheus exposition and the
-/// flight-recorder JSON dump before shutdown.
-struct TelemetryPass {
-    warm_jobs_per_sec: f64,
-    fingerprint: u64,
-    prometheus: String,
-    recorder_json: String,
-}
-
-/// Measure the tracing overhead with interleaved best-of-5 trials: one
-/// engine with tracing off, one tracing every job, warm both, then
-/// alternate timed passes between them. Interleaving means machine-load
-/// drift hits both sides equally, and taking each side's fastest pass
-/// discards scheduler-jitter outliers — the jobs are sleep-dominated, so
-/// the true overhead is small and a single short pass is all noise.
-fn run_telemetry_sweep(
-    workers: usize,
-    queue: usize,
-    cache: usize,
-    specs: &[JobSpec],
-) -> (TelemetryPass, TelemetryPass) {
-    let engine_off = Engine::start_with(node_config(workers, queue, cache), TelemetryConfig::off());
-    let engine_full =
-        Engine::start_with(node_config(workers, queue, cache), TelemetryConfig::full());
-    let mut results = Vec::with_capacity(specs.len());
-    engine_off.run_batch(specs, &mut results);
-    let fingerprint_off = batch_fingerprint(&results);
-    results.clear();
-    engine_full.run_batch(specs, &mut results);
-    let fingerprint_full = batch_fingerprint(&results);
-
-    let mut elapsed_off = f64::INFINITY;
-    let mut elapsed_full = f64::INFINITY;
-    for _ in 0..5 {
-        results.clear();
-        let started = Instant::now();
-        engine_off.run_batch(specs, &mut results);
-        elapsed_off = elapsed_off.min(started.elapsed().as_secs_f64());
-        assert_eq!(batch_fingerprint(&results), fingerprint_off, "untraced warm pass diverged");
-
-        results.clear();
-        let started = Instant::now();
-        engine_full.run_batch(specs, &mut results);
-        elapsed_full = elapsed_full.min(started.elapsed().as_secs_f64());
-        assert_eq!(batch_fingerprint(&results), fingerprint_full, "traced warm pass diverged");
-    }
-
-    let snapshot = engine_full.metrics().snapshot();
-    let prometheus = render_prometheus(&engine_full.stats(), Some(&snapshot));
-    let recorder_json = engine_full.flight_recorder().dump_json();
-    engine_off.shutdown();
-    engine_full.shutdown();
-    (
-        TelemetryPass {
-            warm_jobs_per_sec: specs.len() as f64 / elapsed_off,
-            fingerprint: fingerprint_off,
-            prometheus: String::new(),
-            recorder_json: String::new(),
-        },
-        TelemetryPass {
-            warm_jobs_per_sec: specs.len() as f64 / elapsed_full,
-            fingerprint: fingerprint_full,
-            prometheus,
-            recorder_json,
-        },
-    )
-}
-
-/// One TCP loopback pass.
-struct TcpPass {
-    workers: usize,
-    jobs_per_sec: f64,
-    fingerprint: u64,
-    busy_retries: u64,
-    queue_p95: u64,
-    service_p95: u64,
-    wire_p95: u64,
-}
-
-/// Replay the batch through the transport front on an ephemeral loopback
-/// port: engine + TCP server + pipelined client, with the queue/service/
-/// wire latency split only the socket's client side can measure.
-fn run_tcp_loop(workers: usize, queue: usize, cache: usize, specs: &[JobSpec]) -> TcpPass {
-    let engine = Arc::new(Engine::start(EngineConfig {
-        workers,
-        queue_capacity: queue,
-        results_capacity: queue,
-        design_cache_capacity: cache,
-        batch_window: 1,
-    }));
-    let server =
-        TransportServer::bind(Arc::clone(&engine), "127.0.0.1:0", TransportConfig::default())
-            .expect("bind loopback transport");
-    let mut client = TransportClient::connect(server.local_addr()).expect("connect loopback");
-    let mut results = Vec::with_capacity(specs.len());
-    let mut split = LatencySplit::new();
-    let started = Instant::now();
-    client.run_batch_split(specs, &mut results, &mut split).expect("tcp replay failed");
-    let elapsed = started.elapsed().as_secs_f64();
-    let busy_retries = client.busy_retries();
-    drop(client);
-    server.stop();
-    Arc::try_unwrap(engine).ok().expect("transport released the engine").shutdown();
-    TcpPass {
-        workers,
-        jobs_per_sec: specs.len() as f64 / elapsed,
-        fingerprint: batch_fingerprint(&results),
-        busy_retries,
-        queue_p95: split.queue.quantile_micros(0.95),
-        service_p95: split.service.quantile_micros(0.95),
-        wire_p95: split.wire.quantile_micros(0.95),
-    }
-}
-
-/// One tier of the connection-front sweep.
-struct ConnectionTier {
-    requested: usize,
-    connections: usize,
-    /// The backend the server actually ran ("poll"/"epoll").
-    backend: &'static str,
-    total_jobs: usize,
-    jobs_per_sec: f64,
-    fingerprints_match: bool,
-    peak_threads: usize,
-    thread_bound: usize,
-    threads_bounded: bool,
-    busy_retries: u64,
-    queue_p95: u64,
-    service_p95: u64,
-    wire_p95: u64,
-    /// Event-loop ticks over the tier's whole lifetime (adopt + serve).
-    ticks: u64,
-    /// Backend-reported touched fds: events delivered under epoll, the
-    /// registered set scanned under poll — so this column per tick is
-    /// the O(active) vs O(connections) comparison in one number.
-    ready_fds: u64,
-    writev_calls: u64,
-    partial_writes: u64,
-    fd_limit: u64,
-}
-
-impl ConnectionTier {
-    fn ready_fds_per_tick(&self) -> f64 {
-        self.ready_fds as f64 / self.ticks.max(1) as f64
-    }
-}
-
-/// The per-backend half of a `backend_compare` row.
-fn backend_tier_json(t: &ConnectionTier) -> serde_json::Value {
-    serde_json::json!({
-        "jobs_per_sec": t.jobs_per_sec,
-        "queue_p95_micros": t.queue_p95,
-        "service_p95_micros": t.service_p95,
-        "wire_p95_micros": t.wire_p95,
-        "ticks": t.ticks,
-        "ready_fds": t.ready_fds,
-        "ready_fds_per_tick": t.ready_fds_per_tick(),
-        "writev_calls": t.writev_calls,
-        "partial_writes": t.partial_writes,
-        "fingerprints_match": t.fingerprints_match,
-    })
-}
-
-/// One fan-out tier: `requested` concurrent loopback tenants against a
-/// single event-loop server, each replaying its own contiguous id slice
-/// of one `total_jobs`-job batch (so the merged results compare 1:1
-/// against a single in-process `run_batch`). At most 8 driver threads
-/// own the tenants round-robin and serve them serially — tenant
-/// concurrency lives in the server's event loops, not in the load
-/// generator. The thread count is sampled while every tenant is
-/// connected, *before* the serve phase, which is exactly when a
-/// thread-per-connection design would be caught red-handed.
-#[allow(clippy::too_many_arguments)]
-fn run_connection_tier(
-    requested: usize,
-    workers: usize,
-    queue: usize,
-    cache: usize,
-    profile: &LoadProfile,
-    base_jobs: usize,
-    backend: BackendChoice,
-    truth: &mut std::collections::HashMap<usize, u64>,
-) -> ConnectionTier {
-    // Three fds per loopback connection — the client's stream, the
-    // client's cloned read half, and the server's end — plus slack for
-    // the engine, wake pipes, and whatever the process already holds. A
-    // tier the fd limit cannot host is clamped — loudly, and recorded
-    // in the report, never silently passed off as the full run.
+/// One fan-out tier: `requested` concurrent loopback tenants against one
+/// event-loop server, each replaying its own contiguous id slice of one
+/// batch (so the merged results compare 1:1 against the in-process
+/// reference). At most 8 driver threads own the tenants round-robin and
+/// serve them serially — tenant concurrency lives in the server's event
+/// loops, not in the load generator. The thread count is sampled while
+/// every tenant is connected, *before* the serve phase, which is exactly
+/// when a thread-per-connection design would be caught.
+fn connection_tier(ctx: &Ctx, requested: usize, backend: BackendChoice) -> Value {
+    // Three fds per loopback connection — the client's stream, its
+    // cloned read half, and the server's end — plus slack for the
+    // engine, wake pipes, and whatever the process already holds. A tier
+    // the fd limit cannot host is clamped — loudly, and recorded in the
+    // report, never silently passed off as the full run.
     const FD_SLACK: u64 = 400;
     let fd_limit = raise_fd_limit(3 * requested as u64 + FD_SLACK);
     let conns = requested.min((fd_limit.saturating_sub(FD_SLACK) / 3) as usize).max(1);
@@ -1142,23 +848,14 @@ fn run_connection_tier(
             "engine_load: fd limit {fd_limit} clamps the {requested}-connection tier to {conns}"
         );
     }
-    let total_jobs = base_jobs.max(conns);
-    let specs = profile.specs(total_jobs);
-    let want = *truth.entry(total_jobs).or_insert_with(|| {
-        let engine = Engine::start(node_config(workers, queue, cache));
-        let mut results = Vec::with_capacity(total_jobs);
-        engine.run_batch(&specs, &mut results);
-        engine.shutdown();
-        batch_fingerprint(&results)
-    });
+    let total_jobs = ctx.jobs.max(conns);
+    let specs = ctx.profile.specs(total_jobs);
+    let want = ctx.reference(total_jobs);
 
     let config =
         TransportConfig { max_connections: conns + 8, backend, ..TransportConfig::default() };
-    let event_loops = config.event_loops;
-    let engine = Arc::new(Engine::start(node_config(workers, queue, cache)));
-    let server = TransportServer::bind(Arc::clone(&engine), "127.0.0.1:0", config)
-        .expect("bind connection-sweep server");
-    let addr = server.local_addr();
+    let served = Served::start(ctx.config(ctx.workers), config);
+    let addr = served.addr();
 
     // Tenant t's slice: total_jobs / conns jobs, the remainder spread
     // over the first tenants, ids contiguous.
@@ -1209,10 +906,10 @@ fn run_connection_tier(
     }
     barrier.wait(); // connect phase done from the drivers' side...
     let deadline = Instant::now() + Duration::from_secs(30);
-    while server.live_connections() < conns && Instant::now() < deadline {
+    while served.server.live_connections() < conns && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5)); // ...let the loops adopt
     }
-    let live = server.live_connections();
+    let live = served.server.live_connections();
     assert_eq!(live, conns, "only {live}/{conns} tenants came up");
     let peak_threads = thread_count().unwrap_or(0);
     let started = Instant::now();
@@ -1229,497 +926,115 @@ fn run_connection_tier(
         busy_retries += busy;
     }
     let elapsed = started.elapsed().as_secs_f64();
-    // Read the readiness counters before `stop` tears the loops down:
-    // the tick/touched-fd ratio is the backend-compare evidence.
-    let snap = server.metrics().snapshot();
-    let ran_backend = server.backend().name();
-    server.stop();
-    Arc::try_unwrap(engine).ok().expect("server released the engine").shutdown();
+    // Read the readiness counters before `stop` tears the loops down.
+    let snap = served.server.metrics().snapshot();
+    let ran_backend = served.server.backend().name();
+    served.stop();
 
     merged.sort_unstable_by_key(|r| r.id);
-    let fingerprints_match = batch_fingerprint(&merged) == want;
     // O(event loops), never O(connections): the loops, the accept
     // thread, the engine's workers, the sweep's own drivers, and a fixed
-    // allowance for the runtime (main thread, telemetry, allocator...).
-    let thread_bound = event_loops + 1 + workers + drivers + 16;
-    let threads_bounded = peak_threads > 0 && peak_threads <= thread_bound;
-    ConnectionTier {
-        requested,
-        connections: conns,
-        backend: ran_backend,
-        total_jobs,
-        jobs_per_sec: total_jobs as f64 / elapsed,
-        fingerprints_match,
-        peak_threads,
-        thread_bound,
-        threads_bounded,
-        busy_retries,
-        queue_p95: split.queue.quantile_micros(0.95),
-        service_p95: split.service.quantile_micros(0.95),
-        wire_p95: split.wire.quantile_micros(0.95),
-        ticks: snap.get(Metric::TransportTicks),
-        ready_fds: snap.get(Metric::TransportReadyFds),
-        writev_calls: snap.get(Metric::TransportWritevCalls),
-        partial_writes: snap.get(Metric::TransportPartialWrites),
-        fd_limit,
-    }
-}
-
-/// One node's view of a cluster pass (warm-pass cache delta).
-struct NodeReport {
-    id: u64,
-    jobs_completed: u64,
-    warm_hits: u64,
-    warm_accesses: u64,
-}
-
-impl NodeReport {
-    /// Between-passes delta: cold stats subtracted from final stats.
-    fn from_delta(id: u64, cold: &EngineStats, total: &EngineStats) -> Self {
-        let warm_hits = total.cache_hits - cold.cache_hits;
-        let warm_misses = total.cache_misses - cold.cache_misses;
-        Self {
-            id,
-            jobs_completed: total.jobs_completed,
-            warm_hits,
-            warm_accesses: warm_hits + warm_misses,
-        }
-    }
-
-    /// Warm-pass hit rate; an idle node (no accesses) is vacuously warm.
-    fn warm_hit_rate(&self) -> f64 {
-        if self.warm_accesses == 0 {
-            1.0
-        } else {
-            self.warm_hits as f64 / self.warm_accesses as f64
-        }
-    }
-}
-
-/// One measured cluster topology (cold pass, then timed warm pass).
-struct ClusterPass {
-    label: &'static str,
-    warm_jobs_per_sec: f64,
-    fingerprint: u64,
-    busy_retries: u64,
-    min_warm_hit_rate: f64,
-    queue_p95: u64,
-    service_p95: u64,
-    wire_p95: u64,
-    nodes: Vec<NodeReport>,
-}
-
-impl ClusterPass {
-    fn build(
-        label: &'static str,
-        warm_jobs_per_sec: f64,
-        fingerprint: u64,
-        busy_retries: u64,
-        split: &LatencySplit,
-        nodes: Vec<NodeReport>,
-    ) -> Self {
-        let min_warm_hit_rate = nodes
-            .iter()
-            .filter(|n| n.warm_accesses > 0)
-            .map(NodeReport::warm_hit_rate)
-            .fold(1.0f64, f64::min);
-        Self {
-            label,
-            warm_jobs_per_sec,
-            fingerprint,
-            busy_retries,
-            min_warm_hit_rate,
-            queue_p95: split.queue.quantile_micros(0.95),
-            service_p95: split.service.quantile_micros(0.95),
-            wire_p95: split.wire.quantile_micros(0.95),
-            nodes,
-        }
-    }
-}
-
-fn node_config(workers: usize, queue: usize, cache: usize) -> EngineConfig {
-    EngineConfig {
-        workers,
-        queue_capacity: queue,
-        results_capacity: queue,
-        design_cache_capacity: cache,
-        batch_window: 1,
-    }
-}
-
-/// Per-node in-flight window for the router (pipelining depth).
-const ROUTER_WINDOW: usize = 16;
-
-/// Replay the batch through a router over `nodes` in-process engines:
-/// cold pass, then a timed warm pass with the router-observed latency
-/// split. Per-node warm hit rates come from the between-pass cache
-/// delta.
-fn run_cluster_local(
-    label: &'static str,
-    nodes: usize,
-    workers_per_node: usize,
-    queue: usize,
-    cache: usize,
-    specs: &[JobSpec],
-) -> ClusterPass {
-    let handles: Vec<(u64, Box<dyn NodeHandle>)> = (0..nodes as u64)
-        .map(|id| {
-            let node = LocalNode::start(node_config(workers_per_node, queue, cache));
-            (id, Box::new(node) as Box<dyn NodeHandle>)
-        })
-        .collect();
-    let mut router = Router::new(handles, ROUTER_WINDOW);
-    let mut results = Vec::with_capacity(specs.len());
-    router.run_batch(specs, &mut results);
-    let fingerprint = batch_fingerprint(&results);
-    let cold: Vec<(u64, EngineStats)> = router
-        .stats()
-        .nodes
-        .into_iter()
-        .map(|(id, s)| (id, s.expect("local nodes report stats")))
-        .collect();
-
-    results.clear();
-    let mut split = LatencySplit::new();
-    let started = Instant::now();
-    router.run_batch_split(specs, &mut results, &mut split);
-    let elapsed = started.elapsed().as_secs_f64();
-    assert_eq!(batch_fingerprint(&results), fingerprint, "{label}: warm pass diverged");
-
-    let busy_retries = router.busy_retries();
-    let final_stats = router.shutdown();
-    let node_reports: Vec<NodeReport> = final_stats
-        .nodes
-        .iter()
-        .zip(&cold)
-        .map(|((id, total), (_, cold))| {
-            NodeReport::from_delta(*id, cold, total.as_ref().expect("local nodes report stats"))
-        })
-        .collect();
-    ClusterPass::build(
-        label,
-        specs.len() as f64 / elapsed,
-        fingerprint,
-        busy_retries,
-        &split,
-        node_reports,
-    )
-}
-
-/// Replay the batch through a router over `nodes` TCP loopback nodes:
-/// each node is an engine behind its own transport server, reached
-/// through a [`RemoteNode`] connection — the full wire path per shard.
-/// The engines stay in our hands, so per-node cache telemetry is read
-/// directly even though the router only sees sockets.
-fn run_cluster_tcp(
-    nodes: usize,
-    workers_per_node: usize,
-    queue: usize,
-    cache: usize,
-    specs: &[JobSpec],
-) -> ClusterPass {
-    let engines: Vec<Arc<Engine>> = (0..nodes)
-        .map(|_| Arc::new(Engine::start(node_config(workers_per_node, queue, cache))))
-        .collect();
-    let servers: Vec<TransportServer> = engines
-        .iter()
-        .map(|engine| {
-            TransportServer::bind(Arc::clone(engine), "127.0.0.1:0", TransportConfig::default())
-                .expect("bind loopback transport")
-        })
-        .collect();
-    let handles: Vec<(u64, Box<dyn NodeHandle>)> = servers
-        .iter()
-        .enumerate()
-        .map(|(id, server)| {
-            let node = RemoteNode::connect(server.local_addr()).expect("connect loopback node");
-            (id as u64, Box::new(node) as Box<dyn NodeHandle>)
-        })
-        .collect();
-    let mut router = Router::new(handles, ROUTER_WINDOW);
-    let mut results = Vec::with_capacity(specs.len());
-    router.run_batch(specs, &mut results);
-    let fingerprint = batch_fingerprint(&results);
-    let cold: Vec<EngineStats> = engines.iter().map(|e| e.stats()).collect();
-
-    results.clear();
-    let mut split = LatencySplit::new();
-    let started = Instant::now();
-    router.run_batch_split(specs, &mut results, &mut split);
-    let elapsed = started.elapsed().as_secs_f64();
-    assert_eq!(batch_fingerprint(&results), fingerprint, "tcp cluster: warm pass diverged");
-
-    let busy_retries = router.busy_retries();
-    router.shutdown();
-    let node_reports: Vec<NodeReport> = engines
-        .iter()
-        .zip(&cold)
-        .enumerate()
-        .map(|(id, (engine, cold))| NodeReport::from_delta(id as u64, cold, &engine.stats()))
-        .collect();
-    for server in servers {
-        server.stop();
-    }
-    for engine in engines {
-        Arc::try_unwrap(engine).ok().expect("transport released the engine").shutdown();
-    }
-    ClusterPass::build(
-        "tcp",
-        specs.len() as f64 / elapsed,
-        fingerprint,
-        busy_retries,
-        &split,
-        node_reports,
-    )
-}
-
-/// What the kill-node failover sweep measured.
-struct FailoverSweep {
-    nodes: usize,
-    killed_node: u64,
-    kill_at: usize,
-    baseline_jobs_per_sec: f64,
-    pre_kill_jobs_per_sec: f64,
-    post_kill_jobs_per_sec: f64,
-    recovery_micros: u64,
-    survivor_cold_misses_after_kill: u64,
-    failed_jobs: usize,
-    fingerprints_match: bool,
-}
-
-/// Sum of design-cache misses over every live node except `victim` —
-/// the survivors' cold-miss count. `DesignCache::prewarm` is telemetry-
-/// silent, so a zero delta across the kill is direct evidence that the
-/// HRW top-2 standby prewarm (not luck) kept the survivors warm.
-fn survivor_misses(router: &Router, victim: u64) -> u64 {
-    router
-        .stats()
-        .nodes
-        .iter()
-        .filter(|(id, _)| *id != victim)
-        .filter_map(|(_, s)| s.as_ref().map(|s| s.cache_misses))
-        .sum()
-}
-
-/// Degraded-mode sweep: a fault-free baseline pass over `nodes` local
-/// engines, then the same stream on a chaos-wrapped cluster whose
-/// victim node — the owner of the first spec's key — is killed after
-/// half the completions have arrived. Completions are timestamped to
-/// split throughput into pre/post-kill and to measure the recovery gap
-/// (kill → next completion surfaced).
-fn run_failover_sweep(
-    nodes: usize,
-    workers_per_node: usize,
-    queue: usize,
-    cache: usize,
-    specs: &[JobSpec],
-) -> FailoverSweep {
-    assert!(nodes >= 2, "failover needs a survivor");
-    assert!(specs.len() >= 2, "failover needs jobs on both sides of the kill");
-
-    // Fault-free baseline on an identical topology: cold pass to warm
-    // the caches, then a timed warm pass for the reference fingerprint
-    // and throughput.
-    let (baseline_fp, baseline_jps) = {
-        let handles: Vec<(u64, Box<dyn NodeHandle>)> = (0..nodes as u64)
-            .map(|id| {
-                let node = LocalNode::start(node_config(workers_per_node, queue, cache));
-                (id, Box::new(node) as Box<dyn NodeHandle>)
-            })
-            .collect();
-        let mut router = Router::new(handles, ROUTER_WINDOW);
-        let mut results = Vec::with_capacity(specs.len());
-        router.run_batch(specs, &mut results);
-        let fp = batch_fingerprint(&results);
-        results.clear();
-        let started = Instant::now();
-        router.run_batch(specs, &mut results);
-        let elapsed = started.elapsed().as_secs_f64();
-        assert_eq!(batch_fingerprint(&results), fp, "failover baseline warm pass diverged");
-        router.shutdown();
-        (fp, specs.len() as f64 / elapsed)
-    };
-
-    // The kill cluster: every node behind a quiet chaos wrapper, so the
-    // only fault in the run is the one explicit mid-stream kill.
-    let mut controllers = Vec::with_capacity(nodes);
-    let handles: Vec<(u64, Box<dyn NodeHandle>)> = (0..nodes as u64)
-        .map(|id| {
-            let node = LocalNode::start(node_config(workers_per_node, queue, cache));
-            let (wrapped, controller) = chaos::wrap(Box::new(node), ChaosConfig::quiet(id));
-            controllers.push(controller);
-            (id, Box::new(wrapped) as Box<dyn NodeHandle>)
-        })
-        .collect();
-    let mut router = Router::new(handles, ROUTER_WINDOW);
-    // Cold pass: warms every owner's cache — and, through the router's
-    // standby prewarm, every key's HRW runner-up.
-    let mut results = Vec::with_capacity(specs.len());
-    router.run_batch(specs, &mut results);
-    assert_eq!(
-        batch_fingerprint(&results),
-        baseline_fp,
-        "chaos-wrapped cold pass diverged before any fault"
-    );
-    let victim = router.membership().owner(&specs[0].design_key());
-
-    // The measured stream: submit everything, timestamp completions,
-    // pull the kill switch once half of them have surfaced.
-    results.clear();
-    let kill_at = (specs.len() / 2).max(1);
-    let started = Instant::now();
-    for &spec in specs {
-        router.submit(spec);
-    }
-    let mut killed_at: Option<Instant> = None;
-    let mut first_after_kill: Option<Instant> = None;
-    let mut misses_at_kill = 0u64;
-    loop {
-        if let Some(result) = router.poll() {
-            results.push(result);
-            if killed_at.is_some() && first_after_kill.is_none() {
-                first_after_kill = Some(Instant::now());
-            }
-            if results.len() == kill_at && killed_at.is_none() {
-                misses_at_kill = survivor_misses(&router, victim);
-                controllers[victim as usize].kill();
-                killed_at = Some(Instant::now());
-            }
-        } else if router.outstanding() == 0 {
-            break;
-        } else {
-            std::thread::park_timeout(Duration::from_micros(50));
-        }
-    }
-    let finished = Instant::now();
-    let killed_at = killed_at.expect("the kill point is inside the stream");
-
-    let survivor_cold_misses = survivor_misses(&router, victim) - misses_at_kill;
-    let failed_jobs = router.failed().len();
-    // Poll order is completion order; fingerprints compare in id order.
-    results.sort_by_key(|r| r.id);
-    let fingerprints_match =
-        results.len() == specs.len() && batch_fingerprint(&results) == baseline_fp;
-    router.shutdown();
-
-    let post_kill_jobs = results.len().saturating_sub(kill_at);
-    FailoverSweep {
-        nodes,
-        killed_node: victim,
-        kill_at,
-        baseline_jobs_per_sec: baseline_jps,
-        pre_kill_jobs_per_sec: kill_at as f64
-            / killed_at.duration_since(started).as_secs_f64().max(f64::EPSILON),
-        post_kill_jobs_per_sec: post_kill_jobs as f64
-            / finished.duration_since(killed_at).as_secs_f64().max(f64::EPSILON),
-        recovery_micros: first_after_kill
-            .map_or(0, |t| t.duration_since(killed_at).as_micros() as u64),
-        survivor_cold_misses_after_kill: survivor_cold_misses,
-        failed_jobs,
-        fingerprints_match,
-    }
-}
-
-/// Two batch passes (cold cache, then warm) at a fixed worker count and
-/// design-affinity batch window.
-fn run_closed_loop(
-    workers: usize,
-    queue: usize,
-    cache: usize,
-    batch_window: usize,
-    specs: &[JobSpec],
-) -> Pass {
-    let engine = Engine::start(EngineConfig {
-        workers,
-        queue_capacity: queue,
-        results_capacity: queue,
-        design_cache_capacity: cache,
-        batch_window,
+    // allowance for the runtime (main thread, telemetry, allocator…).
+    let thread_bound = config.event_loops + 1 + ctx.workers + drivers + 16;
+    // Backend-reported touched fds: events delivered under epoll, the
+    // registered set scanned under poll — so per tick this is the
+    // O(active) vs O(connections) comparison in one number.
+    let ticks = snap.get(Metric::TransportTicks);
+    let ready_fds = snap.get(Metric::TransportReadyFds);
+    let row = json!({
+        "requested_connections": requested,
+        "connections": conns,
+        "backend": ran_backend,
+        "total_jobs": total_jobs,
+        "jobs_per_sec": total_jobs as f64 / elapsed,
+        "fingerprints_match": batch_fingerprint(&merged) == want,
+        "peak_threads": peak_threads,
+        "thread_bound": thread_bound,
+        "threads_bounded": peak_threads > 0 && peak_threads <= thread_bound,
+        "busy_retries": busy_retries,
     });
-    let mut results = Vec::with_capacity(specs.len());
-
-    let cold_start = Instant::now();
-    engine.run_batch(specs, &mut results);
-    let cold = cold_start.elapsed().as_secs_f64();
-    let fingerprint = batch_fingerprint(&results);
-    let cache_misses = engine.stats().cache_misses;
-
-    results.clear();
-    let warm_start = Instant::now();
-    engine.run_batch(specs, &mut results);
-    let warm = warm_start.elapsed().as_secs_f64();
-    assert_eq!(
-        batch_fingerprint(&results),
-        fingerprint,
-        "cold and warm passes disagree at {workers} workers"
-    );
-
-    let exact = results.iter().filter(|r| r.exact).count() as f64 / results.len() as f64;
-    engine.shutdown();
-    Pass {
-        workers,
-        batch_window,
-        cold_jobs_per_sec: specs.len() as f64 / cold,
-        warm_jobs_per_sec: specs.len() as f64 / warm,
-        exact_rate: exact,
-        cache_misses,
-        fingerprint,
-    }
-}
-
-struct OpenLoopReport {
-    served: u64,
-    shed: u64,
-    p50: u64,
-    p95: u64,
-    p99: u64,
-}
-
-/// Open-loop replay: submit on the Poisson schedule, never wait for
-/// completions; full queue ⇒ the job is shed (load-shedding telemetry).
-fn run_open_loop(
-    workers: usize,
-    queue: usize,
-    cache: usize,
-    profile: &LoadProfile,
-    jobs: usize,
-    rate: f64,
-    seed: u64,
-) -> OpenLoopReport {
-    let engine = Engine::start(EngineConfig {
-        workers,
-        queue_capacity: queue,
-        results_capacity: jobs.max(1),
-        design_cache_capacity: cache,
-        batch_window: 1,
+    let counters = json!({
+        "ticks": ticks,
+        "ready_fds": ready_fds,
+        "ready_fds_per_tick": ready_fds as f64 / ticks.max(1) as f64,
+        "writev_calls": snap.get(Metric::TransportWritevCalls),
+        "partial_writes": snap.get(Metric::TransportPartialWrites),
+        "fd_limit": fd_limit,
     });
-    let arrivals = poisson_arrivals(rate, jobs, &SeedSequence::new(seed ^ 0xA11));
-    // Pregenerate the specs so spec-derivation cost never skews the
-    // replayed arrival schedule.
-    let specs = profile.specs(jobs);
-    let started = Instant::now();
-    let mut shed = 0u64;
-    for (&spec, &at) in specs.iter().zip(&arrivals) {
-        let wait = at - started.elapsed().as_secs_f64();
-        if wait > 0.0 {
-            std::thread::sleep(std::time::Duration::from_secs_f64(wait));
-        }
-        if engine.try_submit(spec).is_err() {
-            shed += 1;
-        }
+    show("connections", join(join(row, p95s(&split)), counters))
+}
+
+/// An engine behind its own loopback transport server.
+struct Served {
+    engine: Arc<Engine>,
+    server: TransportServer,
+}
+
+impl Served {
+    fn start(config: EngineConfig, transport: TransportConfig) -> Self {
+        let engine = Arc::new(Engine::start(config));
+        let server = TransportServer::bind(Arc::clone(&engine), "127.0.0.1:0", transport)
+            .expect("bind loopback transport");
+        Self { engine, server }
     }
-    let mut leftovers = Vec::new();
-    let stats = engine.shutdown_into(&mut leftovers);
-    let (p50, p95, p99) = if stats.histogram.count() > 0 {
-        (
-            stats.histogram.quantile_micros(0.50),
-            stats.histogram.quantile_micros(0.95),
-            stats.histogram.quantile_micros(0.99),
-        )
-    } else {
-        (0, 0, 0)
-    };
-    OpenLoopReport { served: stats.jobs_completed, shed, p50, p95, p99 }
+
+    fn addr(&self) -> std::net::SocketAddr {
+        self.server.local_addr()
+    }
+
+    fn stop(self) {
+        self.server.stop();
+        Arc::try_unwrap(self.engine).ok().expect("the server released the engine").shutdown();
+    }
+}
+
+/// `start`, `start·factor`, `start·factor²`, … below `top`, then `top`.
+fn ladder(start: usize, factor: usize, top: usize) -> Vec<usize> {
+    let below = std::iter::successors(Some(start), |x| Some(x * factor)).take_while(|&x| x < top);
+    below.chain(std::iter::once(top)).collect()
+}
+
+/// Print one measured row on stdout and hand it back.
+fn show(scenario: &str, row: Value) -> Value {
+    println!("{scenario:<11} {}", serde_json::to_string(&row).expect("serializable"));
+    row
+}
+
+/// The fields of `a` followed by those of `b`; both are JSON objects.
+fn join(a: Value, b: Value) -> Value {
+    match (a, b) {
+        (Value::Object(mut a), Value::Object(b)) => {
+            a.extend(b);
+            Value::Object(a)
+        }
+        _ => panic!("rows are JSON objects"),
+    }
+}
+
+/// The p95 of each leg of a queue/service/wire latency split.
+fn p95s(split: &LatencySplit) -> Value {
+    json!({
+        "queue_p95_micros": split.queue.quantile_micros(0.95),
+        "service_p95_micros": split.service.quantile_micros(0.95),
+        "wire_p95_micros": split.wire.quantile_micros(0.95),
+    })
+}
+
+/// A number a scenario measured into `row`.
+fn num(row: &Value, key: &str) -> f64 {
+    row.get(key).and_then(Value::as_f64).unwrap_or_else(|| panic!("row has no number {key:?}"))
+}
+
+/// The result fingerprint a pass measured into `row`.
+fn fingerprint(row: &Value) -> u64 {
+    row.get("fingerprint").and_then(Value::as_u64).expect("row has a fingerprint")
+}
+
+/// Jobs per second of `jobs` jobs served by `serve`.
+fn per_sec(jobs: usize, serve: impl FnOnce()) -> f64 {
+    let started = Instant::now();
+    serve();
+    jobs as f64 / started.elapsed().as_secs_f64()
 }
 
 /// Fingerprint of a batch: order-sensitive chaining over results, which
@@ -1739,4 +1054,57 @@ fn parse_decoders(raw: &str) -> Vec<DecoderKind> {
                 .unwrap_or_else(|| panic!("unknown decoder {name:?} (see DecoderKind::ALL)"))
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(selected: &[(&'static str, Scenario)]) -> Vec<&'static str> {
+        selected.iter().map(|(name, _)| *name).collect()
+    }
+
+    #[test]
+    fn an_unknown_scenario_is_rejected_with_the_valid_names() {
+        let err = select("workers,wrokers").map(|_| ()).expect_err("a typo must not run");
+        assert!(err.contains("\"wrokers\""), "{err}");
+        for (name, _) in SCENARIOS {
+            assert!(err.contains(name), "{err} lacks {name}");
+        }
+        assert!(select("tcp,tcp").is_err(), "a scenario named twice would repeat a report key");
+    }
+
+    #[test]
+    fn scenarios_run_in_the_order_named_and_all_is_every_one() {
+        assert_eq!(names(&select("tcp, workers").unwrap()), ["tcp", "workers"]);
+        assert_eq!(names(&select("all").unwrap()), names(&SCENARIOS));
+    }
+
+    #[test]
+    fn one_false_check_fails_the_run() {
+        assert_eq!(verdict(&[("a", true), ("b", true)]), Ok(()));
+        assert_eq!(verdict(&[("a", true), ("b", false), ("c", true)]), Err("b".to_string()));
+        assert_eq!(verdict(&[]), Ok(()));
+    }
+
+    /// Any subset runs alone and in any order: the reference fingerprint
+    /// is computed by whichever scenario needs it first.
+    #[test]
+    fn scenarios_run_alone_in_any_order_and_pass_their_checks() {
+        let raw = ["--jobs", "12", "--workers", "2", "--n", "200", "--latency-micros", "0"];
+        let ctx = Ctx::from_args(&Args::parse(raw.iter().map(|s| s.to_string())));
+        let mut checks = Vec::new();
+        for (_, scenario) in select("tcp,batch").unwrap() {
+            let outcome = scenario(&ctx);
+            assert!(matches!(outcome.section, Value::Object(_)));
+            checks.extend(outcome.checks);
+        }
+        assert_eq!(
+            checks,
+            [
+                ("tcp_fingerprints_match_in_process", true),
+                ("deterministic_across_batch_windows", true)
+            ]
+        );
+    }
 }

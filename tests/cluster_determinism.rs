@@ -11,7 +11,7 @@
 //!    [`LoadProfile`] replayed through 1 local node, a 3-node local
 //!    cluster, and a 3-node TCP loopback cluster produces
 //!    **bit-identical** per-job result fingerprints (also pinned by the
-//!    CI cluster smoke via `engine_load --cluster 3 --transport tcp`).
+//!    CI engine smoke via `engine_load`'s `cluster` scenario).
 //! 3. **Operations** — a mid-stream rebalance (drain → swap → re-route)
 //!    changes no fingerprints, and a node restarted from a design-key
 //!    snapshot serves its first requests without a single cold miss.

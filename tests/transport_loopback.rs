@@ -365,8 +365,16 @@ fn disconnected_tenants_do_not_leak_connections() {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     assert_eq!(server.live_connections(), 0, "dead connections must deregister");
+    // Closing a connection closes its route, never the engine: a tenant
+    // arriving after every other one left is still served.
+    let mut client = TransportClient::connect(server.local_addr()).expect("connect");
+    let mut out = Vec::new();
+    client.run_batch(&profile(3).specs(4), &mut out).expect("batch after teardown");
+    assert_eq!(out.len(), 4);
+    drop(client);
     server.stop();
-    Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
+    let stats = Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
+    assert_eq!(stats.jobs_completed, 16);
 }
 
 #[test]
