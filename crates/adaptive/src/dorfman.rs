@@ -1,6 +1,6 @@
 //! Counting Dorfman: the classic two-stage screen with additive queries.
 //!
-//! Dorfman's 1943 scheme (the paper's reference [13], the origin of the
+//! Dorfman's 1943 scheme (the paper's reference \[13\], the origin of the
 //! whole field) pools blood samples in groups and retests members of
 //! positive groups individually. With *additive* queries the scheme gets
 //! two quantitative upgrades: a group whose count equals its size needs no

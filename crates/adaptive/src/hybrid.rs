@@ -3,7 +3,7 @@
 //! Round 1 runs the paper's design with a *reduced* budget `m₁` — too few
 //! queries for exact recovery, but plenty for the MN scores to push the
 //! true support into the top `c·k` ranks (the Subset-Select observation of
-//! Feige–Lellouche, reference [14] of the paper). Round 2 queries those
+//! Feige–Lellouche, reference \[14\] of the paper). Round 2 queries those
 //! `c·k` candidates *individually*, in parallel, which resolves them
 //! exactly.
 //!

@@ -21,7 +21,7 @@
 //!   enumeration).
 //! * [`mn_general`] — the MN algorithm for arbitrary pool sizes and the
 //!   alternative design families (per-query centering, `i128` scores).
-//! * [`refine`] — residual-guided swap search after MN, attacking the §VI
+//! * [`refine`](mod@refine) — residual-guided swap search after MN, attacking the §VI
 //!   algorithmic-vs-IT gap without extra queries.
 //! * [`workspace`] — the reusable decode workspace behind the `*_with`
 //!   entry points; Monte-Carlo loops decode allocation-free with it.

@@ -451,7 +451,7 @@ impl NodeHandle for RemoteNode {
     }
 
     /// Scrape the far side's engine stats over the wire: send a
-    /// `STATS_REQUEST` and wait (bounded by [`Self::SCRAPE_TIMEOUT`])
+    /// `STATS_REQUEST` and wait (bounded by the 2 s `SCRAPE_TIMEOUT`)
     /// for the pump to deposit the token-matching `STATS` reply. `None`
     /// means the node's stats are *unavailable* — send failure, dead
     /// pump, or deadline expiry — and the caller must surface that

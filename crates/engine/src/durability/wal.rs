@@ -273,11 +273,6 @@ impl WalWriter {
         })
     }
 
-    /// Sequence number of the segment currently being appended to.
-    pub fn current_segment(&self) -> u64 {
-        self.seq
-    }
-
     /// Append one record, rotating first if the current segment is past
     /// the size threshold.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {

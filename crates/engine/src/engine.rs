@@ -251,7 +251,7 @@ struct Shared {
 }
 
 /// Callback fired after a result lands in a route's queue (and on route
-/// close), so an event-loop consumer parked in `poll(2)` learns of
+/// close), so an event-loop consumer parked in `epoll_wait` learns of
 /// completions without polling the queue. Must be cheap and non-blocking
 /// — it runs on the worker that finished the job.
 pub type RouteWaker = Arc<dyn Fn() + Send + Sync>;
@@ -289,8 +289,9 @@ impl Shared {
 
     /// Close every registered route queue (wakes blocked tenants and any
     /// worker mid-push) and fire their wakers (a consumer parked in
-    /// `poll` must observe the close too); the routes stay registered so
-    /// late results are dropped by `deliver`, never redirected.
+    /// `epoll_wait` must observe the close too); the routes stay
+    /// registered so late results are dropped by `deliver`, never
+    /// redirected.
     fn close_routes(&self) {
         let entries: Vec<_> = {
             let routes = self.routes.lock().expect("route table poisoned");

@@ -292,24 +292,6 @@ pub fn digest_support(support: &[usize]) -> u64 {
     d.finish()
 }
 
-/// Digest a slice of `i64` scores.
-pub fn digest_scores_i64(scores: &[i64]) -> u64 {
-    let mut d = Digest::new();
-    for &s in scores {
-        d.push(s as u64);
-    }
-    d.finish()
-}
-
-/// Digest a slice of `u64` words.
-pub fn digest_u64s(words: &[u64]) -> u64 {
-    let mut d = Digest::new();
-    for &w in words {
-        d.push(w);
-    }
-    d.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,7 +309,6 @@ mod tests {
         assert_ne!(digest_support(&[1, 2, 3]), digest_support(&[3, 2, 1]));
         assert_ne!(digest_support(&[1, 2, 3]), digest_support(&[1, 2, 4]));
         assert_eq!(digest_support(&[1, 2, 3]), digest_support(&[1, 2, 3]));
-        assert_ne!(digest_u64s(&[]), digest_u64s(&[0]));
     }
 
     #[test]

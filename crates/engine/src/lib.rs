@@ -38,7 +38,7 @@
 //!   both formats carry.
 //! * [`transport`] — the TCP front: length-prefixed checksummed frames,
 //!   a readiness-driven event-loop server multiplexing every connection
-//!   over a few `poll(2)` threads (backpressure = explicit `BUSY`
+//!   over a few epoll threads (backpressure = explicit `BUSY`
 //!   frames), and a pipelined client whose results are bit-identical to
 //!   in-process submission.
 //! * [`cluster`] — the multi-node tier: the [`cluster::NodeHandle`]

@@ -224,11 +224,6 @@ impl<T> BoundedQueue<T> {
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
-
-    /// Whether the queue has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue poisoned").closed
-    }
 }
 
 /// One consistent snapshot of two queue occupancies plus an arbitrary

@@ -295,9 +295,8 @@ mod tests {
     }
 
     #[test]
-    fn backend_and_readiness_metrics_expose_in_both_formats() {
+    fn readiness_metrics_expose_in_both_formats() {
         let reg = MetricsRegistry::new();
-        reg.set(Metric::TransportBackend, 1);
         reg.add(Metric::TransportTicks, 500);
         reg.add(Metric::TransportReadyFds, 750);
         reg.add(Metric::TransportWritevCalls, 320);
@@ -305,9 +304,6 @@ mod tests {
         let snap = reg.snapshot();
         let text = render_prometheus(&stats(), Some(&snap));
         for needle in [
-            // The backend marker is a gauge (0=poll/1=epoll): no
-            // `_total`, typed gauge.
-            "# TYPE pooled_transport_backend gauge\npooled_transport_backend 1",
             "# TYPE pooled_transport_ticks_total counter\npooled_transport_ticks_total 500",
             "pooled_transport_ready_fds_total 750",
             "pooled_transport_writev_calls_total 320",
@@ -317,7 +313,6 @@ mod tests {
         }
         let json = render_json(&stats(), Some(&snap));
         for needle in [
-            "\"pooled_transport_backend\":1",
             "\"pooled_transport_ticks_total\":500",
             "\"pooled_transport_ready_fds_total\":750",
             "\"pooled_transport_writev_calls_total\":320",

@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of registered metrics (the length of [`Metric::ALL`]).
-pub const METRIC_COUNT: usize = 30;
+pub const METRIC_COUNT: usize = 29;
 
 /// Every counter the serving stack exports, in exposition order.
 ///
@@ -89,18 +89,13 @@ pub enum Metric {
     /// Connections evicted for exceeding the idle timeout without a
     /// byte of progress in either direction (Slowloris reclamation).
     TransportIdleEvictions,
-    /// Readiness backend in force (a **gauge**: 0 = `poll(2)`,
-    /// 1 = epoll; set once at bind). Cluster merges sum it like any
-    /// gauge — the sum over N epoll nodes reads N, i.e. "how many
-    /// members run the O(active) front".
-    TransportBackend,
-    /// Event-loop readiness ticks (one backend wait plus the phases it
+    /// Event-loop readiness ticks (one epoll wait plus the phases it
     /// feeds). The denominator for `pooled_transport_ready_fds_total`.
     TransportTicks,
-    /// Fd entries the readiness backend touched, summed over ticks:
-    /// events delivered under epoll, the whole registered set scanned
-    /// under poll. `ready_fds / ticks` is the per-tick front cost — the
-    /// O(active) vs O(connections) gap the `--connections` bench pins.
+    /// Ready fds epoll delivered, summed over ticks. `ready_fds /
+    /// ticks` is the per-tick front cost, which stays O(active) however
+    /// many idle connections are registered — the claim the
+    /// `connections` scenario pins.
     TransportReadyFds,
     /// Vectored `writev` syscalls issued draining outbound segment
     /// queues.
@@ -139,7 +134,6 @@ impl Metric {
         Metric::ReactorWakeups,
         Metric::ReactorReadBudgetExhausted,
         Metric::TransportIdleEvictions,
-        Metric::TransportBackend,
         Metric::TransportTicks,
         Metric::TransportReadyFds,
         Metric::TransportWritevCalls,
@@ -175,7 +169,6 @@ impl Metric {
             Metric::ReactorWakeups => "pooled_reactor_wakeups_total",
             Metric::ReactorReadBudgetExhausted => "pooled_reactor_read_budget_exhausted_total",
             Metric::TransportIdleEvictions => "pooled_transport_idle_evictions_total",
-            Metric::TransportBackend => "pooled_transport_backend",
             Metric::TransportTicks => "pooled_transport_ticks_total",
             Metric::TransportReadyFds => "pooled_transport_ready_fds_total",
             Metric::TransportWritevCalls => "pooled_transport_writev_calls_total",
@@ -189,7 +182,7 @@ impl Metric {
     /// sum them (the sum of per-node live connections is the cluster's
     /// live connections).
     pub fn is_gauge(self) -> bool {
-        matches!(self, Metric::TransportConnections | Metric::TransportBackend)
+        matches!(self, Metric::TransportConnections)
     }
 }
 
@@ -226,14 +219,6 @@ impl MetricsRegistry {
             Ordering::Relaxed,
             |v| v.checked_sub(1),
         );
-    }
-
-    /// Overwrite a gauge with `v` (e.g. the backend-in-force marker,
-    /// set once at bind). Counters are monotonic — a `set` on one would
-    /// silently rewind history, hence the debug assert.
-    pub fn set(&self, metric: Metric, v: u64) {
-        debug_assert!(metric.is_gauge(), "{metric:?} is monotonic — set would corrupt it");
-        self.counters[metric as usize].store(v, Ordering::Relaxed);
     }
 
     /// Current value of `metric`.
@@ -311,15 +296,6 @@ mod tests {
         reg.dec(Metric::TransportConnections);
         reg.dec(Metric::TransportConnections); // one dec too many
         assert_eq!(reg.get(Metric::TransportConnections), 0, "gauge must not wrap");
-    }
-
-    #[test]
-    fn set_overwrites_a_gauge() {
-        let reg = MetricsRegistry::new();
-        reg.set(Metric::TransportBackend, 1);
-        assert_eq!(reg.get(Metric::TransportBackend), 1);
-        reg.set(Metric::TransportBackend, 0);
-        assert_eq!(reg.get(Metric::TransportBackend), 0);
     }
 
     #[test]

@@ -13,15 +13,12 @@
 //!
 //! The waiting contract is explicit: [`poll`] **blocks in the kernel**
 //! (`read(2)` on an empty socket parks the thread; zero CPU until the
-//! reply or the [`WireTimeouts::read`] deadline), and [`try_poll`]
-//! **never blocks** (`WouldBlock` maps to `Ok(None)`). Both sides of
-//! the contract decode through a [`FrameAssembler`], so a deadline or
-//! `WouldBlock` landing mid-frame leaves the partial frame buffered —
-//! it never desynchronizes the stream.
+//! reply or the [`WireTimeouts::read`] deadline). It decodes through a
+//! [`FrameAssembler`], so a deadline landing mid-frame leaves the
+//! partial frame buffered — it never desynchronizes the stream.
 //!
 //! [`run_batch`]: TransportClient::run_batch
 //! [`poll`]: TransportClient::poll
-//! [`try_poll`]: TransportClient::try_poll
 //! [`Engine::run_batch`]: crate::engine::Engine::run_batch
 //! [`LoadProfile`]: crate::traffic::LoadProfile
 //! [`FrameAssembler`]: crate::transport::frame::FrameAssembler
@@ -102,16 +99,21 @@ pub enum Reply {
 pub struct TransportClient {
     /// The read half (a clone of the writer's stream; carries the read
     /// deadline). Reads go straight to the socket — partial-frame state
-    /// lives in the assembler, not a buffered reader, so blocking and
-    /// non-blocking reads can interleave safely.
+    /// lives in the assembler, not a buffered reader, so a deadline
+    /// that expires mid-frame loses no bytes.
     read_half: TcpStream,
     writer: BufWriter<TcpStream>,
     asm: FrameAssembler,
     read_buf: Vec<u8>,
     write_scratch: Vec<u8>,
-    window: usize,
     busy_retries: u64,
 }
+
+/// Cap on unanswered submissions [`TransportClient::run_batch`] keeps in
+/// flight. Every in-flight frame provokes at most one ~88-byte reply, so
+/// a window this far below the kernel's socket-buffer budget keeps the
+/// pipeline deadlock-free.
+const WINDOW: usize = 32;
 
 impl TransportClient {
     /// Connect to a transport server with the default [`WireTimeouts`].
@@ -136,22 +138,8 @@ impl TransportClient {
             asm: FrameAssembler::new(),
             read_buf: vec![0u8; 16 * 1024],
             write_scratch: Vec::new(),
-            window: 32,
             busy_retries: 0,
         })
-    }
-
-    /// Cap on unanswered submissions [`Self::run_batch`] keeps in flight
-    /// (default 32). Every in-flight frame provokes at most one ~88-byte
-    /// reply, so any window comfortably below the kernel's socket-buffer
-    /// budget keeps the pipeline deadlock-free; larger windows only help
-    /// on high-latency links.
-    ///
-    /// # Panics
-    /// Panics if `window == 0`.
-    pub fn set_window(&mut self, window: usize) {
-        assert!(window > 0, "the batch pipeline needs a window of at least 1");
-        self.window = window;
     }
 
     /// `BUSY` replies absorbed (and retried) by [`Self::run_batch`] calls
@@ -175,8 +163,7 @@ impl TransportClient {
     /// **Blocking** read of the next server reply: with nothing buffered
     /// the thread parks in the kernel's `read(2)` — no spinning, no CPU
     /// — until a reply arrives or [`WireTimeouts::read`] expires
-    /// (surfacing as [`TransportError::TimedOut`]). For a non-blocking
-    /// probe, use [`Self::try_poll`].
+    /// (surfacing as [`TransportError::TimedOut`]).
     pub fn poll(&mut self) -> Result<Reply, TransportError> {
         loop {
             if let Some((frame, _)) = self.asm.next_frame()? {
@@ -194,31 +181,6 @@ impl TransportClient {
                 return Err(self.eof_error());
             }
             self.asm.extend(&self.read_buf[..got]);
-        }
-    }
-
-    /// **Non-blocking** read of the next server reply: `Ok(None)` means
-    /// no complete reply is available *right now* — never an error, and
-    /// never a parked thread. A reply split across packets stays
-    /// buffered in the assembler until its remaining bytes arrive.
-    pub fn try_poll(&mut self) -> Result<Option<Reply>, TransportError> {
-        loop {
-            if let Some((frame, _)) = self.asm.next_frame()? {
-                return classify(frame).map(Some);
-            }
-            self.read_half.set_nonblocking(true)?;
-            let got = self.read_half.read(&mut self.read_buf);
-            // Restore before interpreting the result: the blocking
-            // contract of every other method must hold even if this
-            // probe came up empty or errored.
-            self.read_half.set_nonblocking(false)?;
-            match got {
-                Ok(0) => return Err(self.eof_error()),
-                Ok(n) => self.asm.extend(&self.read_buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(TransportError::Io(e)),
-            }
         }
     }
 
@@ -286,13 +248,13 @@ impl TransportClient {
         // would ping-pong BUSY frames while the queue is still full.
         let mut defer_retries = false;
         while got < specs.len() {
-            let can_send = in_flight < self.window && !to_send.is_empty() && !defer_retries;
+            let can_send = in_flight < WINDOW && !to_send.is_empty() && !defer_retries;
             if can_send {
                 let id = to_send.pop_front().expect("nonempty");
                 sent_at.insert(id, Instant::now());
                 self.submit(&by_id[&id])?;
                 in_flight += 1;
-                if to_send.is_empty() || in_flight == self.window {
+                if to_send.is_empty() || in_flight == WINDOW {
                     self.flush()?;
                 }
                 continue;

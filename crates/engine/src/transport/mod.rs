@@ -7,8 +7,7 @@
 //!   [`JobResult`] with an explicit little-endian layout, a version
 //!   byte, and a checksum. Pure functions over byte slices, so the
 //!   codec is testable (and property-tested) without a socket.
-//! * [`reactor`] — the readiness core: the [`EventBackend`] trait with
-//!   raw epoll (Linux) and `poll(2)` (portable) implementations, a
+//! * [`reactor`] — the readiness core: a raw epoll backend (Linux), a
 //!   vectored `writev` shim, a self-pipe wakeup channel, and process
 //!   introspection helpers. No dependencies beyond the libc `std`
 //!   already links.
@@ -16,7 +15,7 @@
 //!   thread hands nonblocking sockets to N loop threads, each
 //!   multiplexing thousands of per-connection state machines (one
 //!   private [`ResultRoute`] on the served engine per connection). A
-//!   tick costs O(active): the backend holds fd interest across ticks,
+//!   tick costs O(active): epoll holds fd interest across ticks,
 //!   and outbound frames queue as encoded segments drained by `writev`
 //!   — no post-encode byte is ever copied. Backpressure is an explicit
 //!   `BUSY` reply frame — never a silent drop.
@@ -36,7 +35,6 @@
 //! [`Engine::run_batch`]: crate::engine::Engine::run_batch
 //! [`ResultRoute`]: crate::engine::ResultRoute
 //! [`LoadProfile`]: crate::traffic::LoadProfile
-//! [`EventBackend`]: reactor::EventBackend
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -48,8 +46,7 @@ pub mod server;
 
 pub use client::{Reply, TransportClient, TransportError};
 pub use frame::Frame;
-pub use reactor::{BackendChoice, BackendKind};
-pub use server::{TransportConfig, TransportServer};
+pub use server::{BackendChoice, TransportConfig, TransportServer};
 
 /// Connect/read deadlines for a wire peer. Blocking reads without a
 /// deadline can park a reply pump forever on a half-dead peer (SYN

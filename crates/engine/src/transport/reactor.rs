@@ -3,20 +3,17 @@
 //! The serving target is tens of thousands of concurrent tenants, which
 //! rules out thread-per-connection — but this workspace is built in an
 //! offline container, so an async runtime or an epoll crate is not on
-//! the table. What the front actually needs from the OS is tiny, and it
-//! is abstracted here behind one trait:
+//! the table. What the front actually needs from the OS is tiny:
 //!
-//! * **[`EventBackend`]** — register/modify/deregister fd interest and
-//!   block until something is ready. Two implementations share the
-//!   trait: [`PollBackend`] over **`poll(2)`** (POSIX-portable, no
-//!   registration syscalls, O(registered fds) per wait) and
-//!   [`EpollBackend`] over raw **`epoll`** (Linux,
-//!   `epoll_create1`/`epoll_ctl`/`epoll_wait` via the same
-//!   zero-dependency `extern "C"` idiom, O(1) interest updates and
-//!   O(ready fds) per wait — the difference that makes a 10k-tenant
-//!   idle herd free).
+//! * **[`EpollBackend`]** — raw Linux **`epoll`**
+//!   (`epoll_create1`/`epoll_ctl`/`epoll_wait` via a zero-dependency
+//!   `extern "C"` block): register/modify/deregister fd interest and
+//!   block until something is ready, with O(1) interest updates and
+//!   O(ready fds) per wait — what makes a 10k-tenant idle herd free.
+//!   Off Linux there is no epoll, so [`EpollBackend::new`] (and with it
+//!   the server's `bind`) fails with `Unsupported`.
 //! * **a wakeup pipe** — the classic self-pipe trick, so engine workers
-//!   finishing a job can rouse a loop parked in the backend without the
+//!   finishing a job can rouse a loop parked in `epoll_wait` without the
 //!   loop ever polling the result queues.
 //! * **[`writev_fd`]** — vectored writes, so the server's outbound
 //!   segment queue drains many encoded frames in one syscall without
@@ -29,36 +26,10 @@
 //! connection-sweep bench and the no-busy-wait regression tests — they
 //! are diagnostics, not serving machinery.
 
-use std::collections::HashMap;
 use std::io;
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
-
-/// `poll(2)` registration entry, layout-compatible with `struct pollfd`.
-#[repr(C)]
-#[derive(Clone, Copy, Debug)]
-pub struct PollFd {
-    /// File descriptor to watch (negative entries are ignored by the
-    /// kernel — handy for tombstoning without reshuffling the array).
-    pub fd: RawFd,
-    /// Requested events ([`POLLIN`] | [`POLLOUT`]).
-    pub events: i16,
-    /// Kernel-reported events (includes [`POLLERR`]/[`POLLHUP`] even
-    /// when unrequested).
-    pub revents: i16,
-}
-
-/// Readable (or EOF/peer-closed — a read will not block).
-pub const POLLIN: i16 = 0x001;
-/// Writable without blocking.
-pub const POLLOUT: i16 = 0x004;
-/// Error condition on the fd.
-pub const POLLERR: i16 = 0x008;
-/// Peer hung up.
-pub const POLLHUP: i16 = 0x010;
-/// The fd is not open (a registration bug, not a peer event).
-pub const POLLNVAL: i16 = 0x020;
 
 const F_GETFL: i32 = 3;
 const F_SETFL: i32 = 4;
@@ -67,7 +38,7 @@ const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
 const RLIMIT_NOFILE: i32 = 7;
 const SC_CLK_TCK: i32 = 2;
 
-// epoll interface constants (Linux UAPI; unused off-Linux but harmless).
+// epoll interface constants (Linux UAPI).
 const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
@@ -140,7 +111,6 @@ impl IoVec {
 unsafe impl Send for IoVec {}
 
 extern "C" {
-    fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout: i32) -> i32;
     fn pipe(fds: *mut i32) -> i32;
     fn fcntl(fd: i32, cmd: i32, ...) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
@@ -151,12 +121,29 @@ extern "C" {
     fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
     fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
     fn sysconf(name: i32) -> i64;
-    #[cfg(target_os = "linux")]
+}
+
+#[cfg(target_os = "linux")]
+extern "C" {
     fn epoll_create1(flags: i32) -> i32;
-    #[cfg(target_os = "linux")]
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-    #[cfg(target_os = "linux")]
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+}
+
+// Off Linux there is no epoll: `EpollBackend::new` refuses before any
+// of these could run, so they exist only to keep the crate compiling.
+// They touch none of their arguments, so callers owe them nothing.
+#[cfg(not(target_os = "linux"))]
+unsafe fn epoll_create1(_flags: i32) -> i32 {
+    -1
+}
+#[cfg(not(target_os = "linux"))]
+unsafe fn epoll_ctl(_epfd: i32, _op: i32, _fd: i32, _event: *mut EpollEvent) -> i32 {
+    -1
+}
+#[cfg(not(target_os = "linux"))]
+unsafe fn epoll_wait(_epfd: i32, _events: *mut EpollEvent, _max: i32, _timeout: i32) -> i32 {
+    -1
 }
 
 /// Vectored write: transmit the concatenation of `iovs` to `fd` in one
@@ -167,31 +154,6 @@ extern "C" {
 pub fn writev_fd(fd: RawFd, iovs: &[IoVec]) -> io::Result<usize> {
     loop {
         let rc = unsafe { writev(fd, iovs.as_ptr(), iovs.len().min(i32::MAX as usize) as i32) };
-        if rc >= 0 {
-            return Ok(rc as usize);
-        }
-        let err = io::Error::last_os_error();
-        if err.kind() != io::ErrorKind::Interrupted {
-            return Err(err);
-        }
-    }
-}
-
-/// Block until an entry in `fds` has a ready event, `timeout` expires,
-/// or a signal interrupts (retried internally). Returns the number of
-/// entries with nonzero `revents`. `None` blocks indefinitely;
-/// `Some(Duration::ZERO)` is a nonblocking readiness probe.
-pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
-    let timeout_ms: i32 = match timeout {
-        None => -1,
-        // Round up so a 100µs request never becomes a hot 0ms spin.
-        Some(t) => {
-            t.as_millis().min(i32::MAX as u128) as i32
-                + i32::from(t.subsec_micros() % 1000 != 0 && t.as_millis() < i32::MAX as u128)
-        }
-    };
-    loop {
-        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::os::raw::c_ulong, timeout_ms) };
         if rc >= 0 {
             return Ok(rc as usize);
         }
@@ -214,7 +176,7 @@ fn set_nonblocking_fd(fd: RawFd) -> io::Result<()> {
 }
 
 /// The self-pipe wakeup channel: any thread calls [`WakePipe::wake`],
-/// and a loop parked in `poll` on [`WakePipe::read_fd`] returns.
+/// and a loop parked in `epoll_wait` on [`WakePipe::read_fd`] returns.
 ///
 /// Wakeups are edge-coalesced by the `armed` flag: between a `wake` and
 /// the loop's next [`WakePipe::drain`], further `wake` calls are free
@@ -227,7 +189,7 @@ fn set_nonblocking_fd(fd: RawFd) -> io::Result<()> {
 /// `armed` set with an empty pipe (every later `wake` would be skipped
 /// and the loop could park forever). So `drain` reads the pipe dry
 /// *before* clearing `armed`. A `wake` that finds the flag clear then
-/// writes its byte after the drain's read, where only the next `poll`
+/// writes its byte after the drain's read, where only the next wait
 /// sees it. A `wake` that finds the flag set either ran before the
 /// clear, so the inbox lock orders its post before the loop's take, or
 /// found it set by a later waker whose byte is still pending. Clearing
@@ -254,7 +216,7 @@ impl WakePipe {
         Ok(this)
     }
 
-    /// The fd the loop registers with [`POLLIN`].
+    /// The fd the loop registers with [`Interest::READ`].
     pub fn read_fd(&self) -> RawFd {
         self.read_fd
     }
@@ -333,7 +295,7 @@ impl Interest {
     pub const READ: Interest = Interest { readable: true, writable: false };
 }
 
-/// One ready fd, reported by [`EventBackend::wait`].
+/// One ready fd, reported by [`EpollBackend::wait`].
 #[derive(Clone, Copy, Debug)]
 pub struct ReadyEvent {
     /// The caller's token from `register` (connection id; the wake pipe
@@ -343,198 +305,24 @@ pub struct ReadyEvent {
     pub readable: bool,
     /// A write would not block.
     pub writable: bool,
-    /// Error condition (`POLLERR`/`POLLNVAL`/`EPOLLERR`) — terminal.
+    /// Error condition (`EPOLLERR`) — terminal.
     pub error: bool,
     /// Peer hung up; drain what remains, then expect EOF.
     pub hup: bool,
 }
 
-/// Requested readiness backend ([`super::TransportConfig::backend`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BackendChoice {
-    /// Resolve per-platform: epoll on Linux, poll elsewhere.
-    #[default]
-    Auto,
-    /// Force the portable `poll(2)` backend.
-    Poll,
-    /// Force the epoll backend (bind fails off Linux — there is no
-    /// silent fallback, so a deployment that asked for O(active) ticks
-    /// finds out at startup, not in a flame graph).
-    Epoll,
-}
-
-/// The backend actually in force after [`BackendChoice`] resolution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackendKind {
-    /// `poll(2)`: O(registered fds) scanned per wait.
-    Poll,
-    /// epoll: O(ready fds) per wait, O(1) interest updates.
-    Epoll,
-}
-
-impl BackendChoice {
-    /// The kind this choice resolves to on the current platform.
-    pub fn resolve(self) -> BackendKind {
-        match self {
-            BackendChoice::Poll => BackendKind::Poll,
-            BackendChoice::Epoll => BackendKind::Epoll,
-            BackendChoice::Auto => {
-                if cfg!(target_os = "linux") {
-                    BackendKind::Epoll
-                } else {
-                    BackendKind::Poll
-                }
-            }
-        }
-    }
-}
-
-impl BackendKind {
-    /// Stable lowercase name (bench JSON, logs, CI greps).
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Poll => "poll",
-            BackendKind::Epoll => "epoll",
-        }
-    }
-}
-
-/// Readiness multiplexer behind one event loop: register fds with a
-/// token, adjust interest on edges, park until something is ready.
+/// The readiness multiplexer behind one event loop: the kernel holds
+/// the interest set, so a wait touches only ready fds and interest
+/// updates are single syscalls.
 ///
-/// The contract both implementations honor:
+/// The contract the loop relies on:
 ///
 /// * level-triggered — an fd stays reported while its condition holds,
 ///   so a budget-bounded reader that leaves bytes in the kernel buffer
 ///   is re-reported next wait, and no readiness is ever lost;
 /// * `error`/`hup` are always delivered, whatever the interest mask;
 /// * `deregister` of an fd that was never registered is a no-op (a
-///   connection that died before adoption tears down uniformly);
-/// * `wait` returns the number of fd entries it *touched* — delivered
-///   events under epoll, the whole registered set scanned under poll.
-///   That count is the `pooled_transport_ready_fds_total` metric, and
-///   the per-tick gap between the two backends is exactly the
-///   O(active) vs O(connections) claim the bench pins.
-pub trait EventBackend: Send {
-    /// Which implementation this is (the `pooled_transport_backend`
-    /// gauge and the bench JSON report it).
-    fn kind(&self) -> BackendKind;
-    /// Watch `fd` with `interest`; `wait` reports it as `token`.
-    fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()>;
-    /// Replace the interest mask of a registered fd (an *edge* — the
-    /// caller only invokes this on pause/resume and write-arm/disarm
-    /// transitions, never per tick).
-    fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()>;
-    /// Stop watching `fd`. Must be called before the fd closes (poll
-    /// would report `POLLNVAL` forever; epoll auto-forgets closed fds
-    /// but the explicit bookkeeping keeps both backends identical).
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()>;
-    /// Park until readiness or `timeout` (`None` = forever). Clears and
-    /// refills `out` with the ready set; returns the touched-entry
-    /// count (see trait docs).
-    fn wait(&mut self, timeout: Option<Duration>, out: &mut Vec<ReadyEvent>) -> io::Result<usize>;
-}
-
-/// Portable `poll(2)` backend: a persistent registration array, updated
-/// in place (O(1) per edge thanks to an fd→slot index) and handed to
-/// the kernel wholesale each wait. The kernel and the revents scan both
-/// walk every registered fd — the O(connections) cost per tick that
-/// [`EpollBackend`] removes.
-pub struct PollBackend {
-    fds: Vec<PollFd>,
-    tokens: Vec<u64>,
-    index: HashMap<RawFd, usize>,
-}
-
-impl PollBackend {
-    /// An empty registration set.
-    pub fn new() -> Self {
-        Self { fds: Vec::new(), tokens: Vec::new(), index: HashMap::new() }
-    }
-}
-
-impl Default for PollBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-fn interest_to_poll(interest: Interest) -> i16 {
-    let mut events = 0i16;
-    if interest.readable {
-        events |= POLLIN;
-    }
-    if interest.writable {
-        events |= POLLOUT;
-    }
-    events
-}
-
-impl EventBackend for PollBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Poll
-    }
-
-    fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        if self.index.contains_key(&fd) {
-            return Err(io::Error::new(io::ErrorKind::AlreadyExists, "fd already registered"));
-        }
-        self.index.insert(fd, self.fds.len());
-        self.fds.push(PollFd { fd, events: interest_to_poll(interest), revents: 0 });
-        self.tokens.push(token);
-        Ok(())
-    }
-
-    fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        let &slot = self
-            .index
-            .get(&fd)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-        self.fds[slot].events = interest_to_poll(interest);
-        self.tokens[slot] = token;
-        Ok(())
-    }
-
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        let Some(slot) = self.index.remove(&fd) else {
-            return Ok(()); // never registered: uniform teardown no-op
-        };
-        // Swap-remove keeps the array dense; re-point the mover's slot.
-        self.fds.swap_remove(slot);
-        self.tokens.swap_remove(slot);
-        if slot < self.fds.len() {
-            self.index.insert(self.fds[slot].fd, slot);
-        }
-        Ok(())
-    }
-
-    fn wait(&mut self, timeout: Option<Duration>, out: &mut Vec<ReadyEvent>) -> io::Result<usize> {
-        out.clear();
-        let n = poll_fds(&mut self.fds, timeout)?;
-        if n > 0 {
-            for (pfd, &token) in self.fds.iter().zip(&self.tokens) {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                out.push(ReadyEvent {
-                    token,
-                    readable: pfd.revents & POLLIN != 0,
-                    writable: pfd.revents & POLLOUT != 0,
-                    error: pfd.revents & (POLLERR | POLLNVAL) != 0,
-                    hup: pfd.revents & POLLHUP != 0,
-                });
-            }
-        }
-        // Touched = the whole registered set: poll scanned it in the
-        // kernel and this backend scanned revents — the honest per-tick
-        // cost, which is what the ready-fds metric exists to expose.
-        Ok(self.fds.len())
-    }
-}
-
-/// Linux epoll backend: the kernel holds the interest set, so a wait
-/// touches only ready fds and interest updates are single syscalls.
-#[cfg(target_os = "linux")]
+///   connection that died before adoption tears down uniformly).
 pub struct EpollBackend {
     epfd: RawFd,
     /// Kernel-filled event buffer, reused across waits. 1024 entries is
@@ -543,10 +331,18 @@ pub struct EpollBackend {
     events: Vec<EpollEvent>,
 }
 
-#[cfg(target_os = "linux")]
 impl EpollBackend {
-    /// Create the epoll instance (close-on-exec).
+    /// Create the epoll instance (close-on-exec). Fails with
+    /// `Unsupported` off Linux — there is no fallback, so a deployment
+    /// finds out at startup, not in a flame graph.
     pub fn new() -> io::Result<Self> {
+        if cfg!(not(target_os = "linux")) {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "the transport front needs Linux epoll",
+            ));
+        }
+        // SAFETY: takes only a flags word; no memory is passed.
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
@@ -563,57 +359,55 @@ impl EpollBackend {
             events |= EPOLLOUT;
         }
         let mut ev = EpollEvent { events, data: token };
+        // SAFETY: `ev` is a live local with the kernel's layout, and the
+        // kernel only reads it for the duration of the call.
         if unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) } < 0 {
             return Err(io::Error::last_os_error());
         }
         Ok(())
     }
-}
 
-#[cfg(target_os = "linux")]
-impl Drop for EpollBackend {
-    fn drop(&mut self) {
-        unsafe { close(self.epfd) };
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl EventBackend for EpollBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Epoll
-    }
-
-    fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    /// Watch `fd` with `interest`; `wait` reports it as `token`.
+    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, token, interest)
     }
 
-    fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    /// Replace the interest mask of a registered fd (an *edge* — the
+    /// caller only invokes this on pause/resume and write-arm/disarm
+    /// transitions, never per tick).
+    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, token, interest)
     }
 
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+    /// Stop watching `fd`; call before the fd closes.
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
         match self.ctl(EPOLL_CTL_DEL, fd, 0, Interest::default()) {
             Ok(()) => Ok(()),
-            // Never registered (or already auto-forgotten): no-op, per
-            // the trait contract.
+            // Never registered (or already auto-forgotten): a no-op.
             Err(e) if e.raw_os_error() == Some(2) => Ok(()), // ENOENT
             Err(e) if e.raw_os_error() == Some(9) => Ok(()), // EBADF (already closed)
             Err(e) => Err(e),
         }
     }
 
-    fn wait(&mut self, timeout: Option<Duration>, out: &mut Vec<ReadyEvent>) -> io::Result<usize> {
+    /// Park until readiness or `timeout` (`None` = forever;
+    /// `Some(Duration::ZERO)` is a nonblocking probe). Clears and
+    /// refills `out` with the ready set — the delivered events, which
+    /// the loop counts into `pooled_transport_ready_fds_total`.
+    pub fn wait(&mut self, timeout: Option<Duration>, out: &mut Vec<ReadyEvent>) -> io::Result<()> {
         out.clear();
         let timeout_ms: i32 = match timeout {
             None => -1,
-            // Round up like `poll_fds`: a 100µs request must park, not
-            // degenerate into a hot 0ms spin.
+            // Round up so a 100µs request parks instead of degenerating
+            // into a hot 0ms spin.
             Some(t) => {
                 t.as_millis().min(i32::MAX as u128) as i32
                     + i32::from(t.subsec_micros() % 1000 != 0 && t.as_millis() < i32::MAX as u128)
             }
         };
         let n = loop {
+            // SAFETY: the kernel writes at most `events.len()` entries
+            // into the owned buffer, which outlives the call.
             let rc = unsafe {
                 epoll_wait(
                     self.epfd,
@@ -642,31 +436,20 @@ impl EventBackend for EpollBackend {
                 hup: bits & EPOLLHUP != 0,
             });
         }
-        // Touched = delivered events only: the kernel woke us with the
-        // ready list, nothing scanned the idle herd.
-        Ok(n)
+        Ok(())
     }
 }
 
-/// Construct the backend for `choice`. Errors are loud: a forced epoll
-/// off Linux or a failed `epoll_create1` fails the caller's bind — the
-/// server never silently downgrades to poll.
-pub fn new_backend(choice: BackendChoice) -> io::Result<Box<dyn EventBackend>> {
-    match choice.resolve() {
-        BackendKind::Poll => Ok(Box::new(PollBackend::new())),
-        #[cfg(target_os = "linux")]
-        BackendKind::Epoll => Ok(Box::new(EpollBackend::new()?)),
-        #[cfg(not(target_os = "linux"))]
-        BackendKind::Epoll => Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "epoll backend requires Linux; use BackendChoice::Poll or Auto",
-        )),
+impl Drop for EpollBackend {
+    fn drop(&mut self) {
+        // SAFETY: `epfd` is owned by this value and closed exactly once.
+        unsafe { close(self.epfd) };
     }
 }
 
 /// CPU time consumed by the calling thread (kernel-accounted, so a
-/// thread parked in `poll`/`read` accrues none). This is how the tests
-/// pin "waiting burns no CPU" — wall time elapses, this doesn't.
+/// thread parked in `epoll_wait`/`read` accrues none). This is how the
+/// tests pin "waiting burns no CPU" — wall time elapses, this doesn't.
 pub fn thread_cpu_time() -> Duration {
     let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
     if unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) } != 0 {
@@ -756,22 +539,29 @@ mod tests {
     use std::sync::Arc;
     use std::time::Instant;
 
+    /// An epoll instance watching `pipe`'s read end as token 7.
+    fn watch(pipe: &WakePipe) -> EpollBackend {
+        let mut backend = EpollBackend::new().expect("epoll_create1");
+        backend.register(pipe.read_fd(), 7, Interest::READ).expect("register");
+        backend
+    }
+
     #[test]
-    fn wake_pipe_rouses_a_parked_poll() {
-        let pipe = Arc::new(WakePipe::new().expect("pipe"));
-        let waker = Arc::clone(&pipe);
+    fn wake_pipe_rouses_a_parked_wait() {
+        let pipe = WakePipe::new().expect("pipe");
+        let mut backend = watch(&pipe);
         let parked = std::thread::spawn(move || {
-            let mut fds = [PollFd { fd: waker.read_fd(), events: POLLIN, revents: 0 }];
+            let mut out = Vec::new();
             let started = Instant::now();
-            let n = poll_fds(&mut fds, Some(Duration::from_secs(10))).expect("poll");
-            (n, fds[0].revents, started.elapsed())
+            backend.wait(Some(Duration::from_secs(10)), &mut out).expect("wait");
+            (out, started.elapsed())
         });
         std::thread::sleep(Duration::from_millis(30));
         assert!(pipe.wake(), "first wake must signal");
         assert!(!pipe.wake(), "second wake coalesces onto the armed flag");
-        let (n, revents, waited) = parked.join().expect("poll thread");
-        assert_eq!(n, 1);
-        assert_ne!(revents & POLLIN, 0, "pipe must report readable");
+        let (out, waited) = parked.join().expect("wait thread");
+        assert_eq!(out.len(), 1);
+        assert!(out[0].token == 7 && out[0].readable, "pipe must report readable: {out:?}");
         assert!(waited < Duration::from_secs(5), "wakeup, not timeout");
         pipe.drain();
         assert!(pipe.wake(), "drain re-arms the pipe");
@@ -786,10 +576,10 @@ mod tests {
             assert!(pipe.wake(), "post-drain wake must signal again");
             pipe.drain();
         }
-        // After a final drain the pipe is empty: poll must time out.
-        let mut fds = [PollFd { fd: pipe.read_fd(), events: POLLIN, revents: 0 }];
-        let n = poll_fds(&mut fds, Some(Duration::from_millis(10))).expect("poll");
-        assert_eq!(n, 0, "drained pipe must not be readable");
+        // After a final drain the pipe is empty: the wait must time out.
+        let mut out = Vec::new();
+        watch(&pipe).wait(Some(Duration::from_millis(10)), &mut out).expect("wait");
+        assert!(out.is_empty(), "drained pipe must not be readable: {out:?}");
     }
 
     /// One atomic step of the wake protocol in the interleaving model.
@@ -880,12 +670,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_timeout_poll_is_a_nonblocking_probe() {
+    fn zero_timeout_wait_is_a_nonblocking_probe() {
         let pipe = WakePipe::new().expect("pipe");
-        let mut fds = [PollFd { fd: pipe.read_fd(), events: POLLIN, revents: 0 }];
+        let mut out = Vec::new();
         let started = Instant::now();
-        let n = poll_fds(&mut fds, Some(Duration::ZERO)).expect("poll");
-        assert_eq!(n, 0);
+        watch(&pipe).wait(Some(Duration::ZERO), &mut out).expect("wait");
+        assert!(out.is_empty());
         assert!(started.elapsed() < Duration::from_millis(100));
     }
 
@@ -935,17 +725,17 @@ mod tests {
         assert!(now >= 256, "any sane environment grants 256 fds, got {now}");
     }
 
-    /// Exercise one backend through the full interest-edge lifecycle
-    /// against a pipe: register read-side, observe readability only
-    /// after bytes arrive, arm and disarm write interest on the write
-    /// side, deregister (including the never-registered no-op).
-    fn backend_lifecycle(mut backend: Box<dyn EventBackend>) {
+    /// The full interest-edge lifecycle against a pipe: register the
+    /// read side, observe readability only after bytes arrive, arm and
+    /// disarm write interest on the write side, deregister (including
+    /// the never-registered no-op).
+    #[test]
+    fn epoll_backend_lifecycle() {
         let pipe = WakePipe::new().expect("pipe");
+        let mut backend = watch(&pipe);
         let mut out = Vec::new();
-        backend.register(pipe.read_fd(), 7, Interest::READ).expect("register");
-        let touched = backend.wait(Some(Duration::from_millis(10)), &mut out).expect("wait");
+        backend.wait(Some(Duration::from_millis(10)), &mut out).expect("wait");
         assert!(out.is_empty(), "empty pipe must not be readable: {out:?}");
-        assert!(touched <= 1, "at most the registered fd is touched, got {touched}");
 
         pipe.wake();
         backend.wait(Some(Duration::from_secs(5)), &mut out).expect("wait");
@@ -975,27 +765,8 @@ mod tests {
         backend.deregister(pipe.read_fd()).expect("deregister");
         backend.deregister(pipe.write_fd).expect("deregister");
         backend.deregister(pipe.read_fd()).expect("double deregister is a no-op");
-        let touched = backend.wait(Some(Duration::ZERO), &mut out).expect("wait");
-        assert!(out.is_empty() && touched == 0, "empty set: nothing touched");
-    }
-
-    #[test]
-    fn poll_backend_lifecycle() {
-        backend_lifecycle(Box::new(PollBackend::new()));
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_backend_lifecycle() {
-        backend_lifecycle(Box::new(EpollBackend::new().expect("epoll_create1")));
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn auto_choice_resolves_to_epoll_on_linux() {
-        assert_eq!(BackendChoice::Auto.resolve(), BackendKind::Epoll);
-        assert_eq!(new_backend(BackendChoice::Auto).expect("auto").kind(), BackendKind::Epoll);
-        assert_eq!(new_backend(BackendChoice::Poll).expect("poll").kind(), BackendKind::Poll);
+        backend.wait(Some(Duration::ZERO), &mut out).expect("wait");
+        assert!(out.is_empty(), "empty set: nothing delivered");
     }
 
     #[test]

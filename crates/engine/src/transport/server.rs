@@ -5,8 +5,7 @@
 //! threads:
 //!
 //! ```text
-//!  accept ──(conn_id % N)──► loop thread: EventBackend::wait(ready fds only)
-//!                              │   (epoll on Linux; poll(2) fallback)
+//!  accept ──(conn_id % N)──► loop thread: EpollBackend::wait(ready fds only)
 //!                              ├─ readable ► budgeted read ► FrameAssembler
 //!                              │      SUBMIT ► engine.try_submit_routed_stamped (full queue ⇒ BUSY(id))
 //!                              │      infeasible ⇒ REJECT(id)   (never a silent drop)
@@ -18,18 +17,18 @@
 //! [`FrameAssembler`] that decodes across partial reads, an outbound
 //! queue of encoded frame segments drained by vectored writes with
 //! partial-write resume, and a per-tick read budget. The loop parks in
-//! its [`EventBackend`] and is roused by socket readiness or by the
+//! its [`EpollBackend`] and is roused by socket readiness or by the
 //! route waker ([`ResultRoute::register_waker`]) when a worker finishes
 //! a job — results are pushed to the loop, never polled for.
 //!
-//! A tick costs O(active), not O(connections). The backend holds the
+//! A tick costs O(active), not O(connections). The kernel holds the
 //! interest set across ticks (registered at adoption, modified only on
 //! pause/resume and write-arm/disarm edges, deregistered at close), so
-//! under epoll a wait returns exactly the ready fds and an idle herd of
-//! tenants is never scanned; idle eviction rides a coarse timer wheel
-//! ([`IdleWheel`]) that examines a connection once per timeout period,
-//! not once per sweep; and the outbound path never compacts — a
-//! partial write just advances an offset into the segment queue.
+//! a wait returns exactly the ready fds and an idle herd of tenants is
+//! never scanned; idle eviction rides a coarse timer wheel that
+//! examines a connection once per timeout period, not once per sweep;
+//! and the outbound path never compacts — a partial write just advances
+//! an offset into the segment queue.
 //!
 //! Tenant isolation is a liveness guarantee at three layers:
 //!
@@ -54,6 +53,7 @@
 //! results contract the loopback suite pins.
 //!
 //! [`FrameAssembler`]: crate::transport::frame::FrameAssembler
+//! [`EpollBackend`]: crate::transport::reactor::EpollBackend
 
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
@@ -68,10 +68,16 @@ use crate::engine::{Engine, ResultRoute, SubmitError};
 use crate::queue::TryPop;
 use crate::telemetry::{Metric, MetricsRegistry};
 use crate::transport::frame::{Frame, FrameAssembler, FrameWriter, SegmentSink, StatsReply};
-use crate::transport::reactor::{
-    new_backend, writev_fd, BackendChoice, BackendKind, EventBackend, Interest, IoVec, ReadyEvent,
-    WakePipe,
-};
+use crate::transport::reactor::{writev_fd, EpollBackend, Interest, IoVec, ReadyEvent, WakePipe};
+
+/// The readiness backend ([`TransportConfig::backend`]). Epoll is the
+/// only one: O(ready fds) per wait and O(1) interest updates.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum BackendChoice {
+    /// Linux epoll; `bind` fails with `Unsupported` elsewhere.
+    #[default]
+    Epoll,
+}
 
 /// Transport sizing knobs.
 #[derive(Clone, Copy, Debug)]
@@ -91,7 +97,7 @@ pub struct TransportConfig {
     pub max_dimension: usize,
     /// Event-loop threads. Connections are assigned at accept time
     /// (`conn_id % event_loops`); each loop multiplexes its share
-    /// through its own [`EventBackend`]. Server thread count is
+    /// through its own [`EpollBackend`]. Server thread count is
     /// `1 + event_loops`, independent of connection count.
     pub event_loops: usize,
     /// Per-connection, per-tick read budget in bytes. A firehose tenant
@@ -107,10 +113,7 @@ pub struct TransportConfig {
     /// beyond it are dropped at the door (the fd is the scarce resource
     /// being protected, so no protocol reply is owed).
     pub max_connections: usize,
-    /// Readiness backend: `Auto` resolves to epoll on Linux (O(active)
-    /// per tick) and `poll(2)` elsewhere; either can be forced. A
-    /// forced-but-unavailable backend fails `bind` — there is no silent
-    /// fallback.
+    /// Readiness backend; epoll is the only one.
     pub backend: BackendChoice,
 }
 
@@ -123,7 +126,7 @@ impl Default for TransportConfig {
             read_budget: 64 * 1024,
             idle_timeout: Some(Duration::from_secs(300)),
             max_connections: 65_536,
-            backend: BackendChoice::Auto,
+            backend: BackendChoice::Epoll,
         }
     }
 }
@@ -157,7 +160,7 @@ struct LoopInbox {
     /// Connections whose route has undrained results (posted by route
     /// wakers, deduplicated by each connection's `queued` flag).
     ready: Mutex<Vec<u64>>,
-    /// Rouses the loop out of `poll(2)`.
+    /// Rouses the loop out of `epoll_wait`.
     wake: WakePipe,
 }
 
@@ -177,7 +180,6 @@ impl LoopInbox {
 pub struct TransportServer {
     local_addr: SocketAddr,
     shared: Arc<ServerShared>,
-    backend: BackendKind,
     accept_handle: Option<JoinHandle<()>>,
     loop_handles: Vec<JoinHandle<()>>,
 }
@@ -194,14 +196,12 @@ impl TransportServer {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let loops = config.event_loops.max(1);
-        // Construct every backend before spawning anything: a forced
-        // epoll off Linux (or a failed `epoll_create1`) fails the bind
-        // loudly instead of silently serving with the wrong backend.
+        // Create every epoll instance before spawning anything: off Linux
+        // (or on a failed `epoll_create1`) the bind fails loudly.
         let mut backends = Vec::with_capacity(loops);
         for _ in 0..loops {
-            backends.push(new_backend(config.backend)?);
+            backends.push(EpollBackend::new()?);
         }
-        let backend = backends[0].kind();
         let mut inboxes = Vec::with_capacity(loops);
         for _ in 0..loops {
             inboxes.push(Arc::new(LoopInbox {
@@ -219,7 +219,6 @@ impl TransportServer {
             metrics: Arc::new(MetricsRegistry::new()),
             inboxes,
         });
-        shared.metrics.set(Metric::TransportBackend, u64::from(backend == BackendKind::Epoll));
         let mut loop_handles = Vec::with_capacity(loops);
         for (loop_id, backend) in backends.into_iter().enumerate() {
             let loop_shared = Arc::clone(&shared);
@@ -235,18 +234,12 @@ impl TransportServer {
             .name("transport-accept".into())
             .spawn(move || accept_loop(&listener, &accept_shared))
             .expect("failed to spawn transport accept thread");
-        Ok(Self { local_addr, shared, backend, accept_handle: Some(accept_handle), loop_handles })
+        Ok(Self { local_addr, shared, accept_handle: Some(accept_handle), loop_handles })
     }
 
     /// The bound address (resolves the ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// The readiness backend actually in force (post-`Auto` resolution;
-    /// also exposed as the `pooled_transport_backend` gauge).
-    pub fn backend(&self) -> BackendKind {
-        self.backend
     }
 
     /// This server's wire accounting, summed over all connections.
@@ -422,11 +415,10 @@ struct Conn {
     queued: Arc<AtomicBool>,
     /// Last instant a byte moved in either direction (idle eviction).
     last_activity: Instant,
-    /// Interest mask currently registered with the event backend. The
-    /// loop recomputes the desired mask after touching a connection and
-    /// issues a backend `modify` only when it differs — interest
-    /// updates happen on pause/resume and write-arm/disarm *edges*,
-    /// never per tick.
+    /// Interest mask currently registered with epoll. The loop
+    /// recomputes the desired mask after touching a connection and
+    /// issues a `modify` only when it differs — interest updates happen
+    /// on pause/resume and write-arm/disarm *edges*, never per tick.
     interest: Interest,
     /// Tick stamp of the last budgeted read, so a connection that is
     /// both in the ready set and on the carried-over hot list gets one
@@ -532,11 +524,11 @@ impl IdleWheel {
     }
 }
 
-/// Backend token of the loop's wake pipe (connection ids count up from
+/// Epoll token of the loop's wake pipe (connection ids count up from
 /// zero and can never reach it).
 const WAKE_TOKEN: u64 = u64::MAX;
 
-fn event_loop(loop_id: usize, shared: &Arc<ServerShared>, mut backend: Box<dyn EventBackend>) {
+fn event_loop(loop_id: usize, shared: &Arc<ServerShared>, mut backend: EpollBackend) {
     let inbox = Arc::clone(&shared.inboxes[loop_id]);
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut ready: Vec<ReadyEvent> = Vec::new();
@@ -564,9 +556,11 @@ fn event_loop(loop_id: usize, shared: &Arc<ServerShared>, mut backend: Box<dyn E
 
         // ── park: only ready fds come back, idle tenants cost nothing ─
         let timeout = if hot_ids.is_empty() { sweep_interval } else { Some(Duration::ZERO) };
-        let touched = backend.wait(timeout, &mut ready).unwrap_or(0);
+        // A failed wait leaves `ready` empty: the tick still drains the
+        // inbox, and the next wait retries.
+        let _ = backend.wait(timeout, &mut ready);
         shared.metrics.inc(Metric::TransportTicks);
-        shared.metrics.add(Metric::TransportReadyFds, touched as u64);
+        shared.metrics.add(Metric::TransportReadyFds, ready.len() as u64);
         if shared.stopping.load(Ordering::SeqCst) {
             break;
         }
@@ -585,7 +579,7 @@ fn event_loop(loop_id: usize, shared: &Arc<ServerShared>, mut backend: Box<dyn E
                 conn.serviced_tick = tick;
                 read_conn(&mut conn, shared, &mut scratch);
                 flush_out(&mut conn, shared);
-                sync_interest(id, &mut conn, backend.as_mut());
+                sync_interest(id, &mut conn, &mut backend);
             }
             if conn.hot {
                 hot_ids.push(id);
@@ -608,7 +602,7 @@ fn event_loop(loop_id: usize, shared: &Arc<ServerShared>, mut backend: Box<dyn E
             }
             drain_route(conn, shared);
             flush_out(conn, shared);
-            sync_interest(id, conn, backend.as_mut());
+            sync_interest(id, conn, &mut backend);
             if conn.dead {
                 dead_ids.push(id);
             }
@@ -633,7 +627,7 @@ fn event_loop(loop_id: usize, shared: &Arc<ServerShared>, mut backend: Box<dyn E
                 read_conn(conn, shared, &mut scratch);
             }
             flush_out(conn, shared);
-            sync_interest(ev.token, conn, backend.as_mut());
+            sync_interest(ev.token, conn, &mut backend);
             if conn.hot {
                 hot_ids.push(ev.token);
             }
@@ -652,7 +646,7 @@ fn event_loop(loop_id: usize, shared: &Arc<ServerShared>, mut backend: Box<dyn E
             conn.serviced_tick = tick;
             read_conn(conn, shared, &mut scratch);
             flush_out(conn, shared);
-            sync_interest(id, conn, backend.as_mut());
+            sync_interest(id, conn, &mut backend);
             if conn.hot {
                 hot_ids.push(id);
             }
@@ -742,11 +736,11 @@ fn register_conn(
     }
 }
 
-/// Push the connection's interest edges to the backend: recompute the
+/// Push the connection's interest edges to epoll: recompute the
 /// desired mask and issue a `modify` only when it drifted from what is
 /// registered. This is the O(1)-per-edge half of the O(active) tick —
 /// a connection whose state didn't change costs no syscall at all.
-fn sync_interest(id: u64, conn: &mut Conn, backend: &mut dyn EventBackend) {
+fn sync_interest(id: u64, conn: &mut Conn, backend: &mut EpollBackend) {
     if conn.dead {
         return;
     }

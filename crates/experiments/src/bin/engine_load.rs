@@ -38,9 +38,9 @@
 //!   warm from disk alone and bit-identical. A given `--wal-dir` is left
 //!   populated, so a second run on it starts warm across processes.
 //! * `connections` — decade tiers of 10, 100, … `--connections`
-//!   concurrent loopback tenants on one server, every tier on every
-//!   readiness backend: merged results bit-identical to in-process, and
-//!   a peak thread count O(event loops), never O(connections).
+//!   concurrent loopback tenants on one epoll server: merged results
+//!   bit-identical to in-process, and a peak thread count O(event
+//!   loops), never O(connections).
 //!
 //! Jobs carry a simulated query cost (`--latency-micros`, default 4000):
 //! the paper's premise is that queries dominate reconstruction time, and
@@ -64,7 +64,7 @@ use pooled_engine::job::{DecoderKind, JobResult};
 use pooled_engine::telemetry::{render_prometheus, Metric, TelemetryConfig};
 use pooled_engine::traffic::{poisson_arrivals, LoadProfile};
 use pooled_engine::transport::reactor::{raise_fd_limit, thread_count};
-use pooled_engine::transport::{BackendChoice, TransportClient, TransportConfig, TransportServer};
+use pooled_engine::transport::{TransportClient, TransportConfig, TransportServer};
 use pooled_engine::{DurabilityConfig, JobSpec};
 use pooled_experiments::DEFAULT_SEED;
 use pooled_io::Args;
@@ -803,19 +803,11 @@ fn durability(ctx: &Ctx) -> Outcome {
 }
 
 /// Connection-front sweep: decade tiers of concurrent loopback tenants
-/// up to `--connections`, each tier once per readiness backend the
-/// platform has, so epoll's delivered events per tick sit beside poll's
-/// scanned set on identical traffic.
+/// up to `--connections`, each tier once.
 fn connections(ctx: &Ctx) -> Outcome {
-    let tiers = ladder(10, 10, ctx.connections);
-    let backends: &[BackendChoice] = if cfg!(target_os = "linux") {
-        &[BackendChoice::Epoll, BackendChoice::Poll]
-    } else {
-        &[BackendChoice::Poll]
-    };
-    let rows: Vec<Value> = tiers
-        .iter()
-        .flat_map(|&tier| backends.iter().map(move |&backend| connection_tier(ctx, tier, backend)))
+    let rows: Vec<Value> = ladder(10, 10, ctx.connections)
+        .into_iter()
+        .map(|tier| connection_tier(ctx, tier))
         .collect();
     let all =
         |key: &str| rows.iter().all(|row| row.get(key).and_then(Value::as_bool) == Some(true));
@@ -834,7 +826,7 @@ fn connections(ctx: &Ctx) -> Outcome {
 /// loops, not in the load generator. The thread count is sampled while
 /// every tenant is connected, *before* the serve phase, which is exactly
 /// when a thread-per-connection design would be caught.
-fn connection_tier(ctx: &Ctx, requested: usize, backend: BackendChoice) -> Value {
+fn connection_tier(ctx: &Ctx, requested: usize) -> Value {
     // Three fds per loopback connection — the client's stream, its
     // cloned read half, and the server's end — plus slack for the
     // engine, wake pipes, and whatever the process already holds. A tier
@@ -852,8 +844,7 @@ fn connection_tier(ctx: &Ctx, requested: usize, backend: BackendChoice) -> Value
     let specs = ctx.profile.specs(total_jobs);
     let want = ctx.reference(total_jobs);
 
-    let config =
-        TransportConfig { max_connections: conns + 8, backend, ..TransportConfig::default() };
+    let config = TransportConfig { max_connections: conns + 8, ..TransportConfig::default() };
     let served = Served::start(ctx.config(ctx.workers), config);
     let addr = served.addr();
 
@@ -928,7 +919,6 @@ fn connection_tier(ctx: &Ctx, requested: usize, backend: BackendChoice) -> Value
     let elapsed = started.elapsed().as_secs_f64();
     // Read the readiness counters before `stop` tears the loops down.
     let snap = served.server.metrics().snapshot();
-    let ran_backend = served.server.backend().name();
     served.stop();
 
     merged.sort_unstable_by_key(|r| r.id);
@@ -936,15 +926,13 @@ fn connection_tier(ctx: &Ctx, requested: usize, backend: BackendChoice) -> Value
     // thread, the engine's workers, the sweep's own drivers, and a fixed
     // allowance for the runtime (main thread, telemetry, allocator…).
     let thread_bound = config.event_loops + 1 + ctx.workers + drivers + 16;
-    // Backend-reported touched fds: events delivered under epoll, the
-    // registered set scanned under poll — so per tick this is the
-    // O(active) vs O(connections) comparison in one number.
+    // Ready fds epoll delivered: per tick, O(active) however many idle
+    // tenants are registered.
     let ticks = snap.get(Metric::TransportTicks);
     let ready_fds = snap.get(Metric::TransportReadyFds);
     let row = json!({
         "requested_connections": requested,
         "connections": conns,
-        "backend": ran_backend,
         "total_jobs": total_jobs,
         "jobs_per_sec": total_jobs as f64 / elapsed,
         "fingerprints_match": batch_fingerprint(&merged) == want,

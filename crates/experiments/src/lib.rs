@@ -5,10 +5,10 @@
 //! Each binary under `src/bin/` regenerates one figure or table of the
 //! paper (see DESIGN.md's per-experiment index). They share:
 //!
-//! * [`scale`] — the `default` (laptop-minutes) vs `full` (paper-scale)
+//! * [`Scale`] — the `default` (laptop-minutes) vs `full` (paper-scale)
 //!   parameter profiles;
-//! * [`output`] — a common `results/` output directory with CSV + gnuplot
-//!   + manifest per experiment;
+//! * [`output_dir`] and [`write_artifacts`] — a common `results/` output
+//!   directory with CSV + gnuplot + manifest per experiment;
 //! * the θ grid of the evaluation section: `{0.1, 0.2, 0.3, 0.4}`.
 
 use std::path::{Path, PathBuf};

@@ -39,7 +39,7 @@ pub fn ln_total_first_moment(n: usize, k: usize, m: f64) -> f64 {
 }
 
 /// Whether the first moment predicts a unique consistent vector
-/// (`Σ E[Z] < 1`, i.e. Markov gives failure probability < Σ E[Z]).
+/// (`Σ E[Z] < 1`, i.e. Markov gives failure probability < `Σ E[Z]`).
 pub fn predicts_unique(n: usize, k: usize, m: f64) -> bool {
     ln_total_first_moment(n, k, m) < 0.0
 }

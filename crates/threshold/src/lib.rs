@@ -24,7 +24,7 @@
 //!   without-replacement design.
 //! * [`verify`] — consistency checking of an estimate against observed
 //!   threshold bits (the analogue of a zero residual).
-//! * [`refine_bits`] — disagreement-guided swap search after decoding
+//! * [`refine_bits`](mod@refine_bits) — disagreement-guided swap search after decoding
 //!   (the one-bit analogue of `pooled_core::refine`).
 //!
 //! ```

@@ -29,6 +29,7 @@ use pooled_data::engine::cluster::chaos::{self, ChaosConfig, ChaosController};
 use pooled_data::engine::cluster::{FailoverConfig, LocalNode, NodeHandle, RemoteNode, Router};
 use pooled_data::engine::engine::{Engine, EngineConfig};
 use pooled_data::engine::job::{DecoderKind, JobResult, JobSpec};
+use pooled_data::engine::telemetry::{Metric, MetricsRegistry};
 use pooled_data::engine::traffic::LoadProfile;
 use pooled_data::engine::transport::{TransportConfig, TransportServer};
 
@@ -279,6 +280,8 @@ fn the_last_node_dying_fails_jobs_per_job_instead_of_wedging() {
     let p = profile(6004);
     let specs = p.specs(4);
     let (mut router, controllers) = chaos_local_cluster(1, 1, ChaosConfig::quiet);
+    let metrics = Arc::new(MetricsRegistry::new());
+    router.attach_metrics(Arc::clone(&metrics));
     for &s in &specs {
         router.submit(s);
     }
@@ -293,6 +296,13 @@ fn the_last_node_dying_fails_jobs_per_job_instead_of_wedging() {
     assert_eq!(router.outstanding(), 0, "nothing may be left dangling");
     assert_eq!(router.nodes(), 0);
     assert_eq!(router.failed_nodes(), &[0]);
+    // With no survivor every reclaimed job fails, so the failover
+    // counter and the failed list describe the same jobs.
+    assert_eq!(
+        metrics.get(Metric::JobsFailedOver),
+        router.failed().len() as u64,
+        "pooled_jobs_failed_over_total must count every job the dead node held"
+    );
 
     // With no nodes left, new work fails terminally and immediately.
     let failed_before = router.failed().len();

@@ -26,9 +26,7 @@ use pooled_data::engine::transport::frame::{encode_frame, Frame, FrameAssembler}
 use pooled_data::engine::transport::reactor::{
     raise_fd_limit, thread_count, thread_cpu_time, thread_cpu_time_by_name,
 };
-use pooled_data::engine::transport::{
-    BackendChoice, Reply, TransportClient, TransportConfig, TransportServer,
-};
+use pooled_data::engine::transport::{Reply, TransportClient, TransportConfig, TransportServer};
 use pooled_data::lab::latency::LatencyModel;
 
 /// Every test here measures wall-clock behavior (eviction deadlines,
@@ -353,8 +351,7 @@ fn a_waiting_client_burns_no_cpu() {
     Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
 }
 
-/// What one run of the idle-herd scenario observed, for the backend
-/// assertions to pick over.
+/// What one run of the idle-herd scenario observed.
 struct HerdRun {
     /// Idle sockets actually connected (the 10k ask, clamped to what
     /// `RLIMIT_NOFILE` permits — each loopback connection costs two fds
@@ -365,16 +362,14 @@ struct HerdRun {
     /// streaming phase only — adoption of the herd is excluded.
     loop_cpu: Duration,
     ticks: u64,
-    /// Backend-reported "touched fds" over the same window: events
-    /// delivered under epoll, the whole registered set scanned under
-    /// poll. This asymmetry *is* the O(active) vs O(connections) claim.
+    /// Ready fds epoll delivered over the same window.
     ready_fds: u64,
 }
 
 /// The satellite scenario: a huge herd of connected-but-silent tenants
 /// parks on a single-loop server while one working tenant streams a
-/// batch. Returns the measurements; the per-backend tests assert.
-fn idle_herd_batch(choice: BackendChoice, p: &LoadProfile, jobs: usize) -> HerdRun {
+/// batch. Returns the measurements for the test to assert on.
+fn idle_herd_batch(p: &LoadProfile, jobs: usize) -> HerdRun {
     let limit = raise_fd_limit(20_000);
     let herd = 9_999usize.min((limit.saturating_sub(600) / 2) as usize);
     let engine = engine(1, 16);
@@ -385,7 +380,6 @@ fn idle_herd_batch(choice: BackendChoice, p: &LoadProfile, jobs: usize) -> HerdR
             event_loops: 1,
             idle_timeout: None,
             max_connections: herd + 8,
-            backend: choice,
             ..TransportConfig::default()
         },
     )
@@ -431,7 +425,7 @@ fn an_idle_herd_under_epoll_costs_o_active_work() {
     let p = profile(71);
     let jobs = 120;
     let want = in_process_ground_truth(&p, jobs);
-    let run = idle_herd_batch(BackendChoice::Epoll, &p, jobs);
+    let run = idle_herd_batch(&p, jobs);
 
     assert!(run.herd >= 1_000, "fd limit clamped the herd to {} — scenario trivialized", run.herd);
     assert_eq!(run.fingerprints, want, "herd pressure changed results");
@@ -454,99 +448,4 @@ fn an_idle_herd_under_epoll_costs_o_active_work() {
         run.loop_cpu,
         run.herd
     );
-}
-
-#[test]
-fn the_same_idle_herd_under_poll_stays_correct() {
-    let _serial = serial();
-    // Portability contract: the identical scenario on the poll backend
-    // is allowed to be slower — it scans the whole registered set every
-    // tick — but the results must be bit-identical all the same.
-    let p = profile(71);
-    let jobs = 120;
-    let want = in_process_ground_truth(&p, jobs);
-    let run = idle_herd_batch(BackendChoice::Poll, &p, jobs);
-
-    assert!(run.herd >= 1_000, "fd limit clamped the herd to {} — scenario trivialized", run.herd);
-    assert_eq!(run.fingerprints, want, "poll backend diverged from ground truth");
-    // Honesty check on the comparison itself: poll's touched count is
-    // the scanned set, so one tick alone must exceed the herd size.
-    assert!(
-        run.ready_fds >= run.herd as u64,
-        "poll scanned {} fds total over a {}-connection herd — metric miswired",
-        run.ready_fds,
-        run.herd
-    );
-}
-
-#[test]
-fn fingerprints_are_identical_across_backends() {
-    let _serial = serial();
-    // Acceptance pin for the backend split: the readiness mechanism may
-    // reorder *when* bytes move, never *what* the jobs compute.
-    let p = profile(67);
-    let jobs = 24;
-    let want = in_process_ground_truth(&p, jobs);
-    for choice in [BackendChoice::Poll, BackendChoice::Epoll] {
-        let engine = engine(2, 16);
-        let server = TransportServer::bind(
-            Arc::clone(&engine),
-            "127.0.0.1:0",
-            TransportConfig { backend: choice, ..TransportConfig::default() },
-        )
-        .expect("bind");
-        let mut client = TransportClient::connect(server.local_addr()).expect("connect");
-        let mut out = Vec::new();
-        client.run_batch(&p.specs(jobs), &mut out).expect("batch");
-        assert_eq!(
-            fingerprints(&out),
-            want,
-            "{:?} backend diverged from in-process ground truth",
-            server.backend()
-        );
-        drop(client);
-        server.stop();
-        Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
-    }
-}
-
-#[test]
-fn try_poll_probes_without_parking() {
-    let _serial = serial();
-    let engine = engine(1, 8);
-    let server =
-        TransportServer::bind(Arc::clone(&engine), "127.0.0.1:0", TransportConfig::default())
-            .expect("bind");
-    let p = LoadProfile { query_cost: Some(LatencyModel::Fixed(100_000.0)), ..profile(61) };
-    let spec = p.spec(0);
-    let mut client = TransportClient::connect(server.local_addr()).expect("connect");
-    client.submit(&spec).expect("submit");
-    client.flush().expect("flush");
-
-    // Immediately after submitting a 100 ms job there is no reply; the
-    // probe must say so *now*, not after the read deadline.
-    let probe = Instant::now();
-    let first = client.try_poll().expect("probe");
-    assert!(first.is_none(), "100 ms job answered instantly: {first:?}");
-    assert!(probe.elapsed() < Duration::from_millis(50), "try_poll parked: {:?}", probe.elapsed());
-
-    // Polled to completion, the reply arrives through the same probe.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match client.try_poll().expect("probe loop") {
-            Some(Reply::Result(r)) => {
-                assert_eq!(r.id, spec.id);
-                break;
-            }
-            Some(other) => panic!("expected RESULT, got {other:?}"),
-            None => {
-                assert!(Instant::now() < deadline, "reply never arrived via try_poll");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-    }
-
-    drop(client);
-    server.stop();
-    Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
 }
