@@ -116,11 +116,9 @@ pub trait NodeHandle: Send + Sync {
 
     /// Warm this node's design cache for `keys` ahead of traffic — the
     /// cluster's standby keep-warm path. Best-effort and administrative:
-    /// a node that cannot warm simply pays the cold miss later. Default
-    /// is a no-op for node kinds without a cache to warm.
-    fn prewarm(&self, _keys: &[DesignKey]) -> Result<(), NodeError> {
-        Ok(())
-    }
+    /// a node that cannot warm simply pays the cold miss later. Returns
+    /// without waiting for any sample ([`Engine::prewarm`]).
+    fn prewarm(&self, keys: &[DesignKey]) -> Result<(), NodeError>;
 
     /// This node's serving telemetry: a local node reads its engine's
     /// stats directly, a remote node **scrapes** them over the wire

@@ -99,9 +99,6 @@ pub struct FailoverConfig {
     /// `[0, base)` — bounded exponential backoff that never
     /// synchronizes a thundering herd.
     pub retry_backoff: Duration,
-    /// Keep each key's HRW standby warm via [`NodeHandle::prewarm`] as
-    /// keys first appear, so failover costs zero cold design misses.
-    pub warm_standbys: bool,
 }
 
 impl Default for FailoverConfig {
@@ -110,7 +107,6 @@ impl Default for FailoverConfig {
             probation: Duration::from_secs(2),
             max_retries: 3,
             retry_backoff: Duration::from_millis(2),
-            warm_standbys: true,
         }
     }
 }
@@ -682,7 +678,7 @@ impl Router {
     /// Prewarm `key`'s standby once per membership epoch, so a failover
     /// of its owner lands on a cache that already holds the design.
     fn warm_standby(&mut self, key: &DesignKey) {
-        if !self.config.warm_standbys || self.slots.len() < 2 || !self.warmed.insert(*key) {
+        if self.slots.len() < 2 || !self.warmed.insert(*key) {
             return;
         }
         if let Some(idx) = self.membership.standby_index(key) {

@@ -5,6 +5,7 @@
 //!   (backpressure when full)      ├──► worker 1 ─┼──► [ results ] ──► drain
 //!                                 └──► worker L ─┘
 //!                      each worker: design cache → scratch → decode
+//!  prewarm ──► [ warm: BoundedQueue ] ──► sampler ──► design cache
 //! ```
 //!
 //! Every worker pins its *inner* rayon parallelism to 1 — shard-level
@@ -24,7 +25,7 @@ use pooled_lab::histogram::LatencyHistogram;
 use pooled_stats::summary::Summary;
 use rayon::ThreadPoolBuilder;
 
-use crate::cache::{DesignCache, DesignKey};
+use crate::cache::{Claim, DesignCache, DesignKey};
 use crate::durability::{self, DurabilityConfig, WalJournal};
 use crate::job::{JobResult, JobSpec};
 use crate::queue::{snapshot_lens, BoundedQueue, TryPushError};
@@ -218,6 +219,14 @@ struct Shared {
     jobs: BoundedQueue<QueuedJob>,
     results: BoundedQueue<JobResult>,
     cache: DesignCache,
+    /// Prewarm claims for the sampler thread ([`Engine::prewarm`]). Not
+    /// the job queue: `run_batch`'s no-deadlock argument needs every
+    /// queued job to yield a result.
+    warm: BoundedQueue<DesignKey>,
+    /// Claims the sampler owes (queued or sampling): at most the cache
+    /// capacity, since a larger warm set would evict itself. A count
+    /// only (`Relaxed`): `warm`'s lock orders the keys themselves.
+    warming: AtomicUsize,
     /// Per-worker latency slots, indexed by shard id.
     worker_telemetry: Vec<Mutex<WorkerTelemetry>>,
     /// Lock-free counters (per-outcome job counts et al).
@@ -380,6 +389,8 @@ pub enum SubmitError {
 pub struct Engine {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
+    /// The sampler thread; `None` once shutdown joined it.
+    sampler: Option<JoinHandle<()>>,
 }
 
 impl Engine {
@@ -504,6 +515,8 @@ impl Engine {
             jobs: BoundedQueue::new(config.queue_capacity),
             results: BoundedQueue::new(config.results_capacity),
             cache: DesignCache::new(config.design_cache_capacity),
+            warm: BoundedQueue::new(config.design_cache_capacity),
+            warming: AtomicUsize::new(0),
             worker_telemetry: (0..config.workers)
                 .map(|_| Mutex::new(WorkerTelemetry::new()))
                 .collect(),
@@ -529,7 +542,12 @@ impl Engine {
                     .expect("failed to spawn engine worker")
             })
             .collect();
-        Self { shared, handles }
+        let sampler_shared = Arc::clone(&shared);
+        let sampler = std::thread::Builder::new()
+            .name("engine-sampler".into())
+            .spawn(move || sampler_main(&sampler_shared))
+            .expect("failed to spawn the design sampler");
+        Self { shared, handles, sampler: Some(sampler) }
     }
 
     /// Number of worker shards.
@@ -553,11 +571,31 @@ impl Engine {
     /// Warm the design cache for `keys` while the engine is live — the
     /// cluster's standby keep-warm path: a node designated as a key's
     /// failover target samples the design *before* any failover, so
-    /// inheriting the key costs zero cold misses. Resident keys are
-    /// skipped; like [`Self::start_prewarmed`], warming never touches
-    /// the hit/miss telemetry (it is administrative, not traffic).
+    /// inheriting the key costs zero cold misses.
+    ///
+    /// Only claims each cold key in the cache's single-flight election
+    /// and queues it for the engine's sampler thread, so it returns in
+    /// microseconds, even on an event loop. Resident or claimed keys
+    /// cost nothing; a job reaching a claimed key waits for its one
+    /// sample. With `design_cache_capacity` claims already owed, the
+    /// claim is dropped and counted ([`Metric::PrewarmsDropped`]): the
+    /// worst case is a later cold miss. Warming never touches the
+    /// hit/miss telemetry, and a clean shutdown samples every queued key
+    /// before its checkpoint.
     pub fn prewarm(&self, keys: &[DesignKey]) {
-        self.shared.cache.prewarm(keys);
+        let shared = &self.shared;
+        for key in keys {
+            let Claim::Leader(leader) = shared.cache.claim(key) else { continue };
+            if shared.warming.fetch_add(1, Ordering::Relaxed) < shared.warm.capacity()
+                && shared.warm.try_push(*key).is_ok()
+            {
+                leader.hand_off();
+            } else {
+                // Dropping `leader` abandons the claim: waiters re-elect.
+                shared.warming.fetch_sub(1, Ordering::Relaxed);
+                shared.metrics.inc(Metric::PrewarmsDropped);
+            }
+        }
     }
 
     /// Blocking submission: waits under backpressure, errs on shutdown.
@@ -791,6 +829,7 @@ impl Engine {
         let start = out.len();
         let workers = self.handles.len();
         self.shared.jobs.close();
+        self.shared.warm.close();
         // Routed tenants are cut loose first: their queues close so a
         // worker mid-push can never stall the join below waiting on a
         // writer that will not drain (disconnected tenants' late results
@@ -802,8 +841,10 @@ impl Engine {
         while let Some(r) = self.shared.results.pop() {
             out.push(r);
         }
-        for handle in self.handles.drain(..) {
-            handle.join().expect("engine worker panicked");
+        // The sampler exits once every queued prewarm is sampled, so the
+        // checkpoint below holds them.
+        for handle in self.handles.drain(..).chain(self.sampler.take()) {
+            handle.join().expect("engine thread panicked");
         }
         out[start..].sort_unstable_by_key(|r| r.id);
         self.shared.results.close();
@@ -831,10 +872,24 @@ impl Engine {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        // A dropped engine must not leave shards parked on the queues.
+        // A dropped engine must not leave shards or its sampler parked
+        // on the queues.
         self.shared.jobs.close();
+        self.shared.warm.close();
         self.shared.results.close();
         self.shared.close_routes();
+    }
+}
+
+/// The engine's sampler: fills the claims [`Engine::prewarm`] queued, in
+/// order, until the queue is closed and drained.
+fn sampler_main(shared: &Shared) {
+    while let Some(key) = shared.warm.pop() {
+        // A panicking sample abandons only its own claim; the claims
+        // queued behind it are still filled.
+        let sample = || drop(shared.cache.resume(key).sample());
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(sample));
+        shared.warming.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -1324,6 +1379,63 @@ mod tests {
         assert_eq!(stats.jobs_completed, 12);
         assert_eq!(stats.cache_misses, 0, "a prewarmed node must see no cold miss");
         assert_eq!(stats.cache_hits, 12);
+    }
+
+    #[test]
+    fn traffic_on_a_prewarmed_key_waits_for_the_one_sample() {
+        // The prewarm claims the key before any job exists, so every job
+        // finds it resident or claimed: one sample in all, no miss.
+        let engine = Engine::start(EngineConfig::with_workers(2));
+        let shared = Arc::clone(&engine.shared);
+        let specs: Vec<JobSpec> = (0..8).map(spec).collect();
+        let key = DesignKey::of(&specs[0]);
+        engine.prewarm(&[key]);
+        let mut out = Vec::new();
+        engine.run_batch(&specs, &mut out);
+        engine.prewarm(&[key]); // resident: costs nothing
+        let stats = engine.shutdown();
+        assert_eq!(out.len(), 8);
+        assert_eq!(shared.cache.samples(), 1, "the prewarm's sample served every job");
+        assert_eq!((stats.cache_hits, stats.cache_misses), (8, 0));
+    }
+
+    #[test]
+    fn prewarms_past_the_sampler_queue_are_dropped_and_counted() {
+        // Keys big enough that sampling one takes far longer than
+        // claiming all of them, so the burst outruns the sampler.
+        let specs: Vec<JobSpec> = (0..12)
+            .map(|i| JobSpec { n: 1000, m: 200, design: DesignSpec::random_regular(i), ..spec(i) })
+            .collect();
+        let keys: Vec<DesignKey> = specs.iter().map(DesignKey::of).collect();
+        let n = keys.len() as u64;
+        let config = EngineConfig { design_cache_capacity: 3, ..EngineConfig::with_workers(1) };
+
+        // Without traffic: every key is sampled once or counted dropped,
+        // and the cache holds what was sampled.
+        let engine = Engine::start(config);
+        let shared = Arc::clone(&engine.shared);
+        engine.prewarm(&keys);
+        let dropped = engine.metrics().get(Metric::PrewarmsDropped);
+        assert!(dropped > 0, "a burst past the queue must drop");
+        let stats = engine.shutdown(); // joins the sampler
+        let warmed = n - dropped;
+        assert_eq!(shared.cache.samples(), warmed, "every queued claim sampled exactly once");
+        assert_eq!(stats.cache_len as u64, warmed.min(3));
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0), "prewarming is not traffic");
+
+        // Traffic right behind the burst: a dropped key's job samples it
+        // as a counted miss, and no job parks on an abandoned claim.
+        let engine = Engine::start(config);
+        let shared = Arc::clone(&engine.shared);
+        engine.prewarm(&keys);
+        let dropped = engine.metrics().get(Metric::PrewarmsDropped);
+        let mut out = Vec::new();
+        engine.run_batch(&specs, &mut out);
+        let stats = engine.shutdown();
+        assert_eq!(out.len(), keys.len());
+        assert_eq!(stats.cache_hits + stats.cache_misses, n);
+        assert!(stats.cache_misses >= dropped, "each dropped key is its job's miss");
+        assert_eq!(shared.cache.samples(), stats.cache_misses + (n - dropped));
     }
 
     #[test]

@@ -144,9 +144,9 @@ impl JobSpec {
 
     /// Non-panicking form of [`Self::validate`]'s checks. The transport
     /// server uses this to answer an infeasible remote spec with a
-    /// `REJECT` frame instead of letting a panic unwind a reader thread.
+    /// `REJECT` frame instead of letting a panic unwind its event loop.
     pub fn is_feasible(&self) -> bool {
-        self.n > 0 && self.m > 0 && self.k <= self.n && (1..=1000).contains(&self.design.c_milli)
+        self.k <= self.n && self.design_key().is_feasible()
     }
 
     /// The design-cache key this job resolves to — also the cluster

@@ -26,7 +26,7 @@
 //!   [`telemetry::MetricsRegistry`] of named counters, per-job
 //!   [`telemetry::JobTrace`] span timelines under a sampling knob, the
 //!   bounded [`telemetry::FlightRecorder`] (trace + causal rings,
-//!   JSON-dumpable), and Prometheus/JSON exposition renderers — all
+//!   JSON-dumpable), and a Prometheus exposition renderer — all
 //!   zero-allocation on the serving hot path and fingerprint-invisible
 //!   at any sampling rate.
 //! * [`traffic`] — deterministic load profiles and Poisson arrivals for
@@ -78,6 +78,8 @@ pub mod cluster;
 pub mod codec;
 pub mod durability;
 pub mod engine;
+#[cfg(test)]
+mod interleave;
 pub mod job;
 pub mod queue;
 pub mod registry;
@@ -94,8 +96,8 @@ pub use job::{DecoderKind, DesignSpec, JobResult, JobSpec};
 pub use queue::BoundedQueue;
 pub use registry::{decoder, DecodeScratch, EngineDecoder, Truth};
 pub use telemetry::{
-    render_json, render_prometheus, FlightRecorder, JobTrace, Metric, MetricsRegistry,
-    MetricsSnapshot, TelemetryConfig,
+    render_prometheus, FlightRecorder, JobTrace, Metric, MetricsRegistry, MetricsSnapshot,
+    TelemetryConfig,
 };
 pub use traffic::{poisson_arrivals, LoadProfile, PreparedProfile};
 pub use transport::{TransportClient, TransportConfig, TransportServer};

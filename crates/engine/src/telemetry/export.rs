@@ -1,12 +1,14 @@
-//! Exposition renderers: Prometheus text format and JSON over one
+//! The exposition renderer: Prometheus text format over one
 //! engine-stats snapshot plus an optional metrics-registry snapshot.
 //!
-//! Both renderers are cold paths (they allocate freely) fed by
-//! `engine_load`'s `telemetry` scenario and by anything that wants to
-//! scrape a node. The metric names are a wire contract — the README's metric
-//! table and the CI smoke greps pin them — so they live in exactly two
-//! places: [`Metric::name`] for the registry counters and the string
-//! literals here for the snapshot-derived series.
+//! A cold path (it allocates freely) fed by `engine_load`'s `telemetry`
+//! scenario and by anything that wants to scrape a node. The metric
+//! names are a wire contract — the README's metric table and the CI
+//! smoke greps pin them — so they live in exactly two places:
+//! [`Metric::name`] for the registry counters and the string literals
+//! here for the snapshot-derived series.
+
+use std::fmt::Write;
 
 use pooled_lab::histogram::LatencyHistogram;
 use pooled_stats::summary::Summary;
@@ -14,77 +16,37 @@ use pooled_stats::summary::Summary;
 use super::registry::{Metric, MetricsSnapshot};
 use crate::engine::EngineStats;
 
-fn counter(out: &mut String, name: &str, value: u64) {
-    out.push_str("# TYPE ");
-    out.push_str(name);
-    out.push_str(" counter\n");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(&value.to_string());
-    out.push('\n');
-}
+// `write!` into a `String` cannot fail, so its `Result` is ignored.
 
-fn gauge(out: &mut String, name: &str, value: u64) {
-    out.push_str("# TYPE ");
-    out.push_str(name);
-    out.push_str(" gauge\n");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(&value.to_string());
-    out.push('\n');
+fn scalar(out: &mut String, kind: &str, name: &str, value: u64) {
+    let _ = write!(out, "# TYPE {name} {kind}\n{name} {value}\n");
 }
 
 fn summary_family(out: &mut String, name: &str, s: &Summary) {
-    out.push_str("# TYPE ");
-    out.push_str(name);
-    out.push_str(" gauge\n");
-    for (stat, v) in [
-        ("mean", s.mean()),
-        ("min", if s.count() == 0 { 0.0 } else { s.min() }),
-        ("max", if s.count() == 0 { 0.0 } else { s.max() }),
-    ] {
-        out.push_str(name);
-        out.push_str("{stat=\"");
-        out.push_str(stat);
-        out.push_str("\"} ");
-        out.push_str(&format!("{v}"));
-        out.push('\n');
+    let _ = writeln!(out, "# TYPE {name} gauge");
+    let (min, max) = if s.count() == 0 { (0.0, 0.0) } else { (s.min(), s.max()) };
+    for (stat, v) in [("mean", s.mean()), ("min", min), ("max", max)] {
+        let _ = writeln!(out, "{name}{{stat=\"{stat}\"}} {v}");
     }
-    out.push_str(name);
-    out.push_str("_count ");
-    out.push_str(&s.count().to_string());
-    out.push('\n');
+    let _ = writeln!(out, "{name}_count {}", s.count());
 }
 
 fn histogram_family(out: &mut String, name: &str, h: &LatencyHistogram) {
-    out.push_str("# TYPE ");
-    out.push_str(name);
-    out.push_str(" histogram\n");
+    let _ = writeln!(out, "# TYPE {name} histogram");
     let mut cumulative = 0u64;
     for (i, &c) in h.bucket_counts().iter().enumerate() {
         if c == 0 {
             continue; // sparse exposition: only occupied buckets
         }
         cumulative = cumulative.saturating_add(c);
-        out.push_str(name);
-        out.push_str("_bucket{le=\"");
-        out.push_str(&LatencyHistogram::bucket_upper_micros(i).to_string());
-        out.push_str("\"} ");
-        out.push_str(&cumulative.to_string());
-        out.push('\n');
+        let le = LatencyHistogram::bucket_upper_micros(i);
+        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
     }
-    out.push_str(name);
-    out.push_str("_bucket{le=\"+Inf\"} ");
-    out.push_str(&h.count().to_string());
-    out.push('\n');
-    out.push_str(name);
-    out.push_str("_sum ");
-    out.push_str(&h.sum_micros().to_string());
-    out.push('\n');
-    out.push_str(name);
-    out.push_str("_count ");
-    out.push_str(&h.count().to_string());
-    out.push('\n');
+    let (count, sum) = (h.count(), h.sum_micros());
+    let _ = write!(
+        out,
+        "{name}_bucket{{le=\"+Inf\"}} {count}\n{name}_sum {sum}\n{name}_count {count}\n"
+    );
 }
 
 /// Render a Prometheus text-format exposition of `stats`, plus every
@@ -100,104 +62,25 @@ pub fn render_prometheus(stats: &EngineStats, metrics: Option<&MetricsSnapshot>)
     match metrics {
         Some(snap) => {
             for m in Metric::ALL {
-                if m.is_gauge() {
-                    gauge(&mut out, m.name(), snap.get(m));
-                } else {
-                    counter(&mut out, m.name(), snap.get(m));
-                }
+                let kind = if m.is_gauge() { "gauge" } else { "counter" };
+                scalar(&mut out, kind, m.name(), snap.get(m));
             }
         }
         None => {
-            counter(&mut out, Metric::JobsCompleted.name(), stats.jobs_completed);
-            counter(&mut out, Metric::JobsPoisoned.name(), stats.jobs_poisoned);
-            counter(&mut out, Metric::ExactRecoveries.name(), stats.exact_recoveries);
+            scalar(&mut out, "counter", Metric::JobsCompleted.name(), stats.jobs_completed);
+            scalar(&mut out, "counter", Metric::JobsPoisoned.name(), stats.jobs_poisoned);
+            scalar(&mut out, "counter", Metric::ExactRecoveries.name(), stats.exact_recoveries);
         }
     }
-    counter(&mut out, "pooled_cache_hits_total", stats.cache_hits);
-    counter(&mut out, "pooled_cache_misses_total", stats.cache_misses);
-    gauge(&mut out, "pooled_cache_len", stats.cache_len as u64);
-    gauge(&mut out, "pooled_queued_jobs", stats.queued_jobs as u64);
-    gauge(&mut out, "pooled_pending_results", stats.pending_results as u64);
-    gauge(&mut out, "pooled_workers", stats.workers as u64);
+    scalar(&mut out, "counter", "pooled_cache_hits_total", stats.cache_hits);
+    scalar(&mut out, "counter", "pooled_cache_misses_total", stats.cache_misses);
+    scalar(&mut out, "gauge", "pooled_cache_len", stats.cache_len as u64);
+    scalar(&mut out, "gauge", "pooled_queued_jobs", stats.queued_jobs as u64);
+    scalar(&mut out, "gauge", "pooled_pending_results", stats.pending_results as u64);
+    scalar(&mut out, "gauge", "pooled_workers", stats.workers as u64);
     summary_family(&mut out, "pooled_total_latency_micros", &stats.total_latency);
     summary_family(&mut out, "pooled_decode_latency_micros", &stats.decode_latency);
     histogram_family(&mut out, "pooled_job_latency_micros", &stats.histogram);
-    out
-}
-
-fn json_field(out: &mut String, first: &mut bool, name: &str, value: String) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push('"');
-    out.push_str(name);
-    out.push_str("\":");
-    out.push_str(&value);
-}
-
-/// Render the same exposition as a flat JSON object (name → number),
-/// with the latency summaries expanded to `_mean`/`_min`/`_max`/`_count`
-/// fields and the histogram reduced to `_p50`/`_p95`/`_p99`/`_count`.
-pub fn render_json(stats: &EngineStats, metrics: Option<&MetricsSnapshot>) -> String {
-    let mut out = String::with_capacity(2048);
-    out.push('{');
-    let mut first = true;
-    match metrics {
-        Some(snap) => {
-            for (name, value) in snap.iter() {
-                json_field(&mut out, &mut first, name, value.to_string());
-            }
-        }
-        None => {
-            json_field(
-                &mut out,
-                &mut first,
-                Metric::JobsCompleted.name(),
-                stats.jobs_completed.to_string(),
-            );
-            json_field(
-                &mut out,
-                &mut first,
-                Metric::JobsPoisoned.name(),
-                stats.jobs_poisoned.to_string(),
-            );
-            json_field(
-                &mut out,
-                &mut first,
-                Metric::ExactRecoveries.name(),
-                stats.exact_recoveries.to_string(),
-            );
-        }
-    }
-    json_field(&mut out, &mut first, "pooled_cache_hits_total", stats.cache_hits.to_string());
-    json_field(&mut out, &mut first, "pooled_cache_misses_total", stats.cache_misses.to_string());
-    json_field(&mut out, &mut first, "pooled_cache_len", stats.cache_len.to_string());
-    json_field(&mut out, &mut first, "pooled_queued_jobs", stats.queued_jobs.to_string());
-    json_field(&mut out, &mut first, "pooled_pending_results", stats.pending_results.to_string());
-    json_field(&mut out, &mut first, "pooled_workers", stats.workers.to_string());
-    for (name, s) in [
-        ("pooled_total_latency_micros", &stats.total_latency),
-        ("pooled_decode_latency_micros", &stats.decode_latency),
-    ] {
-        json_field(&mut out, &mut first, &format!("{name}_mean"), format!("{}", s.mean()));
-        let (min, max) = if s.count() == 0 { (0.0, 0.0) } else { (s.min(), s.max()) };
-        json_field(&mut out, &mut first, &format!("{name}_min"), format!("{min}"));
-        json_field(&mut out, &mut first, &format!("{name}_max"), format!("{max}"));
-        json_field(&mut out, &mut first, &format!("{name}_count"), s.count().to_string());
-    }
-    let h = &stats.histogram;
-    for (q, label) in [(0.50, "p50"), (0.95, "p95"), (0.99, "p99")] {
-        let v = if h.count() == 0 { 0 } else { h.quantile_micros(q) };
-        json_field(
-            &mut out,
-            &mut first,
-            &format!("pooled_job_latency_micros_{label}"),
-            v.to_string(),
-        );
-    }
-    json_field(&mut out, &mut first, "pooled_job_latency_micros_count", h.count().to_string());
-    out.push('}');
     out
 }
 
@@ -287,15 +170,10 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
-        let json = render_json(&stats(), Some(&snap));
-        assert!(json.contains("\"pooled_transport_connections\":11"), "{json}");
-        assert!(json.contains("\"pooled_reactor_wakeups_total\":41"), "{json}");
-        assert!(json.contains("\"pooled_reactor_read_budget_exhausted_total\":1"), "{json}");
-        assert!(json.contains("\"pooled_transport_idle_evictions_total\":1"), "{json}");
     }
 
     #[test]
-    fn readiness_metrics_expose_in_both_formats() {
+    fn readiness_metrics_expose_with_counter_types() {
         let reg = MetricsRegistry::new();
         reg.add(Metric::TransportTicks, 500);
         reg.add(Metric::TransportReadyFds, 750);
@@ -311,15 +189,6 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
-        let json = render_json(&stats(), Some(&snap));
-        for needle in [
-            "\"pooled_transport_ticks_total\":500",
-            "\"pooled_transport_ready_fds_total\":750",
-            "\"pooled_transport_writev_calls_total\":320",
-            "\"pooled_transport_partial_writes_total\":6",
-        ] {
-            assert!(json.contains(needle), "missing {needle:?} in:\n{json}");
-        }
     }
 
     #[test]
@@ -331,35 +200,9 @@ mod tests {
     }
 
     #[test]
-    fn json_exposition_carries_the_wal_counters() {
-        let reg = MetricsRegistry::new();
-        reg.add(Metric::WalAppends, 3);
-        reg.inc(Metric::RecoveryTornTail);
-        let snap = reg.snapshot();
-        let text = render_json(&stats(), Some(&snap));
-        assert!(text.contains("\"pooled_wal_appends_total\":3"), "{text}");
-        assert!(text.contains("\"pooled_recovery_torn_tail_total\":1"), "{text}");
-        assert!(text.contains("\"pooled_wal_fsyncs_total\":0"), "{text}");
-    }
-
-    #[test]
-    fn json_exposition_is_balanced_and_complete() {
-        let text = render_json(&stats(), None);
-        assert!(text.starts_with('{') && text.ends_with('}'));
-        assert!(text.contains("\"pooled_jobs_completed_total\":10"));
-        assert!(text.contains("\"pooled_job_latency_micros_p95\":"));
-        assert!(text.contains("\"pooled_total_latency_micros_count\":10"));
-        assert_eq!(text.matches('{').count(), text.matches('}').count());
-    }
-
-    #[test]
     fn empty_stats_render_without_panicking() {
         let empty = EngineStats::zero();
         let text = render_prometheus(&empty, None);
         assert!(text.contains("pooled_job_latency_micros_count 0"));
-        let json = render_json(&empty, None);
-        assert!(json.contains("\"pooled_job_latency_micros_p50\":0"));
-        // min/max render as 0, not ±Inf (which JSON cannot carry).
-        assert!(!json.contains("inf"), "no infinities in JSON: {json}");
     }
 }

@@ -24,7 +24,7 @@
 //!   cluster tier (failover, stale events, chaos injections, scrape
 //!   timeouts), overwriting the oldest entry instead of allocating.
 //!   Dumpable as JSON for postmortems.
-//! * [`export`] — Prometheus-text and JSON exposition renderers over an
+//! * [`export`] — the Prometheus-text exposition renderer over an
 //!   [`EngineStats`] snapshot and a registry snapshot (used by
 //!   `engine_load`'s `telemetry` scenario).
 //!
@@ -35,7 +35,7 @@ pub mod recorder;
 pub mod registry;
 pub mod trace;
 
-pub use export::{render_json, render_prometheus};
+pub use export::render_prometheus;
 pub use recorder::{CausalKind, CausalRecord, FlightRecorder};
 pub use registry::{Metric, MetricsRegistry, MetricsSnapshot, METRIC_COUNT};
 pub use trace::{JobTrace, Span, TRACE_SPANS};

@@ -23,8 +23,11 @@
 //!
 //! `PREWARM` — a [`DesignKey`] in the codec's 32-byte key layout.
 //! Client → server, fire-and-forget: warm the node's design cache for
-//! this key (the router's standby-warming path). No reply — a node that
-//! cannot warm simply pays the miss later.
+//! this key (the router's standby-warming path). The server only claims
+//! the key and queues it for its engine's sampler thread
+//! ([`crate::engine::Engine::prewarm`]), so the frame never stalls the
+//! event loop that reads it. No reply — a node that cannot warm, or
+//! whose sampler queue is full, simply pays the miss later.
 //!
 //! `STATS` — a token-correlated [`EngineStats`] snapshot, 7992 bytes
 //! (server → client, answering `STATS_REQUEST`): the echoed request

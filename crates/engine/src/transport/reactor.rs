@@ -536,6 +536,7 @@ pub fn raise_fd_limit(want: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interleave::{self, Flow};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -614,50 +615,31 @@ mod tests {
     /// interleavings walked, or the first one (as `(thread, step)` pairs,
     /// thread 0 the loop) that broke the protocol.
     fn explore(order: [DrainStep; 2]) -> Result<usize, String> {
-        fn walk(
-            m: Model,
-            pcs: [usize; 3],
-            threads: &[[Step; 3]; 3],
-            trace: &mut Vec<(usize, Step)>,
-        ) -> Result<usize, String> {
-            let mut walked = 0;
-            for t in 0..3 {
-                let Some(&step) = threads[t].get(pcs[t]) else { continue };
-                let mut next = m;
-                match step {
-                    Step::Post => next.inbox += 1,
-                    Step::Swap => next.writes[t - 1] = !std::mem::replace(&mut next.armed, true),
-                    Step::Write => next.pipe += u32::from(next.writes[t - 1]),
-                    Step::Drain(DrainStep::ReadDry) => next.pipe = 0,
-                    Step::Drain(DrainStep::Disarm) => next.armed = false,
-                    Step::Consume => next.inbox = 0,
-                }
-                let mut next_pcs = pcs;
-                next_pcs[t] += 1;
-                trace.push((t, step));
-                walked += walk(next, next_pcs, threads, trace)?;
-                trace.pop();
-            }
-            if walked > 0 {
-                return Ok(walked);
-            }
-            if m.inbox > 0 && m.pipe == 0 {
-                return Err(format!("posted item stranded over an empty pipe: {trace:?}"));
-            }
-            if m.armed && m.pipe == 0 {
-                return Err(format!("armed over an empty pipe, later wakes skipped: {trace:?}"));
-            }
-            Ok(1)
-        }
         let waker = [Step::Post, Step::Swap, Step::Write];
-        let threads = [[Step::Drain(order[0]), Step::Drain(order[1]), Step::Consume], waker, waker];
+        let tick = [Step::Drain(order[0]), Step::Drain(order[1]), Step::Consume];
         let idle = Model { inbox: 0, pipe: 0, armed: false, writes: [false; 2] };
         let roused = Model { inbox: 1, pipe: 1, armed: true, writes: [false; 2] };
-        let mut walked = 0;
-        for start in [idle, roused] {
-            walked += walk(start, [0; 3], &threads, &mut Vec::new())?;
-        }
-        Ok(walked)
+        let step = |m: &mut Model, t: usize, step: Step| {
+            match step {
+                Step::Post => m.inbox += 1,
+                Step::Swap => m.writes[t - 1] = !std::mem::replace(&mut m.armed, true),
+                Step::Write => m.pipe += u32::from(m.writes[t - 1]),
+                Step::Drain(DrainStep::ReadDry) => m.pipe = 0,
+                Step::Drain(DrainStep::Disarm) => m.armed = false,
+                Step::Consume => m.inbox = 0,
+            }
+            Flow::Next
+        };
+        let check = |m: &Model| {
+            if m.inbox > 0 && m.pipe == 0 {
+                return Err("posted item stranded over an empty pipe");
+            }
+            if m.armed && m.pipe == 0 {
+                return Err("armed over an empty pipe, later wakes skipped");
+            }
+            Ok(())
+        };
+        interleave::explore(&[idle, roused], [&tick, &waker, &waker], step, check)
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //!                              ├─ readable ► budgeted read ► FrameAssembler
 //!                              │      SUBMIT ► engine.try_submit_routed_stamped (full queue ⇒ BUSY(id))
 //!                              │      infeasible ⇒ REJECT(id)   (never a silent drop)
+//!                              │      PREWARM ► engine.prewarm (claims the key; the engine's sampler samples it)
 //!                              ├─ route waker ► route.try_recv drain ► segment queue
 //!                              └─ writable ► vectored writev, resume at head offset
 //! ```
@@ -64,6 +65,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::cache::DesignKey;
 use crate::engine::{Engine, ResultRoute, SubmitError};
 use crate::queue::TryPop;
 use crate::telemetry::{Metric, MetricsRegistry};
@@ -89,11 +91,11 @@ pub struct TransportConfig {
     /// never park an engine worker on its full result queue — tenant
     /// isolation is a liveness guarantee, not just a routing one.
     pub route_capacity: usize,
-    /// Upper bound on a remote spec's `n` and `m`. `is_feasible` admits
-    /// any self-consistent shape, but a network peer could send a
-    /// well-formed `SUBMIT` whose buffers would exhaust memory and take
-    /// every tenant down; anything larger than this is `REJECT`ed at
-    /// the door.
+    /// Upper bound on a remote design key's `n` and `m`. `is_feasible`
+    /// admits any self-consistent shape, but a network peer could send
+    /// a well-formed `SUBMIT` or `PREWARM` whose buffers would exhaust
+    /// memory and take every tenant down; a larger `SUBMIT` is
+    /// `REJECT`ed at the door, a larger `PREWARM` ignored.
     pub max_dimension: usize,
     /// Event-loop threads. Connections are assigned at accept time
     /// (`conn_id % event_loops`); each loop multiplexes its share
@@ -115,6 +117,14 @@ pub struct TransportConfig {
     pub max_connections: usize,
     /// Readiness backend; epoll is the only one.
     pub backend: BackendChoice,
+}
+
+impl TransportConfig {
+    /// Whether `key`'s shape is within [`Self::max_dimension`] on both
+    /// axes: the one door check every remote design key passes.
+    fn fits(&self, key: &DesignKey) -> bool {
+        key.n <= self.max_dimension && key.m <= self.max_dimension
+    }
 }
 
 impl Default for TransportConfig {
@@ -901,10 +911,7 @@ fn process_frames(conn: &mut Conn, shared: &ServerShared) -> bool {
                 // peers must not be able to panic the server with a bad
                 // spec, nor OOM the process with a well-formed spec whose
                 // buffers would be astronomically large.
-                if !spec.is_feasible()
-                    || spec.n > shared.config.max_dimension
-                    || spec.m > shared.config.max_dimension
-                {
+                if !spec.is_feasible() || !shared.config.fits(&spec.design_key()) {
                     shared.metrics.inc(Metric::JobsRejected);
                     conn.wire.send_segment(&Frame::Reject(spec.id));
                 } else if conn.pending >= shared.config.route_capacity {
@@ -933,16 +940,11 @@ fn process_frames(conn: &mut Conn, shared: &ServerShared) -> bool {
                 // pending slot). Same door policy as SUBMIT: a shape past
                 // the dimension cap could OOM the node via the sampler,
                 // so oversized or degenerate keys are silently ignored —
-                // the worst case is a cold miss later.
-                if key.n == 0
-                    || key.m == 0
-                    || key.n > shared.config.max_dimension
-                    || key.m > shared.config.max_dimension
-                    || !(1..=1000).contains(&key.c_milli)
-                {
-                    continue;
+                // the worst case is a cold miss later. The engine only
+                // claims the key here; its sampler thread samples it.
+                if key.is_feasible() && shared.config.fits(&key) {
+                    shared.engine.prewarm(std::slice::from_ref(&key));
                 }
-                shared.engine.prewarm(std::slice::from_ref(&key));
             }
             Frame::StatsRequest(token) => {
                 // Scrape: answer with the engine's stats, echoing the
@@ -1014,6 +1016,7 @@ fn write_conn(conn: &mut Conn, shared: &ServerShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interleave::{self, Flow};
 
     /// Encoded wire bytes of one BUSY frame (convenient fixed-size
     /// segment for queue arithmetic).
@@ -1161,61 +1164,34 @@ mod tests {
     /// first one (as `(thread, step)` pairs, thread 0 the loop) that
     /// broke the protocol.
     fn explore(order: [RouteDrainStep; 2]) -> Result<usize, String> {
-        fn walk(
-            m: Model,
-            pcs: [usize; 3],
-            order: [RouteDrainStep; 2],
-            trace: &mut Vec<(usize, Step)>,
-        ) -> Result<usize, String> {
-            const WORKER: [Step; 3] = [Step::Push, Step::Swap, Step::Post];
-            let mut walked = 0;
-            for t in 0..3 {
-                let step = if t == 0 {
-                    order.get(pcs[0]).map(|&s| Step::Drain(s))
-                } else {
-                    WORKER.get(pcs[t]).copied()
-                };
-                let Some(step) = step else { continue };
-                let mut next = m;
-                let mut next_pcs = pcs;
-                next_pcs[t] += 1;
-                match step {
-                    Step::Drain(RouteDrainStep::Clear) => next.queued = false,
-                    Step::Drain(RouteDrainStep::RecvDry) if next.results > 0 => {
-                        next.results -= 1;
-                        next_pcs[t] = pcs[t]; // `Item`: receive again
-                    }
-                    Step::Drain(RouteDrainStep::RecvDry) => {} // `Empty`: done
-                    Step::Push => next.results += 1,
-                    Step::Swap => {
-                        next.found_clear[t - 1] = !std::mem::replace(&mut next.queued, true);
-                    }
-                    Step::Post => next.posts += u32::from(next.found_clear[t - 1]),
-                }
-                trace.push((t, step));
-                walked += walk(next, next_pcs, order, trace)?;
-                trace.pop();
-            }
-            if walked > 0 {
-                return Ok(walked);
-            }
-            if m.results > 0 && m.posts == 0 {
-                return Err(format!("result stranded with no post pending: {trace:?}"));
-            }
-            if m.queued && m.posts == 0 {
-                return Err(format!(
-                    "`queued` set with no post pending, later results never post: {trace:?}"
-                ));
-            }
-            Ok(1)
-        }
+        let drain = order.map(Step::Drain);
+        let worker = [Step::Push, Step::Swap, Step::Post];
         let roused = Model { results: 1, queued: true, posts: 0, found_clear: [false; 2] };
         let stale = Model { results: 0, ..roused };
-        let mut walked = 0;
-        for start in [roused, stale] {
-            walked += walk(start, [0; 3], order, &mut Vec::new())?;
-        }
-        Ok(walked)
+        let step = |m: &mut Model, t: usize, step: Step| {
+            match step {
+                Step::Drain(RouteDrainStep::Clear) => m.queued = false,
+                Step::Drain(RouteDrainStep::RecvDry) if m.results > 0 => {
+                    m.results -= 1;
+                    return Flow::Again; // `Item`: receive again
+                }
+                Step::Drain(RouteDrainStep::RecvDry) => {} // `Empty`: done
+                Step::Push => m.results += 1,
+                Step::Swap => m.found_clear[t - 1] = !std::mem::replace(&mut m.queued, true),
+                Step::Post => m.posts += u32::from(m.found_clear[t - 1]),
+            }
+            Flow::Next
+        };
+        let check = |m: &Model| {
+            if m.results > 0 && m.posts == 0 {
+                return Err("result stranded with no post pending");
+            }
+            if m.queued && m.posts == 0 {
+                return Err("`queued` set with no post pending, later results never post");
+            }
+            Ok(())
+        };
+        interleave::explore(&[roused, stale], [&drain, &worker, &worker], step, check)
     }
 
     #[test]

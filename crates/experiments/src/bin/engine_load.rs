@@ -640,7 +640,7 @@ fn failover(ctx: &Ctx) -> Outcome {
 }
 
 /// Sum of design-cache misses over every live node except `victim`.
-/// `DesignCache::prewarm` is telemetry-silent, so a zero delta across the
+/// `Engine::prewarm` is telemetry-silent, so a zero delta across the
 /// kill shows the HRW top-2 standby prewarm (not luck) kept the
 /// survivors warm.
 fn survivor_misses(router: &Router, victim: u64) -> u64 {

@@ -28,7 +28,7 @@ use std::time::Duration;
 use pooled_data::engine::cluster::chaos::{self, ChaosConfig, ChaosController};
 use pooled_data::engine::cluster::{FailoverConfig, LocalNode, NodeHandle, RemoteNode, Router};
 use pooled_data::engine::engine::{Engine, EngineConfig};
-use pooled_data::engine::job::{DecoderKind, JobResult, JobSpec};
+use pooled_data::engine::job::{DecoderKind, DesignSpec, JobResult, JobSpec};
 use pooled_data::engine::telemetry::{Metric, MetricsRegistry};
 use pooled_data::engine::traffic::LoadProfile;
 use pooled_data::engine::transport::{TransportConfig, TransportServer};
@@ -142,6 +142,60 @@ fn killing_a_node_mid_stream_loses_no_jobs_and_no_bits() {
         let miss_delta = stats.as_ref().expect("local stats").cache_misses - misses_before[&id];
         assert_eq!(miss_delta, 0, "node {id} paid {miss_delta} cold misses after failover");
     }
+    router.shutdown();
+}
+
+#[test]
+fn standby_prewarm_samples_off_the_submitting_thread() {
+    // The router prewarms a new key's standby as it routes the key's
+    // first job. The standby's sampler thread does the sampling, so
+    // `submit` returns before the design is resident there; the design
+    // arrives later, and the job's bits are the in-process ones.
+    let spec = JobSpec {
+        id: 0,
+        n: 4000,
+        k: 8,
+        m: 400,
+        design: DesignSpec::random_regular(77),
+        decoder: DecoderKind::Mn,
+        seed: 5,
+        query_cost_micros: 0,
+    };
+    let key = spec.design_key();
+    let nodes: Vec<(u64, Box<dyn NodeHandle>)> = (0..2u64)
+        .map(|id| (id, Box::new(LocalNode::start(node_config(1))) as Box<dyn NodeHandle>))
+        .collect();
+    let mut router = Router::new(nodes, 8);
+    let standby = router.membership().standby(&key).expect("two nodes give a standby");
+    let standby_designs = |router: &Router| -> usize {
+        router
+            .stats()
+            .nodes
+            .iter()
+            .find(|(id, _)| *id == standby)
+            .and_then(|(_, s)| s.as_ref())
+            .expect("local stats")
+            .cache_len
+    };
+
+    router.submit(spec);
+    assert_eq!(
+        standby_designs(&router),
+        0,
+        "submit sampled the standby's design on its own thread"
+    );
+    let mut out = Vec::new();
+    assert_eq!(router.collect(1, &mut out), 1);
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    while standby_designs(&router) == 0 {
+        assert!(std::time::Instant::now() < deadline, "the standby never warmed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut want = Vec::new();
+    let reference = Engine::start(node_config(1));
+    reference.run_batch(&[spec], &mut want);
+    reference.shutdown();
+    assert_eq!(fingerprints(&out), fingerprints(&want));
     router.shutdown();
 }
 

@@ -231,6 +231,31 @@ fn crash_recovery_is_warm_and_bit_identical_to_a_never_crashed_run() {
 }
 
 #[test]
+fn live_prewarms_survive_a_clean_shutdown() {
+    // A live prewarm only queues its keys for the engine's sampler; a
+    // clean shutdown samples them before its checkpoint, so the next
+    // incarnation serves those keys without a cold miss.
+    let p = profile(4409);
+    let specs = p.specs(12);
+    let keys: Vec<DesignKey> = specs.iter().map(|s| s.design_key()).collect();
+    let dir = scratch_dir("live-prewarm");
+    let engine =
+        Engine::start_durable(config(), DurabilityConfig::new(&dir)).expect("durable start");
+    engine.prewarm(&keys);
+    let first = engine.shutdown();
+    assert_eq!((first.cache_hits, first.cache_misses), (0, 0), "prewarming is not traffic");
+
+    let engine =
+        Engine::start_durable(config(), DurabilityConfig::new(&dir)).expect("durable restart");
+    let mut out = Vec::new();
+    engine.run_batch(&specs, &mut out);
+    let stats = engine.shutdown();
+    assert_eq!(out.len(), specs.len());
+    assert_eq!(stats.cache_misses, 0, "the prewarmed keys must be warm after the restart");
+    fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
 fn stats_and_histograms_survive_a_clean_restart_cycle() {
     let p = profile(3307);
     let dir = scratch_dir("stats-survive");
@@ -399,8 +424,6 @@ fn wal_and_recovery_counters_surface_in_the_expositions() {
     ] {
         assert!(text.contains(needle), "missing {needle} in exposition");
     }
-    let json = pooled_data::engine::render_json(&stats, Some(&snap));
-    assert!(json.contains("\"pooled_recovery_records_replayed_total\":"));
     engine.shutdown();
     fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -13,15 +13,20 @@
 //!    `run_batch` submission, across worker counts and design-affinity
 //!    batch windows.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use pooled_data::design::factory::DesignKind;
+use pooled_data::engine::cache::DesignKey;
 use pooled_data::engine::engine::{Engine, EngineConfig};
 use pooled_data::engine::job::{DecoderKind, DesignSpec, JobResult, JobSpec};
+use pooled_data::engine::telemetry::Metric;
 use pooled_data::engine::traffic::LoadProfile;
-use pooled_data::engine::transport::frame::{decode_frame, encode_frame, Frame};
+use pooled_data::engine::transport::frame::{decode_frame, encode_frame, Frame, MAX_FRAME_LEN};
 use pooled_data::engine::transport::{TransportClient, TransportConfig, TransportServer};
 use pooled_data::lab::split::LatencySplit;
 
@@ -302,6 +307,114 @@ fn oversized_feasible_specs_are_rejected_at_the_door() {
     drop(client);
     server.stop();
     Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
+}
+
+/// A one-event-loop server in front of a one-worker engine that starts
+/// with `warm`'s design resident.
+fn one_loop_server(warm: &JobSpec, max_dimension: usize) -> (Arc<Engine>, TransportServer) {
+    let config = EngineConfig { design_cache_capacity: 4, ..EngineConfig::with_workers(1) };
+    let engine = Arc::new(Engine::start_prewarmed(config, &[warm.design_key()]));
+    let transport = TransportConfig { event_loops: 1, max_dimension, ..TransportConfig::default() };
+    let server =
+        TransportServer::bind(Arc::clone(&engine), "127.0.0.1:0", transport).expect("bind");
+    (engine, server)
+}
+
+#[test]
+fn a_prewarm_never_stalls_its_event_loop() {
+    // Tenant A asks for a big cold design; tenant B shares A's only
+    // event loop. The loop only claims A's key, and the engine's
+    // sampler samples it, so B's round trips keep completing meanwhile.
+    // A loop that sampled the key itself would write no reply to B
+    // until A's design was resident.
+    let warm = JobSpec {
+        id: 0,
+        n: 1000,
+        k: 8,
+        m: 300,
+        design: DesignSpec::random_regular(7),
+        decoder: DecoderKind::Mn,
+        seed: 1,
+        query_cost_micros: 0,
+    };
+    let (engine, server) = one_loop_server(&warm, TransportConfig::default().max_dimension);
+    let mut tenant_b = TransportClient::connect(server.local_addr()).expect("connect B");
+    let cold = DesignKey { n: 10_000, m: 1_000, ..warm.design_key() };
+    let mut tenant_a = TcpStream::connect(server.local_addr()).expect("connect A");
+    let mut frame = Vec::new();
+    encode_frame(&Frame::Prewarm(cold), &mut frame);
+    tenant_a.write_all(&frame).expect("write PREWARM");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.metrics().get(Metric::WireFramesRx) == 0 {
+        assert!(Instant::now() < deadline, "the PREWARM frame was never decoded");
+        std::thread::yield_now();
+    }
+
+    let (mut served, mut during_sample) = (0u64, 0u64);
+    let mut out = Vec::new();
+    while engine.stats().cache_len < 2 {
+        out.clear();
+        let job = JobSpec { id: served, seed: served, ..warm };
+        tenant_b.run_batch(&[job], &mut out).expect("B's round trip");
+        assert_eq!(out.len(), 1);
+        served += 1;
+        if engine.stats().cache_len < 2 {
+            during_sample += 1;
+        }
+    }
+    assert!(
+        during_sample > 0,
+        "none of B's {served} round trips completed while A's design was being sampled"
+    );
+    let stats = engine.stats();
+    assert_eq!(stats.cache_misses, 0, "B's key stayed warm and A's prewarm is not traffic");
+    drop((tenant_a, tenant_b));
+    server.stop();
+    Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
+}
+
+#[test]
+fn invalid_prewarms_sample_nothing_and_keep_the_connection() {
+    // PREWARM answers nothing, so a bad key is ignored at the door
+    // rather than refused: a degenerate shape, a zero density and a
+    // shape past `max_dimension` must all leave the cache untouched and
+    // the connection open, and the valid key behind them is warmed.
+    let warm = profile(31).spec(0);
+    let (engine, server) = one_loop_server(&warm, 1 << 10);
+    let mut tenant = TcpStream::connect(server.local_addr()).expect("connect");
+    let valid = DesignKey { seed: warm.design.seed ^ 1, ..warm.design_key() };
+    let mut bytes = Vec::new();
+    for key in [
+        DesignKey { n: 0, ..valid },
+        DesignKey { c_milli: 0, ..valid },
+        DesignKey { n: (1 << 10) + 1, ..valid },
+        valid,
+    ] {
+        let mut frame = Vec::new();
+        encode_frame(&Frame::Prewarm(key), &mut frame);
+        bytes.extend_from_slice(&frame);
+    }
+    let mut request = Vec::new();
+    encode_frame(&Frame::StatsRequest(77), &mut request);
+    bytes.extend_from_slice(&request);
+    tenant.write_all(&bytes).expect("write frames");
+
+    // Frames are served in order, so the STATS reply shows all four
+    // PREWARMs were handled, and the connection survived them.
+    let mut reply = vec![0u8; MAX_FRAME_LEN];
+    tenant.read_exact(&mut reply).expect("the connection must stay open");
+    match decode_frame(&reply).expect("a STATS frame") {
+        (Frame::Stats(stats), _) => assert_eq!(stats.token, 77),
+        (other, _) => panic!("expected STATS, got {other:?}"),
+    }
+    drop(tenant);
+    server.stop();
+    let engine = Arc::try_unwrap(engine).ok().expect("engine released");
+    assert_eq!(engine.metrics().get(Metric::PrewarmsDropped), 0);
+    // Shutdown joins the sampler, so this counts every key it was given.
+    let stats = engine.shutdown();
+    assert_eq!(stats.cache_len, 2, "exactly the valid PREWARM made a key resident");
+    assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0));
 }
 
 #[test]
