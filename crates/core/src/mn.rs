@@ -12,7 +12,8 @@
 //!   (the ×2 clears the `k/2` fraction), so ranking has no float ties.
 //! * Two accumulation strategies ([`DecodeStrategy`]): query-parallel
 //!   atomic *scatter* (works for any design) and entry-parallel *gather*
-//!   over the CSR transpose (no atomics). Identical results.
+//!   over the materialized design (no atomics; by popcount over the entry
+//!   bitmap where the design keeps one). Identical results.
 //! * Two selection paths ([`SelectionMethod`]): the faithful full
 //!   parallel sort of Algorithm 1 and an `O(n log k)` parallel top-k
 //!   selection. Identical results (deterministic tie-break by index).
@@ -21,7 +22,6 @@ use pooled_design::csr::CsrDesign;
 use pooled_design::fused::scatter_distinct_into;
 use pooled_design::{PoolingDesign, RandomRegularDesign};
 use pooled_par::sort::par_merge_sort_with;
-use pooled_par::topk::top_k_into;
 
 use crate::signal::Signal;
 use crate::workspace::MnWorkspace;
@@ -34,8 +34,14 @@ pub enum DecodeStrategy {
     Auto,
     /// Query-parallel atomic scatter-add (any design).
     Scatter,
-    /// Entry-parallel gather over the CSR transpose (materialized only;
-    /// falls back to scatter for streaming designs).
+    /// Entry-parallel gather (materialized only; falls back to scatter for
+    /// streaming designs) through `CsrDesign::gather_distinct_into`: by
+    /// popcount over the entry bitmap when the design keeps one (distinct
+    /// density ≥ 1/32) and `y` has few enough mixed bit-planes, else over
+    /// the transpose's query indices. At n = 10⁴, m = 862 the popcount
+    /// reads a 1.1 MiB bitmap where the index gather streams 13.6 MB, and
+    /// the serving engine's median `single_large` job (k = 16, 2-vCPU Xeon
+    /// VM) went from 1.49 ms to 0.54 ms of service time.
     Gather,
 }
 
@@ -128,7 +134,8 @@ impl MnDecoder {
         self.finish_with(n, ws);
     }
 
-    /// Gather-path decode for materialized designs (no atomics).
+    /// Gather-path decode for materialized designs (no atomics; popcount
+    /// over the entry bitmap where the design keeps one).
     pub fn decode_csr(&self, design: &CsrDesign, y: &[u64]) -> MnOutput {
         let mut ws = MnWorkspace::new();
         self.decode_csr_with(design, y, &mut ws);
@@ -215,9 +222,7 @@ impl MnDecoder {
     /// Lines 7–9 of Algorithm 1 over `ws.scores`: selection + estimate.
     fn select_with(&self, n: usize, ws: &mut MnWorkspace) {
         match self.selection {
-            SelectionMethod::TopK => {
-                top_k_into(&ws.scores[..n], self.k, &mut ws.support, &mut ws.topk);
-            }
+            SelectionMethod::TopK => ws.select_top_k(self.k),
             SelectionMethod::FullSort => {
                 ws.order.clear();
                 ws.order.extend(ws.scores[..n].iter().enumerate().map(|(i, &s)| (s, i as u32)));
@@ -227,12 +232,8 @@ impl MnDecoder {
                 ws.order.truncate(self.k.min(n));
                 ws.support.clear();
                 ws.support.extend(ws.order.iter().map(|&(_, i)| i as usize));
+                ws.mark_support();
             }
-        }
-        let estimate = &mut ws.estimate[..n];
-        estimate.fill(0);
-        for &i in &ws.support {
-            estimate[i] = 1;
         }
     }
 }

@@ -15,7 +15,7 @@
 //! same allocation profile as before.
 
 use pooled_design::fused::FusedArena;
-use pooled_par::topk::TopKScratch;
+use pooled_par::topk::{top_k_into, TopKScratch};
 
 use crate::signal::Signal;
 
@@ -126,6 +126,37 @@ impl MnWorkspace {
     pub fn sums_mut(&mut self) -> (&mut [u64], &mut [u64], &mut FusedArena) {
         let n = self.n;
         (&mut self.psi[..n], &mut self.dstar[..n], &mut self.arena)
+    }
+
+    /// Mutable `(psi, dstar, scores)` at the current problem size, for a
+    /// decoder outside this crate that accumulates and scores its own sums
+    /// (Threshold-MN). Call [`Self::prepare`] first and
+    /// [`Self::select_top_k`] after.
+    pub fn sums_and_scores_mut(&mut self) -> (&mut [u64], &mut [u64], &mut [i64]) {
+        let n = self.n;
+        (&mut self.psi[..n], &mut self.dstar[..n], &mut self.scores[..n])
+    }
+
+    /// Select the `k` best scores by `(score desc, index asc)` into the
+    /// support, in ranking order, and mark them in the dense estimate.
+    pub fn select_top_k(&mut self, k: usize) {
+        top_k_into(&self.scores[..self.n], k, &mut self.support, &mut self.topk);
+        self.mark_support();
+    }
+
+    /// Reorder the selected support ascending, in place (the estimate is
+    /// unchanged).
+    pub fn sort_support(&mut self) {
+        self.support.sort_unstable();
+    }
+
+    /// Set the dense estimate to the selected support.
+    pub(crate) fn mark_support(&mut self) {
+        let estimate = &mut self.estimate[..self.n];
+        estimate.fill(0);
+        for &i in &self.support {
+            estimate[i] = 1;
+        }
     }
 
     /// Move the selected support out into a [`Signal`] — the shared tail of

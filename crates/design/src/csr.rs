@@ -2,9 +2,35 @@
 //!
 //! Per query we store the *distinct* member entries together with their draw
 //! multiplicities (run-length encoding of the `Γ` draws), plus the transposed
-//! entry→queries adjacency used by the decoder's gather path. Construction is
-//! parallel over queries; the transpose is built with a count → scan →
-//! scatter pass using atomic write cursors.
+//! entry→queries adjacency. Construction is parallel over queries; the
+//! transpose is built with a count → scan → scatter pass using atomic write
+//! cursors.
+//!
+//! # The entry bitmap
+//!
+//! A design whose distinct density `nnz/(n·m)` is at least 1/32 also keeps
+//! its distinct incidences as an entry-major bitmap: row `i` is `⌈m/64⌉`
+//! `u64` words, and bit `q` of it is set when query `q` contains entry `i`.
+//! From that density up the bitmap takes no more bytes than the transpose's
+//! `u32` query indices; at the paper's `c = ½` it is 12–16× smaller (1.1 MiB
+//! against 13.6 MB at n = 10⁴, m = 862), so it stays in L2 while the indices
+//! stream from memory. It is built once, at construction, so sampling and
+//! snapshot reload both produce it, for every design family.
+//!
+//! [`CsrDesign::gather_distinct_into`] then sums by popcount. With `B_i`
+//! the row of entry `i` and `Y_b` bit-plane `b` of the query weights,
+//! `Ψ_i = Σ_b 2^b · popcount(B_i ∧ Y_b)` and `Δ*_i = popcount(B_i)`. Only
+//! the *mixed* planes are counted: a plane in which every weight has the
+//! bit clear adds nothing, and one in which every weight has it set adds
+//! `2^b · Δ*_i`. Every sum is an exact integer, so the popcount and the
+//! index gather over the transpose agree bit for bit. The index gather
+//! serves designs without a bitmap, and weights with more mixed planes
+//! than the measured crossover: 5/4 of the incidences per bitmap word,
+//! which is 30 planes at the paper's `c = ½` and 2 at the 1/32 cutoff.
+//! The popcount kernel runs per entry and writes nothing shared. On x86-64
+//! it runs the `popcnt` instruction when the CPU has one (detected at run
+//! time; the build targets baseline x86-64), and a portable count
+//! otherwise ([`PopcountArm`]).
 
 use rayon::prelude::*;
 
@@ -14,6 +40,49 @@ use pooled_rng::bounded::FixedBound;
 use pooled_rng::SeedSequence;
 
 use crate::PoolingDesign;
+
+/// A design keeps the entry bitmap when `32·nnz ≥ n·m`: from that distinct
+/// density up, `n·m/64` words take no more bytes than `nnz` `u32` indices.
+const BITMAP_DENSITY_RECIP: usize = 32;
+
+/// Crossover of the popcount kernel against the index gather, as the
+/// ratio `CROSSOVER.0 / CROSSOVER.1` of mixed weight bit-planes to
+/// incidences per bitmap word: [`CsrDesign::gather_distinct_into`] counts
+/// by popcount while `planes ≤ 5/4 · nnz / (n·⌈m/64⌉)`, and takes the
+/// index gather for wider weights. Per entry, the popcount kernel does one
+/// word operation per bitmap word and plane where the gather does one load
+/// per incidence, so the crossover scales with the incidences a bitmap
+/// word holds. Measured by `cargo bench -p pooled_bench --bench
+/// popcount_vs_gather` on one thread of a 2-vCPU Xeon (baseline x86-64
+/// build, `popcnt` arm) at n = 10⁴, m = 862: the popcount kernel stayed
+/// faster up to ≥ 24 planes at Γ = n/2 (24 incidences a word), 20 at n/4
+/// (13.6), 10 at n/8 (7.3), 5 at n/16 (3.7) and 3 at n/31 (1.95), about
+/// 1.4 planes per incidence a word; 5/4 sits just below. The paper's
+/// `c = ½` designs allow 30–39 planes; the served weights have 0–12
+/// (`y` 3–5, Bernoulli pool sizes 10–12, every other weight vector 0–1).
+const CROSSOVER: (usize, usize) = (5, 4);
+
+/// Words of weight bit-planes one pass of the popcount kernel holds on the
+/// stack (8 KiB). Weights with `p` mixed planes are counted over
+/// `1024 / p` words of queries per pass, so any `m` and any width up to 64
+/// planes decode without allocating; every served shape fits in one pass.
+const PLANE_WORDS: usize = 1024;
+
+/// Entries per task of the popcount kernel: one instruction dispatch per
+/// block, not per entry.
+const ENTRY_BLOCK: usize = 256;
+
+/// The two arms of the popcount kernel's instruction dispatch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PopcountArm {
+    /// The `popcnt` instruction when the CPU has one (detected at run
+    /// time on x86-64), else the portable count. What
+    /// [`CsrDesign::gather_distinct_into`] runs.
+    Native,
+    /// The portable count on every CPU: the fallback arm, callable on its
+    /// own so that hosts with `popcnt` still test it.
+    Portable,
+}
 
 /// Compressed sparse rows for both orientations of the bipartite multigraph.
 #[derive(Clone, Debug)]
@@ -33,6 +102,13 @@ pub struct CsrDesign {
     queries: Vec<u32>,
     /// Multiplicities matching `queries`.
     t_mults: Vec<u32>,
+    /// Entry-major distinct-incidence bitmap, `words` per entry (see
+    /// module docs); empty when the design is too sparse to keep one.
+    bits: Vec<u64>,
+    /// Words per bitmap row, `⌈m/64⌉`; 0 when there is no bitmap.
+    words: usize,
+    /// Most mixed weight planes counted by popcount (see [`CROSSOVER`]).
+    popcount_planes: u32,
 }
 
 impl CsrDesign {
@@ -147,7 +223,41 @@ impl CsrDesign {
                 cursors[ent] += 1;
             }
         }
-        Self { n, m, gamma, q_offsets, entries, mults, e_offsets, queries, t_mults }
+        let mut design = Self {
+            n,
+            m,
+            gamma,
+            q_offsets,
+            entries,
+            mults,
+            e_offsets,
+            queries,
+            t_mults,
+            bits: Vec::new(),
+            words: 0,
+            popcount_planes: 0,
+        };
+        design.build_bitmap();
+        design
+    }
+
+    /// Set the entry bitmap from the transpose when the distinct density
+    /// reaches 1/32 (entry-parallel; each row is written by one task).
+    fn build_bitmap(&mut self) {
+        if self.m == 0 || BITMAP_DENSITY_RECIP * self.nnz() < self.n * self.m {
+            return;
+        }
+        let words = self.m.div_ceil(64);
+        let mut bits = vec![0u64; self.n * words];
+        bits.par_chunks_mut(words).enumerate().for_each(|(i, row)| {
+            for &q in self.entry_row(i).0 {
+                row[q as usize / 64] |= 1 << (q % 64);
+            }
+        });
+        self.bits = bits;
+        self.words = words;
+        let (num, den) = CROSSOVER;
+        self.popcount_planes = (num * self.nnz() / (den * self.n * words)).min(64) as u32;
     }
 
     /// Distinct entries of query `q` (ascending) with multiplicities.
@@ -169,17 +279,66 @@ impl CsrDesign {
         self.entries.len()
     }
 
-    /// Gather-based Ψ/Δ* accumulation using the transpose (no atomics):
-    /// `psi[i] = Σ_{q ∋ i} w[q]`, `dstar[i] = |∂*x_i|`, written into
-    /// caller-provided buffers — allocation-free (entry-parallel). The
-    /// allocating variant this replaced is gone on purpose: no decode
-    /// path allocates per call.
+    /// Whether this design keeps the entry bitmap (see module docs).
+    pub fn has_bitmap(&self) -> bool {
+        self.words > 0
+    }
+
+    /// Distinct Ψ/Δ* accumulation, entry-parallel and without atomics:
+    /// `psi[i] = Σ_{q ∋ i} w[q]` and `dstar[i] = |∂*x_i|`, written into
+    /// caller-provided buffers without allocating. By popcount over the
+    /// entry bitmap when the design keeps one and the weights have no more
+    /// mixed bit-planes than the design's crossover (see module docs), by
+    /// the index gather over the transpose otherwise; both give identical
+    /// sums.
     ///
     /// # Panics
     /// Panics if `w.len() != m` or the outputs are shorter than `n`.
     pub fn gather_distinct_into(&self, w: &[u64], psi: &mut [u64], dstar: &mut [u64]) {
+        self.check_sums_args(w, psi, dstar);
+        let planes = WeightPlanes::of(w);
+        if self.has_bitmap() && planes.mixed.count_ones() <= self.popcount_planes {
+            self.popcount_sums(w, planes, psi, dstar, PopcountArm::Native);
+        } else {
+            self.index_gather_sums(w, psi, dstar);
+        }
+    }
+
+    /// [`Self::gather_distinct_into`] by popcount over the entry bitmap at
+    /// any weight width, on the chosen instruction arm.
+    ///
+    /// # Panics
+    /// Panics if the design keeps no bitmap ([`Self::has_bitmap`]), or on
+    /// the argument checks of [`Self::gather_distinct_into`].
+    pub fn popcount_distinct_into(
+        &self,
+        w: &[u64],
+        psi: &mut [u64],
+        dstar: &mut [u64],
+        arm: PopcountArm,
+    ) {
+        assert!(self.has_bitmap(), "design keeps no entry bitmap");
+        self.check_sums_args(w, psi, dstar);
+        self.popcount_sums(w, WeightPlanes::of(w), psi, dstar, arm);
+    }
+
+    /// [`Self::gather_distinct_into`] by the index gather over the
+    /// transpose, whatever the design keeps: the reference the popcount
+    /// kernel is tested against.
+    ///
+    /// # Panics
+    /// As [`Self::gather_distinct_into`].
+    pub fn index_gather_distinct_into(&self, w: &[u64], psi: &mut [u64], dstar: &mut [u64]) {
+        self.check_sums_args(w, psi, dstar);
+        self.index_gather_sums(w, psi, dstar);
+    }
+
+    fn check_sums_args(&self, w: &[u64], psi: &[u64], dstar: &[u64]) {
         assert_eq!(w.len(), self.m, "weight vector length must equal m");
         assert!(psi.len() >= self.n && dstar.len() >= self.n, "psi/dstar must have length n");
+    }
+
+    fn index_gather_sums(&self, w: &[u64], psi: &mut [u64], dstar: &mut [u64]) {
         psi[..self.n].par_iter_mut().zip(dstar[..self.n].par_iter_mut()).enumerate().for_each(
             |(i, (p, d))| {
                 let (qs, _) = self.entry_row(i);
@@ -191,6 +350,131 @@ impl CsrDesign {
                 *d = qs.len() as u64;
             },
         );
+    }
+
+    /// The popcount kernel: per pass, the mixed planes of a run of query
+    /// words go on the stack, then every entry block counts its rows
+    /// against them.
+    fn popcount_sums(
+        &self,
+        w: &[u64],
+        planes: WeightPlanes,
+        psi: &mut [u64],
+        dstar: &mut [u64],
+        arm: PopcountArm,
+    ) {
+        let mut shifts = [0u32; 64];
+        let mut count = 0;
+        for b in 0..64 {
+            if planes.mixed >> b & 1 == 1 {
+                shifts[count] = b;
+                count += 1;
+            }
+        }
+        let shifts = &shifts[..count];
+        let span = PLANE_WORDS.checked_div(count).map_or(self.words, |s| s.min(self.words));
+        let mut buf = [0u64; PLANE_WORDS];
+        let mut w0 = 0;
+        while w0 < self.words {
+            let cw = span.min(self.words - w0);
+            let plane_words = &mut buf[..count * cw];
+            plane_words.fill(0);
+            let q0 = w0 * 64;
+            for (q, &v) in w[q0..(q0 + cw * 64).min(self.m)].iter().enumerate() {
+                for (j, &s) in shifts.iter().enumerate() {
+                    plane_words[j * cw + q / 64] |= (v >> s & 1) << (q % 64);
+                }
+            }
+            let pass = PopcountPass {
+                bits: &self.bits,
+                words: self.words,
+                w0,
+                cw,
+                planes: plane_words,
+                shifts,
+                full: planes.full,
+                first: w0 == 0,
+            };
+            psi[..self.n]
+                .par_chunks_mut(ENTRY_BLOCK)
+                .zip(dstar[..self.n].par_chunks_mut(ENTRY_BLOCK))
+                .enumerate()
+                .for_each(|(block, (p, d))| pass.run(block * ENTRY_BLOCK, p, d, arm));
+            w0 += cw;
+        }
+    }
+}
+
+/// Which bit-planes of a weight vector vary across queries.
+struct WeightPlanes {
+    /// Planes set in some weights and clear in others: the ones counted.
+    mixed: u64,
+    /// Planes set in every weight: each adds `2^b · Δ*_i`.
+    full: u64,
+}
+
+impl WeightPlanes {
+    fn of(w: &[u64]) -> Self {
+        let (any, all) = w.iter().fold((0, u64::MAX), |(any, all), &v| (any | v, all & v));
+        Self { mixed: any & !all, full: all }
+    }
+}
+
+/// One pass of the popcount kernel: query words `w0..w0 + cw` of every
+/// bitmap row against the mixed planes of the same words.
+struct PopcountPass<'a> {
+    bits: &'a [u64],
+    words: usize,
+    w0: usize,
+    cw: usize,
+    /// Mixed plane `j` is `planes[j·cw..(j+1)·cw]`, shifted by `shifts[j]`.
+    planes: &'a [u64],
+    shifts: &'a [u32],
+    full: u64,
+    /// The first pass writes the sums; later passes add to them.
+    first: bool,
+}
+
+impl PopcountPass<'_> {
+    /// Count the rows of entries `first_entry..` into `psi`/`dstar` on
+    /// `arm`.
+    fn run(&self, first_entry: usize, psi: &mut [u64], dstar: &mut [u64], arm: PopcountArm) {
+        #[cfg(target_arch = "x86_64")]
+        if arm == PopcountArm::Native && std::is_x86_feature_detected!("popcnt") {
+            // SAFETY: the running CPU supports `popcnt`, checked just above.
+            return unsafe { self.run_popcnt(first_entry, psi, dstar) };
+        }
+        let _ = arm; // other targets have one arm: `count_ones` as compiled
+        self.rows(first_entry, psi, dstar);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    fn run_popcnt(&self, first_entry: usize, psi: &mut [u64], dstar: &mut [u64]) {
+        self.rows(first_entry, psi, dstar);
+    }
+
+    /// The kernel body, inlined into each arm so `count_ones` compiles to
+    /// that arm's instruction.
+    #[inline(always)]
+    fn rows(&self, first_entry: usize, psi: &mut [u64], dstar: &mut [u64]) {
+        for (j, (p, d)) in psi.iter_mut().zip(dstar.iter_mut()).enumerate() {
+            let start = (first_entry + j) * self.words + self.w0;
+            let row = &self.bits[start..start + self.cw];
+            let degree: u64 = row.iter().map(|x| x.count_ones() as u64).sum();
+            let mut sum = self.full * degree;
+            for (plane, &s) in self.planes.chunks_exact(self.cw).zip(self.shifts) {
+                let c: u64 = row.iter().zip(plane).map(|(x, y)| (x & y).count_ones() as u64).sum();
+                sum += c << s;
+            }
+            if self.first {
+                *p = sum;
+                *d = degree;
+            } else {
+                *p += sum;
+                *d += degree;
+            }
+        }
     }
 }
 
@@ -362,6 +646,91 @@ mod tests {
         }
     }
 
+    /// Ψ/Δ* of every path: the index gather, then each popcount arm.
+    fn all_sums(d: &CsrDesign, w: &[u64]) -> Vec<(Vec<u64>, Vec<u64>)> {
+        let run = |f: &dyn Fn(&mut [u64], &mut [u64])| {
+            let (mut psi, mut dstar) = (vec![7u64; d.n()], vec![7u64; d.n()]);
+            f(&mut psi, &mut dstar);
+            (psi, dstar)
+        };
+        let mut out = vec![run(&|p, s| d.index_gather_distinct_into(w, p, s))];
+        for arm in [PopcountArm::Native, PopcountArm::Portable] {
+            out.push(run(&|p, s| d.popcount_distinct_into(w, p, s, arm)));
+        }
+        out.push(run(&|p, s| d.gather_distinct_into(w, p, s)));
+        out
+    }
+
+    #[test]
+    fn bitmap_rows_mirror_the_transpose() {
+        let d = CsrDesign::sample(70, 130, 35, &SeedSequence::new(5));
+        assert!(d.has_bitmap());
+        assert_eq!(d.words, 3);
+        for i in 0..d.n() {
+            let row = &d.bits[i * d.words..(i + 1) * d.words];
+            let set: Vec<u32> =
+                (0..d.m() as u32).filter(|&q| row[q as usize / 64] >> (q % 64) & 1 == 1).collect();
+            assert_eq!(set, d.entry_row(i).0, "entry {i}");
+        }
+    }
+
+    #[test]
+    fn popcount_arms_match_the_index_gather() {
+        let d = CsrDesign::sample(90, 150, 45, &SeedSequence::new(6));
+        let varied: Vec<u64> = (0..d.m() as u64).map(|q| q * q + 1).collect();
+        let constant = vec![5u64; d.m()];
+        let wide: Vec<u64> = (0..d.m() as u64).map(|q| (q << 33) | (q * 7 + 3)).collect();
+        for w in [varied, constant, vec![0; d.m()], wide] {
+            let sums = all_sums(&d, &w);
+            assert!(sums.iter().all(|s| *s == sums[0]), "weights {:?}", &w[..4]);
+        }
+    }
+
+    #[test]
+    fn wide_weights_over_many_queries_sum_in_several_passes() {
+        // 40 mixed planes leave 1024 / 40 = 25 words of planes a pass, so
+        // m = 2100 (33 words) takes two passes, the second ending mid-word.
+        let d = CsrDesign::sample(40, 2100, 20, &SeedSequence::new(9));
+        assert_eq!(d.words, 33);
+        let w: Vec<u64> =
+            (0..2100u64).map(|q| q.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24).collect();
+        assert_eq!(WeightPlanes::of(&w).mixed.count_ones(), 40);
+        let sums = all_sums(&d, &w);
+        assert!(sums.iter().all(|s| *s == sums[0]));
+    }
+
+    #[test]
+    fn sparse_designs_keep_no_bitmap_and_still_sum() {
+        // Γ = 2 of n = 100 gives distinct density ≈ 0.02 < 1/32.
+        let d = CsrDesign::sample(100, 64, 2, &SeedSequence::new(7));
+        assert!(!d.has_bitmap());
+        let w: Vec<u64> = (0..64).collect();
+        let (mut psi, mut dstar) = (vec![0u64; 100], vec![0u64; 100]);
+        d.gather_distinct_into(&w, &mut psi, &mut dstar);
+        let (mut want_psi, mut want_dstar) = (vec![0u64; 100], vec![0u64; 100]);
+        d.index_gather_distinct_into(&w, &mut want_psi, &mut want_dstar);
+        assert_eq!((psi, dstar), (want_psi, want_dstar));
+    }
+
+    #[test]
+    #[should_panic(expected = "no entry bitmap")]
+    fn popcount_without_a_bitmap_panics() {
+        let d = CsrDesign::sample(100, 64, 2, &SeedSequence::new(7));
+        d.popcount_distinct_into(&[0; 64], &mut [0; 100], &mut [0; 100], PopcountArm::Native);
+    }
+
+    #[test]
+    fn crossover_follows_incidences_per_word() {
+        // c = ½ at the served shape: 24 incidences a word allow 30 planes.
+        let dense = CsrDesign::sample(2_000, 862, 1_000, &SeedSequence::new(8));
+        assert_eq!(dense.popcount_planes, 30);
+        // Wider weights than that take the index gather, and agree.
+        let w: Vec<u64> =
+            (0..862u64).map(|q| q.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24).collect();
+        let sums = all_sums(&dense, &w);
+        assert!(sums.iter().all(|s| *s == sums[0]));
+    }
+
     #[test]
     fn forward_rows_round_trip_rebuilds_identical_transpose() {
         // The snapshot-reload contract: a design rebuilt from its forward
@@ -384,6 +753,8 @@ mod tests {
         for i in 0..d.n() {
             assert_eq!(rebuilt.entry_row(i), d.entry_row(i), "entry {i}");
         }
+        assert!(d.has_bitmap());
+        assert_eq!(rebuilt.bits, d.bits, "a reloaded design rebuilds its bitmap");
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! |---|---|---|---|---|---|
 //! | scatter (atomic) | [`scatter_distinct_u64`] | query-parallel | yes | 1 (+1 for `y`) | per call |
 //! | scatter (blocked) | [`crate::fused::scatter_distinct_into`] | query-parallel, privatized | no | 1 (+1 for `y`) | arena, reused |
-//! | gather | [`crate::csr::CsrDesign::gather_distinct_into`] | entry-parallel over transpose | no | 1 (+1 for `y`) | none |
+//! | gather (index) | [`crate::csr::CsrDesign::gather_distinct_into`] without a bitmap or past the crossover | entry-parallel over transpose | no | 1 (+1 for `y`) | none |
+//! | gather (popcount) | [`crate::csr::CsrDesign::gather_distinct_into`] with a bitmap (distinct density ≥ 1/32), mixed weight planes ≤ 5/4 of the incidences per bitmap word | entry-parallel over the entry bitmap | no | 1 bitmap pass (+1 for `y`) | none (planes on the stack) |
 //! | fused | [`crate::fused::decode_sums_fused`] | query-parallel, privatized | no | **1 total** (`y`, Ψ, Δ*) | arena, reused |
 //! | batched | [`crate::batched::decode_sums_fused_batch`] | sequential per batch (callers parallelize across batches/shards) | no | **1 total for B jobs** | planes, reused |
 //!
@@ -21,11 +22,14 @@
 //! scatter privatizes per-worker planes (`t·n` words) and wins once the
 //! update density `m·Γ/n` clears `pooled_par::blocked::choose_scatter`'s
 //! threshold; gather needs the materialized CSR transpose but is contention
-//! free by construction; the fused kernel is the Monte-Carlo hot path —
-//! one traversal produces all three vectors into reusable buffers
-//! (streaming variant regenerates each query's pool once instead of twice).
-//! All four produce bit-identical results (exact `u64` sums, property
-//! tested).
+//! free by construction; its popcount arm reads the `n·⌈m/64⌉`-word entry
+//! bitmap instead of `4·nnz` bytes of query indices and counts
+//! `Σ_b 2^b · popcount(B_i ∧ Y_b)` over the weights' mixed bit-planes,
+//! which is how the engine's three served decoders take their sums; the
+//! fused kernel is the Monte-Carlo hot path — one traversal produces all
+//! three vectors into reusable buffers (streaming variant regenerates each
+//! query's pool once instead of twice). All of them produce bit-identical
+//! results (exact `u64` sums, property tested).
 
 use rayon::prelude::*;
 

@@ -2,11 +2,13 @@
 //! serve, behind one trait object.
 //!
 //! [`decoder`] maps a [`DecoderKind`] to a `&'static dyn EngineDecoder`.
-//! The hot decoders (classic MN, Γ-general MN) route through PR 1's
-//! workspace entry points and are **allocation-free** after warm-up; the
-//! channel-transfer and baseline decoders reuse their crates' one-shot
-//! APIs (they allocate, and the registry documents that — they exist for
-//! comparative traffic, not the hot path).
+//! The three served decoders (classic MN, Γ-general MN, Threshold-MN)
+//! route through workspace entry points on the design's CSR, take every
+//! Ψ/Δ* sum from one kernel (`CsrDesign::gather_distinct_into`: popcount
+//! over the entry bitmap, see `pooled_design::csr`) and are
+//! **allocation-free** after warm-up; the baseline decoders reuse their
+//! crates' one-shot APIs (they allocate, and the registry documents that —
+//! they exist for comparative traffic, not the hot path).
 //!
 //! A decoder's contract: given the design, the additive query results
 //! `y`, the target weight `k` and the hidden [`Truth`] (engine jobs are
@@ -30,14 +32,14 @@ use pooled_threshold::decoder::ThresholdMnDecoder;
 
 use crate::job::{digest_support, DecoderKind, Digest};
 
-/// Per-worker scratch shared by every decoder: the PR 1 workspace plus a
+/// Per-worker scratch shared by every decoder: the MN workspace plus a
 /// bit buffer for the threshold channel.
 #[derive(Default)]
 pub struct DecodeScratch {
     /// Reusable MN decode workspace (buffers grow once per shape).
     pub ws: MnWorkspace,
-    /// Threshold-channel bit buffer.
-    pub bits: Vec<u8>,
+    /// Threshold-channel bits, as 0/1 query weights.
+    pub bits: Vec<u64>,
 }
 
 impl DecodeScratch {
@@ -193,7 +195,12 @@ impl EngineDecoder for GeneralMnEngine {
         truth: Truth<'_>,
         scratch: &mut DecodeScratch,
     ) -> DecodeOutcome {
-        GeneralMnDecoder::new(k).decode_with(design, y, &mut scratch.ws);
+        GeneralMnDecoder::new(k).decode_csr_with(
+            design.csr(),
+            |q| design.pool_len(q),
+            y,
+            &mut scratch.ws,
+        );
         let mut d = Digest::new();
         for &s in scratch.ws.scores_wide() {
             d.push_i128(s);
@@ -204,12 +211,17 @@ impl EngineDecoder for GeneralMnEngine {
 
 /// Threshold-MN on the median-threshold one-bit channel: the additive
 /// results are collapsed to `y_q ≥ t` with `t = max(1, round(Γ·k/n))`
-/// (the null mean, so bits split near 50/50) before decoding.
+/// (the null mean, so bits split near 50/50) before decoding, through the
+/// workspace path (allocation-free).
 struct ThresholdMnEngine;
 
 impl EngineDecoder for ThresholdMnEngine {
     fn name(&self) -> &'static str {
         "threshold_mn"
+    }
+
+    fn alloc_free(&self) -> bool {
+        true
     }
 
     fn decode_against(
@@ -224,13 +236,13 @@ impl EngineDecoder for ThresholdMnEngine {
         let n = design.n() as u64;
         let t = ((design.gamma() as u64 * k as u64 + n / 2) / n).max(1);
         scratch.bits.clear();
-        scratch.bits.extend(y.iter().map(|&v| (v >= t) as u8));
-        let out = ThresholdMnDecoder::new(k).decode(design, &scratch.bits);
+        scratch.bits.extend(y.iter().map(|&v| (v >= t) as u64));
+        ThresholdMnDecoder::new(k).decode_csr_with(design.csr(), &scratch.bits, &mut scratch.ws);
         let mut d = Digest::new();
-        for &s in &out.scores {
+        for &s in scratch.ws.scores() {
             d.push(s as u64);
         }
-        outcome(out.estimate.support(), d.finish(), truth)
+        outcome(scratch.ws.support(), d.finish(), truth)
     }
 }
 

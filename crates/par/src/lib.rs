@@ -25,14 +25,15 @@
 //!
 //! # Choosing a scatter/gather kernel
 //!
-//! The Ψ/Δ* accumulation (`m·Γ` updates into `n` slots) has four kernels
+//! The Ψ/Δ* accumulation (`m·Γ` updates into `n` slots) has these kernels
 //! across this crate and `pooled_design`:
 //!
 //! | kernel | where | atomics | extra memory | wins when |
 //! |---|---|---|---|---|
 //! | scatter (atomic) | [`scatter::AtomicCounters`] | yes | none | sparse updates (`m·Γ ≪ t·n`), streaming designs |
 //! | scatter (blocked) | [`blocked::BlockedScatter`] | no | `t·n` words/plane | dense updates (`m·Γ ≳ 4·t·n`), replicate loops (buffers reused) |
-//! | gather | `CsrDesign::gather_distinct_into` | no | none | materialized CSR with a transpose already built |
+//! | gather (index) | `CsrDesign::gather_distinct_into` | no | none | materialized CSR without a bitmap, or weights past the popcount crossover |
+//! | gather (popcount) | `CsrDesign::gather_distinct_into` | no | `n·⌈m/64⌉`-word entry bitmap per design | distinct density ≥ 1/32, and mixed weight bit-planes ≤ 5/4 of the incidences per bitmap word (30 planes at the paper's `c = ½`; `y` uses about 5): the engine's per-job decodes |
 //! | fused | `pooled_design::fused` | no | arena (reused) | Monte-Carlo trials: `y`, Ψ and Δ* from **one** traversal |
 //! | batched | `pooled_design::batched` | no | planes (reused) | B jobs sharing a design: one traversal serves the whole batch |
 //!

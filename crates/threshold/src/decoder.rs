@@ -14,10 +14,11 @@
 //! global positive rate removes the common drift, and cross-multiplying by
 //! `m` clears the fraction), so ranking has no float ties.
 
+use pooled_core::workspace::MnWorkspace;
 use pooled_core::Signal;
-use pooled_design::matvec::scatter_distinct_u64;
+use pooled_design::csr::CsrDesign;
+use pooled_design::fused::scatter_distinct_into;
 use pooled_design::PoolingDesign;
-use pooled_par::topk::top_k_indices;
 
 /// Decoder configuration: the target support size.
 #[derive(Clone, Copy, Debug)]
@@ -62,21 +63,50 @@ impl ThresholdMnDecoder {
                 b as u64
             })
             .collect();
-        let (psi_pos, delta_star) = scatter_distinct_u64(design, &weights);
-        let m = design.m() as i64;
-        let positives: i64 = weights.iter().sum::<u64>() as i64;
-        let scores: Vec<i64> = psi_pos
-            .iter()
-            .zip(&delta_star)
-            .map(|(&p, &d)| m * p as i64 - positives * d as i64)
-            .collect();
-        let chosen = top_k_indices(&scores, self.k);
-        ThresholdOutput {
-            estimate: Signal::from_support(design.n(), chosen),
-            scores,
-            psi_pos,
-            delta_star,
+        let mut ws = MnWorkspace::new();
+        ws.prepare(design.n());
+        {
+            let (psi_pos, delta_star, arena) = ws.sums_mut();
+            scatter_distinct_into(design, &weights, psi_pos, delta_star, arena);
         }
+        self.finish_with(&weights, &mut ws);
+        ThresholdOutput {
+            estimate: Signal::from_support(design.n(), ws.support().to_vec()),
+            scores: ws.scores().to_vec(),
+            psi_pos: ws.psi().to_vec(),
+            delta_star: ws.delta_star().to_vec(),
+        }
+    }
+
+    /// Workspace decode over a materialized design: identical results to
+    /// [`Self::decode`], with Ψ⁺, Δ*, the scores and the support written
+    /// into `ws` and read back through its accessors. The support is
+    /// ascending, as in [`ThresholdOutput::estimate`]. `bits` are the 0/1
+    /// outcomes as `u64` weights, so Ψ⁺ is one bit-plane of
+    /// [`CsrDesign::gather_distinct_into`]. Allocation-free after warm-up.
+    ///
+    /// # Panics
+    /// Panics if `bits.len() != design.m()` or any bit exceeds 1.
+    pub fn decode_csr_with(&self, design: &CsrDesign, bits: &[u64], ws: &mut MnWorkspace) {
+        assert_eq!(bits.len(), design.m(), "bit vector length must equal m");
+        assert!(bits.iter().all(|&b| b <= 1), "threshold bits must be 0 or 1");
+        ws.prepare(design.n());
+        let (psi_pos, delta_star, _) = ws.sums_mut();
+        design.gather_distinct_into(bits, psi_pos, delta_star);
+        self.finish_with(bits, ws);
+    }
+
+    /// Score `m·Ψ⁺_i − P·Δ*_i` from the sums in `ws`, select the top `k`
+    /// and sort them ascending.
+    fn finish_with(&self, bits: &[u64], ws: &mut MnWorkspace) {
+        let m = bits.len() as i64;
+        let positives = bits.iter().sum::<u64>() as i64;
+        let (psi_pos, delta_star, scores) = ws.sums_and_scores_mut();
+        for ((s, &p), &d) in scores.iter_mut().zip(&*psi_pos).zip(&*delta_star) {
+            *s = m * p as i64 - positives * d as i64;
+        }
+        ws.select_top_k(self.k);
+        ws.sort_support();
     }
 }
 

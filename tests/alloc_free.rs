@@ -122,7 +122,7 @@ fn engine_steady_state_serving_is_allocation_free_after_warmup() {
     let _serial = serial();
     let profile = LoadProfile {
         distinct_designs: 1,
-        decoders: vec![DecoderKind::Mn, DecoderKind::GeneralMn],
+        decoders: vec![DecoderKind::Mn, DecoderKind::GeneralMn, DecoderKind::ThresholdMn],
         query_cost: None,
         ..LoadProfile::default_mix(2000, 9, 300, 77)
     };
@@ -136,8 +136,8 @@ fn engine_steady_state_serving_is_allocation_free_after_warmup() {
     let specs = profile.specs(24);
     let mut results = Vec::with_capacity(256);
 
-    // Warm-up: several passes so *both* workers have served both decoder
-    // kinds at this shape (work stealing is nondeterministic, so one pass
+    // Warm-up: several passes so *both* workers have served every decoder
+    // kind at this shape (work stealing is nondeterministic, so one pass
     // is not a guarantee) and every queue/scratch buffer has grown.
     for _ in 0..6 {
         results.clear();

@@ -259,4 +259,98 @@ proptest! {
             prop_assert_eq!(&dstar, &ds, "lane {} dstar", b);
         }
     }
+
+    /// The entry-bitmap popcount kernel, on both arms of its `popcnt`
+    /// dispatch, equals the index gather over the transpose: every
+    /// family, densities on both sides of the 1/32 cutoff (below it the
+    /// design keeps no bitmap and still sums), `m` on and around word
+    /// boundaries, `n = 1`, all-zero, constant and up to 40-bit weights.
+    #[test]
+    fn popcount_sums_match_the_index_gather(
+        n_draw in 0usize..160,
+        m_idx in 0usize..8,
+        m_draw in 1usize..300,
+        c_idx in 0usize..9,
+        width in 0u32..=40,
+        constant in 0u32..4,
+        seed in any::<u64>(),
+    ) {
+        use pooled_data::design::csr::PopcountArm;
+        use pooled_data::design::factory::DesignKind;
+        let n = if n_draw < 10 { 1 } else { n_draw };
+        let m = [1, 63, 64, 65, 128, 129, m_draw, m_draw][m_idx];
+        let c = [0.005, 0.01, 0.02, 0.03, 0.04, 0.06, 0.25, 0.5, 1.0][c_idx];
+        let seeds = SeedSequence::new(seed);
+        let mut rng = seeds.child("w", 0).rng();
+        let w: Vec<u64> = if constant == 0 {
+            vec![rng.next_u64() >> (64 - width.max(1)); m]
+        } else {
+            (0..m).map(|_| if width == 0 { 0 } else { rng.next_u64() >> (64 - width) }).collect()
+        };
+        for kind in DesignKind::ALL {
+            let design = kind.sample(n, m, c, &seeds.child("d", 0));
+            let csr = design.csr();
+            prop_assert_eq!(csr.has_bitmap(), 32 * csr.nnz() >= n * m, "{}", kind.name());
+            let (mut want_psi, mut want_dstar) = (vec![0u64; n], vec![0u64; n]);
+            csr.index_gather_distinct_into(&w, &mut want_psi, &mut want_dstar);
+            let (mut psi, mut dstar) = (vec![u64::MAX; n], vec![u64::MAX; n]);
+            csr.gather_distinct_into(&w, &mut psi, &mut dstar);
+            prop_assert_eq!(&psi, &want_psi, "{} auto", kind.name());
+            prop_assert_eq!(&dstar, &want_dstar, "{} auto", kind.name());
+            if csr.has_bitmap() {
+                for arm in [PopcountArm::Native, PopcountArm::Portable] {
+                    let (mut psi, mut dstar) = (vec![u64::MAX; n], vec![u64::MAX; n]);
+                    csr.popcount_distinct_into(&w, &mut psi, &mut dstar, arm);
+                    prop_assert_eq!(&psi, &want_psi, "{} {:?}", kind.name(), arm);
+                    prop_assert_eq!(&dstar, &want_dstar, "{} {:?}", kind.name(), arm);
+                }
+            }
+        }
+    }
+
+    /// The served decoders' CSR entries (the popcount kernel where the
+    /// design keeps a bitmap) reproduce their generic scatter twins on
+    /// every family: the same scores and the same support.
+    #[test]
+    fn csr_decoders_match_their_scatter_twins(
+        n in 2usize..200,
+        m in 1usize..140,
+        k in 0usize..10,
+        c_idx in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        use pooled_data::design::factory::DesignKind;
+        use pooled_data::threshold::ThresholdMnDecoder;
+        let c = [0.02, 0.1, 0.5, 1.0][c_idx];
+        let seeds = SeedSequence::new(seed);
+        let sigma = Signal::random(n, k.min(n), &mut seeds.child("s", 0).rng());
+        let mut ws = MnWorkspace::new();
+        for kind in DesignKind::ALL {
+            let design = kind.sample(n, m, c, &seeds.child("d", 0));
+            let csr = design.csr();
+            let y = execute_queries(&design, &sigma);
+            let mn = MnDecoder::new(k);
+            mn.decode_with(&design, &y, &mut ws);
+            let (scores, support) = (ws.scores().to_vec(), ws.support().to_vec());
+            mn.decode_csr_with(csr, &y, &mut ws);
+            prop_assert_eq!(ws.scores(), &scores[..], "{} mn", kind.name());
+            prop_assert_eq!(ws.support(), &support[..], "{} mn", kind.name());
+
+            let general = GeneralMnDecoder::new(k);
+            general.decode_with(&design, &y, &mut ws);
+            let (scores, support) = (ws.scores_wide().to_vec(), ws.support().to_vec());
+            general.decode_csr_with(csr, |q| design.pool_len(q), &y, &mut ws);
+            prop_assert_eq!(ws.scores_wide(), &scores[..], "{} mn_general", kind.name());
+            prop_assert_eq!(ws.support(), &support[..], "{} mn_general", kind.name());
+
+            let t = y.iter().sum::<u64>() / m as u64;
+            let bits: Vec<u8> = y.iter().map(|&v| u8::from(v > t)).collect();
+            let want = ThresholdMnDecoder::new(k).decode(&design, &bits);
+            let weights: Vec<u64> = bits.iter().map(|&b| b as u64).collect();
+            ThresholdMnDecoder::new(k).decode_csr_with(csr, &weights, &mut ws);
+            prop_assert_eq!(ws.scores(), &want.scores[..], "{} threshold_mn", kind.name());
+            prop_assert_eq!(ws.support(), want.estimate.support(), "{} threshold_mn", kind.name());
+            prop_assert_eq!(ws.psi(), &want.psi_pos[..], "{} threshold_mn", kind.name());
+        }
+    }
 }
