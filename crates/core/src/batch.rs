@@ -1,9 +1,17 @@
 //! Multi-job batched decode: Algorithm 1 for a batch of jobs that share
 //! one pooling design.
 //!
-//! The serving engine's dominant warm-cache cost is re-streaming the CSR
-//! index arrays once per job even when the queued jobs all decode against
-//! the same cached design. [`BatchWorkspace`] owns the lane-major Ψ plane
+//! The batch path was built to stop re-streaming the CSR index arrays once
+//! per job when the queued jobs all decode against the same cached
+//! design. The per-job decode no longer streams them (it counts by
+//! popcount over the design's entry bitmap), so a batched lane now costs
+//! *more* than an independent decode: on the repository benchmark
+//! (2-vCPU Xeon VM, traced), the engine's `worker.batch_us_per_lane`
+//! reads 2292 µs against a per-job `worker.decode_us.p50` of 517 µs on
+//! `single_large`, and 562–1144 µs against 181–220 µs on `cold_churn`.
+//! Whether the batch path stays is item 3(d) of ROADMAP.md.
+//!
+//! [`BatchWorkspace`] owns the lane-major Ψ plane
 //! and the **shared** Δ* for a batch of `B` lanes, and
 //! [`MnDecoder::decode_batch_with`] accumulates all lanes in one design
 //! traversal (`pooled_design::batched::scatter_distinct_batch`) before

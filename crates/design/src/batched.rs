@@ -3,11 +3,19 @@
 //!
 //! The fused kernels in [`crate::fused`] already collapse a single job's
 //! three sparse products (`y = Aᵀσ`, `Ψ = M·y`, `Δ* = M·1`) into one CSR
-//! traversal. At engine scale the next cost down is *re-streaming the CSR
-//! index arrays from memory once per job* even when dozens of queued jobs
-//! decode against the same cached design — the common case for both the
-//! serving engine (`distinct_designs: 1` traffic against a hot LRU cache)
-//! and Monte-Carlo replication (thousands of trials of one shape).
+//! traversal. These kernels were built to cut the next cost down,
+//! *re-streaming the CSR index arrays from memory once per job* when
+//! many queued jobs decode against the same cached design.
+//!
+//! That cost is gone from the per-job path: the served decoders count Ψ
+//! by popcount over the design's entry bitmap
+//! ([`crate::csr::CsrDesign::gather_distinct_into`]), which stays in L2,
+//! while these kernels still stream the index arrays. So a batched lane
+//! now costs *more* than a per-job decode. On the repository benchmark
+//! (2-vCPU Xeon VM, traced), the engine's `worker.batch_us_per_lane`
+//! reads 2292 µs against a per-job `worker.decode_us.p50` of 517 µs on
+//! `single_large`, and 562–1144 µs against 181–220 µs on `cold_churn`.
+//! Whether these kernels stay is item 3(d) of ROADMAP.md.
 //!
 //! The kernels here are **structure-of-arrays over a batch of B lanes**:
 //! for each query row, the row's `(entries, mults)` slices are read once —

@@ -10,11 +10,9 @@
 //! Sampling uses geometric gap skipping, so construction is `O(p·n)` per
 //! query instead of `O(n)` coin flips.
 
-use rayon::prelude::*;
-
 use pooled_rng::{Rng64, SeedSequence};
 
-use crate::csr::CsrDesign;
+use crate::csr::{CsrBuilder, CsrDesign};
 use crate::PoolingDesign;
 
 /// A Bernoulli(`p`) design materialized in CSR form.
@@ -36,14 +34,18 @@ impl BernoulliDesign {
     pub fn sample(n: usize, m: usize, p: f64, seeds: &SeedSequence) -> Self {
         assert!(n > 0, "design needs at least one entry");
         assert!((0.0..=1.0).contains(&p), "membership probability p={p} outside [0,1]");
-        let pools: Vec<Vec<usize>> = (0..m)
-            .into_par_iter()
-            .map(|q| {
-                let mut rng = seeds.child("query", q as u64).rng();
-                sample_bernoulli_subset(n, p, &mut rng)
-            })
-            .collect();
-        Self { csr: CsrDesign::from_pools(n, &pools), p }
+        // Room for the mean plus six standard deviations of the
+        // Binomial(n·m, p) total, so the arrays never have to grow.
+        let mean = p * (n * m) as f64;
+        let bound = (mean + 6.0 * mean.sqrt()).ceil() as usize + 64;
+        let mut rows = CsrBuilder::new(n, m, bound.min(n * m));
+        for q in 0..m {
+            let mut rng = seeds.child("query", q as u64).rng();
+            for_each_bernoulli_member(n, p, &mut rng, |i| rows.push(i));
+            rows.end_pool();
+        }
+        let gamma = rows.first_pool_draws();
+        Self { csr: rows.finish(gamma), p }
     }
 
     /// Wrap already-materialized CSR storage with its membership
@@ -69,16 +71,21 @@ impl BernoulliDesign {
     }
 }
 
-/// Indices of a Bernoulli(`p`) subset of `{0,…,n−1}`, ascending, via
-/// geometric gap skipping.
-pub fn sample_bernoulli_subset<R: Rng64 + ?Sized>(n: usize, p: f64, rng: &mut R) -> Vec<usize> {
+/// Visit the members of a Bernoulli(`p`) subset of `{0,…,n−1}` in
+/// ascending order, via geometric gap skipping.
+pub fn for_each_bernoulli_member<R: Rng64 + ?Sized>(
+    n: usize,
+    p: f64,
+    rng: &mut R,
+    mut visit: impl FnMut(usize),
+) {
     if p <= 0.0 {
-        return Vec::new();
+        return;
     }
     if p >= 1.0 {
-        return (0..n).collect();
+        (0..n).for_each(visit);
+        return;
     }
-    let mut out = Vec::with_capacity((n as f64 * p * 1.3) as usize + 4);
     let ln_q = (1.0 - p).ln(); // < 0
     let mut i = 0usize;
     loop {
@@ -89,13 +96,12 @@ pub fn sample_bernoulli_subset<R: Rng64 + ?Sized>(n: usize, p: f64, rng: &mut R)
             break;
         }
         i += gap as usize;
-        out.push(i);
+        visit(i);
         i += 1;
         if i >= n {
             break;
         }
     }
-    out
 }
 
 impl PoolingDesign for BernoulliDesign {
@@ -134,6 +140,12 @@ impl PoolingDesign for BernoulliDesign {
 mod tests {
     use super::*;
     use pooled_rng::SplitMix64;
+
+    fn sample_bernoulli_subset(n: usize, p: f64, rng: &mut SplitMix64) -> Vec<usize> {
+        let mut out = Vec::new();
+        for_each_bernoulli_member(n, p, rng, |i| out.push(i));
+        out
+    }
 
     #[test]
     fn subset_respects_probability_extremes() {

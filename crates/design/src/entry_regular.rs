@@ -16,7 +16,7 @@
 use pooled_rng::shuffle::fisher_yates;
 use pooled_rng::SeedSequence;
 
-use crate::csr::CsrDesign;
+use crate::csr::{CsrBuilder, CsrDesign};
 use crate::PoolingDesign;
 
 /// A design in which every entry appears in exactly `Δ` draws,
@@ -50,17 +50,21 @@ impl EntryRegularDesign {
         let total = stubs.len();
         let base = total / m;
         let extra = total % m;
-        let mut pools: Vec<Vec<usize>> = Vec::with_capacity(m);
+        let mut rows = CsrBuilder::new(n, m, total.min(n * m));
         let mut pool_lens = Vec::with_capacity(m);
         let mut at = 0usize;
         for q in 0..m {
             let len = base + usize::from(q < extra);
-            pools.push(stubs[at..at + len].iter().map(|&e| e as usize).collect());
+            for &e in &stubs[at..at + len] {
+                rows.push(e as usize);
+            }
+            rows.end_pool();
             pool_lens.push(len as u32);
             at += len;
         }
         debug_assert_eq!(at, total);
-        Self { csr: CsrDesign::from_pools(n, &pools), delta, pool_lens }
+        let gamma = rows.first_pool_draws();
+        Self { csr: rows.finish(gamma), delta, pool_lens }
     }
 
     /// Wrap already-materialized CSR storage with its per-entry degree
@@ -104,7 +108,8 @@ impl PoolingDesign for EntryRegularDesign {
         self.csr.m()
     }
 
-    /// Average pool size `⌊nΔ/m⌉` (pools differ by at most one draw).
+    /// Average pool size `⌊nΔ/m⌋`, rounded down (pools differ by at most
+    /// one draw).
     fn gamma(&self) -> usize {
         (self.csr.n() * self.delta) / self.csr.m().max(1)
     }

@@ -9,12 +9,9 @@
 //! concentrate slightly differently: `E[Δ*_i] = Γm/n = m/2` instead of
 //! `(1−e^{−1/2})m ≈ 0.39m`).
 
-use rayon::prelude::*;
+use pooled_rng::{Rng64, SeedSequence};
 
-use pooled_rng::shuffle::sample_distinct_floyd;
-use pooled_rng::SeedSequence;
-
-use crate::csr::CsrDesign;
+use crate::csr::{CsrBuilder, CsrDesign};
 use crate::PoolingDesign;
 
 /// A query-regular design whose pools are uniform `Γ`-subsets (no
@@ -26,21 +23,27 @@ pub struct NoReplaceDesign {
 
 impl NoReplaceDesign {
     /// Sample `m` queries, each a uniform `gamma`-subset of `{0,…,n−1}`,
-    /// drawn from the per-query substream `seeds.child("query", q)`.
+    /// drawn from the per-query substream `seeds.child("query", q)` by
+    /// Floyd's algorithm: for `j` from `n − Γ` to `n − 1`, draw `t ≤ j`
+    /// and take `t`, or `j` when `t` is already in. Membership is the
+    /// builder's bitset of the open pool.
     ///
     /// # Panics
     /// Panics if `n == 0` or `gamma > n`.
     pub fn sample(n: usize, m: usize, gamma: usize, seeds: &SeedSequence) -> Self {
         assert!(n > 0, "design needs at least one entry");
         assert!(gamma <= n, "Γ={gamma} cannot exceed n={n} without replacement");
-        let pools: Vec<Vec<usize>> = (0..m)
-            .into_par_iter()
-            .map(|q| {
-                let mut rng = seeds.child("query", q as u64).rng();
-                sample_distinct_floyd(n, gamma, &mut rng)
-            })
-            .collect();
-        Self { csr: CsrDesign::from_pools(n, &pools) }
+        let mut rows = CsrBuilder::new(n, m, m * gamma);
+        for q in 0..m {
+            let mut rng = seeds.child("query", q as u64).rng();
+            for j in n - gamma..n {
+                let t = rng.below(j as u64 + 1) as usize;
+                rows.push(if rows.contains(t) { j } else { t });
+            }
+            rows.end_pool();
+        }
+        let gamma = rows.first_pool_draws();
+        Self { csr: rows.finish(gamma) }
     }
 
     /// Wrap already-materialized CSR storage (the durable tier's
@@ -49,7 +52,7 @@ impl NoReplaceDesign {
     /// without resampling). The caller guarantees the rows actually came
     /// from a without-replacement sample; this type adds no state beyond
     /// the CSR, so no invariant can be broken here that
-    /// [`CsrDesign::from_sorted_rle_rows`] did not already check.
+    /// [`CsrDesign::from_rows`] did not already check.
     pub fn from_csr(csr: CsrDesign) -> Self {
         Self { csr }
     }

@@ -1,7 +1,13 @@
 //! The shared design cache: sampled pooling designs keyed by their spec.
 //!
-//! Sampling a design is the most expensive allocating step of a job
-//! (`O(m·Γ)` draws plus CSR construction + transpose), and real traffic
+//! Sampling a design is by far the most expensive step of a job that
+//! misses: `O(m·Γ)` draws counted straight into the design's rows, then
+//! the transpose and the entry bitmap (`pooled_design::csr`), in a fixed
+//! handful of allocations. At `cold_churn`'s shape of the repository
+//! benchmark (n = 4000, m = 564, c = ½) a miss costs about 25–35 ms on
+//! one core of a 2-vCPU Xeon VM for RandomRegular, NoReplace and
+//! EntryRegular and about 65 ms for Bernoulli (its draws take a
+//! logarithm each), against a decode of about 0.2 ms. Real traffic
 //! repeats design keys constantly — a tenant reuses its design across
 //! thousands of reconstructions. The cache memoizes `spec → Arc<design>`
 //! under the workspace-wide LRU policy ([`pooled_par::lru::LruCache`], the

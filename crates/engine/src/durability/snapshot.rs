@@ -202,37 +202,14 @@ pub fn decode_design(key: &DesignKey, bytes: &[u8]) -> Result<AnyDesign, Snapsho
     if kind != key.kind || c_milli != key.c_milli || n != key.n || m != key.m || seed != key.seed {
         return Err(SnapshotError::KeyMismatch);
     }
-    if n == 0 {
-        return Err(SnapshotError::BadStructure);
-    }
     let offsets_at = FIXED_HEADER_LEN;
     let entries_at = offsets_at + 8 * (m + 1);
     let mults_at = entries_at + 4 * nnz;
-    if get_u64(bytes, offsets_at) != 0 || get_u64(bytes, offsets_at + 8 * m) != nnz as u64 {
-        return Err(SnapshotError::BadStructure);
-    }
-    let mut rows = Vec::with_capacity(m);
-    let mut prev_end = 0usize;
-    for q in 0..m {
-        let end = size(offsets_at + 8 * (q + 1))?;
-        if end < prev_end || end > nnz {
-            return Err(SnapshotError::BadStructure);
-        }
-        let mut row = Vec::with_capacity(end - prev_end);
-        let mut prev_entry = None;
-        for i in prev_end..end {
-            let e = get_u32(bytes, entries_at + 4 * i);
-            let c = get_u32(bytes, mults_at + 4 * i);
-            if e as usize >= n || c == 0 || prev_entry.is_some_and(|p| e <= p) {
-                return Err(SnapshotError::BadStructure);
-            }
-            prev_entry = Some(e);
-            row.push((e, c));
-        }
-        prev_end = end;
-        rows.push(row);
-    }
-    let csr = CsrDesign::from_sorted_rle_rows(n, gamma, rows);
+    let q_offsets = (0..=m).map(|q| get_u64(bytes, offsets_at + 8 * q)).collect();
+    let entries = (0..nnz).map(|i| get_u32(bytes, entries_at + 4 * i)).collect();
+    let mults = (0..nnz).map(|i| get_u32(bytes, mults_at + 4 * i)).collect();
+    let csr = CsrDesign::from_rows(n, gamma, q_offsets, entries, mults)
+        .ok_or(SnapshotError::BadStructure)?;
     let c = c_milli as f64 / 1000.0;
     Ok(match kind {
         DesignKind::RandomRegular => AnyDesign::RandomRegular(csr),
@@ -282,20 +259,37 @@ mod tests {
 
     #[test]
     fn every_design_kind_round_trips_bit_identically() {
+        // Reload rebuilds the transpose and the bitmap through the same
+        // last step as sampling: both orientations, the bitmap, the sums
+        // and the family's own state come back exactly, with a bitmap
+        // (c = ½) and without one (c = 0.01).
         let dir = scratch_dir("snap-roundtrip");
         for (i, &kind) in DesignKind::ALL.iter().enumerate() {
-            let key = key(kind, 41 + i as u64);
-            let design = key.sample();
-            spill_design(&dir, &key, &design).unwrap();
-            let loaded = load_design(&dir, &key).unwrap().expect("snapshot present");
-            assert_eq!(loaded.kind(), kind);
-            let (a, b) = (design.csr(), loaded.csr());
-            assert_eq!(a.n(), b.n());
-            assert_eq!(a.m(), b.m());
-            assert_eq!(a.gamma(), b.gamma());
-            assert_eq!(a.nnz(), b.nnz());
-            for q in 0..a.m() {
-                assert_eq!(a.query_row(q), b.query_row(q), "{kind:?} row {q}");
+            for (n, m, c_milli) in [(96, 32, 500), (700, 40, 10)] {
+                let key = DesignKey { n, m, kind, c_milli, seed: 41 + i as u64 };
+                let design = key.sample();
+                spill_design(&dir, &key, &design).unwrap();
+                let loaded = load_design(&dir, &key).unwrap().expect("snapshot present");
+                assert_eq!(loaded.kind(), kind);
+                assert_eq!(loaded.gamma(), design.gamma(), "{kind:?}");
+                let (a, b) = (design.csr(), loaded.csr());
+                assert_eq!((a.n(), a.m(), a.gamma(), a.nnz()), (b.n(), b.m(), b.gamma(), b.nnz()));
+                assert_eq!(a.has_bitmap(), c_milli == 500, "{kind:?} at c = {c_milli}‰");
+                assert_eq!(b.has_bitmap(), a.has_bitmap(), "{kind:?}");
+                for q in 0..m {
+                    assert_eq!(a.query_row(q), b.query_row(q), "{kind:?} row {q}");
+                    assert_eq!(design.pool_len(q), loaded.pool_len(q), "{kind:?} pool {q}");
+                }
+                for e in 0..n {
+                    assert_eq!(a.entry_row(e), b.entry_row(e), "{kind:?} entry {e}");
+                }
+                let w: Vec<u64> = (0..m as u64).map(|q| q % 5).collect();
+                let sums = |d: &CsrDesign| {
+                    let (mut psi, mut dstar) = (vec![0; n], vec![0; n]);
+                    d.gather_distinct_into(&w, &mut psi, &mut dstar);
+                    (psi, dstar)
+                };
+                assert_eq!(sums(a), sums(b), "{kind:?}");
             }
         }
         fs::remove_dir_all(&dir).unwrap();

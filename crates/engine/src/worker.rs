@@ -22,13 +22,19 @@
 //! service time on a 2-vCPU Xeon VM fell from 1.49 ms to 0.54 ms (decode
 //! 1.48 ms → 0.52 ms).
 //!
-//! [`process_batch`] is the design-affinity fast path: a run of MN jobs
-//! sharing one cached design is served by **one** traversal of the design
-//! (`pooled_design::batched::scatter_distinct_batch`) — Ψ accumulation
-//! for every lane while each CSR row is in cache, one shared Δ*, and one
-//! overlapped query-latency sleep — instead of re-streaming the CSR index
-//! arrays once per job. Every lane's result is bit-identical to
-//! [`process_job`] on that spec alone.
+//! [`process_batch`] serves a run of MN jobs sharing one cached design
+//! with **one** traversal of the design
+//! (`pooled_design::batched::scatter_distinct_batch`): Ψ accumulation for
+//! every lane while each CSR row is in cache, one shared Δ*, and one
+//! overlapped query-latency sleep. Every lane's result is bit-identical to
+//! [`process_job`] on that spec alone. It was built to save re-streaming
+//! the CSR index arrays once per job, but the per-job decode no longer
+//! streams them, and a batched lane now costs *more* than a per-job
+//! decode. On the repository benchmark (2-vCPU Xeon VM, traced),
+//! `worker.batch_us_per_lane` reads 2292 µs against a
+//! `worker.decode_us.p50` of 517 µs on `single_large`, and 562–1144 µs
+//! against 181–220 µs on `cold_churn`. Whether the batch path stays is
+//! item 3(d) of ROADMAP.md.
 
 use std::time::Instant;
 

@@ -53,6 +53,7 @@ use pooled_data::core::mn::MnDecoder;
 use pooled_data::core::query::execute_queries;
 use pooled_data::core::workspace::MnWorkspace;
 use pooled_data::design::csr::CsrDesign;
+use pooled_data::design::factory::DesignKind;
 use pooled_data::engine::engine::{Engine, EngineConfig};
 use pooled_data::engine::job::DecoderKind;
 use pooled_data::engine::traffic::LoadProfile;
@@ -331,4 +332,23 @@ fn allocating_api_allocates_per_decode() {
     std::hint::black_box(decoder.decode(&design, &y));
     let after = allocation_count();
     assert!(after > before, "counting allocator must observe the allocating path");
+}
+
+#[test]
+fn sampling_a_design_allocates_a_fixed_number_of_times_not_per_query() {
+    // Every family writes its pools straight into the design's arrays, so
+    // one design costs a fixed handful of allocations however many
+    // queries it has. A per-query buffer would cost at least m = 1024.
+    let _serial = serial();
+    let (n, m, c) = (2_000usize, 1_024usize, 0.5);
+    let seeds = SeedSequence::new(2017).child("design", 0);
+    pool_with_threads(1).install(|| {
+        for kind in DesignKind::ALL {
+            let before = allocation_count();
+            let design = std::hint::black_box(kind.sample(n, m, c, &seeds));
+            let allocations = allocation_count() - before;
+            assert!(allocations <= 32, "{} allocated {allocations} times", kind.name());
+            drop(design);
+        }
+    });
 }

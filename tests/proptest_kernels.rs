@@ -28,6 +28,64 @@ fn dense_u64(n: usize, k: usize, seeds: &SeedSequence) -> Vec<u64> {
     sigma.dense().iter().map(|&b| b as u64).collect()
 }
 
+/// Rows of `(index, multiplicity)` pairs, one row per query or entry.
+type Rows = Vec<Vec<(u32, u32)>>;
+
+/// The sort → run-length construction the design builder replaced, kept
+/// here as its oracle: per pool the ascending `(entry, multiplicity)`
+/// runs of its sorted draws, and per entry the ascending
+/// `(query, multiplicity)` pairs of the pools that contain it.
+fn sorted_rle_reference(n: usize, pools: &[Vec<usize>]) -> (Rows, Rows) {
+    let rows: Rows = pools
+        .iter()
+        .map(|pool| {
+            let mut draws: Vec<u32> = pool.iter().map(|&e| e as u32).collect();
+            draws.sort_unstable();
+            let mut row: Vec<(u32, u32)> = Vec::new();
+            for e in draws {
+                match row.last_mut() {
+                    Some((v, c)) if *v == e => *c += 1,
+                    _ => row.push((e, 1)),
+                }
+            }
+            row
+        })
+        .collect();
+    let mut cols = vec![Vec::new(); n];
+    for (q, row) in rows.iter().enumerate() {
+        for &(e, c) in row {
+            cols[e as usize].push((q as u32, c));
+        }
+    }
+    (rows, cols)
+}
+
+/// `design` has exactly the oracle's rows for `pools`, both orientations,
+/// the bitmap the oracle's density calls for, and the oracle's Ψ/Δ* for
+/// the weights `w`.
+fn assert_matches_reference(design: &CsrDesign, pools: &[Vec<usize>], w: &[u64]) {
+    let (n, m) = (design.n(), design.m());
+    let (rows, cols) = sorted_rle_reference(n, pools);
+    assert_eq!(m, rows.len());
+    let pairs = |(idx, mults): (&[u32], &[u32])| -> Vec<(u32, u32)> {
+        idx.iter().copied().zip(mults.iter().copied()).collect()
+    };
+    for (q, row) in rows.iter().enumerate() {
+        assert_eq!(&pairs(design.query_row(q)), row, "query {}", q);
+    }
+    for (i, col) in cols.iter().enumerate() {
+        assert_eq!(&pairs(design.entry_row(i)), col, "entry {}", i);
+    }
+    let nnz: usize = rows.iter().map(Vec::len).sum();
+    assert_eq!(design.has_bitmap(), m > 0 && 32 * nnz >= n * m);
+    let (mut psi, mut dstar) = (vec![u64::MAX; n], vec![u64::MAX; n]);
+    design.gather_distinct_into(w, &mut psi, &mut dstar);
+    for (i, col) in cols.iter().enumerate() {
+        assert_eq!(psi[i], col.iter().map(|&(q, _)| w[q as usize]).sum::<u64>(), "psi {}", i);
+        assert_eq!(dstar[i], col.len() as u64, "dstar {}", i);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -352,5 +410,51 @@ proptest! {
             prop_assert_eq!(ws.support(), want.estimate.support(), "{} threshold_mn", kind.name());
             prop_assert_eq!(ws.psi(), &want.psi_pos[..], "{} threshold_mn", kind.name());
         }
+    }
+
+    /// The sort-free builder behind every constructor reproduces the sort
+    /// → run-length oracle: `from_pools` on random unsorted pools of 0 to
+    /// 3n draws (so multiplicities of 3 and more occur), both below and
+    /// above n/64 draws, at n on and around a bitset word and m from 0,
+    /// and `CsrDesign::sample` on the draws its substreams replay.
+    #[test]
+    fn design_builder_matches_the_sorted_rle_oracle(
+        n_idx in 0usize..8,
+        n_draw in 1usize..3000,
+        m_idx in 0usize..6,
+        m_draw in 0usize..40,
+        seed in any::<u64>(),
+    ) {
+        let n = [1, 63, 64, 65, n_draw, n_draw, n_draw, n_draw][n_idx];
+        let m = [0, 1, 63, 64, 65, m_draw][m_idx];
+        let seeds = SeedSequence::new(seed);
+        let mut rng = seeds.child("pools", 0).rng();
+        let pools: Vec<Vec<usize>> = (0..m)
+            .map(|_| {
+                let draws = if rng.below(2) == 0 {
+                    rng.below(n as u64 / 64 + 2)
+                } else {
+                    rng.below(3 * n as u64 + 1)
+                };
+                (0..draws).map(|_| rng.below(n as u64) as usize).collect()
+            })
+            .collect();
+        let w: Vec<u64> = (0..m).map(|_| rng.below(1 << 12)).collect();
+        let design = CsrDesign::from_pools(n, &pools);
+        prop_assert_eq!(design.gamma(), pools.first().map_or(0, Vec::len));
+        assert_matches_reference(&design, &pools, &w);
+
+        let gamma = rng.below(3 * n as u64 + 1) as usize;
+        let stream = StreamingDesign::new(n, m, gamma, &seeds);
+        let replayed: Vec<Vec<usize>> = (0..m)
+            .map(|q| {
+                let mut pool = Vec::new();
+                stream.visit_draws(q, |e| pool.push(e));
+                pool
+            })
+            .collect();
+        let sampled = CsrDesign::sample(n, m, gamma, &seeds);
+        prop_assert_eq!(sampled.gamma(), gamma);
+        assert_matches_reference(&sampled, &replayed, &w);
     }
 }
