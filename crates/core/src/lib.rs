@@ -25,8 +25,6 @@
 //!   algorithmic-vs-IT gap without extra queries.
 //! * [`workspace`] — the reusable decode workspace behind the `*_with`
 //!   entry points; Monte-Carlo loops decode allocation-free with it.
-//! * [`batch`] — the multi-job batched decode path: one design traversal
-//!   accumulates Ψ/Δ* for a whole batch of jobs sharing a design.
 //! * [`noise`] — noisy query channels for the robustness extension.
 //! * [`subset_select`] — the Subset Select relaxation (Feige–Lellouche):
 //!   return only high-confidence one-entries.
@@ -46,7 +44,6 @@
 //! assert_eq!(out.estimate, sigma);
 //! ```
 
-pub mod batch;
 pub mod bnb;
 pub mod exhaustive;
 pub mod metrics;
@@ -59,7 +56,6 @@ pub mod signal;
 pub mod subset_select;
 pub mod workspace;
 
-pub use batch::BatchWorkspace;
 pub use metrics::{exact_recovery, exact_recovery_dense, overlap_fraction, overlap_fraction_dense};
 pub use mn::{DecodeStrategy, MnDecoder, MnOutput, SelectionMethod};
 pub use mn_general::{GeneralMnDecoder, GeneralMnOutput};

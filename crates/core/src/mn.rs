@@ -194,31 +194,6 @@ impl MnDecoder {
         self.select_with(n, ws);
     }
 
-    /// Complete Algorithm 1 from *external* Ψ/Δ* slices — the per-lane
-    /// tail of the batched decode path ([`crate::batch`]), where a batch
-    /// workspace owns the accumulation planes (Ψ lane-major, Δ* shared
-    /// across lanes) and only the scores/selection/estimate scratch lives
-    /// in `ws`. Identical results to copying the slices into the
-    /// workspace and calling [`Self::finish_with`], without the copy.
-    ///
-    /// # Panics
-    /// Panics if `psi.len() != dstar.len()`.
-    pub fn finish_from_sums(&self, psi: &[u64], dstar: &[u64], ws: &mut MnWorkspace) {
-        assert_eq!(psi.len(), dstar.len(), "psi/dstar length mismatch");
-        let n = psi.len();
-        ws.prepare(n);
-        // Mirror the sums so the workspace accessors (`psi()`,
-        // `delta_star()`) describe this decode, not a stale one.
-        ws.psi[..n].copy_from_slice(psi);
-        ws.dstar[..n].copy_from_slice(dstar);
-        let k64 = self.k as i64;
-        let scores = &mut ws.scores[..n];
-        for ((score, &p), &d) in scores.iter_mut().zip(psi).zip(dstar) {
-            *score = 2 * p as i64 - k64 * d as i64;
-        }
-        self.select_with(n, ws);
-    }
-
     /// Lines 7–9 of Algorithm 1 over `ws.scores`: selection + estimate.
     fn select_with(&self, n: usize, ws: &mut MnWorkspace) {
         match self.selection {

@@ -30,7 +30,6 @@
 //! configuration model ([`entry_regular`]); [`factory::DesignKind`] samples
 //! any of them uniformly.
 
-pub mod batched;
 pub mod bernoulli;
 pub mod concentration;
 pub mod csr;
@@ -43,9 +42,6 @@ pub mod multigraph;
 pub mod noreplace;
 pub mod streaming;
 
-pub use batched::{
-    decode_sums_fused_batch, decode_sums_fused_batch_stream, scatter_distinct_batch,
-};
 pub use bernoulli::BernoulliDesign;
 pub use concentration::{check_concentration, ConcentrationReport};
 pub use csr::CsrDesign;

@@ -15,7 +15,6 @@
 //! | gather (index) | [`crate::csr::CsrDesign::gather_distinct_into`] without a bitmap or past the crossover | entry-parallel over transpose | no | 1 (+1 for `y`) | none |
 //! | gather (popcount) | [`crate::csr::CsrDesign::gather_distinct_into`] with a bitmap (distinct density ≥ 1/32), mixed weight planes ≤ 5/4 of the incidences per bitmap word | entry-parallel over the entry bitmap | no | 1 bitmap pass (+1 for `y`) | none (planes on the stack) |
 //! | fused | [`crate::fused::decode_sums_fused`] | query-parallel, privatized | no | **1 total** (`y`, Ψ, Δ*) | arena, reused |
-//! | batched | [`crate::batched::decode_sums_fused_batch`] | sequential per batch (callers parallelize across batches/shards) | no | **1 total for B jobs** | planes, reused |
 //!
 //! Trade-offs: atomic scatter works on *any* [`PoolingDesign`] (including
 //! streaming) with zero extra memory but serializes on hot slots; blocked

@@ -32,7 +32,7 @@ use crate::queue::{snapshot_lens, BoundedQueue, TryPushError};
 use crate::telemetry::{
     CausalKind, FlightRecorder, JobTrace, Metric, MetricsRegistry, Span, TelemetryConfig,
 };
-use crate::worker::{batch_compatible, process_batch, process_job, WorkerScratch};
+use crate::worker::{serve_run, Run, WorkerScratch};
 
 /// Engine sizing knobs.
 #[derive(Clone, Copy, Debug)]
@@ -46,14 +46,15 @@ pub struct EngineConfig {
     pub results_capacity: usize,
     /// Design cache capacity (distinct designs resident at once).
     pub design_cache_capacity: usize,
-    /// Design-affinity batch window: the longest run of same-design MN
-    /// jobs a worker may drain from the queue and serve with **one**
-    /// batched design traversal. `1` (the default) disables batching —
-    /// every job is served individually, exactly as before. Batching is
-    /// fingerprint-invisible; only throughput and timing change. The
-    /// window also bounds fairness: a worker never takes more than
-    /// `batch_window` queued jobs ahead of a non-matching job, and never
-    /// waits for a batch to fill.
+    /// Design-affinity batch window: the longest run of queued jobs on one
+    /// design key, whatever their decoders, that a worker may drain from
+    /// the queue as one run. A run pays one cache probe and one simulated
+    /// query-latency sleep (its slowest lane's), then serves each lane
+    /// through the per-job stages. `1` (the default) serves every job as
+    /// a run of its own. Batching is fingerprint-invisible; only
+    /// throughput and timing change. The window also bounds fairness: a
+    /// worker never takes more than `batch_window` queued jobs ahead of a
+    /// job on another design, and never waits for a run to fill.
     pub batch_window: usize,
 }
 
@@ -213,6 +214,21 @@ struct QueuedJob {
     /// Span timeline riding with the job — `Copy`, inert padding when
     /// the sampling knob skipped this job.
     trace: JobTrace,
+}
+
+impl Run for &mut [QueuedJob] {
+    fn lanes(&self) -> usize {
+        self.len()
+    }
+
+    fn spec(&self, lane: usize) -> &JobSpec {
+        &self[lane].spec
+    }
+
+    fn trace(&mut self, lane: usize) -> Option<&mut JobTrace> {
+        let trace = &mut self[lane].trace;
+        trace.sampled.then_some(trace)
+    }
 }
 
 struct Shared {
@@ -928,17 +944,17 @@ fn worker_main(shared: &Shared, idx: u32) {
         .expect("failed to build shard pool");
     pool.install(|| {
         let window = shared.batch_window;
-        let mut scratch = WorkerScratch::with_batch_window(idx, window);
+        let mut scratch = WorkerScratch::new(idx);
         // Run buffers, reused forever (capacity = the batch window).
         let mut run: Vec<QueuedJob> = Vec::with_capacity(window);
-        let mut specs: Vec<crate::job::JobSpec> = Vec::with_capacity(window);
         let mut served: Vec<JobResult> = Vec::with_capacity(window);
         'serve: loop {
             run.clear();
-            // Drain a run of batch-compatible jobs (always 1 when the
+            // Drain a run of jobs on one design key (always 1 when the
             // window is 1 — the predicate is never consulted then).
-            if shared.jobs.pop_run(window, &mut run, |a, b| batch_compatible(&a.spec, &b.spec)) == 0
-            {
+            let same_design =
+                |a: &QueuedJob, b: &QueuedJob| DesignKey::of(&a.spec) == DesignKey::of(&b.spec);
+            if shared.jobs.pop_run(window, &mut run, same_design) == 0 {
                 break;
             }
             // Queue waits end now — service time must not leak into them.
@@ -963,57 +979,9 @@ fn worker_main(shared: &Shared, idx: u32) {
                     }
                 }
             }
+            // Each lane's decode panic is contained to that lane's job.
             served.clear();
-            // Contain decode-stage panics to the job that caused them: a
-            // panicking decoder yields a REJECT-class poisoned result and
-            // the shard keeps serving. The scratch buffers are safe to
-            // reuse after an unwind — every stage resizes/clears them at
-            // use, none carries cross-job state.
-            if run.len() == 1 {
-                let spec = run[0].spec;
-                let mut trace = run[0].trace;
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let tracing = trace.sampled.then(|| (&*shared.recorder, &mut trace));
-                    crate::worker::process_job_traced(&spec, &design, &mut scratch, tracing)
-                }));
-                // A poisoned decode leaves `decode_start` stamped with no
-                // `decode_end` — exactly what a postmortem wants to see.
-                run[0].trace = trace;
-                served.push(outcome.unwrap_or_else(|_| JobResult::decode_poisoned(&spec, idx)));
-            } else {
-                specs.clear();
-                specs.extend(run.iter().map(|q| q.spec));
-                let whole = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    process_batch(&specs, &design, &mut scratch, &mut served)
-                }));
-                if whole.is_err() {
-                    // One lane poisoned the fused batch: re-serve per job
-                    // so exactly the offending spec fails.
-                    served.clear();
-                    for spec in &specs {
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                process_job(spec, &design, &mut scratch)
-                            }));
-                        served.push(
-                            outcome.unwrap_or_else(|_| JobResult::decode_poisoned(spec, idx)),
-                        );
-                    }
-                }
-                // Derived decode spans for batched lanes: the fused
-                // traversal has no per-lane decode window, so each
-                // lane's start is back-computed from its (evenly split)
-                // decode time at the batch's shared serve end.
-                if tracing {
-                    let end = shared.recorder.now_micros();
-                    for (q, r) in run.iter_mut().zip(&served) {
-                        if q.trace.sampled {
-                            q.trace.stamp(Span::DecodeEnd, end);
-                            q.trace.stamp(Span::DecodeStart, end.saturating_sub(r.decode_micros));
-                        }
-                    }
-                }
-            }
+            serve_run(&mut run[..], &design, &mut scratch, Some(&shared.recorder), &mut served);
             for (queued, result) in run.iter().zip(&mut served) {
                 let queue_micros = popped.duration_since(queued.enqueued).as_micros() as u64;
                 result.queue_micros = queue_micros;
@@ -1123,18 +1091,27 @@ mod tests {
 
     #[test]
     fn a_panicking_lane_poisons_only_itself_in_a_batched_run() {
-        // Under a batching window the probe job (never batch-compatible,
-        // so it serves alone between fused runs) still fails alone while
-        // the surrounding Mn batches complete; the fused path's unwind
-        // fallback re-serves per job for the same guarantee.
-        let engine = Engine::start(EngineConfig {
-            workers: 1,
-            queue_capacity: 16,
-            results_capacity: 16,
-            design_cache_capacity: 2,
-            batch_window: 8,
-        });
-        let mut specs: Vec<JobSpec> = (0..8).map(spec).collect();
+        // Under a batching window the probe job rides a run with the Mn
+        // jobs around it (a run is one design key, whatever the decoder).
+        // Each lane is served under its own unwind guard and stamps its
+        // own decode span: the probe fails alone with `decode_start` and
+        // no `decode_end`, and no two lanes share a decode window.
+        let engine = Engine::start_with(
+            EngineConfig {
+                workers: 1,
+                queue_capacity: 16,
+                results_capacity: 16,
+                design_cache_capacity: 2,
+                batch_window: 8,
+            },
+            TelemetryConfig::full(),
+        );
+        // n ≈ 2000, so every decode takes well over the recorder's 1 µs tick.
+        let mut specs: Vec<JobSpec> =
+            (0..8).map(|id| JobSpec { n: 2000, k: 8, m: 600, ..spec(id) }).collect();
+        // The first job sleeps 20 ms, so the rest are queued before the
+        // worker's second pop and form runs.
+        specs[0].query_cost_micros = 20_000;
         specs[5].decoder = DecoderKind::PanicProbe;
         let mut out = Vec::new();
         engine.run_batch(&specs, &mut out);
@@ -1142,7 +1119,88 @@ mod tests {
         let poisoned: Vec<u64> =
             out.iter().filter(|r| r.is_decode_poisoned()).map(|r| r.id).collect();
         assert_eq!(poisoned, vec![5], "exactly the probe lane fails");
+
+        let traces: Vec<JobTrace> = engine.flight_recorder().traces().concat();
+        assert_eq!(traces.len(), 8, "every job is traced");
+        let probe = traces.iter().find(|t| t.id == 5).expect("the probe's trace");
+        assert!(probe.span_micros(Span::DecodeStart).is_some());
+        assert_eq!(probe.span_micros(Span::DecodeEnd), None, "a poisoned decode never ends");
+        let mut windows: Vec<(u64, u64)> = traces
+            .iter()
+            .filter(|t| t.id != 5)
+            .map(|t| {
+                let start = t.span_micros(Span::DecodeStart).expect("decode_start");
+                (start, t.span_micros(Span::DecodeEnd).expect("decode_end"))
+            })
+            .collect();
+        let mut ends: Vec<u64> = windows.iter().map(|w| w.1).collect();
+        ends.sort_unstable();
+        ends.dedup();
+        assert_eq!(ends.len(), windows.len(), "two lanes share a decode_end: {windows:?}");
+        windows.sort_unstable();
+        for pair in windows.windows(2) {
+            assert!(pair[0].1 <= pair[1].0, "decode windows overlap: {windows:?}");
+        }
         engine.shutdown();
+    }
+
+    #[test]
+    fn runs_of_one_design_span_every_decoder() {
+        // A run is one design key alone: jobs whose decoders rotate
+        // Mn → GeneralMn → ThresholdMn still share runs, so 32 jobs cost
+        // at most 8 cache accesses, and the results equal per-job serving.
+        let specs: Vec<JobSpec> = (0..32)
+            .map(|id| {
+                let decoder = [DecoderKind::Mn, DecoderKind::GeneralMn, DecoderKind::ThresholdMn]
+                    [id as usize % 3];
+                let query_cost_micros = if id == 0 { 20_000 } else { 0 };
+                JobSpec { decoder, query_cost_micros, ..spec(id) }
+            })
+            .collect();
+        let serve = |batch_window: usize| {
+            let engine = Engine::start(EngineConfig {
+                workers: 1,
+                queue_capacity: 32,
+                results_capacity: 32,
+                design_cache_capacity: 2,
+                batch_window,
+            });
+            let mut out = Vec::new();
+            engine.run_batch(&specs, &mut out);
+            let stats = engine.shutdown();
+            let fingerprints: Vec<(u64, u64)> =
+                out.iter().map(|r| (r.id, r.fingerprint())).collect();
+            (fingerprints, stats.cache_hits + stats.cache_misses)
+        };
+        let (batched, accesses) = serve(8);
+        assert!(accesses <= 8, "{accesses} cache accesses for 32 jobs on one design");
+        assert_eq!(batched, serve(1).0, "mixed-decoder runs changed results");
+    }
+
+    #[test]
+    fn a_design_change_ends_a_run() {
+        // Weights and decoders may differ inside a run, designs may not:
+        // jobs alternating between two design keys never share a run, so
+        // every job pays its own cache access.
+        let engine = Engine::start(EngineConfig {
+            workers: 1,
+            queue_capacity: 32,
+            results_capacity: 32,
+            design_cache_capacity: 2,
+            batch_window: 8,
+        });
+        let specs: Vec<JobSpec> = (0..32)
+            .map(|id| {
+                let design = DesignSpec::random_regular(3 + id % 2);
+                let query_cost_micros = if id == 0 { 20_000 } else { 0 };
+                JobSpec { design, k: 4 + id as usize % 3, query_cost_micros, ..spec(id) }
+            })
+            .collect();
+        let mut out = Vec::new();
+        engine.run_batch(&specs, &mut out);
+        assert_eq!(out.len(), 32);
+        let stats = engine.shutdown();
+        assert_eq!(stats.cache_hits + stats.cache_misses, 32, "a run crossed a design change");
     }
 
     #[test]

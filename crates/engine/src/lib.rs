@@ -17,8 +17,10 @@
 //!   pooling designs, bounded by the same policy as the thread-pool memo.
 //! * [`registry`] — every decoder (classic MN, Γ-general MN,
 //!   threshold-MN, and the baseline family) behind one trait object.
-//! * [`worker`] — per-shard scratch reuse; the MN paths serve jobs with
-//!   **zero heap allocations** after warm-up (`tests/alloc_free.rs`).
+//! * [`worker`] — per-shard scratch reuse and the one serve loop every
+//!   run of same-design jobs takes, lane by lane through the per-job
+//!   stages; the MN paths serve jobs with **zero heap allocations**
+//!   after warm-up (`tests/alloc_free.rs`).
 //! * [`engine`] — the shards themselves: graceful shutdown, per-job
 //!   latency/throughput telemetry ([`pooled_stats::summary::Summary`] +
 //!   [`pooled_lab::histogram::LatencyHistogram`]).

@@ -22,32 +22,28 @@
 //! service time on a 2-vCPU Xeon VM fell from 1.49 ms to 0.54 ms (decode
 //! 1.48 ms → 0.52 ms).
 //!
-//! [`process_batch`] serves a run of MN jobs sharing one cached design
-//! with **one** traversal of the design
-//! (`pooled_design::batched::scatter_distinct_batch`): Ψ accumulation for
-//! every lane while each CSR row is in cache, one shared Δ*, and one
-//! overlapped query-latency sleep. Every lane's result is bit-identical to
-//! [`process_job`] on that spec alone. It was built to save re-streaming
-//! the CSR index arrays once per job, but the per-job decode no longer
-//! streams them, and a batched lane now costs *more* than a per-job
-//! decode. On the repository benchmark (2-vCPU Xeon VM, traced),
-//! `worker.batch_us_per_lane` reads 2292 µs against a
-//! `worker.decode_us.p50` of 517 µs on `single_large`, and 562–1144 µs
-//! against 181–220 µs on `cold_churn`. Whether the batch path stays is
-//! item 3(d) of ROADMAP.md.
+//! A worker serves jobs in **runs**: up to the engine's batch window of
+//! consecutive queued jobs that resolve to one design key, whatever their
+//! decoders or weights. A run of one is the common case. One loop serves
+//! every run: the engine probes the design cache once
+//! for the run, the loop sleeps once for the run's slowest simulated query
+//! execution (parallel lab equipment runs the lanes' queries side by
+//! side), and then serves lane after lane through the per-job stages
+//! (support draw, `execute_queries_support_into`, the registry decode),
+//! each lane under its own `catch_unwind` with its own decode span and
+//! its own measured `decode_micros`. Every lane's result is bit-identical
+//! to [`process_job`] on that spec alone.
 
-use std::time::Instant;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
-use pooled_core::batch::BatchWorkspace;
-use pooled_core::mn::MnDecoder;
 use pooled_core::query::execute_queries_support_into;
-use pooled_design::batched::scatter_distinct_batch;
 use pooled_design::factory::AnyDesign;
 use pooled_design::PoolingDesign;
 use pooled_rng::shuffle::sample_distinct_floyd_into;
 use pooled_rng::SeedSequence;
 
-use crate::job::{DecoderKind, Digest, JobResult, JobSpec};
+use crate::job::{JobResult, JobSpec};
 use crate::registry::{decoder, DecodeScratch, Truth};
 use crate::telemetry::{FlightRecorder, JobTrace, Span};
 
@@ -61,47 +57,20 @@ pub struct WorkerScratch {
     y: Vec<u64>,
     /// Decoder scratch (MN workspace + threshold bits).
     decode: DecodeScratch,
-    /// Batched-path planes (lane supports/ys + the batch workspace).
-    batch: BatchScratch,
-}
-
-/// Reusable planes for [`process_batch`].
-#[derive(Default)]
-struct BatchScratch {
-    /// The widest run this worker may be handed (the engine's batch
-    /// window); planes are capacity-reserved for it on first use, so the
-    /// first maximal run after warm-up at a shape never allocates.
-    window: usize,
-    /// Hidden-signal supports, lane after lane, each ascending.
-    supports: Vec<usize>,
-    /// Lane `b`'s support is `supports[bounds[b]..bounds[b + 1]]`.
-    bounds: Vec<usize>,
-    /// Query results, lane-major `lanes × m`.
-    ys: Vec<u64>,
-    /// Ψ lanes + shared Δ* + per-lane finish scratch.
-    bw: BatchWorkspace,
 }
 
 impl WorkerScratch {
     /// Empty scratch for shard `worker`; buffers grow on first use.
-    /// Equivalent to [`Self::with_batch_window`] at window 1.
     pub fn new(worker: u32) -> Self {
-        Self::with_batch_window(worker, 1)
+        Self { worker, support: Vec::new(), y: Vec::new(), decode: DecodeScratch::new() }
     }
 
     /// Empty scratch for shard `worker` serving runs of up to
-    /// `batch_window` jobs: the batch planes reserve capacity for the
-    /// full window the first time a traffic shape is seen, so run-length
-    /// jitter (queue timing decides how many jobs a worker drains) can
-    /// never trigger a mid-serving allocation after warm-up.
-    pub fn with_batch_window(worker: u32, batch_window: usize) -> Self {
-        Self {
-            worker,
-            support: Vec::new(),
-            y: Vec::new(),
-            decode: DecodeScratch::new(),
-            batch: BatchScratch { window: batch_window.max(1), ..BatchScratch::default() },
-        }
+    /// `batch_window` jobs. The window sizes nothing: a run is served lane
+    /// by lane through the same per-job buffers, so this equals
+    /// [`Self::new`].
+    pub fn with_batch_window(worker: u32, _batch_window: usize) -> Self {
+        Self::new(worker)
     }
 
     /// The shard index.
@@ -110,55 +79,123 @@ impl WorkerScratch {
     }
 }
 
-/// Whether `candidate` may join a batch anchored by `first`: both must
-/// request the classic MN decoder (the batched kernel's algorithm) and
-/// resolve to the same design key, so one traversal serves the run.
-/// `k` and the job seed may differ per lane — each lane finishes with its
-/// own decoder weight against its own hidden signal.
-pub fn batch_compatible(first: &JobSpec, candidate: &JobSpec) -> bool {
-    first.decoder == DecoderKind::Mn
-        && candidate.decoder == DecoderKind::Mn
-        && crate::cache::DesignKey::of(first) == crate::cache::DesignKey::of(candidate)
+/// A run of same-design jobs as `serve_run` walks it: a plain slice of
+/// specs, or the engine's queued jobs, whose sampled traces take each
+/// lane's decode span.
+pub(crate) trait Run {
+    /// Jobs in the run.
+    fn lanes(&self) -> usize;
+    /// Lane `lane`'s spec.
+    fn spec(&self, lane: usize) -> &JobSpec;
+    /// Lane `lane`'s trace, when the job is traced.
+    fn trace(&mut self, _lane: usize) -> Option<&mut JobTrace> {
+        None
+    }
 }
 
-/// Run one job against its (cached) design. Deterministic: every random
-/// draw derives from `spec.seed` / `spec.design.seed`, so the result
-/// fingerprint is independent of worker placement and timing.
+impl Run for &[JobSpec] {
+    fn lanes(&self) -> usize {
+        self.len()
+    }
+
+    fn spec(&self, lane: usize) -> &JobSpec {
+        &self[lane]
+    }
+}
+
+/// Run one job against its (cached) design: its query-latency sleep, then
+/// the per-job stages. Deterministic: every random draw derives from
+/// `spec.seed` / `spec.design.seed`, so the result fingerprint is
+/// independent of worker placement and timing. A panicking decoder
+/// unwinds out of this call; [`process_batch`] and the engine contain it.
 pub fn process_job(spec: &JobSpec, design: &AnyDesign, scratch: &mut WorkerScratch) -> JobResult {
-    process_job_traced(spec, design, scratch, None)
+    let started = Instant::now();
+    sleep_micros(spec.query_cost_micros);
+    let mut result = serve_lane(spec, design, scratch, None);
+    result.total_micros = started.elapsed().as_micros() as u64;
+    result
 }
 
-/// [`process_job`] with span tracing: when `tracing` carries a flight
-/// recorder and a live trace, the decode stage's entry and exit are
-/// stamped on the recorder's clock (`decode_start` / `decode_end`).
-/// Timestamps never feed a seed or a kernel input, so the result is
-/// bit-identical to the untraced call — tracing is fingerprint-invisible
-/// by construction.
-pub fn process_job_traced(
+/// Serve a run of jobs that share `design` through the engine's serve
+/// loop, untraced: one sleep for the slowest lane's query execution, then
+/// each lane through the per-job stages, a panicking lane contained to a
+/// poisoned result. Appends one [`JobResult`] per spec, in spec order;
+/// each lane's fingerprint equals [`process_job`]'s for the same spec.
+/// `decode_micros` is each lane's own, and every lane shares the run's
+/// service time.
+pub fn process_batch(
+    specs: &[JobSpec],
+    design: &AnyDesign,
+    scratch: &mut WorkerScratch,
+    out: &mut Vec<JobResult>,
+) {
+    serve_run(specs, design, scratch, None, out);
+}
+
+/// The one serve loop, for a run of one job or a window's worth: one
+/// sleep for the run's slowest query execution (the simulated executions
+/// overlap, so the run waits for the slowest lane, not the sum), then each
+/// lane through the per-job stages. A lane whose decoder panics yields a
+/// REJECT-class poisoned result and the lanes after it are still served;
+/// the scratch is safe to reuse after an unwind, because every stage
+/// resizes or clears its buffers at use. With a recorder, each traced
+/// lane gets its own decode span on the recorder's clock (a poisoned lane
+/// keeps `decode_start` with no `decode_end`). Timestamps never feed a
+/// seed or a kernel input, so tracing is fingerprint-invisible.
+///
+/// Appends one [`JobResult`] per lane, in lane order. `decode_micros` is
+/// each lane's own; every lane shares the run's service time, because the
+/// engine delivers the run's results together.
+pub(crate) fn serve_run(
+    mut run: impl Run,
+    design: &AnyDesign,
+    scratch: &mut WorkerScratch,
+    recorder: Option<&FlightRecorder>,
+    out: &mut Vec<JobResult>,
+) {
+    let started = Instant::now();
+    let lanes = run.lanes();
+    sleep_micros((0..lanes).map(|b| run.spec(b).query_cost_micros).max().unwrap_or(0));
+    let first = out.len();
+    for b in 0..lanes {
+        let spec = *run.spec(b);
+        let tracing = recorder.zip(run.trace(b));
+        let served = catch_unwind(AssertUnwindSafe(|| serve_lane(&spec, design, scratch, tracing)));
+        out.push(served.unwrap_or_else(|_| JobResult::decode_poisoned(&spec, scratch.worker)));
+    }
+    let total_micros = started.elapsed().as_micros() as u64;
+    for result in &mut out[first..] {
+        // Service time only; the engine adds the queue wait it measured.
+        result.total_micros = total_micros;
+    }
+}
+
+/// Simulate executing the pooled queries — the latency the paper's
+/// parallel design exists to hide. Worker shards overlap these sleeps
+/// exactly like parallel lab equipment.
+fn sleep_micros(micros: u32) {
+    if micros > 0 {
+        std::thread::sleep(Duration::from_micros(micros as u64));
+    }
+}
+
+/// The per-job stages of one lane, after its query-latency sleep. Leaves
+/// `total_micros` for the caller to stamp.
+fn serve_lane(
     spec: &JobSpec,
     design: &AnyDesign,
     scratch: &mut WorkerScratch,
     mut tracing: Option<(&FlightRecorder, &mut JobTrace)>,
 ) -> JobResult {
-    let started = Instant::now();
-    let seeds = SeedSequence::new(spec.seed);
-
     // 1. Draw the hidden weight-k signal's support into a reusable buffer.
-    let mut rng = seeds.child("signal", 0).rng();
+    let mut rng = SeedSequence::new(spec.seed).child("signal", 0).rng();
     sample_distinct_floyd_into(spec.n, spec.k, &mut rng, &mut scratch.support);
 
-    // 2. Simulate executing the pooled queries — the latency the paper's
-    // parallel design exists to hide. Worker shards overlap these sleeps
-    // exactly like parallel lab equipment.
-    if spec.query_cost_micros > 0 {
-        std::thread::sleep(std::time::Duration::from_micros(spec.query_cost_micros as u64));
-    }
-
-    // 3. Additive query results y = Aᵀσ, from the support's transpose rows.
+    // 2. Additive query results y = Aᵀσ, from the support's transpose rows.
     scratch.y.resize(design.m(), 0);
     execute_queries_support_into(design.csr(), &scratch.support, &mut scratch.y);
 
-    // 4. Decode through the registry.
+    // 3. Decode through the registry.
     if let Some((recorder, trace)) = tracing.as_mut() {
         trace.stamp(Span::DecodeStart, recorder.now_micros());
     }
@@ -185,117 +222,10 @@ pub fn process_job_traced(
         support_digest: out.support_digest,
         score_digest: out.score_digest,
         decode_micros,
-        // Service time only; the engine adds the queue wait it measured.
+        // The engine adds the queue wait it measured.
         queue_micros: 0,
-        total_micros: started.elapsed().as_micros() as u64,
+        total_micros: 0,
         worker: scratch.worker,
-    }
-}
-
-/// Serve a whole run of batch-compatible jobs (see [`batch_compatible`])
-/// against their shared design: each lane's `y` from its support's
-/// transpose rows, one design traversal for every lane's Ψ accumulation,
-/// one shared Δ*, and one sleep for the batch's query latency (the
-/// simulated query executions overlap — they would run on parallel lab
-/// equipment — so the batch waits for the slowest lane, not the sum).
-///
-/// Appends one [`JobResult`] per spec, in spec order. Deterministic:
-/// every lane's result fingerprint equals [`process_job`]'s for the same
-/// spec (exact `u64` sums make the batched accumulation bit-identical);
-/// only the timing fields differ — `decode_micros` is the batch's decode
-/// time split evenly across lanes, and every lane shares the batch's
-/// service time.
-///
-/// # Panics
-/// Panics (debug) if the specs are not mutually batch-compatible.
-pub fn process_batch(
-    specs: &[JobSpec],
-    design: &AnyDesign,
-    scratch: &mut WorkerScratch,
-    out: &mut Vec<JobResult>,
-) {
-    debug_assert!(specs.windows(2).all(|w| batch_compatible(&specs[0], &w[1])));
-    if specs.is_empty() {
-        return;
-    }
-    let started = Instant::now();
-    let csr = design.csr();
-    let (n, m) = (csr.n(), csr.m());
-    let lanes = specs.len();
-    let batch = &mut scratch.batch;
-
-    // Reserve every plane for the widest run this worker can be handed
-    // at this shape: run lengths jitter with queue timing, so without
-    // this a first-ever maximal run after warm-up would allocate.
-    let window = batch.window.max(lanes);
-    batch.bw.reserve(window, n);
-
-    // 1. Draw every lane's hidden weight-k signal's support.
-    let k_max = specs.iter().map(|s| s.k).max().unwrap_or(0);
-    batch.supports.clear();
-    batch.supports.reserve(window * k_max);
-    batch.bounds.clear();
-    batch.bounds.reserve(window + 1);
-    batch.bounds.push(0);
-    for spec in specs {
-        let mut rng = SeedSequence::new(spec.seed).child("signal", 0).rng();
-        sample_distinct_floyd_into(spec.n, spec.k, &mut rng, &mut scratch.support);
-        batch.supports.extend_from_slice(&scratch.support);
-        batch.bounds.push(batch.supports.len());
-    }
-    let lane_support = |b: usize| &batch.supports[batch.bounds[b]..batch.bounds[b + 1]];
-
-    // 2. One overlapped query-execution sleep for the whole batch.
-    let cost = specs.iter().map(|s| s.query_cost_micros).max().unwrap_or(0);
-    if cost > 0 {
-        std::thread::sleep(std::time::Duration::from_micros(cost as u64));
-    }
-
-    // 3. Every lane's y = Aᵀσ from its support's transpose rows.
-    batch.ys.clear();
-    batch.ys.reserve(window * m);
-    batch.ys.resize(lanes * m, 0);
-    for b in 0..lanes {
-        execute_queries_support_into(csr, lane_support(b), &mut batch.ys[b * m..(b + 1) * m]);
-    }
-
-    // 4. One traversal: every lane's Ψ, plus the shared Δ*.
-    let decode_started = Instant::now();
-    batch.bw.prepare(lanes, n);
-    {
-        let (psis, dstar) = batch.bw.sums_mut();
-        scatter_distinct_batch(csr, &batch.ys, lanes, psis, dstar);
-    }
-
-    // 5. Finish each lane with its own decoder weight and score it.
-    let first = out.len();
-    for (b, spec) in specs.iter().enumerate() {
-        let ws = batch.bw.finish_lane(&MnDecoder::new(spec.k), b);
-        let mut d = Digest::new();
-        for &s in ws.scores() {
-            d.push(s as u64);
-        }
-        let hits = Truth::Support(lane_support(b)).hits(ws.support());
-        let weight = ws.support().len() as u32;
-        out.push(JobResult {
-            id: spec.id,
-            decoder: spec.decoder,
-            exact: hits as usize == spec.k && weight as usize == spec.k,
-            hits,
-            weight,
-            support_digest: crate::job::digest_support(ws.support()),
-            score_digest: d.finish(),
-            decode_micros: 0, // patched below once the batch is timed
-            queue_micros: 0,  // the engine adds the wait it measured
-            total_micros: 0,
-            worker: scratch.worker,
-        });
-    }
-    let decode_micros = decode_started.elapsed().as_micros() as u64 / lanes as u64;
-    let total_micros = started.elapsed().as_micros() as u64;
-    for result in &mut out[first..] {
-        result.decode_micros = decode_micros;
-        result.total_micros = total_micros;
     }
 }
 
@@ -343,11 +273,13 @@ mod tests {
 
     #[test]
     fn batch_fingerprints_match_per_job_processing() {
-        // A batch of same-design MN jobs (different seeds, different k)
-        // must produce bit-identical fingerprints to serving each spec
-        // alone — the batcher's core contract.
+        // A run of same-design jobs (different seeds, weights and
+        // decoders) must produce bit-identical fingerprints to serving
+        // each spec alone — the batcher's core contract.
         let mut specs: Vec<JobSpec> = (0..7).map(spec).collect();
-        specs[3].k = 9; // mixed weights are batchable
+        specs[3].k = 9;
+        specs[4].decoder = DecoderKind::GeneralMn;
+        specs[5].decoder = DecoderKind::ThresholdMn;
         let design = DesignKey::of(&specs[0]).sample();
         let mut per_job = WorkerScratch::new(0);
         let want: Vec<u64> =
@@ -430,19 +362,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_compatibility_requires_mn_and_one_design() {
-        let a = spec(1);
-        let mut other_design = spec(2);
-        other_design.design = DesignSpec::random_regular(99);
-        let mut other_decoder = spec(3);
-        other_decoder.decoder = DecoderKind::GeneralMn;
-        let mut other_k = spec(4);
-        other_k.k = 11;
-        assert!(batch_compatible(&a, &spec(5)));
-        assert!(batch_compatible(&a, &other_k), "k may vary per lane");
-        assert!(!batch_compatible(&a, &other_design));
-        assert!(!batch_compatible(&a, &other_decoder));
-        assert!(!batch_compatible(&other_decoder, &a));
+    fn a_panicking_lane_is_poisoned_alone_and_its_run_completes() {
+        let mut specs: Vec<JobSpec> = (0..5).map(spec).collect();
+        specs[1].decoder = DecoderKind::PanicProbe;
+        let design = DesignKey::of(&specs[0]).sample();
+        let mut ws = WorkerScratch::new(2);
+        let mut out = Vec::new();
+        process_batch(&specs, &design, &mut ws, &mut out);
+        assert_eq!(out.len(), specs.len());
+        for (r, s) in out.iter().zip(&specs) {
+            if s.decoder == DecoderKind::PanicProbe {
+                assert!(r.is_decode_poisoned(), "the probe lane must fail poisoned");
+            } else {
+                let want = process_job(s, &design, &mut WorkerScratch::new(2));
+                assert_eq!(r.fingerprint(), want.fingerprint(), "lane {}", s.id);
+            }
+        }
     }
 
     #[test]

@@ -18,9 +18,6 @@ fn main() {
     let seed = args.get_u64("seed", DEFAULT_SEED);
     let trials = args.get_usize("trials", if scale == Scale::Full { 100 } else { 20 });
     let points = args.get_usize("points", 21);
-    // Design-major Monte-Carlo batching: trials per shared design
-    // (1 = the classic fully independent sweep, bit-identical to PR 1).
-    let batch = args.get_usize("batch", 1);
     let panels: Vec<(usize, usize)> = match scale {
         Scale::Default => vec![(1000, 1000)],
         Scale::Full => vec![(1000, 1000), (10_000, 3000)],
@@ -36,7 +33,6 @@ fn main() {
                 m_grid: linear_grid(m_hi / points, m_hi, points),
                 trials,
                 master_seed: seed ^ (n as u64) ^ (((theta * 1000.0) as u64) << 32),
-                batch,
             };
             for row in run_mn_sweep(&cfg) {
                 rows.push(vec![

@@ -35,7 +35,6 @@
 //! | gather (index) | `CsrDesign::gather_distinct_into` | no | none | materialized CSR without a bitmap, or weights past the popcount crossover |
 //! | gather (popcount) | `CsrDesign::gather_distinct_into` | no | `n·⌈m/64⌉`-word entry bitmap per design | distinct density ≥ 1/32, and mixed weight bit-planes ≤ 5/4 of the incidences per bitmap word (30 planes at the paper's `c = ½`; `y` uses about 5): the engine's per-job decodes |
 //! | fused | `pooled_design::fused` | no | arena (reused) | Monte-Carlo trials: `y`, Ψ and Δ* from **one** traversal |
-//! | batched | `pooled_design::batched` | no | planes (reused) | B jobs sharing a design: one traversal serves the whole batch |
 //!
 //! [`blocked::choose_scatter`] encodes the density heuristic; the fused
 //! kernels in `pooled_design` call it internally.

@@ -19,8 +19,7 @@ pub mod transition;
 pub mod wilson;
 
 pub use replicate::{
-    mn_trial, mn_trial_batch_with, mn_trial_with, run_mn_trials_batched, run_trials,
-    run_trials_with, MnBatchTrialWorkspace, MnTrialWorkspace, TrialOutcome,
+    mn_trial, mn_trial_with, run_trials, run_trials_with, MnTrialWorkspace, TrialOutcome,
 };
 pub use summary::Summary;
 pub use sweep::{run_mn_sweep, SweepConfig, SweepRow};

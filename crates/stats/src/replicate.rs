@@ -4,26 +4,19 @@
 //! so the set of trial results is a pure function of `(master, trials)` no
 //! matter how rayon schedules them.
 //!
-//! Three execution paths:
+//! Two execution paths:
 //!
 //! * [`run_trials`] — stateless closure per trial (the original API).
 //! * [`run_trials_with`] — per-worker workspace threaded through the
 //!   trials of each chunk, so sweeps reuse decode buffers instead of
 //!   allocating per replicate. [`mn_trial_with`] is the canonical trial
 //!   on that path: it decodes through the fused single-pass kernel
-//!   (`pooled_design::fused`) and an [`MnTrialWorkspace`].
-//! * [`run_mn_trials_batched`] — design-major batching: trials are
-//!   grouped into batches of `B` lanes that share one sampled design, so
-//!   a single traversal of the design serves all `B` decodes
-//!   (`pooled_design::batched`). With `B = 1` this is bit-identical to
-//!   [`mn_trial_with`] trial by trial; with `B > 1` each batch draws one
-//!   design and `B` independent signals — still an unbiased estimate of
-//!   the success probability (which averages over design *and* signal),
-//!   at a fraction of the memory traffic.
+//!   (`pooled_design::fused`) and an [`MnTrialWorkspace`]. Every trial
+//!   samples its own design and signal, so trials are independent and
+//!   the figures' Wilson intervals hold as computed.
 
 use rayon::prelude::*;
 
-use pooled_core::batch::BatchWorkspace;
 use pooled_core::workspace::MnWorkspace;
 use pooled_rng::SeedSequence;
 
@@ -140,131 +133,6 @@ pub fn mn_trial_with(
     }
 }
 
-/// Reusable planes for one batched-trial worker: lane-major signals and
-/// query results, the batch decode workspace, and the streaming-design
-/// pool scratch. Allocation-free after warm-up at a stable
-/// `(lanes, n, m)` shape (signal/design sampling still allocates, as in
-/// the single-trial path).
-#[derive(Default)]
-pub struct MnBatchTrialWorkspace {
-    /// Hidden signals, lane-major `lanes × n` dense 0/1.
-    truths: Vec<u8>,
-    /// Query results, lane-major `lanes × m`.
-    ys: Vec<u64>,
-    /// Ψ lanes + shared Δ* + per-lane finish scratch.
-    bw: BatchWorkspace,
-    /// Streaming-design pool scratch (one regeneration per query serves
-    /// every lane).
-    pool: Vec<(u32, u32)>,
-    /// The lane signals, kept for scoring.
-    sigmas: Vec<pooled_core::signal::Signal>,
-}
-
-impl MnBatchTrialWorkspace {
-    /// Empty workspace; buffers grow on the first batch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// One batch of MN trials sharing a design: the trial indices in
-/// `trials`, decoded in **one** design traversal. The design is drawn
-/// from the first trial's `"design"` substream (so a 1-lane batch is
-/// bit-identical to [`mn_trial_with`] on that trial); each lane's signal
-/// comes from its own trial's `"signal"` substream. Outcomes are appended
-/// to `out` in lane order.
-pub fn mn_trial_batch_with(
-    n: usize,
-    k: usize,
-    m: usize,
-    master: &SeedSequence,
-    trials: std::ops::Range<usize>,
-    ws: &mut MnBatchTrialWorkspace,
-    out: &mut Vec<TrialOutcome>,
-) {
-    let (first, lanes) = (trials.start, trials.len());
-    use pooled_core::metrics::{exact_recovery_dense, overlap_fraction_dense};
-    use pooled_core::mn::MnDecoder;
-    use pooled_core::signal::Signal;
-    use pooled_design::batched::{decode_sums_fused_batch, decode_sums_fused_batch_stream};
-    use pooled_design::multigraph::RandomRegularDesign;
-
-    let design =
-        RandomRegularDesign::sample(n, m, &master.child("trial", first as u64).child("design", 0));
-    ws.truths.clear();
-    ws.truths.resize(lanes * n, 0);
-    ws.sigmas.clear();
-    for b in 0..lanes {
-        let seeds = master.child("trial", (first + b) as u64);
-        let sigma = Signal::random(n, k, &mut seeds.child("signal", 0).rng());
-        ws.truths[b * n..(b + 1) * n].copy_from_slice(sigma.dense());
-        ws.sigmas.push(sigma);
-    }
-    ws.ys.clear();
-    ws.ys.resize(lanes * m, 0);
-    ws.bw.prepare(lanes, n);
-    {
-        let (psis, dstar) = ws.bw.sums_mut();
-        match &design {
-            RandomRegularDesign::Csr(csr) => {
-                decode_sums_fused_batch(csr, &ws.truths, lanes, &mut ws.ys, psis, dstar);
-            }
-            RandomRegularDesign::Streaming(stream) => {
-                decode_sums_fused_batch_stream(
-                    stream,
-                    &ws.truths,
-                    lanes,
-                    &mut ws.ys,
-                    psis,
-                    dstar,
-                    &mut ws.pool,
-                );
-            }
-        }
-    }
-    let decoder = MnDecoder::new(k);
-    for (b, sigma) in ws.sigmas.iter().enumerate() {
-        let lane_ws = ws.bw.finish_lane(&decoder, b);
-        let estimate = lane_ws.estimate_dense();
-        out.push(TrialOutcome {
-            exact: exact_recovery_dense(sigma, estimate),
-            overlap: overlap_fraction_dense(sigma, estimate),
-        });
-    }
-}
-
-/// Run `trials` MN trials in design-major batches of up to `batch` lanes,
-/// parallel across batches. Results come back in trial order and are a
-/// pure function of `(master, trials, batch, shape)`; `batch = 1`
-/// reproduces [`mn_trial_with`] over [`run_trials_with`] bit for bit.
-///
-/// # Panics
-/// Panics if `batch == 0`.
-pub fn run_mn_trials_batched(
-    master: &SeedSequence,
-    trials: usize,
-    batch: usize,
-    n: usize,
-    k: usize,
-    m: usize,
-) -> Vec<TrialOutcome> {
-    assert!(batch > 0, "batch must be at least 1");
-    let batches = trials.div_ceil(batch);
-    (0..batches)
-        .into_par_iter()
-        .map_init(MnBatchTrialWorkspace::new, |ws, j| {
-            let first = j * batch;
-            let last = (first + batch).min(trials);
-            let mut out = Vec::with_capacity(last - first);
-            mn_trial_batch_with(n, k, m, master, first..last, ws, &mut out);
-            out
-        })
-        .collect::<Vec<Vec<TrialOutcome>>>()
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,65 +214,5 @@ mod tests {
         let master = SeedSequence::new(3);
         let v: Vec<u8> = run_trials(&master, 0, |_, _| 1);
         assert!(v.is_empty());
-    }
-
-    #[test]
-    fn batched_trials_at_lane_one_match_the_single_trial_path() {
-        // B = 1 must reproduce the legacy per-trial executor bit for bit
-        // (same design substream, same signal substream, same kernel sums).
-        let master = SeedSequence::new(55);
-        let (n, k, m, trials) = (300, 5, 120, 17);
-        let legacy = run_trials_with(&master, trials, MnTrialWorkspace::new, |_, seeds, ws| {
-            mn_trial_with(n, k, m, &seeds, ws)
-        });
-        let batched = run_mn_trials_batched(&master, trials, 1, n, k, m);
-        assert_eq!(legacy, batched);
-    }
-
-    #[test]
-    fn batched_trials_are_deterministic_and_order_stable() {
-        let master = SeedSequence::new(56);
-        let (n, k, m, trials) = (250, 4, 100, 23);
-        let a = run_mn_trials_batched(&master, trials, 8, n, k, m);
-        let b = run_mn_trials_batched(&master, trials, 8, n, k, m);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), trials);
-        for o in &a {
-            assert!((0.0..=1.0).contains(&o.overlap));
-            if o.exact {
-                assert_eq!(o.overlap, 1.0);
-            }
-        }
-    }
-
-    #[test]
-    fn batched_trials_estimate_the_same_success_rate() {
-        // Shared-design batches change which (design, signal) pairs are
-        // drawn, not the distribution being estimated: at a comfortably
-        // above-threshold m both executors should succeed essentially
-        // always, and far below both should essentially always fail.
-        let master = SeedSequence::new(57);
-        let (n, k, trials) = (300, 5, 40);
-        let rate = |outcomes: &[TrialOutcome]| {
-            outcomes.iter().filter(|o| o.exact).count() as f64 / outcomes.len() as f64
-        };
-        let easy = run_mn_trials_batched(&master, trials, 8, n, k, 200);
-        assert!(rate(&easy) >= 0.9, "easy rate {}", rate(&easy));
-        let hard = run_mn_trials_batched(&master, trials, 8, n, k, 5);
-        assert!(rate(&hard) <= 0.1, "hard rate {}", rate(&hard));
-    }
-
-    #[test]
-    fn partial_final_batch_is_served() {
-        let master = SeedSequence::new(58);
-        // 10 trials at batch 4 → batches of 4, 4, 2.
-        let out = run_mn_trials_batched(&master, 10, 4, 150, 3, 60);
-        assert_eq!(out.len(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch must be at least 1")]
-    fn zero_batch_rejected() {
-        let _ = run_mn_trials_batched(&SeedSequence::new(1), 4, 0, 10, 2, 5);
     }
 }

@@ -7,7 +7,7 @@
 
 use pooled_rng::SeedSequence;
 
-use crate::replicate::run_mn_trials_batched;
+use crate::replicate::{mn_trial_with, run_trials_with, MnTrialWorkspace};
 use crate::summary::Summary;
 use crate::wilson::wilson_interval;
 
@@ -24,16 +24,6 @@ pub struct SweepConfig {
     pub trials: usize,
     /// Master seed.
     pub master_seed: u64,
-    /// Design-major batch width: how many trials share one sampled design
-    /// (and therefore one design traversal, via
-    /// [`crate::replicate::run_mn_trials_batched`]). `1` reproduces the
-    /// classic fully-independent sweep bit for bit; larger batches trade
-    /// a little sampling independence (signals stay independent; designs
-    /// are shared within a batch) for a large cut in memory traffic. The
-    /// success estimate stays unbiased, but [`SweepRow::success_ci`] is
-    /// computed under independence and narrows optimistically as `batch`
-    /// grows.
-    pub batch: usize,
 }
 
 /// One grid point of a sweep.
@@ -43,12 +33,8 @@ pub struct SweepRow {
     pub m: usize,
     /// Fraction of trials with exact recovery.
     pub success_rate: f64,
-    /// 95% Wilson interval for the success rate, computed as if all
-    /// trials were independent. With [`SweepConfig::batch`] > 1 trials
-    /// inside a batch share a design and are positively correlated, so
-    /// the interval under-covers (effective sample size shrinks toward
-    /// `trials / batch` where design randomness dominates) — treat it as
-    /// a lower bound on the uncertainty in batched sweeps.
+    /// 95% Wilson interval for the success rate (every trial samples its
+    /// own design and signal, so the trials are independent).
     pub success_ci: (f64, f64),
     /// Mean overlap across trials.
     pub mean_overlap: f64,
@@ -58,18 +44,20 @@ pub struct SweepRow {
     pub trials: usize,
 }
 
-/// Run the MN sweep. Trials are parallel; grid points sequential (each grid
-/// point already saturates the pool).
+/// Run the MN sweep: [`mn_trial_with`] per trial over
+/// [`run_trials_with`]. Trials are parallel; grid points sequential (each
+/// grid point already saturates the pool).
 pub fn run_mn_sweep(cfg: &SweepConfig) -> Vec<SweepRow> {
     assert!(cfg.trials > 0, "sweep needs at least one trial");
     assert!(cfg.k <= cfg.n, "k must not exceed n");
-    assert!(cfg.batch > 0, "batch must be at least 1");
     let master = SeedSequence::new(cfg.master_seed);
     cfg.m_grid
         .iter()
         .map(|&m| {
             let node = master.child("m", m as u64);
-            let outcomes = run_mn_trials_batched(&node, cfg.trials, cfg.batch, cfg.n, cfg.k, m);
+            let outcomes = run_trials_with(&node, cfg.trials, MnTrialWorkspace::new, |_, s, ws| {
+                mn_trial_with(cfg.n, cfg.k, m, &s, ws)
+            });
             let successes = outcomes.iter().filter(|o| o.exact).count() as u64;
             let mut overlap = Summary::new();
             for o in &outcomes {
@@ -112,14 +100,8 @@ mod tests {
         let n = 300;
         let k = k_of(n, 0.3);
         let m_hi = (1.8 * m_mn_finite(n, 0.3)).ceil() as usize;
-        let cfg = SweepConfig {
-            n,
-            k,
-            m_grid: vec![5, m_hi / 3, m_hi],
-            trials: 20,
-            master_seed: 1905,
-            batch: 1,
-        };
+        let cfg =
+            SweepConfig { n, k, m_grid: vec![5, m_hi / 3, m_hi], trials: 20, master_seed: 1905 };
         let rows = run_mn_sweep(&cfg);
         assert_eq!(rows.len(), 3);
         // Monotone trend: the top of the grid beats the bottom.
@@ -135,14 +117,7 @@ mod tests {
 
     #[test]
     fn sweep_is_reproducible() {
-        let cfg = SweepConfig {
-            n: 200,
-            k: 4,
-            m_grid: vec![30, 60],
-            trials: 10,
-            master_seed: 7,
-            batch: 1,
-        };
+        let cfg = SweepConfig { n: 200, k: 4, m_grid: vec![30, 60], trials: 10, master_seed: 7 };
         let a = run_mn_sweep(&cfg);
         let b = run_mn_sweep(&cfg);
         for (x, y) in a.iter().zip(&b) {
@@ -154,7 +129,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one trial")]
     fn zero_trials_rejected() {
-        let cfg = SweepConfig { n: 10, k: 2, m_grid: vec![5], trials: 0, master_seed: 0, batch: 1 };
+        let cfg = SweepConfig { n: 10, k: 2, m_grid: vec![5], trials: 0, master_seed: 0 };
         let _ = run_mn_sweep(&cfg);
     }
 }

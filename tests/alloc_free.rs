@@ -170,11 +170,12 @@ fn engine_steady_state_serving_is_allocation_free_after_warmup() {
 
 #[test]
 fn batched_engine_serving_is_allocation_free_after_warmup() {
-    // The design-affinity batched path — pop_run, one cache hit per run,
-    // lane-major signal draw, the batched fused kernel, per-lane finish,
-    // telemetry, completion queue — must also serve with zero heap
-    // allocations per job at steady state. Same contract as the per-job
-    // path, now with the batch planes in the worker scratch.
+    // Design-affinity runs — pop_run, one cache hit and one query sleep
+    // per run, then each lane through the per-job stages (support draw,
+    // support query execution, registry decode) under its own unwind
+    // guard, telemetry, completion queue — must also serve with zero heap
+    // allocations per job at steady state. A run of any length reuses the
+    // same per-job scratch, so this is the per-job contract at window 8.
     let _serial = serial();
     let profile = LoadProfile {
         distinct_designs: 1,
@@ -192,10 +193,9 @@ fn batched_engine_serving_is_allocation_free_after_warmup() {
     let specs = profile.specs(24);
     let mut results = Vec::with_capacity(256);
 
-    // A run of one job takes the per-job path, whose scratch is separate
-    // from the batch planes, and queue timing decides which worker (if
-    // any) pops a lone job in the passes below. Serve lone jobs until
-    // each worker has had one.
+    // Queue timing decides which worker (if any) pops a lone job in the
+    // passes below. Serve lone jobs until each worker has had one, so both
+    // workers' scratch has grown at this shape before anything is counted.
     let mut served_alone = [false; 2];
     for spec in specs.iter().cycle().take(1_000) {
         results.clear();
@@ -207,8 +207,8 @@ fn batched_engine_serving_is_allocation_free_after_warmup() {
     }
     assert_eq!(served_alone, [true; 2], "a worker never served a lone job");
 
-    // Warm-up: both workers must have seen full and partial batches at
-    // this shape (run lengths depend on queue timing, so several passes).
+    // Warm-up: both workers must have seen full and partial runs at this
+    // shape (run lengths depend on queue timing, so several passes).
     for _ in 0..6 {
         results.clear();
         engine.run_batch(&specs, &mut results);
@@ -229,7 +229,7 @@ fn batched_engine_serving_is_allocation_free_after_warmup() {
         4 * specs.len()
     );
 
-    // Batched results remain correct, deterministic, and identical to the
+    // Results served in runs remain correct, deterministic, and identical to the
     // per-job engine's fingerprints for the same traffic.
     for pass in results.chunks(specs.len()) {
         let got: Vec<(u64, u64)> = pass.iter().map(|r| (r.id, r.fingerprint())).collect();

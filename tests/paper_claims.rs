@@ -46,11 +46,42 @@ fn fig3_phase_transition_location() {
         m_grid: vec![(0.3 * m_theory) as usize, (1.6 * m_theory) as usize],
         trials: 30,
         master_seed: 1905,
-        batch: 1,
     };
     let rows = run_mn_sweep(&cfg);
     assert!(rows[0].success_rate <= 0.2, "below threshold: {}", rows[0].success_rate);
     assert!(rows[1].success_rate >= 0.8, "above threshold: {}", rows[1].success_rate);
+}
+
+/// The Fig. 3/4 sweep, bit for bit: `(m, successes, mean_overlap bits)` at
+/// n = 300, θ = 0.3 (k = 6), 24 trials, seed 1905, over four m across the
+/// transition (the finite-size threshold is ≈ 138). Recorded before the
+/// sweep moved from design-major batches of one trial onto
+/// `run_trials_with(mn_trial_with)`; any change to a trial's seeding,
+/// sampling or decode moves them.
+#[test]
+fn mn_sweep_reproduces_its_golden_rows() {
+    const GOLDEN: [(usize, usize, u64); 4] = [
+        (55, 0, 0x3fe3_c71c_71c7_1c71),
+        (110, 12, 0x3fec_e38e_38e3_8e39),
+        (165, 22, 0x3fef_8e38_e38e_38e3),
+        (221, 23, 0x3fef_c71c_71c7_1c72),
+    ];
+    let n = 300;
+    let cfg = SweepConfig {
+        n,
+        k: k_of(n, 0.3),
+        m_grid: GOLDEN.iter().map(|g| g.0).collect(),
+        trials: 24,
+        master_seed: 1905,
+    };
+    let rows: Vec<(usize, usize, u64)> = run_mn_sweep(&cfg)
+        .iter()
+        .map(|r| {
+            let successes = (r.success_rate * r.trials as f64).round() as usize;
+            (r.m, successes, r.mean_overlap.to_bits())
+        })
+        .collect();
+    assert_eq!(rows, GOLDEN);
 }
 
 /// Fig. 2's qualitative content: the measured transition point grows with

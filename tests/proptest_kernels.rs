@@ -6,12 +6,10 @@
 
 use proptest::prelude::*;
 
-use pooled_data::core::batch::BatchWorkspace;
 use pooled_data::core::mn::MnDecoder;
 use pooled_data::core::mn_general::GeneralMnDecoder;
 use pooled_data::core::query::execute_queries;
 use pooled_data::core::workspace::MnWorkspace;
-use pooled_data::design::batched::{decode_sums_fused_batch, decode_sums_fused_batch_stream};
 use pooled_data::design::csr::CsrDesign;
 use pooled_data::design::fused::{
     decode_sums_fused, decode_sums_fused_stream, scatter_distinct_into, FusedArena,
@@ -237,85 +235,6 @@ proptest! {
         GeneralMnDecoder::new(k).decode_with(&design, &y, &mut ws);
         prop_assert_eq!(ws.scores_wide(), &want_general.scores[..]);
         prop_assert_eq!(ws.estimate_dense(), want_general.estimate.dense());
-    }
-
-    /// The batched decode is bit-identical, lane by lane, to B independent
-    /// `decode_csr_with` calls, for arbitrary B ∈ [1, 32], shapes and
-    /// signals — reusing one batch workspace across cases.
-    #[test]
-    fn decode_batch_with_matches_independent_decodes(
-        lanes in 1usize..=32,
-        n in 8usize..160,
-        m in 1usize..40,
-        k in 0usize..10,
-        seed in any::<u64>(),
-    ) {
-        let seeds = SeedSequence::new(seed);
-        let design = CsrDesign::sample(n, m, (n / 2).max(1), &seeds.child("d", 0));
-        // Lane-major stacked query results from independent signals.
-        let mut ys = Vec::with_capacity(lanes * m);
-        for b in 0..lanes {
-            let sigma = Signal::random(n, k.min(n), &mut seeds.child("s", b as u64).rng());
-            ys.extend(execute_queries(&design, &sigma));
-        }
-        let decoder = MnDecoder::new(k);
-        let mut bw = BatchWorkspace::new();
-        let mut single = MnWorkspace::new();
-        let mut visited = 0usize;
-        let mut failure: Option<String> = None;
-        decoder.decode_batch_with(&design, &ys, lanes, &mut bw, |lane, ws| {
-            decoder.decode_csr_with(&design, &ys[lane * m..(lane + 1) * m], &mut single);
-            if ws.scores() != single.scores()
-                || ws.support() != single.support()
-                || ws.psi() != single.psi()
-                || ws.delta_star() != single.delta_star()
-                || ws.estimate_dense() != single.estimate_dense()
-            {
-                failure.get_or_insert_with(|| format!("lane {lane} diverged"));
-            }
-            visited += 1;
-        });
-        prop_assert_eq!(failure, None);
-        prop_assert_eq!(visited, lanes);
-    }
-
-    /// The batched trial kernels (CSR and streaming) match the single-job
-    /// fused kernel lane by lane: same y, same Ψ, and one shared Δ*.
-    #[test]
-    fn batched_trial_kernels_match_fused_per_lane(
-        lanes in 1usize..=16,
-        n in 4usize..120,
-        m in 0usize..30,
-        seed in any::<u64>(),
-    ) {
-        let seeds = SeedSequence::new(seed);
-        let gamma = (n / 2).max(1);
-        let stream = StreamingDesign::new(n, m, gamma, &seeds.child("d", 0));
-        let csr = stream.materialize();
-        let xs: Vec<u8> = (0..lanes * n)
-            .map(|i| u8::from((i as u64).wrapping_mul(seed | 1).is_multiple_of(3)))
-            .collect();
-        let (mut ys, mut psis, mut dstar) =
-            (vec![0u64; lanes * m], vec![0u64; lanes * n], vec![0u64; n]);
-        decode_sums_fused_batch(&csr, &xs, lanes, &mut ys, &mut psis, &mut dstar);
-        let mut pool = Vec::new();
-        let (mut ys_s, mut psis_s, mut dstar_s) =
-            (vec![0u64; lanes * m], vec![0u64; lanes * n], vec![0u64; n]);
-        decode_sums_fused_batch_stream(
-            &stream, &xs, lanes, &mut ys_s, &mut psis_s, &mut dstar_s, &mut pool,
-        );
-        prop_assert_eq!(&ys, &ys_s);
-        prop_assert_eq!(&psis, &psis_s);
-        prop_assert_eq!(&dstar, &dstar_s);
-        let mut arena = FusedArena::new();
-        for b in 0..lanes {
-            let x: Vec<u64> = xs[b * n..(b + 1) * n].iter().map(|&v| v as u64).collect();
-            let (mut y, mut psi, mut ds) = (vec![0u64; m], vec![0u64; n], vec![0u64; n]);
-            decode_sums_fused(&csr, &x, &mut y, &mut psi, &mut ds, &mut arena);
-            prop_assert_eq!(&ys[b * m..(b + 1) * m], &y[..], "lane {} y", b);
-            prop_assert_eq!(&psis[b * n..(b + 1) * n], &psi[..], "lane {} psi", b);
-            prop_assert_eq!(&dstar, &ds, "lane {} dstar", b);
-        }
     }
 
     /// The entry-bitmap popcount kernel, on both arms of its `popcnt`
