@@ -6,9 +6,9 @@
 //!   calls out: it shows how much the degree-fluctuation correction buys.
 
 use pooled_core::signal::Signal;
+use pooled_core::workspace::MnWorkspace;
 use pooled_design::csr::CsrDesign;
-use pooled_design::matvec::scatter_distinct_u64;
-use pooled_design::PoolingDesign;
+use pooled_design::{distinct_sums_into, PoolingDesign};
 use pooled_rng::SeedSequence;
 
 use crate::AdditiveDecoder;
@@ -47,6 +47,32 @@ impl PsiOnlyDecoder {
     pub fn new() -> Self {
         Self
     }
+
+    /// Workspace decode: Ψ and Δ* into `ws` from the sum every decoder
+    /// takes (`pooled_design::distinct_sums_into`), the raw Ψ as the
+    /// scores, and the `k` best as an ascending support
+    /// ([`MnWorkspace::support`]). [`AdditiveDecoder::reconstruct`] runs
+    /// it on a fresh workspace.
+    ///
+    /// # Panics
+    /// Panics if `y.len() != design.m()`.
+    pub fn decode_with<D: PoolingDesign + ?Sized>(
+        &self,
+        design: &D,
+        y: &[u64],
+        k: usize,
+        ws: &mut MnWorkspace,
+    ) {
+        assert_eq!(y.len(), design.m(), "result vector length must equal m");
+        ws.prepare(design.n());
+        let (psi, dstar, scores) = ws.sums_and_scores_mut();
+        distinct_sums_into(design, y, psi, dstar);
+        for (s, &p) in scores.iter_mut().zip(&*psi) {
+            *s = p as i64;
+        }
+        ws.select_top_k(k);
+        ws.sort_support();
+    }
 }
 
 impl AdditiveDecoder for PsiOnlyDecoder {
@@ -55,11 +81,9 @@ impl AdditiveDecoder for PsiOnlyDecoder {
     }
 
     fn reconstruct(&self, design: &CsrDesign, y: &[u64], k: usize) -> Signal {
-        let (psi, _) = scatter_distinct_u64(design, y);
-        let scores: Vec<i64> = psi.iter().map(|&p| p as i64).collect();
-        let mut support = pooled_par::topk::top_k_indices(&scores, k.min(design.n()));
-        support.sort_unstable();
-        Signal::from_support(design.n(), support)
+        let mut ws = MnWorkspace::new();
+        self.decode_with(design, y, k, &mut ws);
+        Signal::from_support(design.n(), ws.support().to_vec())
     }
 }
 
@@ -101,7 +125,7 @@ mod tests {
             let sigma = Signal::random(n, k, &mut seeds.child("sig", 0).rng());
             let y = execute_queries(&d, &sigma);
             let psi_est = PsiOnlyDecoder::new().reconstruct(&d, &y, k);
-            let mn_est = MnDecoder::new(k).decode_csr(&d, &y).estimate;
+            let mn_est = MnDecoder::new(k).decode(&d, &y).estimate;
             ov_psi += overlap_fraction(&sigma, &psi_est);
             ov_mn += overlap_fraction(&sigma, &mn_est);
         }

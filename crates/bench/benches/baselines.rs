@@ -27,7 +27,7 @@ fn bench(c: &mut Criterion) {
     let y = execute_queries(&design, &sigma);
 
     group.bench_function("mn", |b| {
-        b.iter(|| black_box(MnDecoder::new(k).decode_csr(&design, &y)));
+        b.iter(|| black_box(MnDecoder::new(k).decode(&design, &y)));
     });
     group.bench_function("omp", |b| {
         let dec = OmpDecoder::new();

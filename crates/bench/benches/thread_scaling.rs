@@ -11,7 +11,7 @@ use std::hint::black_box;
 use pooled_core::mn::MnDecoder;
 use pooled_core::query::execute_queries;
 use pooled_core::signal::Signal;
-use pooled_design::multigraph::{RandomRegularDesign, StorageMode};
+use pooled_design::CsrDesign;
 use pooled_par::pool::pool_with_threads;
 use pooled_rng::SeedSequence;
 
@@ -23,18 +23,12 @@ fn bench(c: &mut Criterion) {
     let m = 2500;
     let seeds = SeedSequence::new(1905);
     let sigma = Signal::random(n, k, &mut seeds.child("signal", 0).rng());
-    let design = RandomRegularDesign::sample_with(
-        n,
-        m,
-        n / 2,
-        &seeds.child("design", 0),
-        StorageMode::Materialized,
-    );
+    let design = CsrDesign::sample(n, m, n / 2, &seeds.child("design", 0));
     let y = execute_queries(&design, &sigma);
     for &threads in &[1usize, 2, 4, 8] {
         let pool = pool_with_threads(threads);
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &_threads| {
-            b.iter(|| pool.install(|| black_box(MnDecoder::new(k).decode_design(&design, &y))));
+            b.iter(|| pool.install(|| black_box(MnDecoder::new(k).decode(&design, &y))));
         });
     }
     group.finish();

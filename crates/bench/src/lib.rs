@@ -6,10 +6,8 @@
 //! |---|---|
 //! | `fig2_points` | Fig. 2 workload: per-trial transition search cells |
 //! | `fig3_fig4_points` | Figs. 3–4 workload: one MN trial per (n, θ, m) |
-//! | `decode_ablation` | scatter vs gather vs top-k vs full-sort decode |
-//! | `decode_fused` | fused single-pass kernel + workspace vs two-pass decode |
-//! | `scatter_blocked_vs_atomic` | privatized blocked scatter vs atomic adds |
 //! | `design_sampling` | CSR materialization vs streaming regeneration |
+//! | `popcount_vs_gather` | Ψ/Δ* by popcount over the entry bitmap vs the index gather |
 //! | `sort_topk` | parallel sorts vs top-k selection on score vectors |
 //! | `baselines` | MN vs OMP vs AMP vs peeling wall-clock |
 //! | `thread_scaling` | decode throughput at 1/2/4/8 rayon workers |

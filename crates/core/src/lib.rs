@@ -57,7 +57,7 @@ pub mod subset_select;
 pub mod workspace;
 
 pub use metrics::{exact_recovery, exact_recovery_dense, overlap_fraction, overlap_fraction_dense};
-pub use mn::{DecodeStrategy, MnDecoder, MnOutput, SelectionMethod};
+pub use mn::{MnDecoder, MnOutput};
 pub use mn_general::{GeneralMnDecoder, GeneralMnOutput};
 pub use query::execute_queries;
 pub use refine::{refine, refine_with, RefineConfig, RefineOutput, RefineStats};

@@ -16,9 +16,7 @@
 //! (n/2)·(2Ψ_i − k·Δ*_i)` at `Γ = n/2` — a positive multiple of the classic
 //! score, so the two decoders rank identically (property-tested).
 
-use pooled_design::csr::CsrDesign;
-use pooled_design::fused::scatter_distinct_into;
-use pooled_design::PoolingDesign;
+use pooled_design::{distinct_sums_into, PoolingDesign};
 use pooled_par::sort::par_merge_sort_with;
 
 use crate::signal::Signal;
@@ -76,6 +74,13 @@ impl GeneralMnDecoder {
     /// buffers (including the exact `i128` scores, read back via
     /// [`MnWorkspace::scores_wide`]) reused across calls.
     ///
+    /// Both sums (`y`, and the design's [`PoolingDesign::pool_len`] as
+    /// weights) come from `pooled_design::distinct_sums_into`: by popcount
+    /// over the entry bitmap where a materialized design keeps one. The
+    /// family's own `pool_len` differs from its CSR's `gamma` for
+    /// Bernoulli and entry-regular designs, so pass the family's design
+    /// (an `AnyDesign`), not its CSR.
+    ///
     /// # Panics
     /// Panics if `y.len() != design.m()`.
     pub fn decode_with<D: PoolingDesign + ?Sized>(
@@ -87,46 +92,17 @@ impl GeneralMnDecoder {
         assert_eq!(y.len(), design.m(), "result vector length must equal m");
         let n = design.n();
         ws.prepare(n);
-        {
-            let (psi, dstar, arena) = ws.sums_mut();
-            scatter_distinct_into(design, y, psi, dstar, arena);
-        }
-        // Per-entry sum of neighbor pool sizes: reuse the Ψ kernel with the
+        let (psi, dstar) = ws.sums_mut();
+        distinct_sums_into(design, y, psi, dstar);
+        // Per-entry sum of neighbor pool sizes: the same kernel with the
         // pool sizes as the query weights (Δ* recomputed into scratch).
-        prepare_pool_sums(ws, n, design.m(), |q| design.pool_len(q));
-        scatter_distinct_into(
-            design,
-            &ws.pool_lens,
-            &mut ws.gamma_sums,
-            &mut ws.dstar_scratch,
-            &mut ws.arena,
-        );
-        self.finish_with(n, ws);
-    }
-
-    /// [`Self::decode_with`] over a materialized design: both sums (`y` and
-    /// the pool sizes as weights) come from
-    /// [`CsrDesign::gather_distinct_into`], by popcount over the entry
-    /// bitmap where the design keeps one. `pool_len(q)` is the draw count
-    /// of query `q` of the design `csr` stores: the family's own
-    /// [`PoolingDesign::pool_len`], which for Bernoulli and entry-regular
-    /// designs differs from the CSR's `gamma`. Identical results.
-    ///
-    /// # Panics
-    /// Panics if `y.len() != csr.m()`.
-    pub fn decode_csr_with(
-        &self,
-        csr: &CsrDesign,
-        pool_len: impl Fn(usize) -> usize,
-        y: &[u64],
-        ws: &mut MnWorkspace,
-    ) {
-        assert_eq!(y.len(), csr.m(), "result vector length must equal m");
-        let n = csr.n();
-        ws.prepare(n);
-        csr.gather_distinct_into(y, &mut ws.psi, &mut ws.dstar);
-        prepare_pool_sums(ws, n, csr.m(), pool_len);
-        csr.gather_distinct_into(&ws.pool_lens, &mut ws.gamma_sums, &mut ws.dstar_scratch);
+        ws.pool_lens.clear();
+        ws.pool_lens.extend((0..design.m()).map(|q| design.pool_len(q) as u64));
+        ws.gamma_sums.clear();
+        ws.gamma_sums.resize(n, 0);
+        ws.dstar_scratch.clear();
+        ws.dstar_scratch.resize(n, 0);
+        distinct_sums_into(design, &ws.pool_lens, &mut ws.gamma_sums, &mut ws.dstar_scratch);
         self.finish_with(n, ws);
     }
 
@@ -153,17 +129,6 @@ impl GeneralMnDecoder {
         ws.support.extend(ws.order_wide.iter().map(|&(_, i)| i as usize));
         ws.mark_support();
     }
-}
-
-/// Load the per-query pool sizes as weights into `ws.pool_lens` and size
-/// the buffers their sums go to.
-fn prepare_pool_sums(ws: &mut MnWorkspace, n: usize, m: usize, pool_len: impl Fn(usize) -> usize) {
-    ws.pool_lens.clear();
-    ws.pool_lens.extend((0..m).map(|q| pool_len(q) as u64));
-    ws.gamma_sums.clear();
-    ws.gamma_sums.resize(n, 0);
-    ws.dstar_scratch.clear();
-    ws.dstar_scratch.resize(n, 0);
 }
 
 #[cfg(test)]

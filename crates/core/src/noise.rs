@@ -174,7 +174,7 @@ mod tests {
                 seeds.child("chan", 0),
             );
             let y = channel.execute(&design, &sigma);
-            let out = MnDecoder::new(k).decode_design(&design, &y);
+            let out = MnDecoder::new(k).decode(&design, &y);
             if out.estimate == sigma {
                 successes += 1;
             }

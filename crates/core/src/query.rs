@@ -14,7 +14,12 @@
 //!   support only, `O(Σ_{i∈supp} Δ*_i) = O(k·m·γ)` total instead of the
 //!   dense walk's `O(nnz)`, which wins by orders of magnitude in the
 //!   sparse regime `k ≪ n` (the `design_sampling` bench compares them).
-//!   Sums are exact, so both kernels return bit-identical `y`.
+//!   The serving engine's workers and the Monte-Carlo trials
+//!   (`pooled_stats::replicate`) both run it on materialized designs.
+//!
+//! Sums are exact, so both kernels return bit-identical `y`. A trial on a
+//! streaming design has no transpose; it executes its queries inside the
+//! decoder's one pass instead (`pooled_design::streaming::stream_sums_into`).
 
 use rayon::prelude::*;
 
@@ -72,7 +77,7 @@ pub fn execute_queries_dense_into<D: PoolingDesign + ?Sized>(
 /// support's transpose rows instead of every pool. Sequential and
 /// allocation-free — for `k` entries the work is `k` short rows, far too
 /// little to pay for a fan-out, and callers (the serving engine's
-/// workers, batch lanes) hand it slices of reusable planes.
+/// workers, Monte-Carlo trials) hand it reusable buffers.
 ///
 /// `support` must hold distinct indices (a repeated index counts twice,
 /// where the dense kernels would count it once); any order.

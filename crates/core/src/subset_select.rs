@@ -91,7 +91,7 @@ mod tests {
         let sigma = Signal::random(n, k, &mut seeds.child("signal", 0).rng());
         let design = RandomRegularDesign::sample(n, m, &seeds.child("design", 0));
         let y = execute_queries(&design, &sigma);
-        (sigma, MnDecoder::new(k).decode_design(&design, &y))
+        (sigma, MnDecoder::new(k).decode(&design, &y))
     }
 
     #[test]

@@ -5,16 +5,18 @@
 //! Monte-Carlo sweeps decode thousands of times with identical shapes; the
 //! seed implementation allocated fresh `psi`/`dstar`/`scores`/estimate
 //! vectors (plus top-k scratch) on every call. [`MnWorkspace`] keeps them
-//! all — including the fused-kernel arena from `pooled_design` — across
-//! replicates. With a single worker installed the decode path through
-//! [`crate::mn::MnDecoder::decode_with`] performs **zero** heap allocations
-//! after warm-up (pinned by the workspace's allocation-counting test).
+//! all across replicates. The sums come from
+//! `pooled_design::distinct_sums_into`, which needs no scratch of its own
+//! on a materialized design, so with a single worker installed the decode
+//! path through [`crate::mn::MnDecoder::decode_with`] performs **zero**
+//! heap allocations after warm-up on such a design (pinned by
+//! `tests/alloc_free.rs`). A streaming design's pass allocates as it
+//! regenerates each pool.
 //!
 //! The one-shot APIs (`decode`, `refine`, …) are thin wrappers that run a
 //! fresh workspace and move its buffers into the output — same results,
 //! same allocation profile as before.
 
-use pooled_design::fused::FusedArena;
 use pooled_par::topk::{top_k_into, TopKScratch};
 
 use crate::signal::Signal;
@@ -30,10 +32,6 @@ pub struct MnWorkspace {
     pub(crate) scores: Vec<i64>,
     pub(crate) support: Vec<usize>,
     pub(crate) estimate: Vec<u8>,
-    /// Full-sort selection scratch (pairs plus merge-sort ping-pong
-    /// buffer, so repeated full sorts stay allocation-free).
-    pub(crate) order: Vec<(i64, u32)>,
-    pub(crate) order_scratch: Vec<(i64, u32)>,
     /// Γ-general decoder: exact wide scores and their sort scratch.
     pub(crate) scores_wide: Vec<i128>,
     pub(crate) order_wide: Vec<(i128, u32)>,
@@ -48,8 +46,6 @@ pub struct MnWorkspace {
     pub(crate) ins: Vec<usize>,
     pub(crate) outs: Vec<usize>,
     pub(crate) pairs: Vec<(usize, usize)>,
-    /// Fused/blocked/atomic scatter arena (shared with `pooled_design`).
-    pub(crate) arena: FusedArena,
     pub(crate) topk: TopKScratch,
 }
 
@@ -121,17 +117,20 @@ impl MnWorkspace {
         &self.estimate[..self.n]
     }
 
-    /// Mutable access to `(psi, dstar, arena)` for external accumulation
-    /// kernels (the fused trial path). Call [`Self::prepare`] first.
-    pub fn sums_mut(&mut self) -> (&mut [u64], &mut [u64], &mut FusedArena) {
+    /// Mutable `(psi, dstar)` at the current problem size, for the sum
+    /// kernel to write into: `pooled_design::distinct_sums_into` in the
+    /// decoders, or a streaming trial's pass that also executes the
+    /// queries (which then calls `MnDecoder::finish_with`). Call
+    /// [`Self::prepare`] first.
+    pub fn sums_mut(&mut self) -> (&mut [u64], &mut [u64]) {
         let n = self.n;
-        (&mut self.psi[..n], &mut self.dstar[..n], &mut self.arena)
+        (&mut self.psi[..n], &mut self.dstar[..n])
     }
 
     /// Mutable `(psi, dstar, scores)` at the current problem size, for a
     /// decoder outside this crate that accumulates and scores its own sums
-    /// (Threshold-MN). Call [`Self::prepare`] first and
-    /// [`Self::select_top_k`] after.
+    /// (Threshold-MN, the Ψ-only baseline). Call [`Self::prepare`] first
+    /// and [`Self::select_top_k`] after.
     pub fn sums_and_scores_mut(&mut self) -> (&mut [u64], &mut [u64], &mut [i64]) {
         let n = self.n;
         (&mut self.psi[..n], &mut self.dstar[..n], &mut self.scores[..n])

@@ -134,6 +134,10 @@ impl PoolingDesign for BernoulliDesign {
         // No multi-edges: draws == distinct entries.
         self.csr.distinct_len(q)
     }
+
+    fn as_csr(&self) -> Option<&CsrDesign> {
+        Some(self.csr())
+    }
 }
 
 #[cfg(test)]

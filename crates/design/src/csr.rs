@@ -637,6 +637,10 @@ impl PoolingDesign for CsrDesign {
     fn distinct_len(&self, q: usize) -> usize {
         (self.q_offsets[q + 1] - self.q_offsets[q]) as usize
     }
+
+    fn as_csr(&self) -> Option<&CsrDesign> {
+        Some(self)
+    }
 }
 
 #[cfg(test)]

@@ -129,6 +129,10 @@ impl PoolingDesign for EntryRegularDesign {
     fn pool_len(&self, q: usize) -> usize {
         self.pool_lens[q] as usize
     }
+
+    fn as_csr(&self) -> Option<&CsrDesign> {
+        Some(self.csr())
+    }
 }
 
 #[cfg(test)]

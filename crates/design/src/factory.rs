@@ -147,6 +147,10 @@ impl PoolingDesign for AnyDesign {
     fn pool_len(&self, q: usize) -> usize {
         dispatch!(self, d => d.pool_len(q))
     }
+
+    fn as_csr(&self) -> Option<&CsrDesign> {
+        Some(self.csr())
+    }
 }
 
 #[cfg(test)]

@@ -22,6 +22,11 @@
 //! Both are deterministic functions of a [`pooled_rng::SeedSequence`], so
 //! `CsrDesign::sample(seeds) ≡ StreamingDesign::new(seeds).materialize()` —
 //! an equality the integration tests pin down.
+//!
+//! Every decoder takes its Ψ/Δ* sums through one door,
+//! [`distinct_sums_into`]: a design that stores a CSR
+//! ([`PoolingDesign::as_csr`]) sums by [`CsrDesign::gather_distinct_into`],
+//! and a streaming design by [`streaming::stream_sums_into`]'s one pass.
 
 //! Beyond the paper's design, the crate implements the alternative families
 //! the design-ablation experiment compares at matched density: fixed-size
@@ -36,7 +41,6 @@ pub mod csr;
 pub mod degrees;
 pub mod entry_regular;
 pub mod factory;
-pub mod fused;
 pub mod matvec;
 pub mod multigraph;
 pub mod noreplace;
@@ -48,7 +52,7 @@ pub use csr::CsrDesign;
 pub use degrees::DegreeStats;
 pub use entry_regular::EntryRegularDesign;
 pub use factory::{AnyDesign, DesignKind};
-pub use fused::{decode_sums_fused, decode_sums_fused_stream, scatter_distinct_into, FusedArena};
+pub use matvec::distinct_sums_into;
 pub use multigraph::RandomRegularDesign;
 pub use noreplace::NoReplaceDesign;
 pub use streaming::StreamingDesign;
@@ -92,6 +96,15 @@ pub trait PoolingDesign: Sync {
     fn pool_len(&self, q: usize) -> usize {
         let _ = q;
         self.gamma()
+    }
+
+    /// The materialized CSR storage behind this design, if it keeps one.
+    ///
+    /// Every family stores a CSR; only [`StreamingDesign`] (and
+    /// [`RandomRegularDesign::Streaming`]) regenerates its pools instead
+    /// and returns `None`. [`distinct_sums_into`] picks its kernel by it.
+    fn as_csr(&self) -> Option<&CsrDesign> {
+        None
     }
 }
 

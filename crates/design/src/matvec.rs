@@ -6,35 +6,59 @@
 //! multiplicity-weighted matrix. These kernels are the hot path of the whole
 //! simulator.
 //!
-//! # Choosing a kernel
+//! # One kernel per storage
 //!
-//! | kernel | entry point | parallelism | atomics | passes over design | allocation |
-//! |---|---|---|---|---|---|
-//! | scatter (atomic) | [`scatter_distinct_u64`] | query-parallel | yes | 1 (+1 for `y`) | per call |
-//! | scatter (blocked) | [`crate::fused::scatter_distinct_into`] | query-parallel, privatized | no | 1 (+1 for `y`) | arena, reused |
-//! | gather (index) | [`crate::csr::CsrDesign::gather_distinct_into`] without a bitmap or past the crossover | entry-parallel over transpose | no | 1 (+1 for `y`) | none |
-//! | gather (popcount) | [`crate::csr::CsrDesign::gather_distinct_into`] with a bitmap (distinct density ≥ 1/32), mixed weight planes ≤ 5/4 of the incidences per bitmap word | entry-parallel over the entry bitmap | no | 1 bitmap pass (+1 for `y`) | none (planes on the stack) |
-//! | fused | [`crate::fused::decode_sums_fused`] | query-parallel, privatized | no | **1 total** (`y`, Ψ, Δ*) | arena, reused |
+//! Every decoder takes its Ψ/Δ* sums from [`distinct_sums_into`], which
+//! picks the kernel from what the design stores:
 //!
-//! Trade-offs: atomic scatter works on *any* [`PoolingDesign`] (including
-//! streaming) with zero extra memory but serializes on hot slots; blocked
-//! scatter privatizes per-worker planes (`t·n` words) and wins once the
-//! update density `m·Γ/n` clears `pooled_par::blocked::choose_scatter`'s
-//! threshold; gather needs the materialized CSR transpose but is contention
-//! free by construction; its popcount arm reads the `n·⌈m/64⌉`-word entry
-//! bitmap instead of `4·nnz` bytes of query indices and counts
-//! `Σ_b 2^b · popcount(B_i ∧ Y_b)` over the weights' mixed bit-planes,
-//! which is how the engine's three served decoders take their sums; the
-//! fused kernel is the Monte-Carlo hot path — one traversal produces all
-//! three vectors into reusable buffers (streaming variant regenerates each
-//! query's pool once instead of twice). All of them produce bit-identical
-//! results (exact `u64` sums, property tested).
+//! | storage | kernel | parallelism | atomics | allocation |
+//! |---|---|---|---|---|
+//! | CSR ([`PoolingDesign::as_csr`] is `Some`) | [`crate::csr::CsrDesign::gather_distinct_into`]: popcount over the entry bitmap (distinct density ≥ 1/32, mixed weight planes ≤ 5/4 of the incidences per bitmap word), else the index gather over the transpose | entry-parallel | no | none |
+//! | streaming (no CSR) | [`crate::streaming::stream_sums_into`]: one pass that regenerates each pool once, and can fold in the query execution `y` | sequential | no | one pool buffer, plus what regenerating a pool allocates |
+//!
+//! The gather writes nothing shared, so it needs no atomics and no
+//! privatized planes, and its popcount arm reads the `n·⌈m/64⌉`-word
+//! entry bitmap instead of `4·nnz` bytes of query indices. The streaming
+//! pass is the only kernel for designs without a transpose: Fig. 2's
+//! `n = 10⁶` points. A Monte-Carlo trial runs on one worker either way.
+//!
+//! [`pool_sums_u64`] and [`scatter_distinct_u64`] compute the same `y`
+//! and Ψ/Δ* the plain way, query by query over any design; they are the
+//! oracles the kernels are tested against. All sums are exact integers,
+//! so every path agrees bit for bit.
 
 use rayon::prelude::*;
 
 use pooled_par::scatter::AtomicCounters;
 
+use crate::streaming::stream_sums_into;
 use crate::PoolingDesign;
+
+/// The Ψ/Δ* sums of Algorithm 1 and its variants:
+/// `psi[i] = Σ_{q ∋ i} w[q]` over the distinct queries containing entry
+/// `i`, and `dstar[i] = |∂*x_i|`, written into caller buffers.
+///
+/// The one door every decoder takes (see the module docs): by
+/// [`crate::csr::CsrDesign::gather_distinct_into`] when the design stores
+/// a CSR, which is allocation-free, and by
+/// [`crate::streaming::stream_sums_into`] otherwise.
+///
+/// # Panics
+/// Panics if `w.len() != m` or `psi`/`dstar` are shorter than `n`.
+pub fn distinct_sums_into<D: PoolingDesign + ?Sized>(
+    design: &D,
+    w: &[u64],
+    psi: &mut [u64],
+    dstar: &mut [u64],
+) {
+    match design.as_csr() {
+        Some(csr) => csr.gather_distinct_into(w, psi, dstar),
+        None => {
+            assert_eq!(w.len(), design.m(), "weight vector length must equal m");
+            stream_sums_into(design, psi, dstar, |q, _| w[q]);
+        }
+    }
+}
 
 /// Query sums with multiplicity: `out[q] = Σ_draws x[i]` (i.e. `Aᵀx`).
 ///
@@ -175,6 +199,20 @@ mod tests {
         d.gather_distinct_into(&w, &mut psi_g, &mut ds_g);
         assert_eq!(psi_s, psi_g);
         assert_eq!(ds_s, ds_g);
+    }
+
+    #[test]
+    fn distinct_sums_match_the_scatter_on_both_storages() {
+        use crate::streaming::StreamingDesign;
+        let stream = StreamingDesign::new(200, 60, 100, &SeedSequence::new(21));
+        let csr = stream.materialize();
+        let w: Vec<u64> = (0..60).map(|q| q % 5).collect();
+        let want = scatter_distinct_u64(&csr, &w);
+        for design in [&stream as &dyn PoolingDesign, &csr] {
+            let (mut psi, mut dstar) = (vec![u64::MAX; 200], vec![u64::MAX; 200]);
+            distinct_sums_into(design, &w, &mut psi, &mut dstar);
+            assert_eq!((psi, dstar), want, "as_csr: {}", design.as_csr().is_some());
+        }
     }
 
     #[test]

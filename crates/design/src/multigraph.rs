@@ -1,10 +1,11 @@
 //! The user-facing design constructor.
 //!
 //! [`RandomRegularDesign`] wraps the two physical representations behind one
-//! type and picks between them automatically from a memory estimate: the
-//! expected number of stored incidences is `m · n · (1 − (1−1/n)^Γ)`
-//! (≈ `0.39·n·m` at the paper's `Γ = n/2`), and beyond
-//! [`AUTO_MATERIALIZE_LIMIT`] pairs the streaming representation wins.
+//! type and picks between them from a memory estimate: the expected number
+//! of stored incidences is `m · n · (1 − (1−1/n)^Γ)` (≈ `0.39·n·m` at the
+//! paper's `Γ = n/2`), and beyond [`AUTO_MATERIALIZE_LIMIT`] pairs the
+//! streaming representation wins. A caller that needs one storage builds
+//! the variant directly.
 
 use pooled_rng::SeedSequence;
 
@@ -12,21 +13,10 @@ use crate::csr::CsrDesign;
 use crate::streaming::StreamingDesign;
 use crate::PoolingDesign;
 
-/// Above this expected number of (entry, query) incidences, `Auto` storage
-/// switches to streaming regeneration (≈1.6 GiB of CSR at 16 B/pair).
+/// Above this expected number of (entry, query) incidences,
+/// [`RandomRegularDesign::sample_with`] streams instead of materializing
+/// (≈1.6 GiB of CSR at 16 B/pair).
 pub const AUTO_MATERIALIZE_LIMIT: u64 = 100_000_000;
-
-/// Storage policy for [`RandomRegularDesign::sample_with`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum StorageMode {
-    /// Choose by memory estimate (default).
-    #[default]
-    Auto,
-    /// Always materialize CSR.
-    Materialized,
-    /// Always regenerate from seeds.
-    Streaming,
-}
 
 /// The paper's random regular pooling design `G(n, m, Γ)` with `Γ = ⌊n/2⌋`
 /// by default.
@@ -39,45 +29,27 @@ pub enum RandomRegularDesign {
 }
 
 impl RandomRegularDesign {
-    /// Sample `G(n, m, Γ = ⌊n/2⌋)` with automatic storage choice.
+    /// Sample `G(n, m, Γ = ⌊n/2⌋)`, storage chosen by
+    /// [`Self::sample_with`].
     ///
     /// # Panics
     /// Panics if `n == 0`.
     pub fn sample(n: usize, m: usize, seeds: &SeedSequence) -> Self {
-        Self::sample_with(n, m, n / 2, seeds, StorageMode::Auto)
+        Self::sample_with(n, m, n / 2, seeds)
     }
 
-    /// Sample with explicit pool size and storage mode.
-    pub fn sample_with(
-        n: usize,
-        m: usize,
-        gamma: usize,
-        seeds: &SeedSequence,
-        mode: StorageMode,
-    ) -> Self {
+    /// Sample with an explicit pool size: materialized while the
+    /// [`expected_incidences`] stay within [`AUTO_MATERIALIZE_LIMIT`],
+    /// streaming beyond.
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    pub fn sample_with(n: usize, m: usize, gamma: usize, seeds: &SeedSequence) -> Self {
         assert!(n > 0, "design needs at least one entry");
-        let materialize = match mode {
-            StorageMode::Materialized => true,
-            StorageMode::Streaming => false,
-            StorageMode::Auto => expected_incidences(n, m, gamma) <= AUTO_MATERIALIZE_LIMIT,
-        };
-        if materialize {
+        if expected_incidences(n, m, gamma) <= AUTO_MATERIALIZE_LIMIT {
             Self::Csr(CsrDesign::sample(n, m, gamma, seeds))
         } else {
             Self::Streaming(StreamingDesign::new(n, m, gamma, seeds))
-        }
-    }
-
-    /// Whether this design is materialized.
-    pub fn is_materialized(&self) -> bool {
-        matches!(self, Self::Csr(_))
-    }
-
-    /// Access the CSR representation, if materialized.
-    pub fn as_csr(&self) -> Option<&CsrDesign> {
-        match self {
-            Self::Csr(c) => Some(c),
-            Self::Streaming(_) => None,
         }
     }
 }
@@ -131,6 +103,13 @@ impl PoolingDesign for RandomRegularDesign {
             Self::Streaming(d) => d.distinct_len(q),
         }
     }
+
+    fn as_csr(&self) -> Option<&CsrDesign> {
+        match self {
+            Self::Csr(c) => Some(c),
+            Self::Streaming(_) => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -144,46 +123,17 @@ mod tests {
     }
 
     #[test]
-    fn auto_mode_materializes_small_designs() {
+    fn small_designs_materialize() {
         let d = RandomRegularDesign::sample(1000, 100, &SeedSequence::new(1));
-        assert!(d.is_materialized());
         assert!(d.as_csr().is_some());
     }
 
     #[test]
-    fn auto_mode_streams_huge_designs() {
+    fn huge_designs_stream() {
         // n=10⁶, m=20_000 ⇒ ≈ 7.9e9 expected incidences > limit.
-        let d = RandomRegularDesign::sample_with(
-            1_000_000,
-            20_000,
-            500_000,
-            &SeedSequence::new(1),
-            StorageMode::Auto,
-        );
-        assert!(!d.is_materialized());
-    }
-
-    #[test]
-    fn forced_modes_are_respected() {
-        let seeds = SeedSequence::new(2);
-        let c = RandomRegularDesign::sample_with(100, 10, 50, &seeds, StorageMode::Materialized);
-        let s = RandomRegularDesign::sample_with(100, 10, 50, &seeds, StorageMode::Streaming);
-        assert!(c.is_materialized());
-        assert!(!s.is_materialized());
-    }
-
-    #[test]
-    fn representations_agree_on_pools() {
-        let seeds = SeedSequence::new(3);
-        let c = RandomRegularDesign::sample_with(300, 20, 150, &seeds, StorageMode::Materialized);
-        let s = RandomRegularDesign::sample_with(300, 20, 150, &seeds, StorageMode::Streaming);
-        for q in 0..20 {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            c.for_each_distinct(q, &mut |e, cnt| a.push((e, cnt)));
-            s.for_each_distinct(q, &mut |e, cnt| b.push((e, cnt)));
-            assert_eq!(a, b, "query {q}");
-        }
+        let d = RandomRegularDesign::sample_with(1_000_000, 20_000, 500_000, &SeedSequence::new(1));
+        assert!(matches!(d, RandomRegularDesign::Streaming(_)));
+        assert!(d.as_csr().is_none());
     }
 
     #[test]

@@ -91,6 +91,10 @@ impl PoolingDesign for NoReplaceDesign {
     fn pool_len(&self, _q: usize) -> usize {
         self.csr.gamma()
     }
+
+    fn as_csr(&self) -> Option<&CsrDesign> {
+        Some(self.csr())
+    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,14 @@
 //! the design therefore needs nothing beyond its parameters. Every access
 //! regenerates the `Γ` draws from the query's substream, trading CPU for an
 //! `O(n + m)` footprint — the representation behind the paper-scale
-//! (`n = 10⁶`) points of Fig. 2.
+//! (`n = 10⁶`) points of Fig. 2, which pass
+//! [`crate::multigraph::AUTO_MATERIALIZE_LIMIT`] (10⁸ expected
+//! incidences).
+//!
+//! Such a design has no transpose, so the CSR gather cannot sum its Ψ/Δ*.
+//! [`stream_sums_into`] is the pass that does: the fallback of
+//! [`crate::distinct_sums_into`] for designs without a CSR, and, with the
+//! query execution folded in, a Monte-Carlo trial's whole decode input.
 
 use pooled_rng::bounded::FixedBound;
 use pooled_rng::SeedSequence;
@@ -52,6 +59,42 @@ impl StreamingDesign {
         let fb = FixedBound::new(self.n as u64);
         for _ in 0..self.gamma {
             f(fb.sample(&mut rng) as usize);
+        }
+    }
+}
+
+/// Ψ/Δ* sums in one sequential pass over the queries that produces each
+/// query's distinct `(entry, multiplicity)` pool once:
+/// `psi[i] = Σ_{q ∋ i} weight(q, pool_q)` over the distinct queries
+/// containing entry `i`, and `dstar[i] = |∂*x_i|`.
+///
+/// `weight` sees the pool it weighs, so a trial computes its query result
+/// `y_q = Σ A_iq·σ_i` from it, records it and returns it: query execution
+/// and both sums then cost one regeneration per query instead of two. For
+/// designs without a transpose; a design that stores a CSR sums faster by
+/// [`CsrDesign::gather_distinct_into`]. Exact integer sums, so both agree
+/// bit for bit.
+///
+/// # Panics
+/// Panics if `psi` or `dstar` is shorter than `n`.
+pub fn stream_sums_into<D: PoolingDesign + ?Sized>(
+    design: &D,
+    psi: &mut [u64],
+    dstar: &mut [u64],
+    mut weight: impl FnMut(usize, &[(u32, u32)]) -> u64,
+) {
+    let n = design.n();
+    assert!(psi.len() >= n && dstar.len() >= n, "psi/dstar must have length n");
+    psi[..n].fill(0);
+    dstar[..n].fill(0);
+    let mut pool = Vec::new();
+    for q in 0..design.m() {
+        pool.clear();
+        design.for_each_distinct(q, &mut |e, c| pool.push((e as u32, c)));
+        let w = weight(q, &pool);
+        for &(e, _) in &pool {
+            psi[e as usize] += w;
+            dstar[e as usize] += 1;
         }
     }
 }

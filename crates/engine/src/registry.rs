@@ -2,11 +2,12 @@
 //! serve, behind one trait object.
 //!
 //! [`decoder`] maps a [`DecoderKind`] to a `&'static dyn EngineDecoder`.
-//! The three served decoders (classic MN, Γ-general MN, Threshold-MN)
-//! route through workspace entry points on the design's CSR, take every
-//! Ψ/Δ* sum from one kernel (`CsrDesign::gather_distinct_into`: popcount
-//! over the entry bitmap, see `pooled_design::csr`) and are
-//! **allocation-free** after warm-up; the baseline decoders reuse their
+//! The three served decoders (classic MN, Γ-general MN, Threshold-MN) and
+//! the Ψ-only baseline run their workspace entries (`decode_with`) on the
+//! cached [`AnyDesign`], so every Ψ/Δ* sum comes from the one kernel a
+//! materialized design takes (`CsrDesign::gather_distinct_into`: popcount
+//! over the entry bitmap, see `pooled_design::csr`); the served three are
+//! **allocation-free** after warm-up. The other baselines reuse their
 //! crates' one-shot APIs (they allocate, and the registry documents that —
 //! they exist for comparative traffic, not the hot path).
 //!
@@ -144,7 +145,7 @@ fn outcome(support: &[usize], score_digest: u64, truth: Truth<'_>) -> DecodeOutc
     }
 }
 
-/// Algorithm 1 through the workspace gather path (allocation-free).
+/// Algorithm 1 through the workspace path (allocation-free).
 struct MnEngine;
 
 impl EngineDecoder for MnEngine {
@@ -165,7 +166,7 @@ impl EngineDecoder for MnEngine {
         truth: Truth<'_>,
         scratch: &mut DecodeScratch,
     ) -> DecodeOutcome {
-        MnDecoder::new(k).decode_csr_with(design.csr(), y, &mut scratch.ws);
+        MnDecoder::new(k).decode_with(design, y, &mut scratch.ws);
         let mut d = Digest::new();
         for &s in scratch.ws.scores() {
             d.push(s as u64);
@@ -195,12 +196,7 @@ impl EngineDecoder for GeneralMnEngine {
         truth: Truth<'_>,
         scratch: &mut DecodeScratch,
     ) -> DecodeOutcome {
-        GeneralMnDecoder::new(k).decode_csr_with(
-            design.csr(),
-            |q| design.pool_len(q),
-            y,
-            &mut scratch.ws,
-        );
+        GeneralMnDecoder::new(k).decode_with(design, y, &mut scratch.ws);
         let mut d = Digest::new();
         for &s in scratch.ws.scores_wide() {
             d.push_i128(s);
@@ -237,7 +233,7 @@ impl EngineDecoder for ThresholdMnEngine {
         let t = ((design.gamma() as u64 * k as u64 + n / 2) / n).max(1);
         scratch.bits.clear();
         scratch.bits.extend(y.iter().map(|&v| (v >= t) as u64));
-        ThresholdMnDecoder::new(k).decode_csr_with(design.csr(), &scratch.bits, &mut scratch.ws);
+        ThresholdMnDecoder::new(k).decode_with(design, &scratch.bits, &mut scratch.ws);
         let mut d = Digest::new();
         for &s in scratch.ws.scores() {
             d.push(s as u64);
@@ -261,10 +257,10 @@ impl EngineDecoder for PsiOnlyEngine {
         k: usize,
         _seed: u64,
         truth: Truth<'_>,
-        _scratch: &mut DecodeScratch,
+        scratch: &mut DecodeScratch,
     ) -> DecodeOutcome {
-        let estimate = PsiOnlyDecoder::new().reconstruct(design.csr(), y, k);
-        outcome(estimate.support(), 0, truth)
+        PsiOnlyDecoder::new().decode_with(design, y, k, &mut scratch.ws);
+        outcome(scratch.ws.support(), 0, truth)
     }
 }
 

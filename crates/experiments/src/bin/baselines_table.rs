@@ -111,7 +111,7 @@ fn main() {
     println!("baselines_table: wrote {}", csv.display());
 }
 
-/// MN behind the common trait (decode_csr path).
+/// MN behind the common trait (the CSR gather).
 struct MnAdapter;
 
 impl AdditiveDecoder for MnAdapter {
@@ -120,7 +120,7 @@ impl AdditiveDecoder for MnAdapter {
     }
 
     fn reconstruct(&self, design: &CsrDesign, y: &[u64], k: usize) -> Signal {
-        MnDecoder::new(k).decode_csr(design, y).estimate
+        MnDecoder::new(k).decode(design, y).estimate
     }
 }
 

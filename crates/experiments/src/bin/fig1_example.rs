@@ -22,7 +22,7 @@ fn main() {
     println!("query results y = {y:?}  (paper: [2, 2, 3, 1, 1])");
     assert_eq!(y, vec![2, 2, 3, 1, 1], "Fig. 1 result vector mismatch");
 
-    let out = MnDecoder::new(sigma.weight()).decode_csr(&design, &y);
+    let out = MnDecoder::new(sigma.weight()).decode(&design, &y);
     let rows: Vec<Vec<String>> = (0..design.n())
         .map(|i| {
             vec![

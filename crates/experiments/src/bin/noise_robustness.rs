@@ -45,7 +45,7 @@ fn main() {
             let sigma = Signal::random(n, k, &mut seeds.child("signal", 0).rng());
             let design = RandomRegularDesign::sample(n, m, &seeds.child("design", 0));
             let y = execute_noisy(&design, &sigma, *model, &seeds.child("noise", 0));
-            let out = MnDecoder::new(k).decode_design(&design, &y);
+            let out = MnDecoder::new(k).decode(&design, &y);
             // Refinement under noise: minimizes ‖y − ŷ‖₁ even when no
             // consistent vector exists (noisy y), acting as an ℓ1 denoiser.
             let refined_exact = match &design {

@@ -17,29 +17,26 @@
 //!   statistics).
 //! * [`topk`] — parallel top-k selection (what Algorithm 1's final sort
 //!   actually needs: the k largest scores).
-//! * [`scatter`] — atomic scatter-add accumulators for the Ψ/Δ* sums.
-//! * [`blocked`] — privatized, cache-blocked scatter accumulation (the
-//!   contention-free alternative), plus the kernel-choice heuristic.
+//! * [`scatter`] — atomic scatter-add accumulators: the query-parallel
+//!   reference for the Ψ/Δ* sums and the degree statistics.
 //! * [`pool`] — scoped rayon thread-pool helpers for the ablation benches,
 //!   with a process-wide memoized pool cache.
 //!
-//! # Choosing a scatter/gather kernel
+//! # The Ψ/Δ* kernels
 //!
-//! The Ψ/Δ* accumulation (`m·Γ` updates into `n` slots) has these kernels
-//! across this crate and `pooled_design`:
+//! The decoder's Ψ/Δ* accumulation (`m·Γ` updates into `n` slots) has one
+//! kernel per design storage, both in `pooled_design` behind
+//! `pooled_design::distinct_sums_into`:
 //!
-//! | kernel | where | atomics | extra memory | wins when |
-//! |---|---|---|---|---|
-//! | scatter (atomic) | [`scatter::AtomicCounters`] | yes | none | sparse updates (`m·Γ ≪ t·n`), streaming designs |
-//! | scatter (blocked) | [`blocked::BlockedScatter`] | no | `t·n` words/plane | dense updates (`m·Γ ≳ 4·t·n`), replicate loops (buffers reused) |
-//! | gather (index) | `CsrDesign::gather_distinct_into` | no | none | materialized CSR without a bitmap, or weights past the popcount crossover |
-//! | gather (popcount) | `CsrDesign::gather_distinct_into` | no | `n·⌈m/64⌉`-word entry bitmap per design | distinct density ≥ 1/32, and mixed weight bit-planes ≤ 5/4 of the incidences per bitmap word (30 planes at the paper's `c = ½`; `y` uses about 5): the engine's per-job decodes |
-//! | fused | `pooled_design::fused` | no | arena (reused) | Monte-Carlo trials: `y`, Ψ and Δ* from **one** traversal |
+//! | storage | kernel | atomics | extra memory |
+//! |---|---|---|---|
+//! | CSR | `CsrDesign::gather_distinct_into`: entry-parallel popcount over the entry bitmap (distinct density ≥ 1/32, mixed weight bit-planes ≤ 5/4 of the incidences per bitmap word: 30 planes at the paper's `c = ½`, `y` uses about 5), else the index gather over the transpose | no | `n·⌈m/64⌉`-word entry bitmap per design |
+//! | streaming | `pooled_design::streaming::stream_sums_into`: one sequential pass, each pool regenerated once | no | one pool buffer |
 //!
-//! [`blocked::choose_scatter`] encodes the density heuristic; the fused
-//! kernels in `pooled_design` call it internally.
+//! [`scatter::AtomicCounters`] scatters the same sums query by query over
+//! any design; `pooled_design::matvec::scatter_distinct_u64` uses it as
+//! the oracle the kernels are tested against.
 
-pub mod blocked;
 pub mod chunks;
 pub mod histogram;
 pub mod lru;
@@ -50,7 +47,6 @@ pub mod scatter;
 pub mod sort;
 pub mod topk;
 
-pub use blocked::{choose_scatter, BlockedScatter, ScatterKind};
 pub use chunks::even_ranges;
 pub use histogram::par_histogram;
 pub use lru::LruCache;

@@ -5,6 +5,10 @@
 //! slots of its (distinct) member entries. Different queries share member
 //! entries, so the adds race — [`AtomicCounters`] makes them safe, relaxed
 //! (the sums commute, no ordering is needed) and still cache-friendly.
+//!
+//! The decoders gather instead (see the crate docs); the counters serve
+//! the test oracle `pooled_design::matvec::scatter_distinct_u64` and the
+//! degree statistics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

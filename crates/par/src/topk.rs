@@ -2,9 +2,8 @@
 //!
 //! Lines 7–9 of Algorithm 1 sort all `n` scores only to keep the largest
 //! `k`. Since `k = n^θ ≪ n`, selection beats sorting asymptotically; this
-//! module provides the parallel selection path the decoder uses by default
-//! (the faithful full-sort path lives next to it in `pooled-core` and the
-//! two are property-tested equal).
+//! module provides the parallel selection the decoders use, and the
+//! faithful full sort ([`top_k_indices_by_sort`]) the tests hold it to.
 //!
 //! Strategy: each worker scans a contiguous chunk keeping a local min-heap
 //! of its k best items; the heaps are then merged sequentially (k·workers
@@ -163,8 +162,8 @@ pub fn top_k_into(scores: &[i64], k: usize, out: &mut Vec<usize>, scratch: &mut 
     scratch.merge_buf = merged;
 }
 
-/// Reference sequential implementation (full sort) used by tests and the
-/// faithful Algorithm 1 path.
+/// Reference sequential implementation (full sort): Algorithm 1's
+/// Lines 7–9 as written, which the tests compare every selection with.
 pub fn top_k_indices_by_sort(scores: &[i64], k: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..scores.len()).collect();
     order.sort_by(|&a, &b| scores[b].cmp(&scores[a]).then(a.cmp(&b)));

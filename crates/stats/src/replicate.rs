@@ -10,14 +10,28 @@
 //! * [`run_trials_with`] — per-worker workspace threaded through the
 //!   trials of each chunk, so sweeps reuse decode buffers instead of
 //!   allocating per replicate. [`mn_trial_with`] is the canonical trial
-//!   on that path: it decodes through the fused single-pass kernel
-//!   (`pooled_design::fused`) and an [`MnTrialWorkspace`]. Every trial
-//!   samples its own design and signal, so trials are independent and
-//!   the figures' Wilson intervals hold as computed.
+//!   on that path, with an [`MnTrialWorkspace`]. Every trial samples its
+//!   own design and signal, so trials are independent and the figures'
+//!   Wilson intervals hold as computed.
+//!
+//! A trial decodes the way the serving engine's workers do. On a
+//! materialized design it builds `y` from the support's transpose rows
+//! (`execute_queries_support_into`) and takes Ψ/Δ* from the CSR gather
+//! through `MnDecoder::decode_with`. A design past the materialization
+//! limit streams (Fig. 2's `n = 10⁶` points); it has no transpose, so one
+//! pass (`pooled_design::streaming::stream_sums_into`) executes the
+//! queries and sums them together before `MnDecoder::finish_with`. Each
+//! trial runs on one worker, so both kernels run sequentially inside it.
 
 use rayon::prelude::*;
 
+use pooled_core::metrics::{exact_recovery_dense, overlap_fraction_dense};
+use pooled_core::mn::MnDecoder;
+use pooled_core::query::execute_queries_support_into;
+use pooled_core::signal::Signal;
 use pooled_core::workspace::MnWorkspace;
+use pooled_design::streaming::stream_sums_into;
+use pooled_design::{PoolingDesign, RandomRegularDesign};
 use pooled_rng::SeedSequence;
 
 /// Run `trials` independent replicates of `trial_fn` in parallel.
@@ -64,15 +78,13 @@ pub struct TrialOutcome {
 }
 
 /// Reusable buffers for [`mn_trial_with`]: the decode workspace plus the
-/// trial-local query-result and dense-signal vectors.
+/// trial-local query results.
 #[derive(Default)]
 pub struct MnTrialWorkspace {
-    /// Decode workspace (Ψ/Δ*/scores/selection/estimate + fused arena).
+    /// Decode workspace (Ψ/Δ*/scores/selection/estimate).
     pub mn: MnWorkspace,
-    /// Query results `y` (filled by the fused kernel).
+    /// Query results `y`.
     pub y: Vec<u64>,
-    /// The signal as dense `u64` (the fused kernel's input layout).
-    pub x: Vec<u64>,
 }
 
 impl MnTrialWorkspace {
@@ -90,10 +102,9 @@ pub fn mn_trial(n: usize, k: usize, m: usize, seeds: &SeedSequence) -> TrialOutc
     mn_trial_with(n, k, m, seeds, &mut MnTrialWorkspace::new())
 }
 
-/// Workspace MN trial: identical outcome to [`mn_trial`], but query
-/// execution and the decoder's Ψ/Δ* accumulation run in **one fused
-/// traversal** of the design (`pooled_design::fused`), and every decode
-/// buffer is reused from `ws` — replicate loops stop allocating per trial.
+/// Workspace MN trial: identical outcome to [`mn_trial`], with every
+/// buffer reused from `ws`, so replicate loops stop allocating per trial
+/// (beyond sampling the design).
 pub fn mn_trial_with(
     n: usize,
     k: usize,
@@ -101,35 +112,43 @@ pub fn mn_trial_with(
     seeds: &SeedSequence,
     ws: &mut MnTrialWorkspace,
 ) -> TrialOutcome {
-    use pooled_core::mn::MnDecoder;
-    use pooled_core::signal::Signal;
-    use pooled_design::fused::{decode_sums_fused, decode_sums_fused_stream};
-    use pooled_design::multigraph::RandomRegularDesign;
-
     let sigma = Signal::random(n, k, &mut seeds.child("signal", 0).rng());
     let design = RandomRegularDesign::sample(n, m, &seeds.child("design", 0));
-    // Dense u64 signal for the fused kernel.
-    ws.x.clear();
-    ws.x.extend(sigma.dense().iter().map(|&b| b as u64));
+    decode_trial(&design, &sigma, k, ws)
+}
+
+/// The step of a trial after sampling: execute the queries of `sigma` on
+/// `design`, decode with MN, compare. Picks the kernels from what the
+/// design stores (see the module docs).
+fn decode_trial<D: PoolingDesign + ?Sized>(
+    design: &D,
+    sigma: &Signal,
+    k: usize,
+    ws: &mut MnTrialWorkspace,
+) -> TrialOutcome {
+    let decoder = MnDecoder::new(k);
     ws.y.clear();
-    ws.y.resize(m, 0);
-    ws.mn.prepare(n);
-    {
-        let (psi, dstar, arena) = ws.mn.sums_mut();
-        match &design {
-            RandomRegularDesign::Csr(csr) => {
-                decode_sums_fused(csr, &ws.x, &mut ws.y, psi, dstar, arena);
-            }
-            RandomRegularDesign::Streaming(stream) => {
-                decode_sums_fused_stream(stream, &ws.x, &mut ws.y, psi, dstar, arena);
-            }
+    ws.y.resize(design.m(), 0);
+    match design.as_csr() {
+        Some(csr) => {
+            execute_queries_support_into(csr, sigma.support(), &mut ws.y);
+            decoder.decode_with(design, &ws.y, &mut ws.mn);
+        }
+        None => {
+            let (n, dense, y) = (design.n(), sigma.dense(), &mut ws.y);
+            ws.mn.prepare(n);
+            let (psi, dstar) = ws.mn.sums_mut();
+            stream_sums_into(design, psi, dstar, |q, pool| {
+                y[q] = pool.iter().map(|&(e, c)| dense[e as usize] as u64 * c as u64).sum();
+                y[q]
+            });
+            decoder.finish_with(n, &mut ws.mn);
         }
     }
-    MnDecoder::new(k).finish_with(n, &mut ws.mn);
     let estimate = ws.mn.estimate_dense();
     TrialOutcome {
-        exact: pooled_core::metrics::exact_recovery_dense(&sigma, estimate),
-        overlap: pooled_core::metrics::overlap_fraction_dense(&sigma, estimate),
+        exact: exact_recovery_dense(sigma, estimate),
+        overlap: overlap_fraction_dense(sigma, estimate),
     }
 }
 
@@ -179,12 +198,9 @@ mod tests {
     }
 
     #[test]
-    fn fused_trial_matches_classic_pipeline() {
+    fn workspace_trial_matches_classic_pipeline() {
         use pooled_core::metrics::{exact_recovery, overlap_fraction};
-        use pooled_core::mn::MnDecoder;
         use pooled_core::query::execute_queries;
-        use pooled_core::signal::Signal;
-        use pooled_design::multigraph::RandomRegularDesign;
 
         let mut ws = MnTrialWorkspace::new();
         for seed in 0..6u64 {
@@ -195,10 +211,37 @@ mod tests {
             let sigma = Signal::random(n, k, &mut seeds.child("signal", 0).rng());
             let design = RandomRegularDesign::sample(n, m, &seeds.child("design", 0));
             let y = execute_queries(&design, &sigma);
-            let out = MnDecoder::new(k).decode_design(&design, &y);
+            let out = MnDecoder::new(k).decode(&design, &y);
             assert_eq!(got.exact, exact_recovery(&sigma, &out.estimate), "seed {seed}");
             assert_eq!(got.overlap, overlap_fraction(&sigma, &out.estimate), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn streaming_trial_step_matches_its_materialized_twin() {
+        // `sample` streams only past 10⁸ expected incidences, so build the
+        // streaming arm directly, at four points across the transition
+        // (n = 300, k = 6: the finite-size threshold is ≈ 138).
+        use pooled_design::StreamingDesign;
+        let (mut ws_stream, mut ws_csr) = (MnTrialWorkspace::new(), MnTrialWorkspace::new());
+        let mut exact = Vec::new();
+        for (n, m, k, seed) in
+            [(300, 40, 6, 1u64), (300, 110, 6, 2), (300, 160, 6, 3), (257, 130, 5, 4)]
+        {
+            let seeds = SeedSequence::new(seed);
+            let sigma = Signal::random(n, k, &mut seeds.child("signal", 0).rng());
+            let stream = StreamingDesign::new(n, m, n / 2, &seeds.child("design", 0));
+            let csr = RandomRegularDesign::Csr(stream.materialize());
+            let stream = RandomRegularDesign::Streaming(stream);
+            let got = decode_trial(&stream, &sigma, k, &mut ws_stream);
+            let want = decode_trial(&csr, &sigma, k, &mut ws_csr);
+            assert_eq!(got, want, "n={n} m={m}");
+            assert_eq!(ws_stream.y, ws_csr.y, "n={n} m={m}");
+            assert_eq!(ws_stream.mn.scores(), ws_csr.mn.scores(), "n={n} m={m}");
+            assert_eq!(ws_stream.mn.support(), ws_csr.mn.support(), "n={n} m={m}");
+            exact.push(got.exact);
+        }
+        assert!(exact.contains(&true) && exact.contains(&false), "{exact:?}");
     }
 
     #[test]

@@ -16,9 +16,7 @@
 
 use pooled_core::workspace::MnWorkspace;
 use pooled_core::Signal;
-use pooled_design::csr::CsrDesign;
-use pooled_design::fused::scatter_distinct_into;
-use pooled_design::PoolingDesign;
+use pooled_design::{distinct_sums_into, PoolingDesign};
 
 /// Decoder configuration: the target support size.
 #[derive(Clone, Copy, Debug)]
@@ -52,6 +50,8 @@ impl ThresholdMnDecoder {
 
     /// Decode the threshold bits `bits` (one per query).
     ///
+    /// Thin wrapper over [`Self::decode_with`] on a fresh workspace.
+    ///
     /// # Panics
     /// Panics if `bits.len() != design.m()` or any bit exceeds 1.
     pub fn decode<D: PoolingDesign + ?Sized>(&self, design: &D, bits: &[u8]) -> ThresholdOutput {
@@ -64,12 +64,7 @@ impl ThresholdMnDecoder {
             })
             .collect();
         let mut ws = MnWorkspace::new();
-        ws.prepare(design.n());
-        {
-            let (psi_pos, delta_star, arena) = ws.sums_mut();
-            scatter_distinct_into(design, &weights, psi_pos, delta_star, arena);
-        }
-        self.finish_with(&weights, &mut ws);
+        self.decode_with(design, &weights, &mut ws);
         ThresholdOutput {
             estimate: Signal::from_support(design.n(), ws.support().to_vec()),
             scores: ws.scores().to_vec(),
@@ -78,21 +73,27 @@ impl ThresholdMnDecoder {
         }
     }
 
-    /// Workspace decode over a materialized design: identical results to
-    /// [`Self::decode`], with Ψ⁺, Δ*, the scores and the support written
-    /// into `ws` and read back through its accessors. The support is
-    /// ascending, as in [`ThresholdOutput::estimate`]. `bits` are the 0/1
-    /// outcomes as `u64` weights, so Ψ⁺ is one bit-plane of
-    /// [`CsrDesign::gather_distinct_into`]. Allocation-free after warm-up.
+    /// Workspace decode: identical results to [`Self::decode`], with Ψ⁺,
+    /// Δ*, the scores and the support written into `ws` and read back
+    /// through its accessors. The support is ascending, as in
+    /// [`ThresholdOutput::estimate`]. `bits` are the 0/1 outcomes as `u64`
+    /// weights for `pooled_design::distinct_sums_into`, so on a design with
+    /// an entry bitmap Ψ⁺ costs one popcount plane. Allocation-free after
+    /// warm-up on a materialized design.
     ///
     /// # Panics
     /// Panics if `bits.len() != design.m()` or any bit exceeds 1.
-    pub fn decode_csr_with(&self, design: &CsrDesign, bits: &[u64], ws: &mut MnWorkspace) {
+    pub fn decode_with<D: PoolingDesign + ?Sized>(
+        &self,
+        design: &D,
+        bits: &[u64],
+        ws: &mut MnWorkspace,
+    ) {
         assert_eq!(bits.len(), design.m(), "bit vector length must equal m");
         assert!(bits.iter().all(|&b| b <= 1), "threshold bits must be 0 or 1");
         ws.prepare(design.n());
-        let (psi_pos, delta_star, _) = ws.sums_mut();
-        design.gather_distinct_into(bits, psi_pos, delta_star);
+        let (psi_pos, delta_star) = ws.sums_mut();
+        distinct_sums_into(design, bits, psi_pos, delta_star);
         self.finish_with(bits, ws);
     }
 

@@ -32,7 +32,7 @@ fn main() {
     let scores = execute_queries(&design, &relevant);
 
     // Full reconstruction.
-    let out = MnDecoder::new(k_relevant).decode_design(&design, &scores);
+    let out = MnDecoder::new(k_relevant).decode(&design, &scores);
     let confusion = Confusion::compare(&relevant, &out.estimate);
     println!(
         "full MN decode: precision {:.3}, recall {:.3}",

@@ -24,7 +24,7 @@ fn main() {
     // Sample the design, execute all queries at once, decode greedily.
     let design = RandomRegularDesign::sample(n, m, &seeds.child("design", 0));
     let y = execute_queries(&design, &sigma);
-    let out = MnDecoder::new(k).decode_design(&design, &y);
+    let out = MnDecoder::new(k).decode(&design, &y);
 
     println!("true support:      {:?}", sigma.support());
     println!("recovered support: {:?}", out.estimate.support());

@@ -1,8 +1,9 @@
 //! Allocation accounting for the workspace decode path.
 //!
 //! The acceptance bar for the workspace refactor: after warm-up, a
-//! 100-replicate repeated decode through `MnDecoder::decode_with` performs
-//! **zero** heap allocations. A counting wrapper around the system
+//! 100-replicate repeated decode through each served decoder's
+//! `decode_with` on a materialized design performs **zero** heap
+//! allocations. A counting wrapper around the system
 //! allocator pins this down exactly (single-worker pool: with more workers
 //! the scoped-thread fan-out itself allocates, which is outside the decode
 //! path's contract).
@@ -50,6 +51,7 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 use pooled_data::core::mn::MnDecoder;
+use pooled_data::core::mn_general::GeneralMnDecoder;
 use pooled_data::core::query::execute_queries;
 use pooled_data::core::workspace::MnWorkspace;
 use pooled_data::design::csr::CsrDesign;
@@ -59,57 +61,56 @@ use pooled_data::engine::job::DecoderKind;
 use pooled_data::engine::traffic::LoadProfile;
 use pooled_data::par::pool::pool_with_threads;
 use pooled_data::prelude::*;
+use pooled_data::threshold::ThresholdMnDecoder;
 
 #[test]
 fn workspace_decode_is_allocation_free_after_warmup() {
     let _serial = serial();
     let (n, m, k) = (20_000usize, 600usize, 12usize);
     let seeds = SeedSequence::new(1905);
-    let design = CsrDesign::sample(n, m, n / 2, &seeds.child("design", 0));
     let sigma = Signal::random(n, k, &mut seeds.child("signal", 0).rng());
-    let y = execute_queries(&design, &sigma);
-    let decoder = MnDecoder::new(k);
-    let reference = decoder.decode(&design, &y);
+    // The paper's design at c = ½ sums by popcount over its entry bitmap;
+    // the sparse Bernoulli design (no bitmap) by the index gather.
+    let dense = DesignKind::RandomRegular.sample(n, m, 0.5, &seeds.child("design", 0));
+    let sparse = DesignKind::Bernoulli.sample(n, m, 0.01, &seeds.child("design", 1));
+    for design in [&dense, &sparse] {
+        let y = execute_queries(design, &sigma);
+        let bits: Vec<u64> = y.iter().map(|&v| u64::from(v > k as u64 / 2)).collect();
+        let reference = MnDecoder::new(k).decode(design, &y);
+        let decode = |name: &str, ws: &mut MnWorkspace| match name {
+            "mn" => MnDecoder::new(k).decode_with(design, &y, ws),
+            "mn_general" => GeneralMnDecoder::new(k).decode_with(design, &y, ws),
+            _ => ThresholdMnDecoder::new(k).decode_with(design, &bits, ws),
+        };
 
-    let pool = pool_with_threads(1);
-    pool.install(|| {
-        let mut ws = MnWorkspace::new();
-        // Warm-up: grows every buffer to the workload's shape.
-        decoder.decode_with(&design, &y, &mut ws);
-        decoder.decode_with(&design, &y, &mut ws);
+        let pool = pool_with_threads(1);
+        pool.install(|| {
+            let mut ws = MnWorkspace::new();
+            for name in ["mn", "mn_general", "threshold_mn"] {
+                // Warm-up: grows every buffer to the workload's shape.
+                decode(name, &mut ws);
+                decode(name, &mut ws);
 
-        let before = allocation_count();
-        for _ in 0..100 {
-            decoder.decode_with(&design, &y, &mut ws);
-        }
-        let after = allocation_count();
-        assert_eq!(
-            after - before,
-            0,
-            "workspace decode allocated {} times across 100 replicates",
-            after - before
-        );
+                let before = allocation_count();
+                for _ in 0..100 {
+                    decode(name, &mut ws);
+                }
+                let after = allocation_count();
+                assert_eq!(
+                    after - before,
+                    0,
+                    "{name} workspace decode on {} allocated {} times across 100 replicates",
+                    design.kind().name(),
+                    after - before
+                );
+            }
 
-        // And it still computes the right answer.
-        assert_eq!(ws.estimate_dense(), reference.estimate.dense());
-        assert_eq!(ws.scores(), &reference.scores[..]);
-
-        // The gather path (entry-parallel over the CSR transpose) must be
-        // allocation-free too.
-        decoder.decode_csr_with(&design, &y, &mut ws);
-        let before = allocation_count();
-        for _ in 0..100 {
-            decoder.decode_csr_with(&design, &y, &mut ws);
-        }
-        let after = allocation_count();
-        assert_eq!(
-            after - before,
-            0,
-            "gather-path decode allocated {} times across 100 replicates",
-            after - before
-        );
-        assert_eq!(ws.estimate_dense(), reference.estimate.dense());
-    });
+            // And it still computes the right answer.
+            MnDecoder::new(k).decode_with(design, &y, &mut ws);
+            assert_eq!(ws.estimate_dense(), reference.estimate.dense());
+            assert_eq!(ws.scores(), &reference.scores[..]);
+        });
+    }
 }
 
 #[test]

@@ -1,9 +1,11 @@
 //! Cross-crate integration tests: the full pipeline from design sampling
-//! through decoding, exercising both storage modes and both decode paths.
+//! through decoding, exercising both storages and both entry points.
 
 use pooled_data::core::metrics::overlap_fraction;
-use pooled_data::core::mn::{DecodeStrategy, MnDecoder, SelectionMethod};
-use pooled_data::design::multigraph::StorageMode;
+use pooled_data::core::workspace::MnWorkspace;
+use pooled_data::design::matvec::scatter_distinct_u64;
+use pooled_data::design::{CsrDesign, StreamingDesign};
+use pooled_data::par::topk::top_k_indices_by_sort;
 use pooled_data::prelude::*;
 use pooled_data::stats::replicate::{mn_trial, run_trials};
 use pooled_data::theory::thresholds::{k_of, m_mn_finite};
@@ -28,38 +30,30 @@ fn pipeline_equivalence_csr_vs_streaming_and_all_decode_paths() {
     let k = 9;
     let m = 420;
     let sigma = Signal::random(n, k, &mut seeds.child("signal", 0).rng());
-    let csr = RandomRegularDesign::sample_with(
-        n,
-        m,
-        n / 2,
-        &seeds.child("design", 0),
-        StorageMode::Materialized,
-    );
-    let stream = RandomRegularDesign::sample_with(
-        n,
-        m,
-        n / 2,
-        &seeds.child("design", 0),
-        StorageMode::Streaming,
-    );
+    let design_seeds = seeds.child("design", 0);
+    let csr = RandomRegularDesign::Csr(CsrDesign::sample(n, m, n / 2, &design_seeds));
+    let stream = RandomRegularDesign::Streaming(StreamingDesign::new(n, m, n / 2, &design_seeds));
     let y1 = execute_queries(&csr, &sigma);
     let y2 = execute_queries(&stream, &sigma);
     assert_eq!(y1, y2, "storage modes must produce identical observations");
 
-    let mut estimates = Vec::new();
-    for strategy in [DecodeStrategy::Scatter, DecodeStrategy::Gather, DecodeStrategy::Auto] {
-        for selection in [SelectionMethod::TopK, SelectionMethod::FullSort] {
-            let out = MnDecoder::new(k)
-                .with_strategy(strategy)
-                .with_selection(selection)
-                .decode_design(&csr, &y1);
-            estimates.push(out.estimate);
-        }
-    }
-    let out_stream = MnDecoder::new(k).decode_design(&stream, &y2);
-    estimates.push(out_stream.estimate);
-    for w in estimates.windows(2) {
-        assert_eq!(w[0], w[1], "decode paths disagree");
+    // The reference: Ψ/Δ* scattered query by query, scored, and ranked by
+    // the faithful full sort of Algorithm 1's Lines 7–9.
+    let (psi, dstar) = scatter_distinct_u64(&csr, &y1);
+    let scores: Vec<i64> =
+        psi.iter().zip(&dstar).map(|(&p, &d)| 2 * p as i64 - k as i64 * d as i64).collect();
+    let ranked = top_k_indices_by_sort(&scores, k);
+
+    let mut ws = MnWorkspace::new();
+    for (design, y) in [(&csr, &y1), (&stream, &y2)] {
+        let out = MnDecoder::new(k).decode(design, y);
+        assert_eq!(out.scores, scores, "decode paths disagree");
+        let mut support = ranked.clone();
+        support.sort_unstable();
+        assert_eq!(out.estimate.support(), &support[..], "decode paths disagree");
+        MnDecoder::new(k).decode_with(design, y, &mut ws);
+        assert_eq!(ws.scores(), &scores[..], "decode paths disagree");
+        assert_eq!(ws.support(), &ranked[..], "decode paths disagree");
     }
 }
 
@@ -90,7 +84,7 @@ fn facade_prelude_round_trip() {
     let sigma = Signal::random(n, k, &mut seeds.child("signal", 0).rng());
     let design = RandomRegularDesign::sample(n, 400, &seeds.child("design", 0));
     let y = execute_queries(&design, &sigma);
-    let decoded = MnDecoder::new(k).decode_design(&design, &y);
+    let decoded = MnDecoder::new(k).decode(&design, &y);
     assert_eq!(decoded.estimate, sigma);
 }
 
@@ -104,7 +98,7 @@ fn weight_mismatch_degrades_gracefully() {
     let sigma = Signal::random(n, k, &mut seeds.child("signal", 0).rng());
     let design = RandomRegularDesign::sample(n, 500, &seeds.child("design", 0));
     let y = execute_queries(&design, &sigma);
-    let out = MnDecoder::new(k + 2).decode_design(&design, &y);
+    let out = MnDecoder::new(k + 2).decode(&design, &y);
     assert_eq!(out.estimate.weight(), k + 2);
     assert_eq!(overlap_fraction(&sigma, &out.estimate), 1.0, "true support must be included");
 }

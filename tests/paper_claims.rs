@@ -110,6 +110,26 @@ fn fig2_transition_tracks_theory() {
     }
 }
 
+/// Fig. 2's trial path, bit for bit: the per-trial minimal `m` of the
+/// transition search at n = 300, θ = 0.3, 8 trials, seed 7. Recorded while
+/// each trial still took `y`, Ψ and Δ* from the fused trial kernel; any
+/// change to a probe's seeding, sampling or decode moves them.
+#[test]
+fn fig2_transition_reproduces_its_golden_minima() {
+    const GOLDEN: [usize; 8] = [148, 121, 164, 141, 99, 155, 105, 114];
+    let (n, theta) = (300, 0.3);
+    let theory = m_mn_finite(n, theta);
+    let cfg = TransitionConfig {
+        n,
+        k: k_of(n, theta),
+        trials: 8,
+        m_start: (theory / 8.0).ceil().max(2.0) as usize,
+        m_cap: (theory * 10.0).ceil() as usize,
+        master_seed: 7,
+    };
+    assert_eq!(find_transition(&cfg).per_trial, GOLDEN);
+}
+
 /// Theorem 1's θ-dependence: harder (larger θ) needs more queries, matching
 /// the ordering of the thresholds.
 #[test]

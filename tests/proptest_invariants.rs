@@ -78,7 +78,7 @@ proptest! {
         let sigma = Signal::random(n, k.min(n), &mut seeds.child("s", 0).rng());
         let y = execute_queries(&d, &sigma);
         let a = MnDecoder::new(k).decode(&d, &y);
-        let b = MnDecoder::new(k).decode_csr(&d, &y);
+        let b = MnDecoder::new(k).decode(&d, &y);
         prop_assert_eq!(a.estimate.weight(), k.min(n));
         prop_assert_eq!(a.scores, b.scores);
         prop_assert_eq!(a.estimate, b.estimate);

@@ -1,5 +1,5 @@
-//! Property-based equivalence of the fused / blocked / workspace kernels
-//! against the seed paths they replace.
+//! Property-based equivalence of the sum kernels and the workspace
+//! decoders against the plain query-by-query paths they replace.
 //!
 //! Everything here must be **bit-identical** — the kernels are exact `u64`
 //! accumulations, so no tolerance is involved anywhere.
@@ -11,13 +11,10 @@ use pooled_data::core::mn_general::GeneralMnDecoder;
 use pooled_data::core::query::execute_queries;
 use pooled_data::core::workspace::MnWorkspace;
 use pooled_data::design::csr::CsrDesign;
-use pooled_data::design::fused::{
-    decode_sums_fused, decode_sums_fused_stream, scatter_distinct_into, FusedArena,
-};
 use pooled_data::design::matvec::{pool_sums_u64, scatter_distinct_u64};
-use pooled_data::design::StreamingDesign;
-use pooled_data::par::blocked::BlockedScatter;
-use pooled_data::par::scatter::AtomicCounters;
+use pooled_data::design::streaming::stream_sums_into;
+use pooled_data::design::{distinct_sums_into, StreamingDesign};
+use pooled_data::par::topk::top_k_indices_by_sort;
 use pooled_data::prelude::*;
 
 /// A dense 0/1 `u64` signal derived from a seeded `Signal`.
@@ -87,32 +84,11 @@ fn assert_matches_reference(design: &CsrDesign, pools: &[Vec<usize>], w: &[u64])
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// `decode_sums_fused` (CSR) is bit-identical to the two-pass
-    /// `pool_sums_u64` + `scatter_distinct_u64` composition.
-    #[test]
-    fn fused_csr_matches_two_pass(
-        n in 4usize..250,
-        m in 0usize..60,
-        k in 0usize..20,
-        seed in any::<u64>(),
-    ) {
-        let seeds = SeedSequence::new(seed);
-        let gamma = (n / 2).max(1);
-        let design = CsrDesign::sample(n, m, gamma, &seeds.child("d", 0));
-        let x = dense_u64(n, k, &seeds);
-        let want_y = pool_sums_u64(&design, &x);
-        let (want_psi, want_dstar) = scatter_distinct_u64(&design, &want_y);
-        let mut arena = FusedArena::new();
-        let (mut y, mut psi, mut dstar) = (vec![0; m], vec![0; n], vec![0; n]);
-        decode_sums_fused(&design, &x, &mut y, &mut psi, &mut dstar, &mut arena);
-        prop_assert_eq!(y, want_y);
-        prop_assert_eq!(psi, want_psi);
-        prop_assert_eq!(dstar, want_dstar);
-    }
-
-    /// The streaming fused variant (single pool regeneration per query) is
-    /// bit-identical to the two-pass composition on the *streaming*
-    /// representation, and to the CSR kernel on the materialized twin.
+    /// The streaming pass, with the query execution folded in (one pool
+    /// regeneration per query), is bit-identical to the two-pass
+    /// `pool_sums_u64` + `scatter_distinct_u64` composition on the
+    /// *streaming* representation, and the sum door's CSR gather agrees on
+    /// the materialized twin.
     #[test]
     fn fused_stream_matches_two_pass(
         n in 4usize..200,
@@ -126,17 +102,18 @@ proptest! {
         let x = dense_u64(n, k, &seeds);
         let want_y = pool_sums_u64(&stream, &x);
         let (want_psi, want_dstar) = scatter_distinct_u64(&stream, &want_y);
-        let mut arena = FusedArena::new();
-        let (mut y, mut psi, mut dstar) = (vec![0; m], vec![0; n], vec![0; n]);
-        decode_sums_fused_stream(&stream, &x, &mut y, &mut psi, &mut dstar, &mut arena);
+        let (mut y, mut psi, mut dstar) = (vec![0; m], vec![u64::MAX; n], vec![u64::MAX; n]);
+        stream_sums_into(&stream, &mut psi, &mut dstar, |q, pool| {
+            y[q] = pool.iter().map(|&(e, c)| x[e as usize] * c as u64).sum();
+            y[q]
+        });
         prop_assert_eq!(&y, &want_y);
         prop_assert_eq!(&psi, &want_psi);
         prop_assert_eq!(&dstar, &want_dstar);
-        // And the CSR kernel on the materialized twin agrees.
+        // And the door's CSR kernel on the materialized twin agrees.
         let csr = stream.materialize();
-        let (mut y2, mut psi2, mut dstar2) = (vec![0; m], vec![0; n], vec![0; n]);
-        decode_sums_fused(&csr, &x, &mut y2, &mut psi2, &mut dstar2, &mut arena);
-        prop_assert_eq!(y2, want_y);
+        let (mut psi2, mut dstar2) = (vec![u64::MAX; n], vec![u64::MAX; n]);
+        distinct_sums_into(&csr, &want_y, &mut psi2, &mut dstar2);
         prop_assert_eq!(psi2, want_psi);
         prop_assert_eq!(dstar2, want_dstar);
     }
@@ -164,49 +141,6 @@ proptest! {
             execute_queries_support_into(design.csr(), sigma.support(), &mut y);
             prop_assert_eq!(&y, &want, "{}", kind.name());
         }
-    }
-
-    /// Blocked privatized scatter matches `AtomicCounters` on random
-    /// designs (the decoder access pattern, both planes).
-    #[test]
-    fn blocked_scatter_matches_atomic(
-        n in 2usize..300,
-        m in 0usize..50,
-        gamma in 1usize..80,
-        seed in any::<u64>(),
-    ) {
-        let design = CsrDesign::sample(n, m, gamma, &SeedSequence::new(seed));
-        let w: Vec<u64> = (0..m as u64).map(|q| q.wrapping_mul(2654435761) % 1000).collect();
-        // Atomic reference.
-        let psi_acc = AtomicCounters::new(n);
-        let dstar_acc = AtomicCounters::new(n);
-        for (q, &wq) in w.iter().enumerate() {
-            pooled_data::design::PoolingDesign::for_each_distinct(&design, q, &mut |e, _| {
-                psi_acc.add(e, wq);
-                dstar_acc.incr(e);
-            });
-        }
-        let (want_psi, want_dstar) = (psi_acc.into_vec(), dstar_acc.into_vec());
-        // Blocked kernel.
-        let mut blocked = BlockedScatter::new();
-        let (mut psi, mut dstar) = (vec![0u64; n], vec![0u64; n]);
-        blocked.scatter_pair(&mut psi, &mut dstar, m, |a, b, range| {
-            for q in range {
-                let wq = w[q];
-                pooled_data::design::PoolingDesign::for_each_distinct(&design, q, &mut |e, _| {
-                    a[e] += wq;
-                    b[e] += 1;
-                });
-            }
-        });
-        prop_assert_eq!(&psi, &want_psi);
-        prop_assert_eq!(&dstar, &want_dstar);
-        // Heuristic dispatcher (any kernel it picks) agrees too.
-        let mut arena = FusedArena::new();
-        let (mut psi_h, mut dstar_h) = (vec![0u64; n], vec![0u64; n]);
-        scatter_distinct_into(&design, &w, &mut psi_h, &mut dstar_h, &mut arena);
-        prop_assert_eq!(psi_h, want_psi);
-        prop_assert_eq!(dstar_h, want_dstar);
     }
 
     /// The workspace decode produces the same estimate, scores, Ψ and Δ* as
@@ -285,9 +219,11 @@ proptest! {
         }
     }
 
-    /// The served decoders' CSR entries (the popcount kernel where the
-    /// design keeps a bitmap) reproduce their generic scatter twins on
-    /// every family: the same scores and the same support.
+    /// Every decoder's workspace entry, on every family and on the
+    /// streaming twin of the random regular design, reproduces its
+    /// reference: Ψ/Δ* scattered query by query (`scatter_distinct_u64`),
+    /// scored by the decoder's formula, and ranked by a full sort
+    /// (`top_k_indices_by_sort`).
     #[test]
     fn csr_decoders_match_their_scatter_twins(
         n in 2usize..200,
@@ -296,38 +232,68 @@ proptest! {
         c_idx in 0usize..4,
         seed in any::<u64>(),
     ) {
+        use pooled_data::baselines::control::PsiOnlyDecoder;
         use pooled_data::design::factory::DesignKind;
         use pooled_data::threshold::ThresholdMnDecoder;
         let c = [0.02, 0.1, 0.5, 1.0][c_idx];
         let seeds = SeedSequence::new(seed);
         let sigma = Signal::random(n, k.min(n), &mut seeds.child("s", 0).rng());
+        let gamma = ((c * n as f64).round() as usize).clamp(1, n);
+        let stream = StreamingDesign::new(n, m, gamma, &seeds.child("d", 0));
+        let families: Vec<_> =
+            DesignKind::ALL.iter().map(|kind| kind.sample(n, m, c, &seeds.child("d", 0))).collect();
+        let mut designs: Vec<(&str, &dyn PoolingDesign)> =
+            families.iter().map(|d| (d.kind().name(), d as &dyn PoolingDesign)).collect();
+        designs.push(("streaming", &stream));
         let mut ws = MnWorkspace::new();
-        for kind in DesignKind::ALL {
-            let design = kind.sample(n, m, c, &seeds.child("d", 0));
-            let csr = design.csr();
-            let y = execute_queries(&design, &sigma);
-            let mn = MnDecoder::new(k);
-            mn.decode_with(&design, &y, &mut ws);
-            let (scores, support) = (ws.scores().to_vec(), ws.support().to_vec());
-            mn.decode_csr_with(csr, &y, &mut ws);
-            prop_assert_eq!(ws.scores(), &scores[..], "{} mn", kind.name());
-            prop_assert_eq!(ws.support(), &support[..], "{} mn", kind.name());
+        for (name, design) in designs {
+            let y = execute_queries(design, &sigma);
+            let (psi, dstar) = scatter_distinct_u64(design, &y);
+            let ranked = |scores: &[i64]| top_k_indices_by_sort(scores, k);
+            let ascending = |scores: &[i64]| {
+                let mut support = ranked(scores);
+                support.sort_unstable();
+                support
+            };
 
-            let general = GeneralMnDecoder::new(k);
-            general.decode_with(&design, &y, &mut ws);
-            let (scores, support) = (ws.scores_wide().to_vec(), ws.support().to_vec());
-            general.decode_csr_with(csr, |q| design.pool_len(q), &y, &mut ws);
-            prop_assert_eq!(ws.scores_wide(), &scores[..], "{} mn_general", kind.name());
-            prop_assert_eq!(ws.support(), &support[..], "{} mn_general", kind.name());
+            let scores: Vec<i64> =
+                psi.iter().zip(&dstar).map(|(&p, &d)| 2 * p as i64 - k as i64 * d as i64).collect();
+            MnDecoder::new(k).decode_with(design, &y, &mut ws);
+            prop_assert_eq!(ws.psi(), &psi[..], "{} mn", name);
+            prop_assert_eq!(ws.delta_star(), &dstar[..], "{} mn", name);
+            prop_assert_eq!(ws.scores(), &scores[..], "{} mn", name);
+            prop_assert_eq!(ws.support(), &ranked(&scores)[..], "{} mn", name);
+
+            let pool_lens: Vec<u64> = (0..m).map(|q| design.pool_len(q) as u64).collect();
+            let (gamma_sums, _) = scatter_distinct_u64(design, &pool_lens);
+            let wide: Vec<i128> = psi
+                .iter()
+                .zip(&gamma_sums)
+                .map(|(&p, &g)| n as i128 * p as i128 - k as i128 * g as i128)
+                .collect();
+            let narrow: Vec<i64> = wide.iter().map(|&s| i64::try_from(s).unwrap()).collect();
+            GeneralMnDecoder::new(k).decode_with(design, &y, &mut ws);
+            prop_assert_eq!(ws.scores_wide(), &wide[..], "{} mn_general", name);
+            prop_assert_eq!(ws.support(), &ranked(&narrow)[..], "{} mn_general", name);
 
             let t = y.iter().sum::<u64>() / m as u64;
-            let bits: Vec<u8> = y.iter().map(|&v| u8::from(v > t)).collect();
-            let want = ThresholdMnDecoder::new(k).decode(&design, &bits);
-            let weights: Vec<u64> = bits.iter().map(|&b| b as u64).collect();
-            ThresholdMnDecoder::new(k).decode_csr_with(csr, &weights, &mut ws);
-            prop_assert_eq!(ws.scores(), &want.scores[..], "{} threshold_mn", kind.name());
-            prop_assert_eq!(ws.support(), want.estimate.support(), "{} threshold_mn", kind.name());
-            prop_assert_eq!(ws.psi(), &want.psi_pos[..], "{} threshold_mn", kind.name());
+            let bits: Vec<u64> = y.iter().map(|&v| u64::from(v > t)).collect();
+            let (psi_pos, dstar_pos) = scatter_distinct_u64(design, &bits);
+            let positives = bits.iter().sum::<u64>() as i64;
+            let scores: Vec<i64> = psi_pos
+                .iter()
+                .zip(&dstar_pos)
+                .map(|(&p, &d)| m as i64 * p as i64 - positives * d as i64)
+                .collect();
+            ThresholdMnDecoder::new(k).decode_with(design, &bits, &mut ws);
+            prop_assert_eq!(ws.psi(), &psi_pos[..], "{} threshold_mn", name);
+            prop_assert_eq!(ws.scores(), &scores[..], "{} threshold_mn", name);
+            prop_assert_eq!(ws.support(), &ascending(&scores)[..], "{} threshold_mn", name);
+
+            let scores: Vec<i64> = psi.iter().map(|&p| p as i64).collect();
+            PsiOnlyDecoder::new().decode_with(design, &y, k, &mut ws);
+            prop_assert_eq!(ws.scores(), &scores[..], "{} psi_only", name);
+            prop_assert_eq!(ws.support(), &ascending(&scores)[..], "{} psi_only", name);
         }
     }
 
