@@ -1,10 +1,11 @@
 //! Sorting-step ablation (Lines 7–9 of Algorithm 1): parallel merge sort vs
-//! sample sort vs top-k selection on realistic score vectors.
+//! the standard library's sort vs top-k selection on realistic score
+//! vectors.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use pooled_par::sort::{par_merge_sort, par_sample_sort};
+use pooled_par::sort::par_merge_sort;
 use pooled_par::topk::top_k_indices;
 use pooled_rng::{Rng64, SeedSequence};
 
@@ -29,15 +30,6 @@ fn bench(c: &mut Criterion) {
             let mut v: Vec<(i64, u32)> =
                 scores.iter().enumerate().map(|(i, &s)| (s, i as u32)).collect();
             par_merge_sort(&mut v, |&(s, i)| (std::cmp::Reverse(s), i));
-            v.truncate(k);
-            black_box(());
-        });
-    });
-    group.bench_function("par_sample_sort_full", |b| {
-        b.iter(|| {
-            let mut v: Vec<(i64, u32)> =
-                scores.iter().enumerate().map(|(i, &s)| (s, i as u32)).collect();
-            par_sample_sort(&mut v, |&(s, i)| (std::cmp::Reverse(s), i));
             v.truncate(k);
             black_box(());
         });

@@ -30,7 +30,9 @@
 //! Besides the envelope, this module owns the payload pieces both
 //! formats share, so each has one definition:
 //!
-//! * the [`DesignKind`] and [`DecoderKind`] codes;
+//! * the [`DesignKind`] and [`DecoderKind`] codes (each an index into
+//!   the kind's `ALL`; the decoder codes are 0–2, and every other
+//!   decoder byte is refused);
 //! * the [`KEY_LEN`]-byte [`DesignKey`] layout — the PREWARM frame
 //!   payload and the ADMIT/EVICT record payload: `n:u64, m:u64,
 //!   seed:u64, c_milli:u32, kind:u8, pad:[u8;3](=0)`;
@@ -234,25 +236,16 @@ pub(crate) fn get_usize(
     usize::try_from(value).map_err(|_| RecordError::BadValue { field, value })
 }
 
-/// Reserved code of the hidden panic-probe decoder, which is
-/// deliberately absent from [`DecoderKind::ALL`] (it exists only to
-/// exercise worker panic containment) yet must survive the wire so the
-/// containment tests run over TCP too.
-const DECODER_CODE_PANIC_PROBE: u8 = 0xFE;
-
 /// Code of a decoder (index in [`DecoderKind::ALL`] — stable because
-/// `ALL` is the presentation order the whole workspace keys on).
+/// `ALL` is the presentation order the whole workspace keys on): 0 MN,
+/// 1 Γ-general MN, 2 Threshold-MN.
 pub(crate) fn decoder_code(kind: DecoderKind) -> u8 {
-    if kind == DecoderKind::PanicProbe {
-        return DECODER_CODE_PANIC_PROBE;
-    }
     DecoderKind::ALL.iter().position(|&k| k == kind).expect("decoder in ALL") as u8
 }
 
+/// The decoder behind `code`; every code outside [`DecoderKind::ALL`] is
+/// a [`RecordError::BadValue`].
 pub(crate) fn decoder_from_code(code: u8) -> Result<DecoderKind, RecordError> {
-    if code == DECODER_CODE_PANIC_PROBE {
-        return Ok(DecoderKind::PanicProbe);
-    }
     DecoderKind::ALL
         .get(code as usize)
         .copied()
@@ -364,12 +357,6 @@ fn get_summary(p: &[u8], at: usize) -> Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn panic_probe_decoder_survives_under_its_reserved_code() {
-        assert_eq!(decoder_code(DecoderKind::PanicProbe), DECODER_CODE_PANIC_PROBE);
-        assert_eq!(decoder_from_code(DECODER_CODE_PANIC_PROBE), Ok(DecoderKind::PanicProbe));
-    }
 
     #[test]
     fn decoder_and_design_codes_cover_all_variants() {

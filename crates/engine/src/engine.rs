@@ -1060,7 +1060,7 @@ mod tests {
 
     #[test]
     fn a_panicking_decoder_fails_its_job_and_the_shard_keeps_serving() {
-        // Panic containment: the hidden probe decoder panics mid-decode;
+        // Panic containment: the test-only probe decoder panics mid-decode;
         // that one job must come back as a poisoned REJECT-class result
         // while every other job — including later ones on the *same*
         // single shard — completes normally.

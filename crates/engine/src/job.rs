@@ -21,37 +21,24 @@ use pooled_rng::splitmix::mix64;
 /// in [`crate::registry`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DecoderKind {
-    /// Algorithm 1 (classic MN, gather path over the CSR transpose).
+    /// Algorithm 1 (classic MN).
     Mn,
     /// The Γ-general MN decoder (per-query centering, exact `i128` scores).
     GeneralMn,
     /// Threshold-MN on the one-bit median-threshold channel.
     ThresholdMn,
-    /// Ψ-only ablation baseline (no degree centering).
-    PsiOnly,
-    /// Random-guess control baseline.
-    RandomGuess,
-    /// Orthogonal Matching Pursuit baseline (densifies; small jobs only).
-    Omp,
-    /// Deliberately panicking probe used by the worker panic-containment
-    /// tests. Hidden on purpose: absent from [`Self::ALL`] (so it is
-    /// never offered to real traffic, enumerated by sweeps, or accepted
-    /// by [`Self::from_name`]) and carried on the wire under a reserved
-    /// code.
-    #[doc(hidden)]
+    /// Deliberately panicking probe for the crate's own panic-containment
+    /// tests. It exists only in test builds and is absent from
+    /// [`Self::ALL`], so [`Self::from_name`] cannot reach it and it has no
+    /// wire code.
+    #[cfg(test)]
     PanicProbe,
 }
 
 impl DecoderKind {
     /// Every decoder, in presentation order.
-    pub const ALL: [DecoderKind; 6] = [
-        DecoderKind::Mn,
-        DecoderKind::GeneralMn,
-        DecoderKind::ThresholdMn,
-        DecoderKind::PsiOnly,
-        DecoderKind::RandomGuess,
-        DecoderKind::Omp,
-    ];
+    pub const ALL: [DecoderKind; 3] =
+        [DecoderKind::Mn, DecoderKind::GeneralMn, DecoderKind::ThresholdMn];
 
     /// Stable identifier for CLI flags, manifests and telemetry rows.
     pub fn name(&self) -> &'static str {
@@ -59,15 +46,12 @@ impl DecoderKind {
             DecoderKind::Mn => "mn",
             DecoderKind::GeneralMn => "mn_general",
             DecoderKind::ThresholdMn => "threshold_mn",
-            DecoderKind::PsiOnly => "psi_only",
-            DecoderKind::RandomGuess => "random_guess",
-            DecoderKind::Omp => "omp",
+            #[cfg(test)]
             DecoderKind::PanicProbe => "panic_probe",
         }
     }
 
-    /// Inverse of [`Self::name`] over [`Self::ALL`] (the hidden panic
-    /// probe is deliberately not reachable by name).
+    /// Inverse of [`Self::name`] over [`Self::ALL`].
     pub fn from_name(name: &str) -> Option<DecoderKind> {
         DecoderKind::ALL.iter().copied().find(|k| k.name() == name)
     }
@@ -184,8 +168,7 @@ pub struct JobResult {
     pub weight: u32,
     /// Order-sensitive digest of the selected support indices.
     pub support_digest: u64,
-    /// Digest of the decoder's per-entry scores (0 for score-free
-    /// baselines).
+    /// Digest of the decoder's per-entry scores.
     pub score_digest: u64,
     /// Decode-stage time (µs), excluding the simulated query execution.
     pub decode_micros: u64,

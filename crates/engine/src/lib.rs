@@ -16,7 +16,7 @@
 //! * [`cache`] — the LRU design cache: repeated traffic never regenerates
 //!   pooling designs, bounded by the same policy as the thread-pool memo.
 //! * [`registry`] — every decoder (classic MN, Γ-general MN,
-//!   threshold-MN, and the baseline family) behind one trait object.
+//!   threshold-MN) behind one trait object.
 //! * [`worker`] — per-shard scratch reuse and the one serve loop every
 //!   run of same-design jobs takes, lane by lane through the per-job
 //!   stages; the MN paths serve jobs with **zero heap allocations**

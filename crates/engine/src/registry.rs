@@ -2,33 +2,27 @@
 //! serve, behind one trait object.
 //!
 //! [`decoder`] maps a [`DecoderKind`] to a `&'static dyn EngineDecoder`.
-//! The three served decoders (classic MN, Γ-general MN, Threshold-MN) and
-//! the Ψ-only baseline run their workspace entries (`decode_with`) on the
-//! cached [`AnyDesign`], so every Ψ/Δ* sum comes from the one kernel a
-//! materialized design takes (`CsrDesign::gather_distinct_into`: popcount
-//! over the entry bitmap, see `pooled_design::csr`); the served three are
-//! **allocation-free** after warm-up. The other baselines reuse their
-//! crates' one-shot APIs (they allocate, and the registry documents that —
-//! they exist for comparative traffic, not the hot path).
+//! The three served decoders (classic MN, Γ-general MN, Threshold-MN) run
+//! their workspace entries (`decode_with`) on the cached [`AnyDesign`], so
+//! every Ψ/Δ* sum comes from the one kernel a materialized design takes
+//! (`CsrDesign::gather_distinct_into`: popcount over the entry bitmap,
+//! see `pooled_design::csr`), and every decode is **allocation-free**
+//! after warm-up.
 //!
 //! A decoder's contract: given the design, the additive query results
 //! `y`, the target weight `k` and the hidden [`Truth`] (engine jobs are
 //! self-checking synthetic instances), produce a [`DecodeOutcome`] whose
-//! digests are a pure function of `(design, y, k, seed)` — never of
-//! worker placement or timing. The determinism suite holds every
-//! registered decoder to this. The truth only scores the estimate, so a
-//! worker passes the `k`-entry support it drew and never materializes a
-//! dense `n`-byte signal.
+//! digests are a pure function of `(design, y, k)` — never of worker
+//! placement or timing. The determinism suite holds every registered
+//! decoder to this. The truth only scores the estimate, so a worker
+//! passes the `k`-entry support it drew and never materializes a dense
+//! `n`-byte signal.
 
-use pooled_baselines::control::{PsiOnlyDecoder, RandomGuessDecoder};
-use pooled_baselines::omp::OmpDecoder;
-use pooled_baselines::AdditiveDecoder;
 use pooled_core::mn::MnDecoder;
 use pooled_core::mn_general::GeneralMnDecoder;
 use pooled_core::workspace::MnWorkspace;
 use pooled_design::factory::AnyDesign;
 use pooled_design::PoolingDesign;
-use pooled_rng::SeedSequence;
 use pooled_threshold::decoder::ThresholdMnDecoder;
 
 use crate::job::{digest_support, DecoderKind, Digest};
@@ -56,7 +50,7 @@ impl DecodeScratch {
 pub struct DecodeOutcome {
     /// Order-sensitive digest of the selected support.
     pub support_digest: u64,
-    /// Digest of the per-entry scores (0 when the decoder has none).
+    /// Digest of the per-entry scores.
     pub score_digest: u64,
     /// Correctly recovered one-entries.
     pub hits: u32,
@@ -90,14 +84,8 @@ pub trait EngineDecoder: Send + Sync {
     /// Stable identifier (matches [`DecoderKind::name`]).
     fn name(&self) -> &'static str;
 
-    /// Whether steady-state serving through this decoder is
-    /// allocation-free (pinned by `tests/alloc_free.rs` for the decoders
-    /// that claim it).
-    fn alloc_free(&self) -> bool {
-        false
-    }
-
     /// Decode `y` against `design`, scoring against the hidden `truth`.
+    /// `seed` is the job's seed; no registered decoder reads it.
     fn decode_against(
         &self,
         design: &AnyDesign,
@@ -128,9 +116,7 @@ pub fn decoder(kind: DecoderKind) -> &'static dyn EngineDecoder {
         DecoderKind::Mn => &MnEngine,
         DecoderKind::GeneralMn => &GeneralMnEngine,
         DecoderKind::ThresholdMn => &ThresholdMnEngine,
-        DecoderKind::PsiOnly => &PsiOnlyEngine,
-        DecoderKind::RandomGuess => &RandomGuessEngine,
-        DecoderKind::Omp => &OmpEngine,
+        #[cfg(test)]
         DecoderKind::PanicProbe => &PanicProbeEngine,
     }
 }
@@ -151,10 +137,6 @@ struct MnEngine;
 impl EngineDecoder for MnEngine {
     fn name(&self) -> &'static str {
         "mn"
-    }
-
-    fn alloc_free(&self) -> bool {
-        true
     }
 
     fn decode_against(
@@ -181,10 +163,6 @@ struct GeneralMnEngine;
 impl EngineDecoder for GeneralMnEngine {
     fn name(&self) -> &'static str {
         "mn_general"
-    }
-
-    fn alloc_free(&self) -> bool {
-        true
     }
 
     fn decode_against(
@@ -216,10 +194,6 @@ impl EngineDecoder for ThresholdMnEngine {
         "threshold_mn"
     }
 
-    fn alloc_free(&self) -> bool {
-        true
-    }
-
     fn decode_against(
         &self,
         design: &AnyDesign,
@@ -242,80 +216,13 @@ impl EngineDecoder for ThresholdMnEngine {
     }
 }
 
-/// Ψ-only ablation baseline (no degree centering).
-struct PsiOnlyEngine;
-
-impl EngineDecoder for PsiOnlyEngine {
-    fn name(&self) -> &'static str {
-        "psi_only"
-    }
-
-    fn decode_against(
-        &self,
-        design: &AnyDesign,
-        y: &[u64],
-        k: usize,
-        _seed: u64,
-        truth: Truth<'_>,
-        scratch: &mut DecodeScratch,
-    ) -> DecodeOutcome {
-        PsiOnlyDecoder::new().decode_with(design, y, k, &mut scratch.ws);
-        outcome(scratch.ws.support(), 0, truth)
-    }
-}
-
-/// Random-guess control, seeded from the job so reruns are bit-identical.
-struct RandomGuessEngine;
-
-impl EngineDecoder for RandomGuessEngine {
-    fn name(&self) -> &'static str {
-        "random_guess"
-    }
-
-    fn decode_against(
-        &self,
-        design: &AnyDesign,
-        y: &[u64],
-        k: usize,
-        seed: u64,
-        truth: Truth<'_>,
-        _scratch: &mut DecodeScratch,
-    ) -> DecodeOutcome {
-        let guess = RandomGuessDecoder::new(SeedSequence::new(seed).child("guess", 0));
-        let estimate = guess.reconstruct(design.csr(), y, k);
-        outcome(estimate.support(), 0, truth)
-    }
-}
-
-/// Orthogonal Matching Pursuit baseline (densifies the design: `m·n`
-/// doubles — route only small instances here).
-struct OmpEngine;
-
-impl EngineDecoder for OmpEngine {
-    fn name(&self) -> &'static str {
-        "omp"
-    }
-
-    fn decode_against(
-        &self,
-        design: &AnyDesign,
-        y: &[u64],
-        k: usize,
-        _seed: u64,
-        truth: Truth<'_>,
-        _scratch: &mut DecodeScratch,
-    ) -> DecodeOutcome {
-        let estimate = OmpDecoder::new().reconstruct(design.csr(), y, k);
-        outcome(estimate.support(), 0, truth)
-    }
-}
-
-/// The hidden probe behind [`DecoderKind::PanicProbe`]: always panics.
-/// Exists so the panic-containment tests can poison a worker's decode
-/// stage on demand; never reachable from real traffic (the kind is not
-/// in [`DecoderKind::ALL`]).
+/// The probe behind the test-only `DecoderKind::PanicProbe`: always
+/// panics, so the panic-containment tests can poison a worker's decode
+/// stage on demand. Neither exists outside the crate's own tests.
+#[cfg(test)]
 struct PanicProbeEngine;
 
+#[cfg(test)]
 impl EngineDecoder for PanicProbeEngine {
     fn name(&self) -> &'static str {
         "panic_probe"
@@ -340,6 +247,7 @@ mod tests {
     use pooled_core::query::execute_queries;
     use pooled_core::Signal;
     use pooled_design::factory::DesignKind;
+    use pooled_rng::SeedSequence;
 
     fn instance(seed: u64) -> (AnyDesign, Signal, Vec<u64>, usize) {
         let seeds = SeedSequence::new(seed);
@@ -423,8 +331,6 @@ mod tests {
 
     #[test]
     fn decoders_disagree_on_scores() {
-        // The registry must dispatch to genuinely different algorithms:
-        // MN and Ψ-only produce different digests on a generic instance.
         let (design, sigma, y, k) = instance(45);
         let mut scratch = DecodeScratch::new();
         let mn = decoder(DecoderKind::Mn).decode(&design, &y, k, 0, sigma.dense(), &mut scratch);

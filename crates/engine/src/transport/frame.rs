@@ -432,6 +432,7 @@ impl FrameAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::checksum;
     use crate::job::DecoderKind;
     use pooled_design::factory::DesignKind;
 
@@ -768,6 +769,35 @@ mod tests {
         assert_eq!(&buf[56..60], &350u32.to_le_bytes(), "c_milli");
         assert_eq!(buf[64], 1, "design kind code (NoReplace)");
         assert_eq!(buf[65], 1, "decoder code (GeneralMn)");
+    }
+
+    #[test]
+    fn only_served_decoder_codes_decode() {
+        // Patch the decoder byte of a SUBMIT (payload byte 57) and a
+        // RESULT (payload byte 60) to every value and re-seal the
+        // checksum: the codes of `DecoderKind::ALL` decode, and every
+        // other byte is refused, so no frame can name a decoder the
+        // registry does not serve.
+        for (frame, at) in [(Frame::Submit(spec()), 57), (Frame::Result(result()), 60)] {
+            let mut buf = Vec::new();
+            encode_frame(&frame, &mut buf);
+            let body = buf.len() - CHECKSUM_LEN;
+            for code in 0..=u8::MAX {
+                buf[HEADER_LEN + at] = code;
+                let ck = checksum(&buf[..body]);
+                buf[body..].copy_from_slice(&ck.to_le_bytes());
+                let decoded = decode_frame(&buf).map(|(frame, _)| match frame {
+                    Frame::Submit(spec) => spec.decoder,
+                    Frame::Result(r) => r.decoder,
+                    other => panic!("decoded to {other:?}"),
+                });
+                let want = DecoderKind::ALL
+                    .get(code as usize)
+                    .copied()
+                    .ok_or(RecordError::BadValue { field: "decoder", value: code as u64 });
+                assert_eq!(decoded, want, "decoder byte {code:#04x} at payload byte {at}");
+            }
+        }
     }
 
     #[test]

@@ -4,21 +4,19 @@
 //!
 //! The paper observes (§I-C, “Parallelized Reconstruction”) that the MN
 //! decoder is two sparse matrix–vector products followed by a sort, all of
-//! which parallelize. This crate supplies those building blocks on top of
-//! rayon, each with a sequential reference implementation that the tests and
-//! property suites check against:
+//! which parallelize. This crate supplies the building blocks the workspace
+//! calls on top of rayon, each checked against a sequential reference by
+//! the tests and property suites:
 //!
 //! * [`chunks`] — deterministic chunking of index ranges across workers.
-//! * [`scan`] — parallel prefix sums (the classic two-pass blocked scan).
-//! * [`sort`] — parallel merge sort and sample sort over `Copy` keys.
-//! * [`radix`] — LSD radix sort for integer keys (the non-comparison
-//!   alternative for the score-ranking step).
-//! * [`histogram`] — privatized parallel histograms (radix passes, degree
-//!   statistics).
+//! * [`sort`] — stable parallel merge sort over `Copy` keys (Γ-general
+//!   MN's ranking step).
 //! * [`topk`] — parallel top-k selection (what Algorithm 1's final sort
 //!   actually needs: the k largest scores).
 //! * [`scatter`] — atomic scatter-add accumulators: the query-parallel
 //!   reference for the Ψ/Δ* sums and the degree statistics.
+//! * [`lru`] — the bounded LRU map behind the engine's design cache and
+//!   the pool memo.
 //! * [`pool`] — scoped rayon thread-pool helpers for the ablation benches,
 //!   with a process-wide memoized pool cache.
 //!
@@ -38,20 +36,15 @@
 //! the oracle the kernels are tested against.
 
 pub mod chunks;
-pub mod histogram;
 pub mod lru;
 pub mod pool;
-pub mod radix;
-pub mod scan;
 pub mod scatter;
 pub mod sort;
 pub mod topk;
 
 pub use chunks::even_ranges;
-pub use histogram::par_histogram;
 pub use lru::LruCache;
 pub use pool::{install_with_threads, pool_with_threads};
-pub use radix::{par_radix_sort_pairs, radix_rank_desc};
 pub use scatter::AtomicCounters;
 pub use sort::{par_merge_sort, par_merge_sort_with};
 pub use topk::{top_k_indices, top_k_into, TopKScratch};

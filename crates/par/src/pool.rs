@@ -2,8 +2,9 @@
 //!
 //! The thread-scaling ablation bench runs the same decode under 1, 2, 4, …
 //! workers; rayon's global pool cannot be resized, so the bench builds
-//! pools through this module. Experiment binaries also use
-//! [`install_with_threads`] to honour a `--threads` flag.
+//! pools through this module. The kernel benches and the allocation tests
+//! use [`install_with_threads`] and [`pool_with_threads`] to run on one
+//! thread, as an engine worker does.
 //!
 //! Pools are memoized process-wide by worker count ([`pool_with_threads`]):
 //! building a rayon pool costs ~100 µs, which used to dominate short
@@ -61,11 +62,6 @@ pub fn install_with_threads<R: Send>(threads: usize, op: impl FnOnce() -> R + Se
         return op();
     }
     pool_with_threads(threads).install(op)
-}
-
-/// The effective parallelism of the current context.
-pub fn current_threads() -> usize {
-    rayon::current_num_threads()
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@
 //!
 //! The decoders gather instead (see the crate docs); the counters serve
 //! the test oracle `pooled_design::matvec::scatter_distinct_u64` and the
-//! degree statistics.
+//! degree statistics, each filling fresh counters once and reading them
+//! out with [`AtomicCounters::into_vec`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -62,24 +63,6 @@ impl AtomicCounters {
     pub fn to_vec(&self) -> Vec<u64> {
         self.slots.iter().map(|a| a.load(Ordering::Relaxed)).collect()
     }
-
-    /// Copy all counters into `out` without allocating (workspace path).
-    ///
-    /// # Panics
-    /// Panics if `out.len() != self.len()`.
-    pub fn copy_into(&self, out: &mut [u64]) {
-        assert_eq!(out.len(), self.len(), "output length must match counter count");
-        for (dst, slot) in out.iter_mut().zip(&self.slots) {
-            *dst = slot.load(Ordering::Relaxed);
-        }
-    }
-
-    /// Reset every counter to zero (requires exclusive access).
-    pub fn reset(&mut self) {
-        for s in self.slots.iter_mut() {
-            *s.get_mut() = 0;
-        }
-    }
 }
 
 impl std::fmt::Debug for AtomicCounters {
@@ -125,16 +108,6 @@ mod tests {
         let acc = AtomicCounters::new(1000);
         pairs.par_iter().for_each(|&(s, w)| acc.add(s, w));
         assert_eq!(acc.into_vec(), want);
-    }
-
-    #[test]
-    fn reset_zeroes_all() {
-        let mut acc = AtomicCounters::new(8);
-        for i in 0..8 {
-            acc.add(i, i as u64 + 1);
-        }
-        acc.reset();
-        assert_eq!(acc.to_vec(), vec![0; 8]);
     }
 
     #[test]

@@ -1,21 +1,13 @@
 //! Parallel sorting.
 //!
 //! Algorithm 1 sorts the `n` coordinate scores; the paper points at the GPU
-//! sorting literature for this step. We implement two classic parallel sorts
-//! so the benches can compare them against rayon's built-in and against the
-//! top-k shortcut:
-//!
-//! * [`par_merge_sort`] — recursive merge sort with a parallel two-way merge
-//!   (split at the median of the longer run). Stable, O(n log n) work,
-//!   O(log² n) depth.
-//! * [`par_sample_sort`] — sample sort: pick splitters from a random-ish
-//!   stride sample, bucket in parallel, sort buckets in parallel.
-//!   Unstable, near-perfect balance for the integer score distributions
-//!   the decoder produces.
+//! sorting literature for this step. [`par_merge_sort`] is a recursive
+//! merge sort with a parallel two-way merge (split at the median of the
+//! longer run): stable, O(n log n) work, O(log² n) depth. The Γ-general MN
+//! decoder ranks its `i128` scores through [`par_merge_sort_with`], its
+//! allocation-free form; the benches compare it with the top-k shortcut.
 
-use rayon::prelude::*;
-
-/// Below this length the sequential standard-library sort wins.
+/// Below this length the sequential bottom-up merge sort wins.
 const SEQ_CUTOFF: usize = 1 << 13;
 /// Runs shorter than this are merged sequentially.
 const MERGE_CUTOFF: usize = 1 << 12;
@@ -188,58 +180,6 @@ where
     }
 }
 
-/// Unstable parallel sample sort by a key function.
-pub fn par_sample_sort<T, K, F>(data: &mut [T], key: F)
-where
-    T: Copy + Send + Sync + Default,
-    K: Ord + Send + Sync + Clone,
-    F: Fn(&T) -> K + Sync,
-{
-    let n = data.len();
-    if n <= SEQ_CUTOFF {
-        data.sort_unstable_by_key(&key);
-        return;
-    }
-    let buckets = rayon::current_num_threads().clamp(2, 64);
-    // Oversampled stride sample → splitters.
-    let oversample = 8;
-    let step = (n / (buckets * oversample)).max(1);
-    let mut sample: Vec<K> = data.iter().step_by(step).map(&key).collect();
-    sample.sort_unstable();
-    let splitters: Vec<K> = (1..buckets)
-        .map(|b| sample[(b * sample.len() / buckets).min(sample.len() - 1)].clone())
-        .collect();
-    // Classify every element (parallel), then histogram → offsets.
-    let classes: Vec<u32> =
-        data.par_iter().map(|x| splitters.partition_point(|s| *s <= key(x)) as u32).collect();
-    let mut counts = vec![0u64; buckets];
-    for &c in &classes {
-        counts[c as usize] += 1;
-    }
-    let mut offsets = counts.clone();
-    crate::scan::exclusive_scan_u64(&mut offsets);
-    // Scatter into a scratch buffer (sequential pass keeps it simple and is
-    // memory-bound anyway), then sort each bucket in parallel.
-    let mut scratch: Vec<T> = vec![T::default(); n];
-    let mut cursors = offsets.clone();
-    for (idx, &c) in classes.iter().enumerate() {
-        let at = cursors[c as usize] as usize;
-        scratch[at] = data[idx];
-        cursors[c as usize] += 1;
-    }
-    let mut slices: Vec<&mut [T]> = Vec::with_capacity(buckets);
-    let mut rest: &mut [T] = &mut scratch;
-    #[allow(clippy::needless_range_loop)] // cursor walk over two arrays
-    for b in 0..buckets {
-        let len = counts[b] as usize;
-        let (head, tail) = rest.split_at_mut(len);
-        slices.push(head);
-        rest = tail;
-    }
-    slices.into_par_iter().for_each(|s| s.sort_unstable_by_key(&key));
-    data.copy_from_slice(&scratch);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,39 +262,11 @@ mod tests {
     }
 
     #[test]
-    fn sample_sort_matches_std() {
-        for seed in 0..4 {
-            let mut a = random_vec(150_000, 10 + seed);
-            let mut b = a.clone();
-            par_sample_sort(&mut a, |x| *x);
-            b.sort_unstable();
-            assert_eq!(a, b, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn sample_sort_constant_input() {
-        let mut a = vec![7i64; 100_000];
-        par_sample_sort(&mut a, |x| *x);
-        assert!(a.iter().all(|&x| x == 7));
-    }
-
-    #[test]
-    fn sample_sort_already_sorted() {
-        let mut a: Vec<i64> = (0..120_000).collect();
-        let want = a.clone();
-        par_sample_sort(&mut a, |x| *x);
-        assert_eq!(a, want);
-    }
-
-    #[test]
     fn sorts_handle_empty_and_tiny() {
         let mut empty: Vec<i64> = vec![];
         par_merge_sort(&mut empty, |x| *x);
-        par_sample_sort(&mut empty, |x| *x);
         let mut one = vec![5i64];
         par_merge_sort(&mut one, |x| *x);
-        par_sample_sort(&mut one, |x| *x);
         assert_eq!(one, vec![5]);
     }
 

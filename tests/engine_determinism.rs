@@ -61,12 +61,7 @@ proptest! {
         let profile = LoadProfile {
             design_kind: DesignKind::ALL[design_idx],
             distinct_designs: 3,
-            decoders: vec![
-                DecoderKind::Mn,
-                DecoderKind::GeneralMn,
-                DecoderKind::ThresholdMn,
-                DecoderKind::PsiOnly,
-            ],
+            decoders: vec![DecoderKind::Mn, DecoderKind::GeneralMn, DecoderKind::ThresholdMn],
             query_cost: None,
             ..LoadProfile::default_mix(n, k, n / 2, seed)
         };
@@ -110,9 +105,9 @@ proptest! {
     }
 }
 
-/// Deterministic spot check with the exact acceptance-shaped mix (all six
-/// registry decoders on a small instance, including the dense OMP
-/// baseline) — slower than the proptest shapes, so one fixed case.
+/// Deterministic spot check with the exact acceptance-shaped mix (the
+/// three served decoders on a small instance) under a fixed set of worker
+/// counts, queue sizes and batch windows.
 #[test]
 fn full_registry_mix_is_worker_count_invariant() {
     let profile = LoadProfile {

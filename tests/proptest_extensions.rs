@@ -1,57 +1,16 @@
 //! Property-based invariants for the extension stack (threshold, adaptive,
-//! alternative designs, radix/histogram primitives).
+//! alternative designs, the Γ-general decoder).
 
 use proptest::prelude::*;
 
 use pooled_data::adaptive::{counting_dorfman, quantitative_bisect, CountOracle};
 use pooled_data::core::mn_general::GeneralMnDecoder;
 use pooled_data::design::{CsrDesign, DesignKind, PoolingDesign};
-use pooled_data::par::histogram::par_histogram;
-use pooled_data::par::radix::{par_radix_sort_pairs, radix_rank_desc};
 use pooled_data::prelude::*;
 use pooled_data::threshold::ThresholdChannel;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Radix sort agrees with the standard library on arbitrary inputs.
-    #[test]
-    fn radix_sort_matches_std(mut keys in proptest::collection::vec(any::<u64>(), 0..3000)) {
-        let mut pairs: Vec<(u64, u32)> =
-            keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
-        par_radix_sort_pairs(&mut pairs);
-        keys.sort_unstable();
-        prop_assert!(pairs.iter().map(|&(k, _)| k).eq(keys.iter().copied()));
-        // Stability: ties keep ascending payload order.
-        for w in pairs.windows(2) {
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1);
-            }
-        }
-    }
-
-    /// Descending score ranking agrees with a comparison sort.
-    #[test]
-    fn radix_rank_matches_comparison(scores in proptest::collection::vec(any::<i64>(), 0..2000)) {
-        let got = radix_rank_desc(&scores);
-        let mut want: Vec<u32> = (0..scores.len() as u32).collect();
-        want.sort_by_key(|&i| (std::cmp::Reverse(scores[i as usize]), i));
-        prop_assert_eq!(got, want);
-    }
-
-    /// Histogram counts are exact for any bin function.
-    #[test]
-    fn histogram_matches_sequential(
-        data in proptest::collection::vec(any::<u32>(), 0..5000),
-        bins in 1usize..64,
-    ) {
-        let par = par_histogram(&data, bins, |&x| x as usize % bins);
-        let mut seq = vec![0u64; bins];
-        for &x in &data {
-            seq[x as usize % bins] += 1;
-        }
-        prop_assert_eq!(par, seq);
-    }
 
     /// Quantitative bisection is exact on arbitrary signals and respects
     /// its query bound.

@@ -119,19 +119,6 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Exclusive scan matches the fold-based reference.
-    #[test]
-    fn scan_matches_reference(data in prop::collection::vec(0u64..1000, 0..3000)) {
-        let mut got = data.clone();
-        let total = pooled_data::par::scan::exclusive_scan_u64(&mut got);
-        let mut acc = 0u64;
-        for (g, &x) in got.iter().zip(&data) {
-            prop_assert_eq!(*g, acc);
-            acc += x;
-        }
-        prop_assert_eq!(total, acc);
-    }
-
     /// The ground truth is always consistent in the exhaustive search and
     /// uniqueness implies the witness equals the truth.
     #[test]

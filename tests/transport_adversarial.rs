@@ -19,10 +19,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use pooled_data::engine::engine::{Engine, EngineConfig};
-use pooled_data::engine::job::{DecoderKind, JobResult, JobSpec};
+use pooled_data::engine::job::{DecoderKind, Digest, JobResult, JobSpec};
 use pooled_data::engine::telemetry::Metric;
 use pooled_data::engine::traffic::LoadProfile;
-use pooled_data::engine::transport::frame::{encode_frame, Frame, FrameAssembler};
+use pooled_data::engine::transport::frame::{
+    encode_frame, Frame, FrameAssembler, CHECKSUM_LEN, HEADER_LEN,
+};
 use pooled_data::engine::transport::reactor::{
     raise_fd_limit, thread_count, thread_cpu_time, thread_cpu_time_by_name,
 };
@@ -80,6 +82,20 @@ fn encoded_submit(spec: &JobSpec) -> Vec<u8> {
     let mut buf = Vec::new();
     encode_frame(&Frame::Submit(*spec), &mut buf);
     buf
+}
+
+/// The frame checksum, computed by hand: the `Digest` chain over the
+/// byte count, then over the bytes as little-endian words (the last one
+/// zero-padded).
+fn frame_checksum(bytes: &[u8]) -> u64 {
+    let mut d = Digest::new();
+    d.push(bytes.len() as u64);
+    for chunk in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        d.push(u64::from_le_bytes(word));
+    }
+    d.finish()
 }
 
 /// Read raw frames off an adversary's socket until `want` frames have
@@ -201,6 +217,45 @@ fn a_write_blocked_tenant_is_contained() {
     wait_for_live(&server, 0, Duration::from_secs(5));
     server.stop();
     Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
+}
+
+#[test]
+fn an_unserved_decoder_code_is_refused_at_the_door() {
+    let _serial = serial();
+    // A well-formed SUBMIT whose decoder byte names no served decoder,
+    // sealed with a valid checksum: the server must hang up without a
+    // reply and without handing the job to a worker, while a
+    // well-behaved tenant keeps bit-identical service.
+    let engine = engine(1, 16);
+    let server =
+        TransportServer::bind(Arc::clone(&engine), "127.0.0.1:0", TransportConfig::default())
+            .expect("bind");
+    let addr = server.local_addr();
+
+    let p = profile(59);
+    let mut wire = encoded_submit(&p.spec(1_000));
+    wire[HEADER_LEN + 57] = 0xFE; // the SUBMIT payload's decoder byte
+    let body = wire.len() - CHECKSUM_LEN;
+    let ck = frame_checksum(&wire[..body]);
+    wire[body..].copy_from_slice(&ck.to_le_bytes());
+    let mut adversary = TcpStream::connect(addr).expect("adversary connect");
+    adversary.write_all(&wire).expect("send the frame");
+    adversary.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    let mut reply = Vec::new();
+    adversary.read_to_end(&mut reply).expect("the server hangs up");
+    assert!(reply.is_empty(), "the server answered with {} bytes", reply.len());
+
+    let jobs = 16;
+    let mut client = TransportClient::connect(addr).expect("connect");
+    let mut out = Vec::new();
+    client.run_batch(&p.specs(jobs), &mut out).expect("well-behaved batch");
+    assert_eq!(fingerprints(&out), in_process_ground_truth(&p, jobs));
+
+    drop(client);
+    server.stop();
+    let stats = Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
+    assert_eq!(stats.jobs_poisoned, 0, "a worker ran the refused frame's job");
+    assert_eq!(stats.jobs_completed, jobs as u64);
 }
 
 #[test]
