@@ -76,10 +76,7 @@ impl GeneralMnDecoder {
     ///
     /// Both sums (`y`, and the design's [`PoolingDesign::pool_len`] as
     /// weights) come from `pooled_design::distinct_sums_into`: by popcount
-    /// over the entry bitmap where a materialized design keeps one. The
-    /// family's own `pool_len` differs from its CSR's `gamma` for
-    /// Bernoulli and entry-regular designs, so pass the family's design
-    /// (an `AnyDesign`), not its CSR.
+    /// over the entry bitmap where a materialized design keeps one.
     ///
     /// # Panics
     /// Panics if `y.len() != design.m()`.

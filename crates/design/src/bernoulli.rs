@@ -13,67 +13,38 @@
 use pooled_rng::{Rng64, SeedSequence};
 
 use crate::csr::{CsrBuilder, CsrDesign};
-use crate::PoolingDesign;
 
-/// A Bernoulli(`p`) design materialized in CSR form.
-#[derive(Clone, Debug)]
-pub struct BernoulliDesign {
-    csr: CsrDesign,
-    p: f64,
-}
-
-impl BernoulliDesign {
-    /// Sample `m` queries over `n` entries, each entry joining each query
-    /// independently with probability `p`.
-    ///
-    /// Query `q` draws from the substream `seeds.child("query", q)`, the
-    /// same per-query substream contract as the regular designs.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `p ∉ [0, 1]`.
-    pub fn sample(n: usize, m: usize, p: f64, seeds: &SeedSequence) -> Self {
-        assert!(n > 0, "design needs at least one entry");
-        assert!((0.0..=1.0).contains(&p), "membership probability p={p} outside [0,1]");
-        // Room for the mean plus six standard deviations of the
-        // Binomial(n·m, p) total, so the arrays never have to grow.
-        let mean = p * (n * m) as f64;
-        let bound = (mean + 6.0 * mean.sqrt()).ceil() as usize + 64;
-        let mut rows = CsrBuilder::new(n, m, bound.min(n * m));
-        for q in 0..m {
-            let mut rng = seeds.child("query", q as u64).rng();
-            for_each_bernoulli_member(n, p, &mut rng, |i| rows.push(i));
-            rows.end_pool();
-        }
-        let gamma = rows.first_pool_draws();
-        Self { csr: rows.finish(gamma), p }
+/// Sample `m` queries over `n` entries, each entry joining each query
+/// independently with probability `p`.
+///
+/// Query `q` draws from the substream `seeds.child("query", q)`, the
+/// same per-query substream contract as the regular designs. Pools vary
+/// in size, so the CSR's `Γ` is its first pool's draws; an
+/// [`crate::AnyDesign`] of this family reports the expected pool size
+/// `⌊p·n⌉` as its `Γ`.
+///
+/// # Panics
+/// Panics if `n == 0` or `p ∉ [0, 1]`.
+pub fn sample(n: usize, m: usize, p: f64, seeds: &SeedSequence) -> CsrDesign {
+    assert!(n > 0, "design needs at least one entry");
+    assert!((0.0..=1.0).contains(&p), "membership probability p={p} outside [0,1]");
+    // Room for the mean plus six standard deviations of the
+    // Binomial(n·m, p) total, so the arrays never have to grow.
+    let mean = p * (n * m) as f64;
+    let bound = (mean + 6.0 * mean.sqrt()).ceil() as usize + 64;
+    let mut rows = CsrBuilder::new(n, m, bound.min(n * m));
+    for q in 0..m {
+        let mut rng = seeds.child("query", q as u64).rng();
+        for_each_bernoulli_member(n, p, &mut rng, |i| rows.push(i));
+        rows.end_pool();
     }
-
-    /// Wrap already-materialized CSR storage with its membership
-    /// probability (the durable tier's snapshot-reload path). `p` is the
-    /// only state beyond the CSR; reload recovers it from the design
-    /// key's density, which is exactly what sampling was given.
-    ///
-    /// # Panics
-    /// Panics if `p ∉ [0, 1]`.
-    pub fn from_csr(csr: CsrDesign, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "membership probability p={p} outside [0,1]");
-        Self { csr, p }
-    }
-
-    /// Membership probability `p`.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// Borrow the underlying CSR storage (for the gather decode path).
-    pub fn csr(&self) -> &CsrDesign {
-        &self.csr
-    }
+    let gamma = rows.first_pool_draws();
+    rows.finish(gamma)
 }
 
 /// Visit the members of a Bernoulli(`p`) subset of `{0,…,n−1}` in
 /// ascending order, via geometric gap skipping.
-pub fn for_each_bernoulli_member<R: Rng64 + ?Sized>(
+fn for_each_bernoulli_member<R: Rng64 + ?Sized>(
     n: usize,
     p: f64,
     rng: &mut R,
@@ -104,45 +75,11 @@ pub fn for_each_bernoulli_member<R: Rng64 + ?Sized>(
     }
 }
 
-impl PoolingDesign for BernoulliDesign {
-    fn n(&self) -> usize {
-        self.csr.n()
-    }
-
-    fn m(&self) -> usize {
-        self.csr.m()
-    }
-
-    /// Expected pool size `⌊p·n⌉` (pools are Binomial, not fixed).
-    fn gamma(&self) -> usize {
-        (self.p * self.csr.n() as f64).round() as usize
-    }
-
-    fn for_each_draw(&self, q: usize, f: &mut dyn FnMut(usize)) {
-        self.csr.for_each_draw(q, f);
-    }
-
-    fn for_each_distinct(&self, q: usize, f: &mut dyn FnMut(usize, u32)) {
-        self.csr.for_each_distinct(q, f);
-    }
-
-    fn distinct_len(&self, q: usize) -> usize {
-        self.csr.distinct_len(q)
-    }
-
-    fn pool_len(&self, q: usize) -> usize {
-        // No multi-edges: draws == distinct entries.
-        self.csr.distinct_len(q)
-    }
-
-    fn as_csr(&self) -> Option<&CsrDesign> {
-        Some(self.csr())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::factory::DesignKind;
+    use crate::PoolingDesign;
     use pooled_rng::SplitMix64;
 
     fn sample_bernoulli_subset(n: usize, p: f64, rng: &mut SplitMix64) -> Vec<usize> {
@@ -197,10 +134,11 @@ mod tests {
     #[test]
     fn design_dimensions_and_pool_len() {
         let seeds = SeedSequence::new(7);
-        let d = BernoulliDesign::sample(200, 40, 0.5, &seeds);
+        let d = sample(200, 40, 0.5, &seeds);
         assert_eq!(d.n(), 200);
         assert_eq!(d.m(), 40);
-        assert_eq!(d.gamma(), 100);
+        assert_eq!(d.gamma(), d.pool_len(0), "the CSR's Γ is its first pool's draws");
+        assert_eq!(DesignKind::Bernoulli.gamma(200, 40, 0.5), 100, "the family's Γ is ⌊p·n⌉");
         for q in 0..d.m() {
             assert_eq!(d.pool_len(q), d.distinct_len(q), "no multi-edges");
         }
@@ -209,7 +147,7 @@ mod tests {
     #[test]
     fn no_multiplicities_above_one() {
         let seeds = SeedSequence::new(8);
-        let d = BernoulliDesign::sample(100, 30, 0.4, &seeds);
+        let d = sample(100, 30, 0.4, &seeds);
         for q in 0..d.m() {
             d.for_each_distinct(q, &mut |_, c| assert_eq!(c, 1));
         }
@@ -217,10 +155,10 @@ mod tests {
 
     #[test]
     fn deterministic_in_seed() {
-        let a = BernoulliDesign::sample(100, 10, 0.3, &SeedSequence::new(9));
-        let b = BernoulliDesign::sample(100, 10, 0.3, &SeedSequence::new(9));
+        let a = sample(100, 10, 0.3, &SeedSequence::new(9));
+        let b = sample(100, 10, 0.3, &SeedSequence::new(9));
         for q in 0..10 {
-            assert_eq!(a.csr().query_row(q), b.csr().query_row(q));
+            assert_eq!(a.query_row(q), b.query_row(q));
         }
     }
 }

@@ -12,11 +12,12 @@
 //! with their counts as multiplicities, straight into the final
 //! `entries`/`mults` arrays: no per-query buffer and no sort (see
 //! `CsrBuilder`). The builder's last step, which snapshot reload shares
-//! ([`CsrDesign::from_rows`]), builds the transpose from plain degree
-//! counts and a scatter over cache-sized blocks of entries that keeps
-//! each entry's queries ascending, then the entry bitmap. Construction
-//! runs on the calling thread and allocates a fixed handful of times per
-//! design, however many queries it has.
+//! ([`CsrDesign::from_rows`]), records each pool's draw count (so
+//! [`PoolingDesign::pool_len`] is exact for pools of any size), builds
+//! the transpose from plain degree counts and a scatter over cache-sized
+//! blocks of entries that keeps each entry's queries ascending, then the
+//! entry bitmap. Construction runs on the calling thread and allocates a
+//! fixed handful of times per design, however many queries it has.
 //!
 //! # The entry bitmap
 //!
@@ -116,6 +117,8 @@ pub struct CsrDesign {
     entries: Vec<u32>,
     /// Draw multiplicities matching `entries` (`A_iq ≥ 1`).
     mults: Vec<u32>,
+    /// Draws of each query with multiplicity (`Σ_i A_iq`), length `m`.
+    pool_lens: Vec<u32>,
     /// Transpose row offsets, length `n + 1`.
     e_offsets: Vec<u64>,
     /// Distinct queries of each entry (ascending within a row).
@@ -157,7 +160,8 @@ impl CsrDesign {
 
     /// Build a design from explicit pools given as entry lists **with
     /// repetitions** (multi-edges), in any order, e.g. the worked example
-    /// of Fig. 1. `Γ` is the first pool's length.
+    /// of Fig. 1. `Γ` is the first pool's length; every pool's own length
+    /// is its [`PoolingDesign::pool_len`].
     ///
     /// # Panics
     /// Panics if `n == 0`, or any entry index is out of range.
@@ -178,11 +182,11 @@ impl CsrDesign {
 
     /// Rebuild a design from its flat forward rows: `q_offsets` (`m + 1`
     /// offsets from 0 to `nnz`) over `entries` and `mults`, the rows that
-    /// [`Self::query_row`] exposes, concatenated. The transpose and the
-    /// bitmap are *not* inputs: they are rebuilt by the same last step
-    /// sampling takes, so a design round-tripped through its forward rows
-    /// is bit-identical to the original (the durable tier's
-    /// snapshot-reload path relies on this).
+    /// [`Self::query_row`] exposes, concatenated. The pool sizes, the
+    /// transpose and the bitmap are *not* inputs: they are rebuilt by the
+    /// same last step sampling takes, so a design round-tripped through
+    /// its forward rows is bit-identical to the original (the durable
+    /// tier's snapshot-reload path relies on this).
     ///
     /// Returns `None` when the rows break an invariant: `n == 0`, offsets
     /// that do not run monotonically from 0 to `nnz`, `mults` of another
@@ -211,8 +215,9 @@ impl CsrDesign {
         Some(Self::assemble(n, gamma, q_offsets, entries, mults))
     }
 
-    /// The last step of every constructor: the transpose by plain degree
-    /// counts and a scatter, then the entry bitmap.
+    /// The last step of every constructor: each pool's draw count, the
+    /// transpose by plain degree counts and a scatter, then the entry
+    /// bitmap.
     ///
     /// The scatter runs over blocks of [`SCATTER_BLOCK`] incidences' worth
     /// of entries; within a block it walks the queries in order, so each
@@ -228,6 +233,10 @@ impl CsrDesign {
         mults: Vec<u32>,
     ) -> Self {
         let (m, nnz) = (q_offsets.len() - 1, entries.len());
+        let pool_lens = q_offsets
+            .windows(2)
+            .map(|row| mults[row[0] as usize..row[1] as usize].iter().sum())
+            .collect();
         let mut e_offsets = vec![0u64; n + 1];
         for &e in &entries {
             e_offsets[e as usize + 1] += 1;
@@ -264,6 +273,7 @@ impl CsrDesign {
             q_offsets,
             entries,
             mults,
+            pool_lens,
             e_offsets,
             queries,
             t_mults,
@@ -636,6 +646,10 @@ impl PoolingDesign for CsrDesign {
 
     fn distinct_len(&self, q: usize) -> usize {
         (self.q_offsets[q + 1] - self.q_offsets[q]) as usize
+    }
+
+    fn pool_len(&self, q: usize) -> usize {
+        self.pool_lens[q] as usize
     }
 
     fn as_csr(&self) -> Option<&CsrDesign> {

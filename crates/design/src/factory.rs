@@ -3,15 +3,14 @@
 //! The design-ablation experiment sweeps the decoder over every family at
 //! matched density (expected pool size `c·n`, expected entry degree `c·m`),
 //! so it needs to treat designs interchangeably. [`DesignKind`] names the
-//! family and [`AnyDesign`] is the dispatching [`PoolingDesign`].
+//! family and samples it: each family is one sampling function that
+//! returns a [`CsrDesign`], and [`AnyDesign`] is that CSR tagged with its
+//! family and the family's `Γ`.
 
 use pooled_rng::SeedSequence;
 
-use crate::bernoulli::BernoulliDesign;
 use crate::csr::CsrDesign;
-use crate::entry_regular::EntryRegularDesign;
-use crate::noreplace::NoReplaceDesign;
-use crate::PoolingDesign;
+use crate::{bernoulli, entry_regular, noreplace, PoolingDesign};
 
 /// The pooling-design families the workspace implements.
 ///
@@ -56,100 +55,96 @@ impl DesignKind {
     pub fn sample(&self, n: usize, m: usize, c: f64, seeds: &SeedSequence) -> AnyDesign {
         assert!(c > 0.0 && c <= 1.0, "density c={c} outside (0,1]");
         assert!(m > 0, "design needs at least one query");
-        let gamma = ((c * n as f64).round() as usize).clamp(1, n);
-        match self {
-            DesignKind::RandomRegular => {
-                AnyDesign::RandomRegular(CsrDesign::sample(n, m, gamma, seeds))
-            }
-            DesignKind::NoReplace => {
-                AnyDesign::NoReplace(NoReplaceDesign::sample(n, m, gamma, seeds))
-            }
-            DesignKind::Bernoulli => AnyDesign::Bernoulli(BernoulliDesign::sample(n, m, c, seeds)),
+        let gamma = self.gamma(n, m, c);
+        let csr = match self {
+            DesignKind::RandomRegular => CsrDesign::sample(n, m, gamma, seeds),
+            DesignKind::NoReplace => noreplace::sample(n, m, gamma, seeds),
+            DesignKind::Bernoulli => bernoulli::sample(n, m, c, seeds),
             DesignKind::EntryRegular => {
-                let delta = EntryRegularDesign::matching_delta(m, c);
-                AnyDesign::EntryRegular(EntryRegularDesign::sample(n, m, delta, seeds))
+                entry_regular::sample(n, m, entry_regular::matching_delta(m, c), seeds)
             }
+        };
+        AnyDesign { csr, kind: *self, gamma }
+    }
+
+    /// The family's `Γ` at `(n, m, c)`, what [`AnyDesign`] reports: the
+    /// pool size `⌊c·n⌉`, clamped to `1..=n`, of the random regular and
+    /// without-replacement designs, which is also their CSR's `Γ`; the
+    /// expected pool size `⌊c·n⌉` of the Bernoulli design; and the
+    /// average pool size `⌊n·Δ/m⌋` of the entry-regular design, with
+    /// `Δ` its [`entry_regular::matching_delta`].
+    pub(crate) fn gamma(&self, n: usize, m: usize, c: f64) -> usize {
+        match self {
+            DesignKind::RandomRegular | DesignKind::NoReplace => {
+                ((c * n as f64).round() as usize).max(1).min(n)
+            }
+            DesignKind::Bernoulli => (c * n as f64).round() as usize,
+            DesignKind::EntryRegular => n * entry_regular::matching_delta(m, c) / m.max(1),
         }
     }
 }
 
-/// A design of any family, dispatching [`PoolingDesign`] to the variant.
+/// A design of any family: its [`CsrDesign`], tagged with the family and
+/// the family's `Γ`. Every [`PoolingDesign`] method but `gamma` answers
+/// from the CSR, whose recorded pool sizes are exact for every family.
 #[derive(Clone, Debug)]
-pub enum AnyDesign {
-    /// The paper's with-replacement regular design.
-    RandomRegular(CsrDesign),
-    /// Fixed-size pools without replacement.
-    NoReplace(NoReplaceDesign),
-    /// Independent Bernoulli membership.
-    Bernoulli(BernoulliDesign),
-    /// Exact per-entry degrees.
-    EntryRegular(EntryRegularDesign),
+pub struct AnyDesign {
+    csr: CsrDesign,
+    kind: DesignKind,
+    gamma: usize,
 }
 
 impl AnyDesign {
+    /// Tag `csr`, a design of family `kind` sampled at density `c`, with
+    /// the family's `Γ` (the durable tier's snapshot-reload path: the CSR
+    /// was rebuilt from a sampled design's forward rows).
+    pub fn new(kind: DesignKind, c: f64, csr: CsrDesign) -> Self {
+        let gamma = kind.gamma(csr.n(), csr.m(), c);
+        Self { csr, kind, gamma }
+    }
+
     /// The family of this design.
     pub fn kind(&self) -> DesignKind {
-        match self {
-            AnyDesign::RandomRegular(_) => DesignKind::RandomRegular,
-            AnyDesign::NoReplace(_) => DesignKind::NoReplace,
-            AnyDesign::Bernoulli(_) => DesignKind::Bernoulli,
-            AnyDesign::EntryRegular(_) => DesignKind::EntryRegular,
-        }
+        self.kind
     }
 
-    /// The underlying CSR storage of whichever variant.
+    /// The CSR storage behind this design.
     pub fn csr(&self) -> &CsrDesign {
-        match self {
-            AnyDesign::RandomRegular(c) => c,
-            AnyDesign::NoReplace(d) => d.csr(),
-            AnyDesign::Bernoulli(d) => d.csr(),
-            AnyDesign::EntryRegular(d) => d.csr(),
-        }
+        &self.csr
     }
-}
-
-macro_rules! dispatch {
-    ($self:expr, $d:ident => $body:expr) => {
-        match $self {
-            AnyDesign::RandomRegular($d) => $body,
-            AnyDesign::NoReplace($d) => $body,
-            AnyDesign::Bernoulli($d) => $body,
-            AnyDesign::EntryRegular($d) => $body,
-        }
-    };
 }
 
 impl PoolingDesign for AnyDesign {
     fn n(&self) -> usize {
-        dispatch!(self, d => d.n())
+        self.csr.n()
     }
 
     fn m(&self) -> usize {
-        dispatch!(self, d => d.m())
+        self.csr.m()
     }
 
     fn gamma(&self) -> usize {
-        dispatch!(self, d => d.gamma())
+        self.gamma
     }
 
     fn for_each_draw(&self, q: usize, f: &mut dyn FnMut(usize)) {
-        dispatch!(self, d => d.for_each_draw(q, f))
+        self.csr.for_each_draw(q, f);
     }
 
     fn for_each_distinct(&self, q: usize, f: &mut dyn FnMut(usize, u32)) {
-        dispatch!(self, d => d.for_each_distinct(q, f))
+        self.csr.for_each_distinct(q, f);
     }
 
     fn distinct_len(&self, q: usize) -> usize {
-        dispatch!(self, d => d.distinct_len(q))
+        self.csr.distinct_len(q)
     }
 
     fn pool_len(&self, q: usize) -> usize {
-        dispatch!(self, d => d.pool_len(q))
+        self.csr.pool_len(q)
     }
 
     fn as_csr(&self) -> Option<&CsrDesign> {
-        Some(self.csr())
+        Some(&self.csr)
     }
 }
 
@@ -200,16 +195,34 @@ mod tests {
         let _ = DesignKind::RandomRegular.sample(10, 5, 0.0, &SeedSequence::new(1));
     }
 
+    fn assert_pool_lens_count_draws(d: &dyn PoolingDesign, what: &str) {
+        for q in 0..d.m() {
+            let mut draws = 0usize;
+            d.for_each_draw(q, &mut |_| draws += 1);
+            assert_eq!(draws, d.pool_len(q), "{what} query {q}");
+        }
+    }
+
     #[test]
     fn pool_len_totals_are_consistent_with_draw_iteration() {
         let seeds = SeedSequence::new(13);
         for kind in DesignKind::ALL {
             let d = kind.sample(80, 20, 0.4, &seeds);
-            for q in 0..d.m() {
-                let mut draws = 0usize;
-                d.for_each_draw(q, &mut |_| draws += 1);
-                assert_eq!(draws, d.pool_len(q), "{} query {q}", kind.name());
-            }
+            assert_pool_lens_count_draws(&d, kind.name());
         }
+        // The CSR alone answers as its family does, also where pools vary
+        // in size: at (700, 40, 0.01), n·Δ = 700 is no multiple of m.
+        for kind in DesignKind::ALL {
+            let d = kind.sample(700, 40, 0.01, &seeds);
+            for q in 0..d.m() {
+                assert_eq!(d.csr().pool_len(q), d.pool_len(q), "{} query {q}", kind.name());
+            }
+            assert_pool_lens_count_draws(d.csr(), kind.name());
+        }
+        // A bare CSR of unequal pools: Fig. 1's, and some with an empty one.
+        let fig1 = [vec![0, 1, 3], vec![1, 1, 2], vec![0, 1, 4], vec![4, 5], vec![4, 6]];
+        assert_pool_lens_count_draws(&CsrDesign::from_pools(7, &fig1), "Fig. 1");
+        let unequal = [vec![2, 2, 2, 0], vec![], vec![1], vec![3, 1, 3, 3, 1]];
+        assert_pool_lens_count_draws(&CsrDesign::from_pools(4, &unequal), "unequal");
     }
 }

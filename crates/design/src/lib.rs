@@ -32,13 +32,14 @@
 //! the design-ablation experiment compares at matched density: fixed-size
 //! pools without replacement ([`noreplace`]), independent Bernoulli
 //! membership ([`bernoulli`]) and exact per-entry degrees via the
-//! configuration model ([`entry_regular`]); [`factory::DesignKind`] samples
-//! any of them uniformly.
+//! configuration model ([`entry_regular`]). Each family is one sampling
+//! function that pushes its pools through the same builder into a
+//! [`CsrDesign`]; [`factory::DesignKind`] samples any of them uniformly,
+//! and an [`AnyDesign`] is the CSR tagged with its family and the
+//! family's `Γ`.
 
 pub mod bernoulli;
-pub mod concentration;
 pub mod csr;
-pub mod degrees;
 pub mod entry_regular;
 pub mod factory;
 pub mod matvec;
@@ -46,15 +47,10 @@ pub mod multigraph;
 pub mod noreplace;
 pub mod streaming;
 
-pub use bernoulli::BernoulliDesign;
-pub use concentration::{check_concentration, ConcentrationReport};
 pub use csr::CsrDesign;
-pub use degrees::DegreeStats;
-pub use entry_regular::EntryRegularDesign;
 pub use factory::{AnyDesign, DesignKind};
 pub use matvec::distinct_sums_into;
 pub use multigraph::RandomRegularDesign;
-pub use noreplace::NoReplaceDesign;
 pub use streaming::StreamingDesign;
 
 /// Abstract interface over pooling designs.
@@ -89,10 +85,12 @@ pub trait PoolingDesign: Sync {
 
     /// The number of draws in query `q` **with multiplicity** (`Σ_i A_iq`).
     ///
-    /// For the paper's regular design this is the constant `Γ`; the
-    /// alternative designs ([`bernoulli`], [`entry_regular`]) override it
-    /// because their pool sizes vary per query. The Γ-general decoder
-    /// centers scores with these exact per-query sizes.
+    /// For the paper's regular design this is the constant `Γ`, the
+    /// default. A [`CsrDesign`] answers from the draw counts it records
+    /// at construction, so it is exact for every family, including those
+    /// whose pool sizes vary per query ([`bernoulli`], [`entry_regular`]).
+    /// The Γ-general decoder centers scores with these exact per-query
+    /// sizes.
     fn pool_len(&self, q: usize) -> usize {
         let _ = q;
         self.gamma()

@@ -78,22 +78,6 @@ pub fn pool_sums_u64<D: PoolingDesign + ?Sized>(design: &D, x: &[u64]) -> Vec<u6
         .collect()
 }
 
-/// Floating-point query sums with multiplicity (`Aᵀx` over `f64`), used by
-/// the compressed-sensing baselines.
-pub fn pool_sums_f64<D: PoolingDesign + ?Sized>(design: &D, x: &[f64]) -> Vec<f64> {
-    assert_eq!(x.len(), design.n(), "input vector must have length n");
-    (0..design.m())
-        .into_par_iter()
-        .map(|q| {
-            let mut acc = 0.0f64;
-            design.for_each_distinct(q, &mut |e, c| {
-                acc += x[e] * c as f64;
-            });
-            acc
-        })
-        .collect()
-}
-
 /// Scatter-based distinct accumulation:
 /// `psi[i] = Σ_{q ∋ i} w[q]` (distinct incidence) and `dstar[i] = |∂*x_i|`.
 ///
@@ -115,50 +99,6 @@ pub fn scatter_distinct_u64<D: PoolingDesign + ?Sized>(
     (psi.into_vec(), dstar.into_vec())
 }
 
-/// Entry-major spread of query weights *with* multiplicity:
-/// `out[i] = Σ_q A_iq · w[q]` — the transpose product `A·w` the baselines use.
-pub fn spread_weighted_f64<D: PoolingDesign + ?Sized>(design: &D, w: &[f64]) -> Vec<f64> {
-    assert_eq!(w.len(), design.m(), "weight vector must have length m");
-    let out: Vec<parking_lot_free::AtomicF64> =
-        (0..design.n()).map(|_| parking_lot_free::AtomicF64::new(0.0)).collect();
-    (0..design.m()).into_par_iter().for_each(|q| {
-        let wq = w[q];
-        design.for_each_distinct(q, &mut |e, c| {
-            out[e].add(wq * c as f64);
-        });
-    });
-    out.into_iter().map(|a| a.get()).collect()
-}
-
-/// Minimal atomic `f64` add via `AtomicU64` CAS (no external crates needed).
-mod parking_lot_free {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    pub struct AtomicF64(AtomicU64);
-
-    impl AtomicF64 {
-        pub fn new(v: f64) -> Self {
-            Self(AtomicU64::new(v.to_bits()))
-        }
-
-        pub fn add(&self, v: f64) {
-            let mut cur = self.0.load(Ordering::Relaxed);
-            loop {
-                let next = (f64::from_bits(cur) + v).to_bits();
-                match self.0.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-                {
-                    Ok(_) => return,
-                    Err(seen) => cur = seen,
-                }
-            }
-        }
-
-        pub fn get(&self) -> f64 {
-            f64::from_bits(self.0.load(Ordering::Relaxed))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,18 +115,6 @@ mod tests {
         let ones = vec![1u64; d.n()];
         let sums = pool_sums_u64(&d, &ones);
         assert!(sums.iter().all(|&s| s as usize == d.gamma()), "{sums:?}");
-    }
-
-    #[test]
-    fn pool_sums_match_f64_version() {
-        let d = design();
-        let x: Vec<u64> = (0..d.n() as u64).map(|i| i % 3).collect();
-        let xf: Vec<f64> = x.iter().map(|&v| v as f64).collect();
-        let a = pool_sums_u64(&d, &x);
-        let b = pool_sums_f64(&d, &xf);
-        for (ia, ib) in a.iter().zip(&b) {
-            assert!((*ia as f64 - ib).abs() < 1e-9);
-        }
     }
 
     #[test]
@@ -228,24 +156,9 @@ mod tests {
     }
 
     #[test]
-    fn spread_weighted_applies_multiplicity() {
-        let d = CsrDesign::from_pools(3, &[vec![0, 0, 1], vec![1, 2]]);
-        let out = spread_weighted_f64(&d, &[2.0, 10.0]);
-        assert_eq!(out, vec![4.0, 12.0, 10.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "length n")]
     fn wrong_input_length_panics() {
         let d = design();
         let _ = pool_sums_u64(&d, &[1, 2, 3]);
-    }
-
-    #[test]
-    fn atomic_f64_accumulates_concurrently() {
-        let acc = super::parking_lot_free::AtomicF64::new(0.0);
-        use rayon::prelude::*;
-        (0..10_000u64).into_par_iter().for_each(|_| acc.add(0.5));
-        assert!((acc.get() - 5_000.0).abs() < 1e-6);
     }
 }

@@ -12,6 +12,12 @@
 //! ordering) before handing the design back. Anything suspicious is
 //! rejected as [`SnapshotError`] and the caller resamples.
 //!
+//! A file stores only the CSR's forward rows. Reload rebuilds the pool
+//! sizes, the transpose and the bitmap through [`CsrDesign::from_rows`],
+//! the same last step sampling takes, then tags the CSR with its family
+//! ([`AnyDesign::new`]), which recomputes the family's `Γ` from the key's
+//! shape and density. So every family reloads through one path.
+//!
 //! One file per design, named `design-<16-hex key digest>.snap`:
 //!
 //! ```text
@@ -41,10 +47,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use pooled_design::{
-    AnyDesign, BernoulliDesign, CsrDesign, DesignKind, EntryRegularDesign, NoReplaceDesign,
-    PoolingDesign,
-};
+use pooled_design::{AnyDesign, CsrDesign, PoolingDesign};
 
 use crate::cache::DesignKey;
 use crate::codec::{
@@ -210,16 +213,7 @@ pub fn decode_design(key: &DesignKey, bytes: &[u8]) -> Result<AnyDesign, Snapsho
     let mults = (0..nnz).map(|i| get_u32(bytes, mults_at + 4 * i)).collect();
     let csr = CsrDesign::from_rows(n, gamma, q_offsets, entries, mults)
         .ok_or(SnapshotError::BadStructure)?;
-    let c = c_milli as f64 / 1000.0;
-    Ok(match kind {
-        DesignKind::RandomRegular => AnyDesign::RandomRegular(csr),
-        DesignKind::NoReplace => AnyDesign::NoReplace(NoReplaceDesign::from_csr(csr)),
-        DesignKind::Bernoulli => AnyDesign::Bernoulli(BernoulliDesign::from_csr(csr, c)),
-        DesignKind::EntryRegular => AnyDesign::EntryRegular(EntryRegularDesign::from_csr(
-            csr,
-            EntryRegularDesign::matching_delta(m, c),
-        )),
-    })
+    Ok(AnyDesign::new(kind, c_milli as f64 / 1000.0, csr))
 }
 
 /// Load `key`'s snapshot from `dir`. `Ok(None)` when no file exists.
@@ -252,6 +246,7 @@ pub fn load_all(dir: &Path, keys: &[DesignKey]) -> (Vec<(DesignKey, Arc<AnyDesig
 mod tests {
     use super::*;
     use crate::durability::testutil::scratch_dir;
+    use pooled_design::DesignKind;
 
     fn key(kind: DesignKind, seed: u64) -> DesignKey {
         DesignKey { n: 96, m: 32, kind, c_milli: 500, seed }

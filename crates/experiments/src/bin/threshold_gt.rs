@@ -47,7 +47,7 @@ fn main() {
                 let bits = ThresholdChannel::new(t).execute(&design, &sigma);
                 let out = ThresholdMnDecoder::new(k).decode(&design, &bits);
                 let refined = pooled_threshold::refine_bits(
-                    design.csr(),
+                    &design,
                     &bits,
                     t,
                     &out.scores,

@@ -14,7 +14,7 @@
 //! * [`topk`] — parallel top-k selection (what Algorithm 1's final sort
 //!   actually needs: the k largest scores).
 //! * [`scatter`] — atomic scatter-add accumulators: the query-parallel
-//!   reference for the Ψ/Δ* sums and the degree statistics.
+//!   reference for the Ψ/Δ* sums.
 //! * [`lru`] — the bounded LRU map behind the engine's design cache and
 //!   the pool memo.
 //! * [`pool`] — scoped rayon thread-pool helpers for the ablation benches,

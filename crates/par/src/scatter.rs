@@ -7,9 +7,9 @@
 //! (the sums commute, no ordering is needed) and still cache-friendly.
 //!
 //! The decoders gather instead (see the crate docs); the counters serve
-//! the test oracle `pooled_design::matvec::scatter_distinct_u64` and the
-//! degree statistics, each filling fresh counters once and reading them
-//! out with [`AtomicCounters::into_vec`].
+//! the test oracle `pooled_design::matvec::scatter_distinct_u64`, which
+//! fills fresh counters once and reads them out with
+//! [`AtomicCounters::into_vec`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

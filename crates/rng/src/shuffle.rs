@@ -32,7 +32,7 @@ pub fn fisher_yates<T, R: Rng64 + ?Sized>(items: &mut [T], rng: &mut R) {
 /// the time, not the final sort: for 564 pools of 2000 out of 4000 they
 /// cost about 51 ms on one core of a 2-vCPU Xeon VM, where the same
 /// recursion over a bitset takes about 4 ms. Dense callers therefore track membership in a bitset of
-/// their own (`pooled_design::NoReplaceDesign` does); this function suits
+/// their own (`pooled_design::noreplace::sample` does); this function suits
 /// sparse draws (`k ≪ n`), whose bitset would cost O(n).
 ///
 /// # Panics

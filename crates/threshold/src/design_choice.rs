@@ -9,7 +9,7 @@
 //! semantics collapse multi-edges anyway, so with-replacement draws would
 //! only shrink effective pools).
 
-use pooled_design::noreplace::NoReplaceDesign;
+use pooled_design::{noreplace, CsrDesign};
 use pooled_rng::SeedSequence;
 use pooled_theory::threshold_gt::recommended_gamma;
 
@@ -18,15 +18,9 @@ use pooled_theory::threshold_gt::recommended_gamma;
 ///
 /// # Panics
 /// Panics if `n == 0` or `k ∉ [1, n]`.
-pub fn recommended_design(
-    n: usize,
-    k: usize,
-    t: u64,
-    m: usize,
-    seeds: &SeedSequence,
-) -> NoReplaceDesign {
+pub fn recommended_design(n: usize, k: usize, t: u64, m: usize, seeds: &SeedSequence) -> CsrDesign {
     let (gamma, _) = recommended_gamma(n, k, t);
-    NoReplaceDesign::sample(n, m, gamma, seeds)
+    noreplace::sample(n, m, gamma, seeds)
 }
 
 #[cfg(test)]

@@ -178,9 +178,9 @@ mod tests {
         let sigma = Signal::random(n, k, &mut seeds.child("signal", 0).rng());
         let (gamma, _) = recommended_gamma(n, k, t);
         // Materialize a without-replacement design as CSR pools.
-        let nr = pooled_design::NoReplaceDesign::sample(n, m, gamma, &seeds.child("design", 0));
-        let bits = ThresholdChannel::new(t).execute(&nr, &sigma);
-        (sigma, nr.csr().clone(), bits)
+        let design = pooled_design::noreplace::sample(n, m, gamma, &seeds.child("design", 0));
+        let bits = ThresholdChannel::new(t).execute(&design, &sigma);
+        (sigma, design, bits)
     }
 
     #[test]
