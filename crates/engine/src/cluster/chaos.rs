@@ -5,11 +5,11 @@
 //! [`ChaosNode`] wraps any inner handle and misbehaves *between* the
 //! router and the node, which is exactly where real faults live: a
 //! submission that never arrives (black-holed peer), an event that
-//! arrives late or twice (retransmit storms, pump races), a connection
-//! that dies mid-stream (process kill). Every decision derives from
-//! [`ChaosConfig::seed`] and a per-stream counter via `mix64`, so a
-//! failing schedule replays bit-for-bit — no flaky tests, no
-//! irreproducible failures.
+//! arrives late or twice (retransmit storms, a reply racing a
+//! failover), a connection that dies mid-stream (process kill). Every
+//! decision derives from [`ChaosConfig::seed`] and a per-stream counter
+//! via `mix64`, so a failing schedule replays bit-for-bit — no flaky
+//! tests, no irreproducible failures.
 //!
 //! The paired [`ChaosController`] is the test's hand on the lever: it
 //! can [`kill`](ChaosController::kill) the node at a chosen moment

@@ -7,8 +7,10 @@
 //! * [`node`] — the [`NodeHandle`] abstraction: "a place jobs run",
 //!   with [`LocalNode`] (an in-process [`Engine`] behind a private
 //!   route) and [`RemoteNode`] (one TCP connection speaking the
-//!   transport frame protocol) as interchangeable impls, so
-//!   single-node paths really are a 1-node cluster.
+//!   transport frame protocol, its replies read on the caller's
+//!   thread) as interchangeable impls, so single-node paths really are
+//!   a 1-node cluster — a batch over the wire is a [`Router`] over one
+//!   remote node.
 //! * [`membership`] — deterministic placement: rendezvous (HRW)
 //!   hashing of [`DesignKey`] → node, so every job carrying a key
 //!   lands on that key's owner, each node's design cache serves a

@@ -9,9 +9,10 @@
 //!   private [`ResultRoute`], so a node's completion stream never
 //!   interleaves with another tenant's.
 //! * [`RemoteNode`] wraps one TCP connection speaking the transport
-//!   frame protocol: submissions are written frames, and a pump thread
-//!   turns reply frames into [`NodeEvent`]s so `recv`/`try_recv` have
-//!   the same non-blocking tri-state as the in-process queues.
+//!   frame protocol: submissions are written frames, and `recv`/
+//!   `try_recv` read reply frames into [`NodeEvent`]s on the caller's
+//!   thread, with the same tri-state as the in-process queues. No
+//!   thread stands behind the handle.
 //!
 //! Backpressure is uniform but surfaces at the two places it physically
 //! occurs: a local full queue is *synchronous* ([`SubmitOutcome::Busy`]
@@ -20,19 +21,22 @@
 //! both — push the spec back on a retry queue — work unchanged against
 //! either node kind; that is the router's BUSY-aware retry loop.
 
+use std::collections::VecDeque;
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
 use std::io::{BufWriter, Read};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::cache::DesignKey;
 use crate::engine::{Engine, EngineConfig, EngineStats, ResultRoute, SubmitError};
 use crate::job::{JobResult, JobSpec};
-use crate::queue::{BoundedQueue, TryPop};
+use crate::queue::TryPop;
 use crate::telemetry::{Metric, MetricsRegistry};
 use crate::transport::frame::{Frame, FrameAssembler, FrameWriter, StatsReply};
+use crate::transport::reactor::recv_nonblocking;
 use crate::transport::{connect_stream, WireTimeouts};
 
 /// Something a node hands back on its completion stream.
@@ -206,47 +210,63 @@ impl NodeHandle for LocalNode {
     }
 }
 
-/// Rendezvous between a stats scrape (the requester, blocked in
-/// [`NodeHandle::stats`]) and the reply pump, which reads the `STATS`
-/// frame off the socket and deposits it here. Token-matched so a reply
-/// that arrives after its scrape already timed out is discarded instead
-/// of answering the *next* scrape with stale numbers.
-#[derive(Debug, Default)]
-struct ScrapeState {
-    reply: Option<StatsReply>,
-    /// Set when the pump exits: no reply will ever arrive again.
-    closed: bool,
-}
-
-type ScrapeSlot = (Mutex<ScrapeState>, Condvar);
-
 /// A node across the wire: one TCP connection to a transport server,
-/// speaking the PR 4 frame protocol. Submissions are `SUBMIT` frames; a
-/// pump thread reads reply frames into a bounded event queue so
-/// `recv`/`try_recv` behave exactly like a local node's.
+/// speaking the frame protocol. Submissions are `SUBMIT` frames, and the
+/// caller's own `recv`/`try_recv`/`stats` read the replies off the
+/// socket; no thread stands behind the handle.
+///
+/// Two fds: the socket, which the reader reads and [`NodeHandle::close`]
+/// shuts down, and the writer's clone. Writes and reads take separate
+/// locks, so one thread may submit while another waits in `recv`. A
+/// scrape and a blocking `recv` share the reader, so they take turns.
 pub struct RemoteNode {
     stream: TcpStream,
     writer: Mutex<FrameWriter<BufWriter<TcpStream>>>,
-    events: Arc<BoundedQueue<NodeEvent>>,
+    reader: Mutex<Reader>,
     /// Submissions written minus replies received: how many answers the
     /// peer still owes. Read-deadline silence is only fatal while this
     /// is nonzero — an idle connection may be silent forever.
-    owed: Arc<AtomicU64>,
-    pump: Mutex<Option<JoinHandle<()>>>,
+    owed: AtomicU64,
+    /// Set by [`NodeHandle::close`] before it shuts the socket down, so
+    /// the reader takes the end it sees for a goodbye, never a `Down`.
+    closing: AtomicBool,
+    /// The socket's read deadline ([`WireTimeouts::read`]), which a
+    /// scrape shortens while it waits and then restores.
+    read_timeout: Option<Duration>,
     /// Wire accounting for this connection (bytes/frames both ways).
     metrics: Arc<MetricsRegistry>,
-    /// Where the pump deposits `STATS` replies for a waiting scrape.
-    scrape: Arc<ScrapeSlot>,
     /// Correlation tokens for scrapes, unique per request.
     scrape_token: AtomicU64,
 }
 
-impl RemoteNode {
-    /// Buffered events the pump may hold before backpressuring the
-    /// socket. Far above any router window, so the pump never stalls in
-    /// practice; bounded so a runaway peer cannot grow memory.
-    const EVENT_CAPACITY: usize = 1024;
+/// The read side of a [`RemoteNode`], under one lock.
+struct Reader {
+    /// Decodes across reads, so a read deadline that fires mid-frame
+    /// keeps the partial frame buffered: a reply split across the
+    /// deadline is reassembled, never desynchronized.
+    asm: FrameAssembler,
+    buf: Vec<u8>,
+    /// Replies a scrape read on its way to its `STATS` frame, in arrival
+    /// order; `recv`/`try_recv` hand these out first.
+    pending: VecDeque<NodeEvent>,
+    /// The stream is over; every later read finds it closed.
+    ended: bool,
+}
 
+/// What one step of the reply reader found.
+enum Step {
+    /// A reply to a submission, already settled against `owed`.
+    Event(NodeEvent),
+    /// A `STATS` frame: it answers a scrape, not a submission.
+    Stats(Box<StatsReply>),
+    /// No frame: the read would block, or its deadline passed.
+    Silent,
+    /// The stream ended here. `down` when the peer left owing replies,
+    /// mid-frame, or with a broken or illegal frame.
+    Ended { down: bool },
+}
+
+impl RemoteNode {
     /// How long a stats scrape waits for the far side's `STATS` reply
     /// before reporting the node's stats unavailable.
     const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
@@ -258,43 +278,32 @@ impl RemoteNode {
 
     /// Connect with explicit deadlines. A read deadline turns a half-dead
     /// peer from an eternal hang into a typed [`NodeEvent::Down`]: when
-    /// the socket stays silent past `timeouts.read` *while replies are
-    /// owed*, the pump declares the node down and ends the stream.
+    /// a blocking `recv` finds the socket silent past `timeouts.read`
+    /// *while replies are owed*, it declares the node down and ends the
+    /// stream.
     pub fn connect_with<A: ToSocketAddrs>(
         addr: A,
         timeouts: WireTimeouts,
     ) -> std::io::Result<Self> {
         let stream = connect_stream(addr, timeouts.connect)?;
         stream.set_nodelay(true)?;
-        let read_half = stream.try_clone()?;
-        read_half.set_read_timeout(timeouts.read)?;
-        let write_half = stream.try_clone()?;
-        let events = Arc::new(BoundedQueue::new(Self::EVENT_CAPACITY));
-        let owed = Arc::new(AtomicU64::new(0));
+        stream.set_read_timeout(timeouts.read)?;
         let metrics = Arc::new(MetricsRegistry::new());
-        let scrape: Arc<ScrapeSlot> =
-            Arc::new((Mutex::new(ScrapeState::default()), Condvar::new()));
-        let pump_events = Arc::clone(&events);
-        let pump_owed = Arc::clone(&owed);
-        let pump_metrics = Arc::clone(&metrics);
-        let pump_scrape = Arc::clone(&scrape);
-        let pump = std::thread::Builder::new()
-            .name("remote-node-pump".into())
-            .spawn(move || {
-                pump_replies(read_half, &pump_events, &pump_owed, &pump_metrics, &pump_scrape)
-            })
-            .expect("failed to spawn remote node pump");
+        let writer =
+            FrameWriter::with_metrics(BufWriter::new(stream.try_clone()?), Arc::clone(&metrics));
         Ok(Self {
             stream,
-            writer: Mutex::new(FrameWriter::with_metrics(
-                BufWriter::new(write_half),
-                Arc::clone(&metrics),
-            )),
-            events,
-            owed,
-            pump: Mutex::new(Some(pump)),
+            writer: Mutex::new(writer),
+            reader: Mutex::new(Reader {
+                asm: FrameAssembler::new(),
+                buf: vec![0u8; 16 * 1024],
+                pending: VecDeque::new(),
+                ended: false,
+            }),
+            owed: AtomicU64::new(0),
+            closing: AtomicBool::new(false),
+            read_timeout: timeouts.read,
             metrics,
-            scrape,
             scrape_token: AtomicU64::new(0),
         })
     }
@@ -304,106 +313,110 @@ impl RemoteNode {
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
         Arc::clone(&self.metrics)
     }
-}
 
-impl Drop for RemoteNode {
-    /// A handle dropped without [`NodeHandle::shutdown`] must not leak
-    /// its pump thread (blocked in `read` on a cloned fd, the socket
-    /// would stay open and the server would never see EOF): close the
-    /// connection — which unblocks the pump — and join it. Idempotent
-    /// with `shutdown`, which already took the pump handle.
-    fn drop(&mut self) {
-        self.close();
-        if let Some(pump) = self.pump.lock().expect("pump handle poisoned").take() {
-            pump.join().expect("remote node pump panicked");
-        }
-    }
-}
-
-/// Reader half: turn reply frames into events until the stream ends.
-/// Every exit path closes the event queue — that is how `recv` callers
-/// learn the node is gone. A terminal exit *while replies are owed*
-/// pushes [`NodeEvent::Down`] first, so the router learns the difference
-/// between a clean goodbye and a node that died holding its jobs.
-///
-/// Bytes are decoded through a [`FrameAssembler`], so a read deadline
-/// that fires mid-frame keeps the partial frame buffered: a reply split
-/// across the deadline is reassembled, never desynchronized.
-fn pump_replies(
-    mut stream: TcpStream,
-    events: &BoundedQueue<NodeEvent>,
-    owed: &AtomicU64,
-    metrics: &MetricsRegistry,
-    scrape: &ScrapeSlot,
-) {
-    let mut asm = FrameAssembler::new();
-    let mut read_buf = vec![0u8; 16 * 1024];
-    loop {
-        let event = match asm.next_frame_metered(metrics) {
-            Ok(Some((Frame::Result(result), _))) => NodeEvent::Result(result),
-            Ok(Some((Frame::Busy(id), _))) => NodeEvent::Busy(id),
-            Ok(Some((Frame::Reject(id), _))) => NodeEvent::Rejected(id),
-            // A STATS reply answers a scrape, not a submission: hand it
-            // to the waiting scraper without touching `owed` and without
-            // occupying an event slot.
-            Ok(Some((Frame::Stats(reply), _))) => {
-                let (slot, cvar) = scrape;
-                slot.lock().expect("scrape slot poisoned").reply = Some(reply);
-                cvar.notify_all();
-                continue;
+    /// Decode the next buffered frame; failing that, read the socket and
+    /// decode again. Without `block` that is one read that never waits;
+    /// with it, reads under the socket's read deadline until a frame,
+    /// silence or the end of the stream.
+    fn step(&self, r: &mut Reader, block: bool) -> Step {
+        let mut read = false;
+        loop {
+            if r.ended || self.closing.load(Ordering::Acquire) {
+                return r.end(false);
             }
-            // Only a frame prefix is buffered: read more.
-            Ok(None) => match stream.read(&mut read_buf) {
-                Ok(0) => {
+            let event = match r.asm.next_frame_metered(&self.metrics) {
+                Ok(Some((Frame::Result(result), _))) => NodeEvent::Result(result),
+                Ok(Some((Frame::Busy(id), _))) => NodeEvent::Busy(id),
+                Ok(Some((Frame::Reject(id), _))) => NodeEvent::Rejected(id),
+                Ok(Some((Frame::Stats(reply), _))) => return Step::Stats(Box::new(reply)),
+                // A server never sends SUBMIT/PREWARM/STATS_REQUEST, and
+                // a corrupt frame leaves no resync point: either way the
+                // conversation is over, abnormally.
+                Ok(Some(_)) | Err(_) => return r.end(true),
+                Ok(None) if read && !block => return Step::Silent,
+                Ok(None) => {
+                    read = true;
+                    let down = match r.fill(&self.stream, block) {
+                        Ok(0) => r.asm.buffered() > 0 || self.owed() > 0,
+                        Ok(_) => continue,
+                        Err(e) if e.kind() == Interrupted => continue,
+                        Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => return Step::Silent,
+                        Err(_) => true,
+                    };
                     // EOF is a clean goodbye only between frames and with
-                    // no replies owed.
-                    if asm.buffered() > 0 || owed.load(Ordering::Acquire) > 0 {
-                        let _ = events.push(NodeEvent::Down);
-                    }
-                    break;
+                    // no replies owed; any other error means the peer is
+                    // gone. After a local close, either is a goodbye.
+                    return r.end(down && !self.closing.load(Ordering::Acquire));
                 }
-                Ok(got) => {
-                    asm.extend(&read_buf[..got]);
-                    continue;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    // The read deadline expired. Idle silence is legal —
-                    // keep listening. Silence while replies are owed
-                    // means the peer is half-dead, and any other socket
-                    // error means it is gone: declare it down.
-                    let timed_out = matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    );
-                    if timed_out && owed.load(Ordering::Acquire) == 0 {
-                        continue;
-                    }
-                    let _ = events.push(NodeEvent::Down);
-                    break;
-                }
-            },
-            // A server never sends SUBMIT/PREWARM/STATS_REQUEST; corrupt
-            // frames leave no resync point. Either way the conversation
-            // is over — and abnormal, so it surfaces as Down.
-            Ok(Some((Frame::Submit(_) | Frame::Prewarm(_) | Frame::StatsRequest(_), _)))
-            | Err(_) => {
-                let _ = events.push(NodeEvent::Down);
-                break;
-            }
-        };
-        // A reply settles one owed submission (guard against a buggy
-        // peer answering more often than asked).
-        let _ = owed.fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1));
-        if events.push(event).is_err() {
-            break; // handle closed locally; stop pumping
+            };
+            // A reply settles one owed submission (guard against a buggy
+            // peer answering more often than asked).
+            let _ =
+                self.owed.fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1));
+            return Step::Event(event);
         }
     }
-    events.close();
-    // Wake any scrape still waiting: its reply can never arrive now.
-    let (slot, cvar) = scrape;
-    slot.lock().expect("scrape slot poisoned").closed = true;
-    cvar.notify_all();
+
+    fn owed(&self) -> u64 {
+        self.owed.load(Ordering::Acquire)
+    }
+
+    /// Read until the `STATS` frame carrying `token` arrives or the
+    /// scrape deadline passes, queueing every reply read on the way.
+    fn await_stats(&self, r: &mut Reader, token: u64) -> Option<EngineStats> {
+        let deadline = Instant::now() + Self::SCRAPE_TIMEOUT;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                self.metrics.inc(Metric::StatsScrapeTimeouts);
+                return None;
+            }
+            let wait = self.read_timeout.map_or(left, |read| read.min(left));
+            self.stream.set_read_timeout(Some(wait)).ok()?;
+            match self.step(r, true) {
+                Step::Stats(reply) if reply.token == token => {
+                    self.metrics.inc(Metric::StatsScrapes);
+                    return Some(reply.stats);
+                }
+                // An earlier scrape's reply, landing after it gave up.
+                Step::Stats(_) => {}
+                Step::Event(event) => r.pending.push_back(event),
+                // The wire's own deadline passed with replies owed.
+                Step::Silent if wait < left && self.owed() > 0 => {
+                    r.pending.push_back(NodeEvent::Down);
+                    r.ended = true;
+                    return None;
+                }
+                Step::Silent => {}
+                Step::Ended { down } => {
+                    if down {
+                        r.pending.push_back(NodeEvent::Down);
+                    }
+                    return None;
+                }
+            }
+        }
+    }
+}
+
+impl Reader {
+    /// One read of `stream` into the assembler: never waits unless
+    /// `block`. Returns the byte count (0 at end of stream).
+    fn fill(&mut self, stream: &TcpStream, block: bool) -> std::io::Result<usize> {
+        let got = if block {
+            (&*stream).read(&mut self.buf)?
+        } else {
+            recv_nonblocking(stream.as_raw_fd(), &mut self.buf)?
+        };
+        self.asm.extend(&self.buf[..got]);
+        Ok(got)
+    }
+
+    /// End the stream, as a `Down` when `down`.
+    fn end(&mut self, down: bool) -> Step {
+        self.ended = true;
+        Step::Ended { down }
+    }
 }
 
 impl NodeHandle for RemoteNode {
@@ -437,73 +450,79 @@ impl NodeHandle for RemoteNode {
         self.writer.lock().expect("remote writer poisoned").flush().map_err(NodeError::Io)
     }
 
+    /// Blocks in `read(2)` under the socket's read deadline: silence
+    /// past it while replies are owed is [`NodeEvent::Down`], idle
+    /// silence keeps waiting.
     fn recv(&self) -> Option<NodeEvent> {
         // Anything buffered must reach the server before we wait on it.
         let _ = self.flush();
-        self.events.pop()
+        let mut r = self.reader.lock().expect("remote reader poisoned");
+        if let Some(event) = r.pending.pop_front() {
+            return Some(event);
+        }
+        loop {
+            match self.step(&mut r, true) {
+                Step::Event(event) => return Some(event),
+                // The late reply of a scrape that gave up.
+                Step::Stats(_) => {}
+                Step::Silent if self.owed() > 0 => {
+                    r.ended = true;
+                    return Some(NodeEvent::Down);
+                }
+                Step::Silent => {}
+                Step::Ended { down } => return down.then_some(NodeEvent::Down),
+            }
+        }
     }
 
+    /// Never waits: a buffered frame, or one nonblocking read.
     fn try_recv(&self) -> TryPop<NodeEvent> {
         let _ = self.flush();
-        self.events.try_pop()
+        let mut r = self.reader.lock().expect("remote reader poisoned");
+        if let Some(event) = r.pending.pop_front() {
+            return TryPop::Item(event);
+        }
+        loop {
+            match self.step(&mut r, false) {
+                Step::Event(event) => return TryPop::Item(event),
+                Step::Stats(_) => {}
+                Step::Silent => return TryPop::Empty,
+                Step::Ended { down: true } => return TryPop::Item(NodeEvent::Down),
+                Step::Ended { down: false } => return TryPop::Closed,
+            }
+        }
     }
 
     /// Scrape the far side's engine stats over the wire: send a
-    /// `STATS_REQUEST` and wait (bounded by the 2 s `SCRAPE_TIMEOUT`)
-    /// for the pump to deposit the token-matching `STATS` reply. `None`
-    /// means the node's stats are *unavailable* — send failure, dead
-    /// pump, or deadline expiry — and the caller must surface that
-    /// rather than zero-merge.
+    /// `STATS_REQUEST` and read (bounded by the 2 s `SCRAPE_TIMEOUT`)
+    /// until the token-matching `STATS` reply arrives. Replies read on
+    /// the way wait in order for `recv`/`try_recv`. `None` means the
+    /// node's stats are *unavailable* — send failure, an ended stream,
+    /// or deadline expiry — and the caller must surface that rather
+    /// than zero-merge.
     fn stats(&self) -> Option<EngineStats> {
         let token = self.scrape_token.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
-        {
-            // Clear any stale reply from a scrape that timed out before
-            // its answer landed.
-            let (slot, _) = &*self.scrape;
-            slot.lock().expect("scrape slot poisoned").reply = None;
-        }
         {
             let mut writer = self.writer.lock().expect("remote writer poisoned");
             if writer.send(&Frame::StatsRequest(token)).is_err() || writer.flush().is_err() {
                 return None;
             }
         }
-        let (slot, cvar) = &*self.scrape;
-        let mut state = slot.lock().expect("scrape slot poisoned");
-        let deadline = Instant::now() + Self::SCRAPE_TIMEOUT;
-        loop {
-            if let Some(reply) = state.reply.take() {
-                if reply.token == token {
-                    self.metrics.inc(Metric::StatsScrapes);
-                    return Some(reply.stats);
-                }
-                // Stale token: discard and keep waiting for ours.
-            }
-            if state.closed {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                self.metrics.inc(Metric::StatsScrapeTimeouts);
-                return None;
-            }
-            let (next, _) = cvar
-                .wait_timeout(state, deadline.saturating_duration_since(now))
-                .expect("scrape slot poisoned");
-            state = next;
-        }
+        let mut r = self.reader.lock().expect("remote reader poisoned");
+        let stats = self.await_stats(&mut r, token);
+        let _ = self.stream.set_read_timeout(self.read_timeout);
+        stats
     }
 
+    /// Shuts the socket down without taking the reader, so a blocked
+    /// `recv` returns (with `None`, never `Down`).
     fn close(&self) {
-        self.events.close();
+        self.closing.store(true, Ordering::Release);
         let _ = self.stream.shutdown(Shutdown::Both);
     }
 
     fn shutdown(self: Box<Self>) -> Option<EngineStats> {
         self.close();
-        if let Some(pump) = self.pump.lock().expect("pump handle poisoned").take() {
-            pump.join().expect("remote node pump panicked");
-        }
         None
     }
 }
@@ -609,7 +628,7 @@ mod tests {
             read: Some(std::time::Duration::from_millis(40)),
         };
         let node = RemoteNode::connect_with(addr, timeouts).unwrap();
-        // Idle well past the read deadline: the pump must keep waiting,
+        // Idle well past the read deadline: the node must keep waiting,
         // not declare an idle connection dead.
         std::thread::sleep(std::time::Duration::from_millis(120));
         assert_eq!(node.try_recv(), TryPop::Empty, "idle silence must not end the stream");
@@ -657,6 +676,39 @@ mod tests {
         assert!(node.stats().is_some(), "a reply split across the deadline must still land");
         Box::new(node).shutdown();
         server.join().unwrap();
+    }
+
+    #[test]
+    fn a_scrape_while_replies_are_in_flight_loses_none_of_them() {
+        use crate::transport::{TransportConfig, TransportServer};
+
+        let engine = Arc::new(Engine::start(EngineConfig::with_workers(1)));
+        let server =
+            TransportServer::bind(Arc::clone(&engine), "127.0.0.1:0", TransportConfig::default())
+                .expect("bind loopback");
+        let node = RemoteNode::connect(server.local_addr()).unwrap();
+        for id in 0..8 {
+            node.try_submit(JobSpec { query_cost_micros: 3_000, ..spec(id) }).unwrap();
+        }
+        node.flush().unwrap();
+        // Let results reach the socket ahead of the STATS reply, so the
+        // scrape reads past them.
+        while engine.stats().jobs_completed < 4 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(node.stats().is_some(), "a scrape must land mid-stream");
+        let mut got: Vec<u64> = (0..8)
+            .map(|_| match node.recv() {
+                Some(NodeEvent::Result(r)) => r.id,
+                other => panic!("expected a result, got {other:?}"),
+            })
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..8).collect::<Vec<u64>>(), "every result exactly once");
+        assert_eq!(node.try_recv(), TryPop::Empty);
+        Box::new(node).shutdown();
+        server.stop();
+        Arc::try_unwrap(engine).ok().expect("transport released the engine").shutdown();
     }
 
     #[test]

@@ -424,9 +424,10 @@ impl Router {
 
     /// Serve a whole batch through the cluster: route every spec, fan
     /// the results back in, and append them to `out` **sorted by job
-    /// id** — the same contract as `Engine::run_batch` and the
-    /// transport client, so fingerprint comparisons line up
-    /// element-wise across 1-node, N-node and remote topologies.
+    /// id** — the same contract as `Engine::run_batch`, so fingerprint
+    /// comparisons line up element-wise across 1-node, N-node and
+    /// remote topologies. A one-node router over a `RemoteNode` is how
+    /// a batch crosses the wire.
     ///
     /// # Panics
     /// Panics if jobs are already outstanding (batches are exclusive),

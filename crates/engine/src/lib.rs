@@ -102,4 +102,4 @@ pub use telemetry::{
     TelemetryConfig,
 };
 pub use traffic::{poisson_arrivals, LoadProfile, PreparedProfile};
-pub use transport::{TransportClient, TransportConfig, TransportServer};
+pub use transport::{TransportConfig, TransportServer};

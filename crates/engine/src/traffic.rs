@@ -65,7 +65,7 @@ impl LoadProfile {
     /// Job `i` of this profile (pure function; see module docs).
     ///
     /// Convenience wrapper over [`Self::prepare`] — callers deriving specs
-    /// in a loop (open-loop replay, the transport client) should prepare
+    /// in a loop (open-loop replay, a load generator) should prepare
     /// once and reuse the [`PreparedProfile`] instead.
     ///
     /// # Panics

@@ -233,17 +233,6 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), RecordError> {
     Ok((frame, total))
 }
 
-/// Write one frame to `w` (buffered writers should flush when their
-/// burst ends, not per frame). `scratch` is the reusable encode buffer.
-pub fn write_frame<W: std::io::Write>(
-    w: &mut W,
-    frame: &Frame,
-    scratch: &mut Vec<u8>,
-) -> std::io::Result<()> {
-    encode_frame(frame, scratch);
-    w.write_all(scratch)
-}
-
 /// A segment-queue sink: accepts whole encoded frames as discrete
 /// owned buffers instead of a byte stream.
 ///
@@ -310,10 +299,11 @@ impl<W> FrameWriter<W> {
 }
 
 impl<W: std::io::Write> FrameWriter<W> {
-    /// Encode and write one frame (buffered until [`Self::flush`] when
-    /// the sink buffers).
+    /// Encode and write one frame. A buffering sink holds it until
+    /// [`Self::flush`]: flush when a burst ends, not per frame.
     pub fn send(&mut self, frame: &Frame) -> std::io::Result<()> {
-        write_frame(&mut self.w, frame, &mut self.scratch)?;
+        encode_frame(frame, &mut self.scratch);
+        self.w.write_all(&self.scratch)?;
         self.meter(self.scratch.len());
         Ok(())
     }
@@ -344,8 +334,8 @@ impl<W: SegmentSink> FrameWriter<W> {
 /// more bytes"). Partial frames stay buffered across calls, so a tenant
 /// dribbling one byte per readiness tick still decodes correctly — just
 /// slowly, and at its own expense only — and a blocking reader whose
-/// read deadline fires mid-frame loses nothing. The event-loop server,
-/// the client and the remote node's reply pump all decode through it.
+/// read deadline fires mid-frame loses nothing. The event-loop server
+/// and the remote node's reader both decode through it.
 ///
 /// Truncation is *not* an error here — it is the steady state between
 /// reads. Every other [`RecordError`] is fatal to the stream (no resync

@@ -8,9 +8,9 @@
 //!   byte, and a checksum. Pure functions over byte slices, so the
 //!   codec is testable (and property-tested) without a socket.
 //! * [`reactor`] — the readiness core: a raw epoll backend (Linux), a
-//!   vectored `writev` shim, a self-pipe wakeup channel, and process
-//!   introspection helpers. No dependencies beyond the libc `std`
-//!   already links.
+//!   vectored `writev` shim, a nonblocking `recv`, a self-pipe wakeup
+//!   channel, and process introspection helpers. No dependencies
+//!   beyond the libc `std` already links.
 //! * [`server`] — a readiness-driven event-loop front: an accept
 //!   thread hands nonblocking sockets to N loop threads, each
 //!   multiplexing thousands of per-connection state machines (one
@@ -19,10 +19,11 @@
 //!   and outbound frames queue as encoded segments drained by `writev`
 //!   — no post-encode byte is ever copied. Backpressure is an explicit
 //!   `BUSY` reply frame — never a silent drop.
-//! * [`client`] — [`TransportClient`]: submit/poll plus a streaming
-//!   batch mode mirroring [`Engine::run_batch`], used by `engine_load`'s
-//!   `tcp` and `connections` scenarios to replay a [`LoadProfile`]
-//!   over loopback.
+//!
+//! The client side is the cluster's [`RemoteNode`]: one connection that
+//! reads its replies on the caller's thread. A batch over the wire is a
+//! [`Router`] over one remote node, which is how `engine_load`'s `tcp`
+//! and `connections` scenarios replay a [`LoadProfile`] over loopback.
 //!
 //! The headline invariant, pinned by `tests/transport_loopback.rs` and
 //! the CI smoke job: the same profile submitted over TCP produces
@@ -32,24 +33,23 @@
 //!
 //! [`JobSpec`]: crate::job::JobSpec
 //! [`JobResult`]: crate::job::JobResult
-//! [`Engine::run_batch`]: crate::engine::Engine::run_batch
 //! [`ResultRoute`]: crate::engine::ResultRoute
+//! [`RemoteNode`]: crate::cluster::RemoteNode
+//! [`Router`]: crate::cluster::Router
 //! [`LoadProfile`]: crate::traffic::LoadProfile
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-pub mod client;
 pub mod frame;
 pub mod reactor;
 pub mod server;
 
-pub use client::{Reply, TransportClient, TransportError};
 pub use frame::Frame;
 pub use server::{BackendChoice, TransportConfig, TransportServer};
 
 /// Connect/read deadlines for a wire peer. Blocking reads without a
-/// deadline can park a reply pump forever on a half-dead peer (SYN
+/// deadline can park a waiting `recv` forever on a half-dead peer (SYN
 /// blackhole, stalled middlebox); with one, silence is bounded and a
 /// peer that owes replies past the deadline is declared down.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,14 +70,6 @@ impl Default for WireTimeouts {
     /// router polls.
     fn default() -> Self {
         Self { connect: Some(Duration::from_secs(5)), read: Some(Duration::from_secs(10)) }
-    }
-}
-
-impl WireTimeouts {
-    /// No deadlines at all — the pre-timeout behavior, for callers that
-    /// prefer to block forever (debugging against a paused peer).
-    pub fn none() -> Self {
-        Self { connect: None, read: None }
     }
 }
 

@@ -18,6 +18,8 @@
 //! * **[`writev_fd`]** — vectored writes, so the server's outbound
 //!   segment queue drains many encoded frames in one syscall without
 //!   ever flattening them into a contiguous buffer.
+//! * **`recv_nonblocking`** — one read that never waits, on a socket
+//!   left in blocking mode, for a remote node's polling receive.
 //!
 //! Everything else (nonblocking sockets, fd extraction) comes from
 //! `std::net` and `std::os::fd`. The handful of process introspection
@@ -34,6 +36,7 @@ use std::time::Duration;
 const F_GETFL: i32 = 3;
 const F_SETFL: i32 = 4;
 const O_NONBLOCK: i32 = 0o4000;
+const MSG_DONTWAIT: i32 = if cfg!(target_os = "linux") { 0x40 } else { 0x80 };
 const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
 const RLIMIT_NOFILE: i32 = 7;
 const SC_CLK_TCK: i32 = 2;
@@ -116,6 +119,7 @@ extern "C" {
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn writev(fd: i32, iov: *const IoVec, iovcnt: i32) -> isize;
+    fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
     fn close(fd: i32) -> i32;
     fn clock_gettime(clockid: i32, tp: *mut Timespec) -> i32;
     fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
@@ -154,6 +158,27 @@ unsafe fn epoll_wait(_epfd: i32, _events: *mut EpollEvent, _max: i32, _timeout: 
 pub fn writev_fd(fd: RawFd, iovs: &[IoVec]) -> io::Result<usize> {
     loop {
         let rc = unsafe { writev(fd, iovs.as_ptr(), iovs.len().min(i32::MAX as usize) as i32) };
+        if rc >= 0 {
+            return Ok(rc as usize);
+        }
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+}
+
+/// Nonblocking receive: take whatever bytes socket `fd` holds right
+/// now, without waiting. `MSG_DONTWAIT` makes this one call nonblocking
+/// and leaves the fd's own mode alone, so a clone sharing its file
+/// description keeps blocking writes. Returns the byte count (0 is end
+/// of stream). `EINTR` is retried; `EWOULDBLOCK` surfaces as an error
+/// for the caller to classify.
+pub(crate) fn recv_nonblocking(fd: RawFd, buf: &mut [u8]) -> io::Result<usize> {
+    loop {
+        // SAFETY: `buf` is a live, exclusively borrowed slice of
+        // `buf.len()` bytes, and `recv` writes at most that many.
+        let rc = unsafe { recv(fd, buf.as_mut_ptr(), buf.len(), MSG_DONTWAIT) };
         if rc >= 0 {
             return Ok(rc as usize);
         }
@@ -791,6 +816,35 @@ mod tests {
                 Err(e) => panic!("unexpected writev error: {e}"),
             }
         }
+    }
+
+    #[test]
+    fn recv_nonblocking_never_waits_and_sees_bytes_then_eof() {
+        use std::io::Write;
+        use std::os::fd::AsRawFd;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (socket, _) = listener.accept().expect("accept");
+        let mut buf = [0u8; 16];
+        let err = recv_nonblocking(socket.as_raw_fd(), &mut buf).expect_err("nothing sent yet");
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        peer.write_all(b"reply").expect("write");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let got = loop {
+            match recv_nonblocking(socket.as_raw_fd(), &mut buf) {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    assert!(Instant::now() < deadline, "the bytes never arrived");
+                    std::thread::yield_now();
+                }
+                other => break other.expect("recv"),
+            }
+        };
+        assert_eq!(&buf[..got], b"reply");
+        drop(peer);
+        socket.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        let mut eof = [0u8; 1];
+        assert_eq!(std::io::Read::read(&mut &socket, &mut eof).expect("EOF"), 0);
+        assert_eq!(recv_nonblocking(socket.as_raw_fd(), &mut buf).expect("EOF again"), 0);
     }
 
     #[test]

@@ -64,7 +64,7 @@ use pooled_engine::job::{DecoderKind, JobResult};
 use pooled_engine::telemetry::{render_prometheus, Metric, TelemetryConfig};
 use pooled_engine::traffic::{poisson_arrivals, LoadProfile};
 use pooled_engine::transport::reactor::{raise_fd_limit, thread_count};
-use pooled_engine::transport::{TransportClient, TransportConfig, TransportServer};
+use pooled_engine::transport::{TransportConfig, TransportServer};
 use pooled_engine::{DurabilityConfig, JobSpec};
 use pooled_experiments::DEFAULT_SEED;
 use pooled_io::Args;
@@ -399,14 +399,13 @@ fn tcp(ctx: &Ctx) -> Outcome {
         .iter()
         .map(|&workers| {
             let served = Served::start(ctx.config(workers), TransportConfig::default());
-            let mut client = TransportClient::connect(served.addr()).expect("connect loopback");
+            let mut tenant = tenant(served.addr()).expect("connect loopback");
             let mut results = Vec::with_capacity(ctx.jobs);
             let mut split = LatencySplit::new();
-            let jobs_per_sec = per_sec(ctx.jobs, || {
-                client.run_batch_split(&ctx.specs, &mut results, &mut split).expect("tcp replay");
-            });
-            let busy_retries = client.busy_retries();
-            drop(client);
+            let jobs_per_sec =
+                per_sec(ctx.jobs, || tenant.run_batch_split(&ctx.specs, &mut results, &mut split));
+            let busy_retries = tenant.busy_retries();
+            tenant.shutdown();
             served.stop();
             let row = json!({
                 "workers": workers,
@@ -474,6 +473,12 @@ fn cluster(ctx: &Ctx) -> Outcome {
 
 /// Per-node in-flight window for the router (pipelining depth).
 const ROUTER_WINDOW: usize = 16;
+
+/// One wire tenant: a router over a single `RemoteNode` on `addr`.
+fn tenant(addr: std::net::SocketAddr) -> std::io::Result<Router> {
+    let node = RemoteNode::connect(addr)?;
+    Ok(Router::new(vec![(0, Box::new(node) as Box<dyn NodeHandle>)], ROUTER_WINDOW))
+}
 
 /// `count` in-process nodes, ids `0..count`.
 fn local_nodes(count: usize, config: EngineConfig) -> Vec<(u64, Box<dyn NodeHandle>)> {
@@ -827,8 +832,8 @@ fn connections(ctx: &Ctx) -> Outcome {
 /// every tenant is connected, *before* the serve phase, which is exactly
 /// when a thread-per-connection design would be caught.
 fn connection_tier(ctx: &Ctx, requested: usize) -> Value {
-    // Three fds per loopback connection — the client's stream, its
-    // cloned read half, and the server's end — plus slack for the
+    // Three fds per loopback connection — a `RemoteNode`'s socket and
+    // its writer's clone, and the server's end — plus slack for the
     // engine, wake pipes, and whatever the process already holds. A tier
     // the fd limit cannot host is clamped — loudly, and recorded in the
     // report, never silently passed off as the full run.
@@ -873,8 +878,8 @@ fn connection_tier(ctx: &Ctx, requested: usize) -> Value {
             let connect = |t: usize| {
                 let mut last = None;
                 for attempt in 0..4 {
-                    match TransportClient::connect(addr) {
-                        Ok(client) => return client,
+                    match tenant(addr) {
+                        Ok(tenant) => return tenant,
                         Err(err) => {
                             last = Some(err);
                             std::thread::sleep(Duration::from_millis(50 << attempt));
@@ -883,15 +888,15 @@ fn connection_tier(ctx: &Ctx, requested: usize) -> Value {
                 }
                 panic!("tenant {t} connect failed after retries: {:?}", last.unwrap());
             };
-            let mut clients: Vec<TransportClient> = (0..mine.len()).map(connect).collect();
+            let mut tenants: Vec<Router> = (0..mine.len()).map(connect).collect();
             barrier.wait(); // every driver's tenants are connected
             barrier.wait(); // main has sampled the thread count
             let mut results = Vec::new();
             let mut split = LatencySplit::new();
-            for (client, batch) in clients.iter_mut().zip(&mine) {
-                client.run_batch_split(batch, &mut results, &mut split).expect("tenant batch");
+            for (tenant, batch) in tenants.iter_mut().zip(&mine) {
+                tenant.run_batch_split(batch, &mut results, &mut split);
             }
-            let busy = clients.iter().map(TransportClient::busy_retries).sum::<u64>();
+            let busy = tenants.iter().map(Router::busy_retries).sum::<u64>();
             (results, split, busy)
         }));
     }

@@ -4,8 +4,8 @@
 //! the submission queue (`queue_micros`) and the worker's service time
 //! (the rest of `total_micros`). A remote tenant observes a *third*
 //! component the engine cannot see — socket wait: serialization, kernel
-//! buffers, the wire, and time a finished result spends behind the
-//! connection's writer. [`LatencySplit`] holds one histogram per
+//! buffers, the wire, and time a finished result spends waiting to be
+//! written and read. [`LatencySplit`] holds one histogram per
 //! component so a transport replay can answer "is the tail in the queue
 //! or on the socket?" — the question that decides whether to add worker
 //! shards or connections.
@@ -20,7 +20,8 @@ pub struct LatencySplit {
     /// Worker service time (query execution + decode).
     pub service: LatencyHistogram,
     /// Everything the engine cannot see: framing, kernel buffers, the
-    /// wire, and the wait behind the connection's writer thread.
+    /// wire, the wait for the server's event loop to write the result,
+    /// and the wait for the caller to read it.
     pub wire: LatencyHistogram,
 }
 

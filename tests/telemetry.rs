@@ -25,7 +25,7 @@ use pooled_data::engine::engine::{Engine, EngineConfig};
 use pooled_data::engine::job::{DecoderKind, JobResult};
 use pooled_data::engine::telemetry::{CausalKind, Metric, Span, TelemetryConfig};
 use pooled_data::engine::traffic::LoadProfile;
-use pooled_data::engine::transport::{TransportClient, TransportConfig, TransportServer};
+use pooled_data::engine::transport::{TransportConfig, TransportServer};
 
 /// A small, fast profile whose keys shard over several nodes.
 fn profile(seed: u64) -> LoadProfile {
@@ -112,10 +112,11 @@ fn full_tracing_over_tcp_matches_untraced_in_process_and_stamps_wire_spans() {
     let server =
         TransportServer::bind(Arc::clone(&engine), "127.0.0.1:0", TransportConfig::default())
             .expect("bind loopback");
-    let mut client = TransportClient::connect(server.local_addr()).expect("connect loopback");
+    let node = RemoteNode::connect(server.local_addr()).expect("connect loopback");
+    let mut tenant = Router::new(vec![(0, Box::new(node) as Box<dyn NodeHandle>)], 16);
     let mut out = Vec::new();
-    client.run_batch(&specs, &mut out).expect("tcp replay failed");
-    drop(client);
+    tenant.run_batch(&specs, &mut out);
+    drop(tenant);
     server.stop();
 
     assert_eq!(fingerprints(&out), baseline, "full tracing over TCP changed result bits");

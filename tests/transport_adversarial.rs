@@ -5,19 +5,22 @@
 //! socket — dribbling bytes, never reading its replies, or going silent
 //! — must cost the server one connection's bounded state and nothing
 //! else. Each test here pairs an adversarial raw socket with a
-//! well-behaved [`TransportClient`] on the same server and asserts the
-//! well-behaved tenant's results stay bit-identical to the in-process
-//! ground truth while the adversary is contained (or evicted).
+//! well-behaved tenant (a one-node [`Router`] over a [`RemoteNode`]) on
+//! the same server and asserts the well-behaved tenant's results stay
+//! bit-identical to the in-process ground truth while the adversary is
+//! contained (or evicted).
 //!
-//! The file also pins the two resource contracts the refactor exists
-//! for: server thread count is O(event loops), not O(connections), and
-//! a client parked in [`TransportClient::poll`] burns no CPU.
+//! The file also pins the resource contracts of both ends: server
+//! thread count is O(event loops), not O(connections); a `RemoteNode`
+//! starts no thread; and one blocked in [`NodeHandle::recv`] burns no
+//! CPU.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use pooled_data::engine::cluster::{NodeEvent, NodeHandle, RemoteNode, Router};
 use pooled_data::engine::engine::{Engine, EngineConfig};
 use pooled_data::engine::job::{DecoderKind, Digest, JobResult, JobSpec};
 use pooled_data::engine::telemetry::Metric;
@@ -28,7 +31,7 @@ use pooled_data::engine::transport::frame::{
 use pooled_data::engine::transport::reactor::{
     raise_fd_limit, thread_count, thread_cpu_time, thread_cpu_time_by_name,
 };
-use pooled_data::engine::transport::{Reply, TransportClient, TransportConfig, TransportServer};
+use pooled_data::engine::transport::{TransportConfig, TransportServer};
 use pooled_data::lab::latency::LatencyModel;
 
 /// Every test here measures wall-clock behavior (eviction deadlines,
@@ -58,6 +61,13 @@ fn engine(workers: usize, queue: usize) -> Arc<Engine> {
         design_cache_capacity: 4,
         batch_window: 1,
     }))
+}
+
+/// One wire tenant: a router over a single `RemoteNode`, 16 jobs in
+/// flight.
+fn tenant(addr: SocketAddr) -> Router {
+    let node = RemoteNode::connect(addr).expect("connect loopback");
+    Router::new(vec![(0, Box::new(node) as Box<dyn NodeHandle>)], 16)
 }
 
 fn fingerprints(results: &[JobResult]) -> Vec<(u64, u64)> {
@@ -99,8 +109,8 @@ fn frame_checksum(bytes: &[u8]) -> u64 {
 }
 
 /// Read raw frames off an adversary's socket until `want` frames have
-/// arrived (the adversaries speak the protocol by hand, without the
-/// client's conveniences).
+/// arrived (the adversaries speak the protocol by hand, without a
+/// node's conveniences).
 fn read_frames_raw(stream: &mut TcpStream, want: usize) -> Vec<Frame> {
     let mut asm = FrameAssembler::new();
     let mut got = Vec::new();
@@ -161,10 +171,10 @@ fn a_dribbling_tenant_cannot_stall_other_tenants() {
     // While ~100 ms of dribbling is in progress, a well-behaved tenant
     // serves a whole batch with the usual bit-identical fingerprints.
     let jobs = 16;
-    let mut client = TransportClient::connect(addr).expect("connect");
+    let mut tenant = tenant(addr);
     let mut out = Vec::new();
     let served_in = Instant::now();
-    client.run_batch(&p.specs(jobs), &mut out).expect("well-behaved batch");
+    tenant.run_batch(&p.specs(jobs), &mut out);
     let served_in = served_in.elapsed();
     assert_eq!(fingerprints(&out), in_process_ground_truth(&p, jobs));
     // Not a tight latency bound — just "not serialized behind a 100 ms
@@ -173,7 +183,7 @@ fn a_dribbling_tenant_cannot_stall_other_tenants() {
     assert!(served_in < Duration::from_secs(5), "batch took {served_in:?} behind a dribbler");
 
     dribbler.join().expect("dribbler thread");
-    drop(client);
+    drop(tenant);
     server.stop();
     Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
 }
@@ -205,15 +215,15 @@ fn a_write_blocked_tenant_is_contained() {
     // ...and now the adversary goes deaf: no reads, ever.
 
     let jobs = 24;
-    let mut client = TransportClient::connect(addr).expect("connect");
+    let mut tenant = tenant(addr);
     let mut out = Vec::new();
-    client.run_batch(&p.specs(jobs), &mut out).expect("batch beside a deaf tenant");
+    tenant.run_batch(&p.specs(jobs), &mut out);
     assert_eq!(fingerprints(&out), in_process_ground_truth(&p, jobs));
 
     // Containment is also cleanup: dropping the deaf socket must reap
     // its connection (and its buffered replies) promptly.
     drop(blocked);
-    drop(client);
+    drop(tenant);
     wait_for_live(&server, 0, Duration::from_secs(5));
     server.stop();
     Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
@@ -246,12 +256,12 @@ fn an_unserved_decoder_code_is_refused_at_the_door() {
     assert!(reply.is_empty(), "the server answered with {} bytes", reply.len());
 
     let jobs = 16;
-    let mut client = TransportClient::connect(addr).expect("connect");
+    let mut tenant = tenant(addr);
     let mut out = Vec::new();
-    client.run_batch(&p.specs(jobs), &mut out).expect("well-behaved batch");
+    tenant.run_batch(&p.specs(jobs), &mut out);
     assert_eq!(fingerprints(&out), in_process_ground_truth(&p, jobs));
 
-    drop(client);
+    drop(tenant);
     server.stop();
     let stats = Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
     assert_eq!(stats.jobs_poisoned, 0, "a worker ran the refused frame's job");
@@ -286,25 +296,22 @@ fn idle_tenants_are_evicted_after_the_timeout() {
     // and doing that *between* wire calls would idle the client past
     // its own eviction deadline.
     let want = in_process_ground_truth(&p, jobs);
-    let mut client = TransportClient::connect(addr).expect("connect");
+    let mut tenant = tenant(addr);
     let mut out = Vec::new();
-    client.run_batch(&p.specs(jobs), &mut out).expect("batch beside an idler");
+    tenant.run_batch(&p.specs(jobs), &mut out);
     assert_eq!(fingerprints(&out), want);
 
     // The batch spanned many sweep intervals with every inter-job gap
     // well under the timeout — so merely *finishing* proves activity
     // resets the clock. One more round-trip, immediately, pins it.
     let late = p.spec(9_999);
-    client.submit(&late).expect("submit after sweeps");
-    client.flush().expect("flush");
-    match client.poll().expect("reply") {
-        Reply::Result(r) => assert_eq!(r.id, late.id),
-        other => panic!("active tenant broken after idle sweeps: {other:?}"),
-    }
+    out.clear();
+    tenant.run_batch(&[late], &mut out);
+    assert_eq!(out[0].id, late.id, "active tenant broken after idle sweeps");
 
     // By now the idler has been silent for far longer than 150 ms; its
     // eviction must be counted and its socket really closed (EOF, not
-    // silence). The client's own connection may get evicted too once it
+    // silence). The tenant's own connection may get evicted too once it
     // goes quiet — that's the feature working, so no live-count assert.
     let deadline = Instant::now() + Duration::from_secs(5);
     while server.metrics().snapshot().get(Metric::TransportIdleEvictions) == 0
@@ -319,7 +326,7 @@ fn idle_tenants_are_evicted_after_the_timeout() {
     let mut scratch = [0u8; 8];
     assert_eq!(idler.read(&mut scratch).expect("EOF read"), 0, "idler socket must be closed");
 
-    drop(client);
+    drop(tenant);
     server.stop();
     Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
 }
@@ -371,10 +378,32 @@ fn server_threads_scale_with_loops_not_connections() {
 }
 
 #[test]
+fn a_remote_node_starts_no_thread() {
+    let _serial = serial();
+    // Replies are read on the caller's thread, so a connection costs
+    // the process two fds and no thread: 16 nodes must not grow it by
+    // 16 threads.
+    let engine = engine(1, 16);
+    let server =
+        TransportServer::bind(Arc::clone(&engine), "127.0.0.1:0", TransportConfig::default())
+            .expect("bind");
+    let baseline = thread_count().expect("/proc/self/status readable");
+    let nodes: Vec<RemoteNode> =
+        (0..16).map(|_| RemoteNode::connect(server.local_addr()).expect("connect")).collect();
+    wait_for_live(&server, nodes.len(), Duration::from_secs(10));
+    let grew = thread_count().expect("/proc/self/status readable").saturating_sub(baseline);
+    assert!(grew <= 2, "16 remote nodes grew the process by {grew} threads");
+
+    drop(nodes);
+    server.stop();
+    Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
+}
+
+#[test]
 fn a_waiting_client_burns_no_cpu() {
     let _serial = serial();
-    // `poll()`'s documented contract: the wait is a kernel park, not a
-    // spin. While a 150 ms job is in service, the polling thread must
+    // `RemoteNode::recv`'s contract: the wait is a kernel park, not a
+    // spin. While a 150 ms job is in service, the waiting thread must
     // accrue (almost) no CPU time.
     let engine = engine(1, 8);
     let server =
@@ -382,14 +411,13 @@ fn a_waiting_client_burns_no_cpu() {
             .expect("bind");
     let p = LoadProfile { query_cost: Some(LatencyModel::Fixed(150_000.0)), ..profile(59) };
     let spec = p.spec(0);
-    let mut client = TransportClient::connect(server.local_addr()).expect("connect");
-    client.submit(&spec).expect("submit");
-    client.flush().expect("flush");
+    let node = RemoteNode::connect(server.local_addr()).expect("connect");
+    node.submit(spec).expect("submit");
 
     let cpu_before = thread_cpu_time();
     let wall = Instant::now();
-    match client.poll().expect("reply") {
-        Reply::Result(r) => assert_eq!(r.id, spec.id),
+    match node.recv() {
+        Some(NodeEvent::Result(r)) => assert_eq!(r.id, spec.id),
         other => panic!("expected RESULT, got {other:?}"),
     }
     let wall = wall.elapsed();
@@ -399,9 +427,9 @@ fn a_waiting_client_burns_no_cpu() {
     // Generous bound (decode + a couple of syscalls), but a spinning
     // wait on this 150 ms window would bill tens of milliseconds even
     // on a loaded single-core box.
-    assert!(cpu < Duration::from_millis(50), "poll() burned {cpu:?} CPU over a {wall:?} wait");
+    assert!(cpu < Duration::from_millis(50), "recv() burned {cpu:?} CPU over a {wall:?} wait");
 
-    drop(client);
+    drop(node);
     server.stop();
     Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
 }
@@ -450,14 +478,14 @@ fn idle_herd_batch(p: &LoadProfile, jobs: usize) -> HerdRun {
     let before = server.metrics().snapshot();
     let cpu_before =
         thread_cpu_time_by_name("transport-loop").expect("loop thread visible in /proc");
-    let mut client = TransportClient::connect(addr).expect("connect");
+    let mut tenant = tenant(addr);
     let mut out = Vec::new();
-    client.run_batch(&p.specs(jobs), &mut out).expect("batch through the herd");
+    tenant.run_batch(&p.specs(jobs), &mut out);
     let loop_cpu = thread_cpu_time_by_name("transport-loop").expect("loop thread visible in /proc")
         - cpu_before;
     let after = server.metrics().snapshot();
 
-    drop(client);
+    drop(tenant);
     drop(idle);
     server.stop();
     Arc::try_unwrap(engine).ok().expect("engine released").shutdown();

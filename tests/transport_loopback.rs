@@ -14,7 +14,7 @@
 //!    batch windows.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -22,12 +22,13 @@ use proptest::prelude::*;
 
 use pooled_data::design::factory::DesignKind;
 use pooled_data::engine::cache::DesignKey;
+use pooled_data::engine::cluster::{NodeEvent, NodeHandle, RemoteNode, Router};
 use pooled_data::engine::engine::{Engine, EngineConfig};
 use pooled_data::engine::job::{DecoderKind, DesignSpec, JobResult, JobSpec};
 use pooled_data::engine::telemetry::Metric;
 use pooled_data::engine::traffic::LoadProfile;
 use pooled_data::engine::transport::frame::{decode_frame, encode_frame, Frame, MAX_FRAME_LEN};
-use pooled_data::engine::transport::{TransportClient, TransportConfig, TransportServer};
+use pooled_data::engine::transport::{TransportConfig, TransportServer};
 use pooled_data::lab::split::LatencySplit;
 
 fn spec_from(rng_words: [u64; 8]) -> JobSpec {
@@ -135,6 +136,13 @@ fn engine(workers: usize, queue: usize, batch_window: usize) -> Arc<Engine> {
     }))
 }
 
+/// One wire tenant: a router over a single `RemoteNode`, 16 jobs in
+/// flight.
+fn tenant(addr: SocketAddr) -> Router {
+    let node = RemoteNode::connect(addr).expect("connect loopback");
+    Router::new(vec![(0, Box::new(node) as Box<dyn NodeHandle>)], 16)
+}
+
 /// Fingerprint projection used by every cross-wire comparison.
 fn fingerprints(results: &[JobResult]) -> Vec<(u64, u64)> {
     results.iter().map(|r| (r.id, r.fingerprint())).collect()
@@ -170,11 +178,11 @@ fn serve_over_tcp(
         TransportConfig { route_capacity: 32, ..TransportConfig::default() },
     )
     .expect("bind loopback");
-    let mut client = TransportClient::connect(server.local_addr()).expect("connect loopback");
+    let mut tenant = tenant(server.local_addr());
     let mut out = Vec::new();
-    client.run_batch(&p.specs(jobs), &mut out).expect("tcp batch");
-    let retries = client.busy_retries();
-    drop(client);
+    tenant.run_batch(&p.specs(jobs), &mut out);
+    let retries = tenant.busy_retries();
+    drop(tenant);
     server.stop();
     Arc::try_unwrap(engine).ok().expect("server released the engine").shutdown();
     (out, retries)
@@ -203,7 +211,7 @@ fn tcp_fingerprints_are_bit_identical_to_in_process() {
 #[test]
 fn busy_backpressure_retries_until_everything_is_served() {
     // A 1-slot submission queue with pipelined submissions forces BUSY
-    // replies; the client must absorb them and still serve the full
+    // replies; the router must absorb them and still serve the full
     // batch with fingerprints intact.
     let p = LoadProfile {
         query_cost: Some(pooled_data::lab::latency::LatencyModel::Fixed(500.0)),
@@ -224,24 +232,23 @@ fn infeasible_specs_are_rejected_not_served() {
     let server =
         TransportServer::bind(Arc::clone(&engine), "127.0.0.1:0", TransportConfig::default())
             .expect("bind");
-    let mut client = TransportClient::connect(server.local_addr()).expect("connect");
+    // A bare node: a router would refuse the infeasible spec itself.
+    let node = RemoteNode::connect(server.local_addr()).expect("connect");
     let mut bad = profile(3).spec(0);
     bad.k = bad.n + 1; // infeasible: heavier than the universe
-    client.submit(&bad).expect("submit");
-    client.flush().expect("flush");
-    match client.poll().expect("reply") {
-        pooled_data::engine::transport::Reply::Rejected(id) => assert_eq!(id, bad.id),
+    node.submit(bad).expect("submit");
+    match node.recv() {
+        Some(NodeEvent::Rejected(id)) => assert_eq!(id, bad.id),
         other => panic!("expected REJECT, got {other:?}"),
     }
     // The connection survives a reject: a good job still round-trips.
     let good = profile(3).spec(1);
-    client.submit(&good).expect("submit good");
-    client.flush().expect("flush good");
-    match client.poll().expect("reply") {
-        pooled_data::engine::transport::Reply::Result(r) => assert_eq!(r.id, good.id),
+    node.submit(good).expect("submit good");
+    match node.recv() {
+        Some(NodeEvent::Result(r)) => assert_eq!(r.id, good.id),
         other => panic!("expected RESULT, got {other:?}"),
     }
-    drop(client);
+    drop(node);
     server.stop();
     Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
 }
@@ -258,9 +265,8 @@ fn concurrent_tenants_see_exactly_their_own_results() {
     let (first_half, second_half) = all.split_at(20);
     let spawn = |specs: Vec<JobSpec>| {
         std::thread::spawn(move || {
-            let mut client = TransportClient::connect(addr).expect("connect");
             let mut out = Vec::new();
-            client.run_batch(&specs, &mut out).expect("tenant batch");
+            tenant(addr).run_batch(&specs, &mut out);
             out
         })
     };
@@ -293,18 +299,17 @@ fn oversized_feasible_specs_are_rejected_at_the_door() {
         TransportConfig { route_capacity: 8, max_dimension: 1 << 20, ..TransportConfig::default() },
     )
     .expect("bind");
-    let mut client = TransportClient::connect(server.local_addr()).expect("connect");
+    let node = RemoteNode::connect(server.local_addr()).expect("connect");
     let mut huge = profile(5).spec(0);
     huge.n = 1 << 21;
     huge.k = 1;
     assert!(huge.is_feasible(), "the attack spec passes semantic validation");
-    client.submit(&huge).expect("submit");
-    client.flush().expect("flush");
-    match client.poll().expect("reply") {
-        pooled_data::engine::transport::Reply::Rejected(id) => assert_eq!(id, huge.id),
+    node.submit(huge).expect("submit");
+    match node.recv() {
+        Some(NodeEvent::Rejected(id)) => assert_eq!(id, huge.id),
         other => panic!("expected REJECT for the oversized spec, got {other:?}"),
     }
-    drop(client);
+    drop(node);
     server.stop();
     Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
 }
@@ -338,7 +343,7 @@ fn a_prewarm_never_stalls_its_event_loop() {
         query_cost_micros: 0,
     };
     let (engine, server) = one_loop_server(&warm, TransportConfig::default().max_dimension);
-    let mut tenant_b = TransportClient::connect(server.local_addr()).expect("connect B");
+    let mut tenant_b = tenant(server.local_addr());
     let cold = DesignKey { n: 10_000, m: 1_000, ..warm.design_key() };
     let mut tenant_a = TcpStream::connect(server.local_addr()).expect("connect A");
     let mut frame = Vec::new();
@@ -355,7 +360,7 @@ fn a_prewarm_never_stalls_its_event_loop() {
     while engine.stats().cache_len < 2 {
         out.clear();
         let job = JobSpec { id: served, seed: served, ..warm };
-        tenant_b.run_batch(&[job], &mut out).expect("B's round trip");
+        tenant_b.run_batch(&[job], &mut out);
         assert_eq!(out.len(), 1);
         served += 1;
         if engine.stats().cache_len < 2 {
@@ -431,27 +436,27 @@ fn a_tenant_at_its_window_gets_busy_not_a_parked_worker() {
         TransportConfig { route_capacity: 1, ..TransportConfig::default() },
     )
     .expect("bind");
-    let mut client = TransportClient::connect(server.local_addr()).expect("connect");
+    let node = RemoteNode::connect(server.local_addr()).expect("connect");
     let p = LoadProfile {
         query_cost: Some(pooled_data::lab::latency::LatencyModel::Fixed(100_000.0)),
         ..profile(13)
     };
     let first = p.spec(0);
     let second = p.spec(1);
-    client.submit(&first).expect("submit 1");
-    client.submit(&second).expect("submit 2");
-    client.flush().expect("flush");
+    node.try_submit(first).expect("submit 1");
+    node.try_submit(second).expect("submit 2");
+    node.flush().expect("flush");
     // The BUSY for job 2 must arrive while job 1 (100 ms) is still in
     // service — long before its RESULT.
-    match client.poll().expect("first reply") {
-        pooled_data::engine::transport::Reply::Busy(id) => assert_eq!(id, second.id),
+    match node.recv() {
+        Some(NodeEvent::Busy(id)) => assert_eq!(id, second.id),
         other => panic!("expected BUSY for the over-window job, got {other:?}"),
     }
-    match client.poll().expect("second reply") {
-        pooled_data::engine::transport::Reply::Result(r) => assert_eq!(r.id, first.id),
+    match node.recv() {
+        Some(NodeEvent::Result(r)) => assert_eq!(r.id, first.id),
         other => panic!("expected RESULT for job 1, got {other:?}"),
     }
-    drop(client);
+    drop(node);
     server.stop();
     Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
 }
@@ -465,11 +470,9 @@ fn disconnected_tenants_do_not_leak_connections() {
         TransportServer::bind(Arc::clone(&engine), "127.0.0.1:0", TransportConfig::default())
             .expect("bind");
     for round in 0..3 {
-        let mut client = TransportClient::connect(server.local_addr()).expect("connect");
         let mut out = Vec::new();
-        client.run_batch(&profile(round).specs(4), &mut out).expect("batch");
+        tenant(server.local_addr()).run_batch(&profile(round).specs(4), &mut out);
         assert_eq!(out.len(), 4);
-        drop(client);
     }
     // Teardown is asynchronous (reader sees EOF, joins its writer, then
     // deregisters); poll briefly instead of racing it.
@@ -480,11 +483,9 @@ fn disconnected_tenants_do_not_leak_connections() {
     assert_eq!(server.live_connections(), 0, "dead connections must deregister");
     // Closing a connection closes its route, never the engine: a tenant
     // arriving after every other one left is still served.
-    let mut client = TransportClient::connect(server.local_addr()).expect("connect");
     let mut out = Vec::new();
-    client.run_batch(&profile(3).specs(4), &mut out).expect("batch after teardown");
+    tenant(server.local_addr()).run_batch(&profile(3).specs(4), &mut out);
     assert_eq!(out.len(), 4);
-    drop(client);
     server.stop();
     let stats = Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
     assert_eq!(stats.jobs_completed, 16);
@@ -496,14 +497,14 @@ fn latency_split_accounts_every_job() {
     let server =
         TransportServer::bind(Arc::clone(&engine), "127.0.0.1:0", TransportConfig::default())
             .expect("bind");
-    let mut client = TransportClient::connect(server.local_addr()).expect("connect");
+    let mut tenant = tenant(server.local_addr());
     let specs = profile(23).specs(16);
     let mut out = Vec::new();
     let mut split = LatencySplit::new();
-    client.run_batch_split(&specs, &mut out, &mut split).expect("batch");
+    tenant.run_batch_split(&specs, &mut out, &mut split);
     assert_eq!(out.len(), 16);
     assert_eq!(split.count(), 16, "one split record per served job");
-    drop(client);
+    drop(tenant);
     server.stop();
     Arc::try_unwrap(engine).ok().expect("engine released").shutdown();
 }
