@@ -1,11 +1,10 @@
-//! Sorting-step ablation (Lines 7–9 of Algorithm 1): parallel merge sort vs
-//! the standard library's sort vs top-k selection on realistic score
-//! vectors.
+//! Selection-step ablation (Lines 7–9 of Algorithm 1): the standard
+//! library's full sort, as the algorithm is written, vs the top-k
+//! selection every decoder ranks through, on realistic score vectors.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use pooled_par::sort::par_merge_sort;
 use pooled_par::topk::top_k_indices;
 use pooled_rng::{Rng64, SeedSequence};
 
@@ -25,15 +24,6 @@ fn bench(c: &mut Criterion) {
     let k = 63; // ≈ n^0.3
     let scores = score_vector(n, k);
 
-    group.bench_function("par_merge_sort_full", |b| {
-        b.iter(|| {
-            let mut v: Vec<(i64, u32)> =
-                scores.iter().enumerate().map(|(i, &s)| (s, i as u32)).collect();
-            par_merge_sort(&mut v, |&(s, i)| (std::cmp::Reverse(s), i));
-            v.truncate(k);
-            black_box(());
-        });
-    });
     group.bench_function("std_sort_unstable_full", |b| {
         b.iter(|| {
             let mut v: Vec<(i64, u32)> =

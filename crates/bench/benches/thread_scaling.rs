@@ -1,9 +1,8 @@
 //! Thread-scaling of the parallel reconstruction (§I-C “Parallelized
 //! Reconstruction”): the same decode under 1, 2, 4, 8 rayon workers.
 //!
-//! Pools come from `pooled_par::pool::pool_with_threads`, the process-wide
-//! memoized cache — building a rayon pool costs ~100 µs, which would
-//! otherwise be charged to every measured iteration.
+//! Pools come from `pooled_par::pool::pool_with_threads`, each built once
+//! outside the measured iterations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

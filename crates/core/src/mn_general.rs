@@ -15,9 +15,12 @@
 //! For the regular design (`|a_q| = Γ` constant) this is `n·Ψ_i − kΓ·Δ*_i =
 //! (n/2)·(2Ψ_i − k·Δ*_i)` at `Γ = n/2` — a positive multiple of the classic
 //! score, so the two decoders rank identically (property-tested).
+//!
+//! The `k` winners come from the same selection as the classic decoder's,
+//! `pooled_par::topk::top_k_into`, run on the exact `i128` scores.
 
 use pooled_design::{distinct_sums_into, PoolingDesign};
-use pooled_par::sort::par_merge_sort_with;
+use pooled_par::topk::top_k_into;
 
 use crate::signal::Signal;
 use crate::workspace::MnWorkspace;
@@ -103,7 +106,8 @@ impl GeneralMnDecoder {
         self.finish_with(n, ws);
     }
 
-    /// Score `n·Ψ_i − k·Σ|a_q|` from the sums in `ws`, rank, and select.
+    /// Score `n·Ψ_i − k·Σ|a_q|` from the sums in `ws` and select the `k`
+    /// best.
     fn finish_with(&self, n: usize, ws: &mut MnWorkspace) {
         let (n_i, k_i) = (n as i128, self.k as i128);
         ws.scores_wide.clear();
@@ -113,17 +117,9 @@ impl GeneralMnDecoder {
                 .zip(&ws.gamma_sums[..n])
                 .map(|(&p, &g)| n_i * p as i128 - k_i * g as i128),
         );
-        // Rank by (score desc, index asc); the general decoder keeps the
-        // faithful full sort (scores are i128, outside the top-k kernel's
-        // i64 domain).
-        ws.order_wide.clear();
-        ws.order_wide.extend(ws.scores_wide.iter().enumerate().map(|(i, &s)| (s, i as u32)));
-        par_merge_sort_with(&mut ws.order_wide, &mut ws.order_wide_scratch, |&(s, i)| {
-            (std::cmp::Reverse(s), i)
-        });
-        ws.order_wide.truncate(self.k.min(n));
-        ws.support.clear();
-        ws.support.extend(ws.order_wide.iter().map(|&(_, i)| i as usize));
+        // The k best by (score desc, index asc), through the top-k heap
+        // every decoder selects with.
+        top_k_into(&ws.scores_wide, self.k, &mut ws.support, &mut ws.topk_wide);
         ws.mark_support();
     }
 }

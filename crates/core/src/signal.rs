@@ -103,11 +103,6 @@ impl Signal {
         &self.dense
     }
 
-    /// Dense `u64` view for the matvec kernels.
-    pub fn to_u64(&self) -> Vec<u64> {
-        self.dense.iter().map(|&b| b as u64).collect()
-    }
-
     /// `⟨σ, τ⟩`: number of shared one-entries (the paper's overlap `ℓ`).
     ///
     /// # Panics
@@ -240,11 +235,5 @@ mod tests {
             let dev = (h as f64 - want).abs() / want;
             assert!(dev < 0.1, "index {i}: {h} vs {want}");
         }
-    }
-
-    #[test]
-    fn to_u64_matches_dense() {
-        let s = Signal::from_dense(&[1, 0, 1]);
-        assert_eq!(s.to_u64(), vec![1, 0, 1]);
     }
 }

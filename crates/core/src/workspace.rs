@@ -32,10 +32,9 @@ pub struct MnWorkspace {
     pub(crate) scores: Vec<i64>,
     pub(crate) support: Vec<usize>,
     pub(crate) estimate: Vec<u8>,
-    /// Γ-general decoder: exact wide scores and their sort scratch.
+    /// Γ-general decoder: exact wide scores and their selection heap.
     pub(crate) scores_wide: Vec<i128>,
-    pub(crate) order_wide: Vec<(i128, u32)>,
-    pub(crate) order_wide_scratch: Vec<(i128, u32)>,
+    pub(crate) topk_wide: TopKScratch<i128>,
     pub(crate) pool_lens: Vec<u64>,
     pub(crate) gamma_sums: Vec<u64>,
     /// Secondary Δ* buffer for the Γ-sum accumulation (values discarded).
@@ -46,7 +45,8 @@ pub struct MnWorkspace {
     pub(crate) ins: Vec<usize>,
     pub(crate) outs: Vec<usize>,
     pub(crate) pairs: Vec<(usize, usize)>,
-    pub(crate) topk: TopKScratch,
+    /// Selection heap of the `i64` scores.
+    pub(crate) topk: TopKScratch<i64>,
 }
 
 impl MnWorkspace {

@@ -10,9 +10,9 @@
 //! logarithm each), against a decode of about 0.2 ms. Real traffic
 //! repeats design keys constantly — a tenant reuses its design across
 //! thousands of reconstructions. The cache memoizes `spec → Arc<design>`
-//! under the workspace-wide LRU policy ([`pooled_par::lru::LruCache`], the
-//! same one bounding the thread-pool memo), so repeated traffic never
-//! regenerates pools and a key sweep cannot grow memory without limit.
+//! under a bounded LRU policy ([`pooled_par::lru::LruCache`]), so repeated
+//! traffic never regenerates pools and a key sweep cannot grow memory
+//! without limit.
 //!
 //! Hits are allocation-free (`Arc` clone under a mutex); misses sample
 //! *outside* the lock so one tenant's cold key never stalls another

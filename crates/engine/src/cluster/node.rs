@@ -18,8 +18,9 @@
 //! occurs: a local full queue is *synchronous* ([`SubmitOutcome::Busy`]
 //! from `try_submit`), a remote full queue is *asynchronous* (a `BUSY`
 //! frame arriving later as [`NodeEvent::Busy`]). Callers that handle
-//! both — push the spec back on a retry queue — work unchanged against
-//! either node kind; that is the router's BUSY-aware retry loop.
+//! both — hold the spec until the node resolves another job, then
+//! resubmit it — work unchanged against either node kind; that is the
+//! router's BUSY-aware retry loop.
 
 use std::collections::VecDeque;
 use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};

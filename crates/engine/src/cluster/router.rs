@@ -7,8 +7,9 @@
 //! bounded **in-flight window per node** (pipelining without unbounded
 //! queue growth), absorbs backpressure from either direction — a local
 //! node's synchronous [`SubmitOutcome::Busy`] or a remote node's
-//! asynchronous [`NodeEvent::Busy`] frame — by parking the spec on that
-//! node's retry queue, and fans results into one completion buffer.
+//! asynchronous [`NodeEvent::Busy`] frame — by holding the spec until
+//! that node resolves another job (its queue has room again), and fans
+//! results into one completion buffer.
 //!
 //! Determinism is inherited, not negotiated: a job's result is a pure
 //! function of its spec on *any* node, so placement, windows, retries,
@@ -118,9 +119,13 @@ struct Slot {
     /// Routed, not yet submitted (beyond the in-flight window).
     queue: VecDeque<JobSpec>,
     /// Parked specs awaiting resubmission (drained before `queue` once
-    /// their ready instant passes): BUSY bounces resubmit immediately,
-    /// failover re-routes after their backoff.
+    /// their ready instant passes): released BUSY bounces resubmit at
+    /// once, failover re-routes after their backoff.
     retry: VecDeque<(JobSpec, Instant)>,
+    /// Specs the node bounced with BUSY, held until it resolves another
+    /// job (a RESULT or REJECT frees a place in its queue), or until it
+    /// has nothing else in flight; then they join `retry`.
+    held: Vec<JobSpec>,
     /// Submitted, not yet resolved: `job id → (spec, submit instant)`.
     /// The spec is the retry payload; the instant feeds the
     /// router-observed side of the latency split.
@@ -137,6 +142,7 @@ impl Slot {
             handle,
             queue: VecDeque::new(),
             retry: VecDeque::new(),
+            held: Vec::new(),
             in_flight: HashMap::new(),
             last_event: Instant::now(),
         }
@@ -144,13 +150,20 @@ impl Slot {
 
     /// Jobs this slot still has to resolve.
     fn backlog(&self) -> usize {
-        self.queue.len() + self.retry.len() + self.in_flight.len()
+        self.queue.len() + self.retry.len() + self.held.len() + self.in_flight.len()
+    }
+
+    /// Move every held BUSY bounce to the retry queue, ready now.
+    fn release_held(&mut self) {
+        let now = Instant::now();
+        self.retry.extend(self.held.drain(..).map(|spec| (spec, now)));
     }
 
     /// Every spec this slot holds, in job-id order (failover reclaim).
     fn reclaim(&mut self) -> Vec<JobSpec> {
         let mut specs: Vec<JobSpec> = self.queue.drain(..).collect();
         specs.extend(self.retry.drain(..).map(|(spec, _)| spec));
+        specs.append(&mut self.held);
         specs.extend(self.in_flight.drain().map(|(_, (spec, _))| spec));
         // The in-flight map iterates in hash order; sort so failover
         // re-routes deterministically.
@@ -514,6 +527,7 @@ impl Router {
                                     continue;
                                 };
                                 self.attempts.remove(&result.id);
+                                self.slots[idx].release_held();
                                 if let Some(split) = split.as_deref_mut() {
                                     let observed = sent.elapsed().as_micros() as u64;
                                     split.record_observed(
@@ -536,9 +550,11 @@ impl Router {
                                     );
                                     continue;
                                 };
+                                // The node's queue is full: hold the spec
+                                // until the node resolves another job. A
+                                // bounce is not progress.
                                 self.busy_retries += 1;
-                                self.slots[idx].retry.push_back((spec, Instant::now()));
-                                progressed = true;
+                                self.slots[idx].held.push(spec);
                             }
                             NodeEvent::Rejected(id) => {
                                 // Terminal, not retryable: the job passed
@@ -557,6 +573,7 @@ impl Router {
                                     continue;
                                 }
                                 self.attempts.remove(&id);
+                                self.slots[idx].release_held();
                                 self.rejected.push(id);
                                 self.outstanding -= 1;
                                 progressed = true;
@@ -704,8 +721,8 @@ impl Router {
         // 1. Stop routing the migrating slice (keys the new node wins).
         let mut parked = extract_migrating(&mut self.slots, &next, id);
         // 2. Flush in-flight migrating jobs on their old owners. A BUSY
-        //    bounce during the drain lands the spec back in a retry
-        //    queue, so keep extracting while we wait.
+        //    bounce during the drain holds the spec on its slot again,
+        //    so keep extracting while we wait.
         loop {
             let draining = self.slots.iter().any(|slot| {
                 slot.in_flight.values().any(|(spec, _)| next.owner(&spec.design_key()) == id)
@@ -761,6 +778,7 @@ impl Router {
             let slot = &mut self.slots[idx];
             parked.extend(slot.queue.drain(..));
             parked.extend(slot.retry.drain(..).map(|(spec, _)| spec));
+            parked.append(&mut slot.held);
             if slot.in_flight.is_empty() {
                 break;
             }
@@ -875,10 +893,14 @@ impl Router {
 /// whether anything was submitted, or `Err(())` when the node's
 /// transport failed — the caller must fail the node over (the
 /// unsubmitted spec is back at the front of its retry queue, so the
-/// reclaim loses nothing). A synchronous `Busy` parks the spec on the
-/// retry queue and stops filling (the queue is full; a completion must
-/// free a slot first).
+/// reclaim loses nothing). A synchronous `Busy` holds the spec and stops
+/// filling (the queue is full; a completion must free a slot first).
+/// Held specs of a node with nothing in flight are released here, since
+/// no completion will come to release them.
 fn fill_slot(slot: &mut Slot, window: usize, busy_retries: &mut u64) -> Result<bool, ()> {
+    if slot.in_flight.is_empty() && !slot.held.is_empty() {
+        slot.release_held();
+    }
     let mut progressed = false;
     while slot.in_flight.len() < window {
         let now = Instant::now();
@@ -896,7 +918,7 @@ fn fill_slot(slot: &mut Slot, window: usize, busy_retries: &mut u64) -> Result<b
             }
             Ok(SubmitOutcome::Busy) => {
                 *busy_retries += 1;
-                slot.retry.push_back((spec, now));
+                slot.held.push(spec);
                 break;
             }
             Err(_) => {
@@ -922,29 +944,22 @@ fn retry_delay(base: Duration, attempt: u32, id: u64) -> Duration {
     backoff + Duration::from_micros(jitter)
 }
 
-/// Pull every queued-but-unsubmitted job whose key migrates to `new_id`
-/// under `next` out of the slots (step 1 of the drain protocol).
+/// Pull every queued, retrying or held job whose key migrates to
+/// `new_id` under `next` out of the slots (step 1 of the drain protocol).
 fn extract_migrating(slots: &mut [Slot], next: &Membership, new_id: u64) -> Vec<JobSpec> {
     let mut parked = Vec::new();
+    // Keep `spec` unless it migrates, in which case park it.
+    let mut stays = |spec: &JobSpec| {
+        let migrates = next.owner(&spec.design_key()) == new_id;
+        if migrates {
+            parked.push(*spec);
+        }
+        !migrates
+    };
     for slot in slots {
-        let mut keep = VecDeque::with_capacity(slot.queue.len());
-        while let Some(spec) = slot.queue.pop_front() {
-            if next.owner(&spec.design_key()) == new_id {
-                parked.push(spec);
-            } else {
-                keep.push_back(spec);
-            }
-        }
-        slot.queue = keep;
-        let mut keep = VecDeque::with_capacity(slot.retry.len());
-        while let Some((spec, ready)) = slot.retry.pop_front() {
-            if next.owner(&spec.design_key()) == new_id {
-                parked.push(spec);
-            } else {
-                keep.push_back((spec, ready));
-            }
-        }
-        slot.retry = keep;
+        slot.queue.retain(&mut stays);
+        slot.retry.retain(|(spec, _)| stays(spec));
+        slot.held.retain(&mut stays);
     }
     parked
 }
@@ -1059,6 +1074,93 @@ mod tests {
         router.run_batch(&specs, &mut out);
         assert_eq!(out.len(), 25);
         assert!(router.busy_retries() > 0, "tiny queues must exercise the retry path");
+        router.shutdown();
+    }
+
+    /// A node whose queue holds one job: it accepts every submission,
+    /// leaves job 0 unanswered until the test finishes it, and answers
+    /// every other job BUSY while job 0 occupies the queue.
+    #[derive(Clone, Default)]
+    struct OneSlotNode(Arc<std::sync::Mutex<OneSlot>>);
+
+    #[derive(Default)]
+    struct OneSlot {
+        submissions: usize,
+        zero_done: bool,
+        events: VecDeque<NodeEvent>,
+    }
+
+    impl NodeHandle for OneSlotNode {
+        fn submit(&self, spec: JobSpec) -> Result<(), crate::cluster::node::NodeError> {
+            self.try_submit(spec).map(|_| ())
+        }
+
+        fn try_submit(
+            &self,
+            spec: JobSpec,
+        ) -> Result<SubmitOutcome, crate::cluster::node::NodeError> {
+            let mut node = self.0.lock().unwrap();
+            node.submissions += 1;
+            if spec.id != 0 {
+                let event = if node.zero_done {
+                    NodeEvent::Result(JobResult::decode_poisoned(&spec, 0))
+                } else {
+                    NodeEvent::Busy(spec.id)
+                };
+                node.events.push_back(event);
+            }
+            Ok(SubmitOutcome::Accepted)
+        }
+
+        fn recv(&self) -> Option<NodeEvent> {
+            self.0.lock().unwrap().events.pop_front()
+        }
+
+        fn try_recv(&self) -> TryPop<NodeEvent> {
+            match self.recv() {
+                Some(event) => TryPop::Item(event),
+                None => TryPop::Empty,
+            }
+        }
+
+        fn prewarm(&self, _keys: &[DesignKey]) -> Result<(), crate::cluster::node::NodeError> {
+            Ok(())
+        }
+
+        fn stats(&self) -> Option<EngineStats> {
+            None
+        }
+
+        fn close(&self) {}
+
+        fn shutdown(self: Box<Self>) -> Option<EngineStats> {
+            None
+        }
+    }
+
+    #[test]
+    fn busy_bounces_wait_until_the_node_resolves_a_job() {
+        let node = OneSlotNode::default();
+        let mut router = Router::new(vec![(0, Box::new(node.clone()) as Box<dyn NodeHandle>)], 4);
+        for id in 0..4 {
+            router.submit(spec(id));
+        }
+        for _ in 0..50 {
+            assert!(router.poll().is_none());
+        }
+        let submissions = node.0.lock().unwrap().submissions;
+        assert_eq!(submissions, 4, "BUSY bounces resubmitted while the node was still full");
+        assert_eq!(router.busy_retries(), 3);
+        // Job 0 resolves and frees the queue: the held specs resubmit.
+        {
+            let mut state = node.0.lock().unwrap();
+            state.zero_done = true;
+            state.events.push_back(NodeEvent::Result(JobResult::decode_poisoned(&spec(0), 0)));
+        }
+        let mut out = Vec::new();
+        assert_eq!(router.collect(4, &mut out), 4);
+        assert_eq!(node.0.lock().unwrap().submissions, 7);
+        assert_eq!(router.busy_retries(), 3);
         router.shutdown();
     }
 

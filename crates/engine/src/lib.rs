@@ -14,7 +14,7 @@
 //! * [`queue`] — bounded MPMC queues; a full submission queue *blocks the
 //!   submitter* (backpressure) instead of growing memory.
 //! * [`cache`] — the LRU design cache: repeated traffic never regenerates
-//!   pooling designs, bounded by the same policy as the thread-pool memo.
+//!   pooling designs, and a key sweep cannot grow memory without limit.
 //! * [`registry`] — every decoder (classic MN, Γ-general MN,
 //!   threshold-MN) behind one trait object.
 //! * [`worker`] — per-shard scratch reuse and the one serve loop every
@@ -101,5 +101,5 @@ pub use telemetry::{
     render_prometheus, FlightRecorder, JobTrace, Metric, MetricsRegistry, MetricsSnapshot,
     TelemetryConfig,
 };
-pub use traffic::{poisson_arrivals, LoadProfile, PreparedProfile};
+pub use traffic::{poisson_arrivals, LoadProfile};
 pub use transport::{TransportConfig, TransportServer};

@@ -64,34 +64,15 @@ impl LoadProfile {
 
     /// Job `i` of this profile (pure function; see module docs).
     ///
-    /// Convenience wrapper over [`Self::prepare`] — callers deriving specs
-    /// in a loop (open-loop replay, a load generator) should prepare
-    /// once and reuse the [`PreparedProfile`] instead.
-    ///
     /// # Panics
     /// Panics if the profile has no decoders or no distinct designs.
     pub fn spec(&self, i: u64) -> JobSpec {
-        self.prepare().spec(i)
-    }
-
-    /// Hoist the per-profile derivation state (seed-tree root and
-    /// validation) out of the per-job path. [`PreparedProfile::spec`] is
-    /// bit-identical to [`Self::spec`]; it just skips rebuilding the
-    /// [`SeedSequence`] root on every call — which the open-loop hot path
-    /// used to do once per generated job.
-    ///
-    /// # Panics
-    /// Panics if the profile has no decoders or no distinct designs.
-    pub fn prepare(&self) -> PreparedProfile<'_> {
-        assert!(!self.decoders.is_empty(), "profile needs at least one decoder");
-        assert!(self.distinct_designs > 0, "profile needs at least one design");
-        PreparedProfile { profile: self, root: SeedSequence::new(self.seed) }
+        self.jobs()(i)
     }
 
     /// The first `count` jobs of the profile.
     pub fn specs(&self, count: usize) -> Vec<JobSpec> {
-        let prepared = self.prepare();
-        (0..count as u64).map(|i| prepared.spec(i)).collect()
+        (0..count as u64).map(self.jobs()).collect()
     }
 
     /// The distinct design keys this profile circulates, in first-use
@@ -100,42 +81,39 @@ impl LoadProfile {
     /// on restart ([`crate::cache::DesignCache::prewarm`]) and what the
     /// cluster membership shards across nodes.
     pub fn design_keys(&self) -> Vec<crate::cache::DesignKey> {
-        let prepared = self.prepare();
-        (0..self.distinct_designs).map(|i| prepared.spec(i).design_key()).collect()
+        let job = self.jobs();
+        (0..self.distinct_designs).map(|i| job(i).design_key()).collect()
     }
-}
 
-/// A [`LoadProfile`] with its derivation root hoisted (see
-/// [`LoadProfile::prepare`]). Cheap to build, cheaper to query: job
-/// generation touches only child-stream derivation, never the root.
-#[derive(Clone, Copy, Debug)]
-pub struct PreparedProfile<'a> {
-    profile: &'a LoadProfile,
-    root: SeedSequence,
-}
-
-impl PreparedProfile<'_> {
-    /// Job `i` — bit-identical to [`LoadProfile::spec`] on the profile
-    /// this was prepared from.
-    pub fn spec(&self, i: u64) -> JobSpec {
-        let p = self.profile;
-        let design_seed = self.root.child("design", i % p.distinct_designs).seed();
-        let query_cost_micros = match &p.query_cost {
-            None => 0,
-            Some(model) => {
-                let mut rng = self.root.child("cost", i).rng();
-                model.sample(&mut rng).round().clamp(0.0, u32::MAX as f64) as u32
+    /// Validate the profile and build its seed-tree root once; the
+    /// returned function derives job `i` from that root.
+    fn jobs(&self) -> impl Fn(u64) -> JobSpec + '_ {
+        assert!(!self.decoders.is_empty(), "profile needs at least one decoder");
+        assert!(self.distinct_designs > 0, "profile needs at least one design");
+        let root = SeedSequence::new(self.seed);
+        move |i| {
+            let design_seed = root.child("design", i % self.distinct_designs).seed();
+            let query_cost_micros = match &self.query_cost {
+                None => 0,
+                Some(model) => {
+                    let mut rng = root.child("cost", i).rng();
+                    model.sample(&mut rng).round().clamp(0.0, u32::MAX as f64) as u32
+                }
+            };
+            JobSpec {
+                id: i,
+                n: self.n,
+                k: self.k,
+                m: self.m,
+                design: DesignSpec {
+                    kind: self.design_kind,
+                    c_milli: self.c_milli,
+                    seed: design_seed,
+                },
+                decoder: self.decoders[(i % self.decoders.len() as u64) as usize],
+                seed: root.child("job", i).seed(),
+                query_cost_micros,
             }
-        };
-        JobSpec {
-            id: i,
-            n: p.n,
-            k: p.k,
-            m: p.m,
-            design: DesignSpec { kind: p.design_kind, c_milli: p.c_milli, seed: design_seed },
-            decoder: p.decoders[(i % p.decoders.len() as u64) as usize],
-            seed: self.root.child("job", i).seed(),
-            query_cost_micros,
         }
     }
 }
@@ -236,19 +214,10 @@ mod tests {
     }
 
     #[test]
-    fn prepared_profile_is_bit_identical_to_per_call_derivation() {
-        // Regression: `spec` used to rebuild the SeedSequence root (and
-        // re-validate) per job on the open-loop hot path. The hoisted
-        // PreparedProfile must change nothing about the derived stream.
+    fn specs_match_per_job_derivation() {
         let p = profile();
-        let prepared = p.prepare();
-        for i in (0..200).chain([1_000_000, u64::MAX / 2, u64::MAX - 1]) {
-            assert_eq!(prepared.spec(i), p.spec(i), "job {i} diverged");
-        }
-        // And `specs` (which routes through the prepared path) stays
-        // consistent with element-wise derivation.
         let specs = p.specs(50);
-        assert_eq!(specs, (0..50u64).map(|i| prepared.spec(i)).collect::<Vec<_>>());
+        assert_eq!(specs, (0..50u64).map(|i| p.spec(i)).collect::<Vec<_>>());
     }
 
     #[test]

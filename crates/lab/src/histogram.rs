@@ -69,13 +69,6 @@ impl LatencyHistogram {
         self.max_micros = self.max_micros.max(micros);
     }
 
-    /// Record one observation in seconds (duration models and
-    /// `Instant::elapsed` both speak seconds).
-    pub fn record_secs(&mut self, secs: f64) {
-        assert!(secs >= 0.0 && secs.is_finite(), "latency must be a finite non-negative time");
-        self.record_micros((secs * 1e6).round() as u64);
-    }
-
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -351,13 +344,6 @@ mod tests {
         for q in [0.1, 0.5, 0.99] {
             assert_eq!(bulk.quantile_micros(q), each.quantile_micros(q));
         }
-    }
-
-    #[test]
-    fn record_secs_converts_to_micros() {
-        let mut h = LatencyHistogram::new();
-        h.record_secs(0.002); // 2 ms
-        assert_eq!(h.max_micros(), 2000);
     }
 
     #[test]

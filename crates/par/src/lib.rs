@@ -9,16 +9,14 @@
 //! the tests and property suites:
 //!
 //! * [`chunks`] — deterministic chunking of index ranges across workers.
-//! * [`sort`] — stable parallel merge sort over `Copy` keys (Γ-general
-//!   MN's ranking step).
-//! * [`topk`] — parallel top-k selection (what Algorithm 1's final sort
-//!   actually needs: the k largest scores).
+//! * [`topk`] — parallel top-k selection over any `Ord` score: what
+//!   Algorithm 1's final sort actually needs (the k largest scores), and
+//!   the one ranking step of every decoder.
 //! * [`scatter`] — atomic scatter-add accumulators: the query-parallel
 //!   reference for the Ψ/Δ* sums.
-//! * [`lru`] — the bounded LRU map behind the engine's design cache and
-//!   the pool memo.
-//! * [`pool`] — scoped rayon thread-pool helpers for the ablation benches,
-//!   with a process-wide memoized pool cache.
+//! * [`lru`] — the bounded LRU map behind the engine's design cache.
+//! * [`pool`] — rayon thread pools of a fixed worker count, for the
+//!   ablation benches and one-thread kernel timings.
 //!
 //! # The Ψ/Δ* kernels
 //!
@@ -39,12 +37,10 @@ pub mod chunks;
 pub mod lru;
 pub mod pool;
 pub mod scatter;
-pub mod sort;
 pub mod topk;
 
 pub use chunks::even_ranges;
 pub use lru::LruCache;
 pub use pool::{install_with_threads, pool_with_threads};
 pub use scatter::AtomicCounters;
-pub use sort::{par_merge_sort, par_merge_sort_with};
 pub use topk::{top_k_indices, top_k_into, TopKScratch};

@@ -1,10 +1,9 @@
 //! A small bounded LRU cache.
 //!
 //! Serving workloads repeat themselves: the engine sees the same pooling
-//! design keys over and over, and the thread-pool helper sees the same
-//! worker counts. Both want *memoization with a memory bound* — an
-//! unbounded map grows monotonically over a long sweep (the PR 1 pool
-//! cache did exactly that). [`LruCache`] is the shared policy: a
+//! design keys over and over, and wants *memoization with a memory
+//! bound* — an unbounded map grows monotonically over a long run.
+//! [`LruCache`] is the policy behind the engine's design cache: a
 //! `HashMap` plus a monotonic use-stamp per entry, evicting the
 //! least-recently-used entry when full.
 //!
@@ -13,11 +12,11 @@
 //! * Hits are allocation-free (a stamp bump on an existing entry), which
 //!   the engine's steady-state zero-allocation contract relies on.
 //! * Eviction scans for the minimal stamp, `O(len)`. Capacities here are
-//!   small (designs, pools: tens at most), so a scan beats the pointer
+//!   small (designs: tens at most), so a scan beats the pointer
 //!   chasing of an intrusive list and keeps the structure trivially
 //!   correct.
-//! * Values are returned by clone; callers cache `Arc<T>` when the value
-//!   is large (both in-repo users do).
+//! * Lookups return a reference; the design cache stores `Arc`s, so a
+//!   hit clones a pointer, not a design.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -84,21 +83,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         evicted
     }
 
-    /// Look up `key`; on a miss, build the value with `make`, insert it,
-    /// and return a clone. A hit clones the cached value and is
-    /// allocation-free apart from the clone itself.
-    pub fn get_or_insert_with(&mut self, key: &K, make: impl FnOnce() -> V) -> V
-    where
-        V: Clone,
-    {
-        if let Some(v) = self.get(key) {
-            return v.clone();
-        }
-        let value = make();
-        self.insert(key.clone(), value.clone());
-        value
-    }
-
     /// Drop every entry (capacity unchanged).
     pub fn clear(&mut self) {
         self.map.clear();
@@ -153,20 +137,6 @@ mod tests {
         assert_eq!(lru.insert(1, "uno"), None);
         assert_eq!(lru.len(), 2);
         assert_eq!(lru.get(&1), Some(&"uno"));
-    }
-
-    #[test]
-    fn get_or_insert_with_builds_once() {
-        let mut lru = LruCache::new(4);
-        let mut builds = 0;
-        for _ in 0..5 {
-            let v = lru.get_or_insert_with(&"k", || {
-                builds += 1;
-                42
-            });
-            assert_eq!(v, 42);
-        }
-        assert_eq!(builds, 1);
     }
 
     #[test]

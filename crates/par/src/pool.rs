@@ -1,4 +1,4 @@
-//! Scoped thread-pool helpers.
+//! Thread pools of a fixed worker count.
 //!
 //! The thread-scaling ablation bench runs the same decode under 1, 2, 4, …
 //! workers; rayon's global pool cannot be resized, so the bench builds
@@ -6,55 +6,27 @@
 //! use [`install_with_threads`] and [`pool_with_threads`] to run on one
 //! thread, as an engine worker does.
 //!
-//! Pools are memoized process-wide by worker count ([`pool_with_threads`]):
-//! building a rayon pool costs ~100 µs, which used to dominate short
-//! ablation iterations that rebuilt the pool per measurement. The memo is
-//! a bounded [`LruCache`] (the same policy the reconstruction engine uses
-//! for pooling designs): a long sweep over many worker counts keeps at
-//! most [`POOL_CACHE_CAPACITY`] pools alive instead of growing without
-//! limit. Evicted pools stay valid for existing holders — the `Arc` keeps
-//! them alive until the last clone drops.
-
-use std::sync::{Arc, Mutex, OnceLock};
+//! Nothing is memoized: the vendored rayon's pool is a worker count that
+//! each parallel call fans out over scoped threads, so building one costs
+//! nothing worth keeping. Callers that time a kernel build the pool
+//! outside the measured region.
 
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
-use crate::lru::LruCache;
-
-/// Bound on the number of distinct worker counts memoized at once. Sweeps
-/// use powers of two up to the machine width, so a handful of entries
-/// covers every realistic caller; anything beyond that rebuilds on demand.
-pub const POOL_CACHE_CAPACITY: usize = 8;
-
-/// Process-wide LRU of pools keyed by worker count.
-static POOL_CACHE: OnceLock<Mutex<LruCache<usize, Arc<ThreadPool>>>> = OnceLock::new();
-
-/// The memoized pool with exactly `threads` workers, built on first request
-/// and shared while it stays among the [`POOL_CACHE_CAPACITY`]
-/// most-recently-used worker counts.
+/// A rayon pool with exactly `threads` workers (`0`: the default
+/// parallelism).
 ///
 /// # Panics
 /// Panics if the pool cannot be built (thread spawn failure).
-pub fn pool_with_threads(threads: usize) -> Arc<ThreadPool> {
-    let cache = POOL_CACHE.get_or_init(|| Mutex::new(LruCache::new(POOL_CACHE_CAPACITY)));
-    if let Some(pool) = cache.lock().expect("pool cache poisoned").get(&threads) {
-        return Arc::clone(pool);
-    }
-    // Build outside the critical section: a failed build must not poison
-    // the cache for thread counts whose pools already exist. Two racing
-    // builders are harmless — the loser's pool is dropped.
-    let pool = Arc::new(
-        ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .thread_name(|i| format!("pooled-worker-{i}"))
-            .build()
-            .expect("failed to build rayon pool"),
-    );
-    let mut cache = cache.lock().expect("pool cache poisoned");
-    cache.get_or_insert_with(&threads, || pool)
+pub fn pool_with_threads(threads: usize) -> ThreadPool {
+    ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .thread_name(|i| format!("pooled-worker-{i}"))
+        .build()
+        .expect("failed to build rayon pool")
 }
 
-/// Run `op` inside the memoized rayon pool with exactly `threads` workers.
+/// Run `op` inside a rayon pool with exactly `threads` workers.
 ///
 /// `threads == 0` means "use the default parallelism".
 pub fn install_with_threads<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
@@ -69,43 +41,12 @@ mod tests {
     use super::*;
     use rayon::prelude::*;
 
-    /// The memoization and eviction tests share the process-wide cache;
-    /// serialize them so the eviction sweep cannot race the identity check.
-    static CACHE_TESTS: Mutex<()> = Mutex::new(());
-
     #[test]
     fn install_limits_worker_count() {
         for t in [1usize, 2, 4] {
             let seen = install_with_threads(t, rayon::current_num_threads);
             assert_eq!(seen, t);
         }
-    }
-
-    #[test]
-    fn pools_are_memoized_per_thread_count() {
-        let _guard = CACHE_TESTS.lock().unwrap();
-        let a = pool_with_threads(2);
-        let b = pool_with_threads(2);
-        assert!(Arc::ptr_eq(&a, &b), "same worker count must share one pool");
-        let c = pool_with_threads(3);
-        assert!(!Arc::ptr_eq(&a, &c), "different worker counts get distinct pools");
-    }
-
-    #[test]
-    fn cache_is_bounded_and_evicted_pools_still_work() {
-        let _guard = CACHE_TESTS.lock().unwrap();
-        // Sweep far past the capacity; every pool handed out stays usable
-        // even after the cache drops its own reference.
-        let held: Vec<Arc<ThreadPool>> =
-            (1..=2 * POOL_CACHE_CAPACITY).map(pool_with_threads).collect();
-        let cache = POOL_CACHE.get().expect("cache initialized by the sweep");
-        assert!(cache.lock().unwrap().len() <= POOL_CACHE_CAPACITY);
-        for (i, pool) in held.iter().enumerate() {
-            assert_eq!(pool.install(rayon::current_num_threads), i + 1);
-        }
-        // A re-request for an evicted count rebuilds rather than panics.
-        let again = pool_with_threads(1);
-        assert_eq!(again.install(rayon::current_num_threads), 1);
     }
 
     #[test]

@@ -1,14 +1,19 @@
-//! Parallel top-k selection.
+//! Parallel top-k selection: the one ranking kernel of every decoder.
 //!
 //! Lines 7–9 of Algorithm 1 sort all `n` scores only to keep the largest
 //! `k`. Since `k = n^θ ≪ n`, selection beats sorting asymptotically; this
-//! module provides the parallel selection the decoders use, and the
-//! faithful full sort ([`top_k_indices_by_sort`]) the tests hold it to.
+//! module provides the selection every decoder ranks through — classic
+//! MN and Threshold-MN on `i64` scores, Γ-general MN on its exact `i128`
+//! scores — and the faithful full sort ([`top_k_indices_by_sort`]) the
+//! tests hold it to. Scores are any `Ord + Copy` type.
 //!
-//! Strategy: each worker scans a contiguous chunk keeping a local min-heap
-//! of its k best items; the heaps are then merged sequentially (k·workers
-//! items, negligible). Ties are broken by ascending index so the result is
-//! deterministic and matches a stable descending sort.
+//! Strategy: one bounded heap of the k best items, its root the weakest
+//! member. With one worker installed, or at most `PAR_GRAIN` (16 384)
+//! scores, one heap scans everything; otherwise each worker scans a
+//! contiguous chunk into a local heap and the locals are offered to the
+//! final heap sequentially (k·workers items, negligible). Ties are broken
+//! by ascending index, so the result is deterministic and matches a
+//! stable descending sort.
 
 use rayon::prelude::*;
 use std::collections::BinaryHeap;
@@ -18,16 +23,16 @@ use crate::chunks::{chunk_count, even_ranges};
 /// Minimum chunk size before parallel selection engages.
 const PAR_GRAIN: usize = 1 << 14;
 
-/// Entry in the selection heap: ordered by (score asc, index desc) so the
+/// Entry in the selection heap, ordered by (score asc, index desc) so the
 /// heap root is the *weakest* current member under the deterministic
-/// (score desc, index asc) ranking.
+/// (score desc, index asc) ranking — and ascending order is that ranking.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Weakest {
-    score: i64,
+struct Weakest<S> {
+    score: S,
     index: usize,
 }
 
-impl Ord for Weakest {
+impl<S: Ord> Ord for Weakest<S> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // BinaryHeap is a max-heap; we want the root to be the entry that
         // loses first, i.e. smallest score, largest index on ties.
@@ -35,7 +40,7 @@ impl Ord for Weakest {
     }
 }
 
-impl PartialOrd for Weakest {
+impl<S: Ord> PartialOrd for Weakest<S> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -45,126 +50,118 @@ impl PartialOrd for Weakest {
 ///
 /// Returns exactly `min(k, scores.len())` indices in ranking order. The
 /// result is identical to sorting `(Reverse(score), index)` and truncating —
-/// the decoder's property tests rely on that equivalence.
-pub fn top_k_indices(scores: &[i64], k: usize) -> Vec<usize> {
-    let n = scores.len();
-    let k = k.min(n);
-    if k == 0 {
-        return Vec::new();
-    }
-    let parts = chunk_count(n, PAR_GRAIN.max(k));
-    let merged: Vec<Weakest> = if parts <= 1 {
-        chunk_top_k(scores, 0..n, k)
-    } else {
-        let ranges = even_ranges(n, parts);
-        let locals: Vec<Vec<Weakest>> =
-            ranges.into_par_iter().map(|r| chunk_top_k(scores, r, k)).collect();
-        let mut all: Vec<Weakest> = locals.into_iter().flatten().collect();
-        // Global cut: rank and keep the best k.
-        all.sort_unstable_by(|a, b| b.score.cmp(&a.score).then(a.index.cmp(&b.index)));
-        all.truncate(k);
-        all
-    };
-    let mut out: Vec<Weakest> = merged;
-    out.sort_unstable_by(|a, b| b.score.cmp(&a.score).then(a.index.cmp(&b.index)));
-    out.into_iter().map(|w| w.index).collect()
+/// the decoder's property tests rely on that equivalence. Runs
+/// [`top_k_into`] on a fresh scratch.
+pub fn top_k_indices<S: Ord + Copy + Send + Sync>(scores: &[S], k: usize) -> Vec<usize> {
+    let mut out = Vec::new();
+    top_k_into(scores, k, &mut out, &mut TopKScratch::new());
+    out
 }
 
-fn chunk_top_k(scores: &[i64], range: std::ops::Range<usize>, k: usize) -> Vec<Weakest> {
-    let mut heap: BinaryHeap<Weakest> = BinaryHeap::with_capacity(k + 1);
-    select_into_heap(&mut heap, scores, range, k);
-    heap.into_vec()
-}
-
-/// The one selection loop both paths share: keep the `k` best of `range`
-/// in `heap` under the deterministic `(score desc, index asc)` ranking.
-fn select_into_heap(
-    heap: &mut BinaryHeap<Weakest>,
-    scores: &[i64],
-    range: std::ops::Range<usize>,
+/// The one selection loop: offer `items` to `heap`, which keeps the `k`
+/// best under the deterministic `(score desc, index asc)` ranking.
+fn select<S: Ord + Copy>(
+    heap: &mut BinaryHeap<Weakest<S>>,
+    items: impl IntoIterator<Item = Weakest<S>>,
     k: usize,
 ) {
-    for i in range {
-        let cand = Weakest { score: scores[i], index: i };
+    for cand in items {
         if heap.len() < k {
             heap.push(cand);
-        } else if let Some(&root) = heap.peek() {
-            // Candidate beats the weakest member under (score desc, idx asc)?
-            let beats =
-                cand.score > root.score || (cand.score == root.score && cand.index < root.index);
-            if beats {
-                heap.pop();
-                heap.push(cand);
+        } else if let Some(mut root) = heap.peek_mut() {
+            // Candidate beats the weakest member: replace the root (the
+            // guard sifts it down on drop).
+            if cand < *root {
+                *root = cand;
             }
         }
     }
 }
 
+/// `scores[range]` as heap entries carrying their global indices.
+fn entries<S: Copy>(
+    scores: &[S],
+    range: std::ops::Range<usize>,
+) -> impl Iterator<Item = Weakest<S>> + '_ {
+    let start = range.start;
+    scores[range].iter().enumerate().map(move |(j, &score)| Weakest { score, index: start + j })
+}
+
 /// Reusable scratch for [`top_k_into`]: holds the selection heap's backing
 /// storage across calls so repeated selections allocate nothing after
 /// warm-up.
-#[derive(Default)]
-pub struct TopKScratch {
-    heap_buf: Vec<Weakest>,
-    merge_buf: Vec<Weakest>,
+pub struct TopKScratch<S> {
+    heap_buf: Vec<Weakest<S>>,
 }
 
-impl TopKScratch {
-    /// Empty scratch; buffers grow on first use.
+impl<S> TopKScratch<S> {
+    /// Empty scratch; the buffer grows on first use.
     pub fn new() -> Self {
-        Self::default()
+        Self { heap_buf: Vec::new() }
     }
 }
 
-impl std::fmt::Debug for TopKScratch {
+impl<S> Default for TopKScratch<S> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<S> std::fmt::Debug for TopKScratch<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TopKScratch").field("capacity", &self.heap_buf.capacity()).finish()
     }
 }
 
-/// Workspace variant of [`top_k_indices`]: writes the result into `out`
-/// (cleared first) and reuses `scratch` for the selection heap.
+/// Write the indices of the `k` largest scores into `out` (cleared
+/// first), ranked by `(score desc, index asc)`, reusing `scratch` for the
+/// selection heap.
 ///
-/// Identical output to [`top_k_indices`] — deterministic `(score desc,
-/// index asc)` ranking. Allocation-free once `out` and `scratch` have grown
-/// to the workload's `k` (single-worker sequential selection; with more
-/// workers it currently delegates to the parallel path, which allocates its
-/// per-chunk heaps).
-pub fn top_k_into(scores: &[i64], k: usize, out: &mut Vec<usize>, scratch: &mut TopKScratch) {
+/// Allocation-free once `out` and `scratch` have grown to the workload's
+/// `k`, as long as the selection runs on one heap (one worker installed,
+/// or at most 16 384 scores); the parallel arm allocates its per-chunk
+/// heaps.
+pub fn top_k_into<S: Ord + Copy + Send + Sync>(
+    scores: &[S],
+    k: usize,
+    out: &mut Vec<usize>,
+    scratch: &mut TopKScratch<S>,
+) {
     out.clear();
     let n = scores.len();
     let k = k.min(n);
     if k == 0 {
         return;
     }
-    if chunk_count(n, PAR_GRAIN.max(k)) > 1 {
-        // Parallel regime: reuse the multi-chunk kernel.
-        out.extend(top_k_indices(scores, k));
-        return;
-    }
-    // Sequential selection on the reusable heap buffer (cleared *before*
-    // the conversion so no stale elements get heapified).
-    let mut heap_vec = std::mem::take(&mut scratch.heap_buf);
-    heap_vec.clear();
-    let mut heap = BinaryHeap::from(heap_vec);
+    // The buffer is stored empty, so the conversion heapifies nothing.
+    let mut heap = BinaryHeap::from(std::mem::take(&mut scratch.heap_buf));
     // `reserve` takes an *additional* count (len is 0 here), so this
     // guarantees capacity ≥ k+1 outright — no mid-selection regrowth.
     heap.reserve(k + 1);
-    select_into_heap(&mut heap, scores, 0..n, k);
-    let mut merged = std::mem::take(&mut scratch.merge_buf);
-    merged.clear();
-    let mut heap_vec = heap.into_vec();
-    merged.extend_from_slice(&heap_vec);
-    heap_vec.clear();
-    scratch.heap_buf = heap_vec;
-    merged.sort_unstable_by(|a, b| b.score.cmp(&a.score).then(a.index.cmp(&b.index)));
-    out.extend(merged.iter().map(|w| w.index));
-    scratch.merge_buf = merged;
+    let parts = chunk_count(n, PAR_GRAIN.max(k));
+    if parts <= 1 {
+        select(&mut heap, entries(scores, 0..n), k);
+    } else {
+        let locals: Vec<Vec<Weakest<S>>> = even_ranges(n, parts)
+            .into_par_iter()
+            .map(|range| {
+                let mut local = BinaryHeap::with_capacity(k + 1);
+                select(&mut local, entries(scores, range), k);
+                local.into_vec()
+            })
+            .collect();
+        select(&mut heap, locals.into_iter().flatten(), k);
+    }
+    // Ascending heap order is the ranking order.
+    let mut ranked = heap.into_sorted_vec();
+    out.extend(ranked.iter().map(|w| w.index));
+    ranked.clear();
+    scratch.heap_buf = ranked;
 }
 
 /// Reference sequential implementation (full sort): Algorithm 1's
 /// Lines 7–9 as written, which the tests compare every selection with.
-pub fn top_k_indices_by_sort(scores: &[i64], k: usize) -> Vec<usize> {
+pub fn top_k_indices_by_sort<S: Ord>(scores: &[S], k: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..scores.len()).collect();
     order.sort_by(|&a, &b| scores[b].cmp(&scores[a]).then(a.cmp(&b)));
     order.truncate(k.min(scores.len()));
@@ -193,6 +190,25 @@ mod tests {
     }
 
     #[test]
+    fn wide_scores_match_sort_reference_on_both_arms() {
+        // Exact i128 scores as Γ-general MN ranks them: past i64's range,
+        // with ties, on one heap and on per-worker chunks, with one
+        // scratch reused throughout.
+        let mut rng = SplitMix64::new(13);
+        let scores: Vec<i128> = (0..40_000).map(|_| (rng.below(500) as i128 - 250) << 70).collect();
+        let mut out = Vec::new();
+        let mut scratch = TopKScratch::new();
+        for threads in [1usize, 2] {
+            for k in [1usize, 50, 4000] {
+                crate::pool::install_with_threads(threads, || {
+                    top_k_into(&scores, k, &mut out, &mut scratch)
+                });
+                assert_eq!(out, top_k_indices_by_sort(&scores, k), "threads={threads} k={k}");
+            }
+        }
+    }
+
+    #[test]
     fn ties_break_by_ascending_index() {
         let scores = vec![1i64; 100_000];
         let got = top_k_indices(&scores, 5);
@@ -208,7 +224,7 @@ mod tests {
 
     #[test]
     fn empty_scores() {
-        assert!(top_k_indices(&[], 4).is_empty());
+        assert!(top_k_indices::<i64>(&[], 4).is_empty());
     }
 
     #[test]

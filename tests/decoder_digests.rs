@@ -7,13 +7,21 @@
 //! while the decoders still took their sums from several kernels
 //! (blocked, atomic and direct scatter, fused trial kernels), so the one
 //! sum path that replaced them has to reproduce every decode exactly.
+//!
+//! A second golden decodes every family above the top-k kernel's
+//! parallel grain on two threads, and folds classic and Γ-general MN's
+//! support in ranking order, so the parallel arm of the selection is
+//! pinned too. Its constants were recorded while Γ-general MN still
+//! ranked all `n` scores with a parallel merge sort.
 
 use pooled_data::baselines::control::PsiOnlyDecoder;
 use pooled_data::baselines::AdditiveDecoder;
 use pooled_data::core::mn_general::GeneralMnDecoder;
+use pooled_data::core::workspace::MnWorkspace;
 use pooled_data::design::factory::DesignKind;
 use pooled_data::design::StreamingDesign;
 use pooled_data::engine::job::Digest;
+use pooled_data::par::pool::pool_with_threads;
 use pooled_data::prelude::*;
 use pooled_data::threshold::ThresholdMnDecoder;
 
@@ -57,6 +65,19 @@ const GOLDEN: [(DesignKind, [[u64; 4]; 2]); 4] = [
 /// MN, Γ-general MN and Threshold-MN digests on
 /// `StreamingDesign::new(257, 130, 128, …)`.
 const GOLDEN_STREAMING: [u64; 3] = [1155688843086463479, 12580036340811016065, 274057766045849613];
+
+/// `(n, m, c, k)` with `n` above the top-k kernel's parallel grain
+/// (16 384 scores), so a 2-thread selection splits into two chunks.
+const PAR_SHAPE: (usize, usize, f64, usize) = (20_000, 300, 0.5, 50);
+
+/// Per family at [`PAR_SHAPE`] on 2 threads: classic MN's and Γ-general
+/// MN's support in ranking order, folded with their scores.
+const GOLDEN_PAR: [(DesignKind, [u64; 2]); 4] = [
+    (DesignKind::RandomRegular, [12714508867108108458, 17167250345259321212]),
+    (DesignKind::NoReplace, [4664989085350115165, 7841287639295893216]),
+    (DesignKind::Bernoulli, [4863086833649167063, 10006578155025668449]),
+    (DesignKind::EntryRegular, [6972998663730243587, 15543242375059285425]),
+];
 
 fn push_all(h: &mut Digest, values: &[u64]) {
     h.push(values.len() as u64);
@@ -143,4 +164,35 @@ fn every_decoder_reproduces_its_golden_digests() {
     let stream = StreamingDesign::new(257, 130, 128, &SeedSequence::new(1907).child("design", 0));
     let streaming = digest_decoders(&stream, 5, 1907);
     assert_eq!((got, streaming), (GOLDEN.to_vec(), GOLDEN_STREAMING));
+}
+
+#[test]
+fn ranking_above_the_parallel_grain_reproduces_its_golden_digests() {
+    let (n, m, c, k) = PAR_SHAPE;
+    let got: Vec<(DesignKind, [u64; 2])> = pool_with_threads(2).install(|| {
+        GOLDEN_PAR
+            .iter()
+            .map(|&(kind, _)| {
+                let seed = 1908;
+                let design = kind.sample(n, m, c, &SeedSequence::new(seed).child("design", 0));
+                let (y, _) = instance(&design, k, seed);
+                let mut ws = MnWorkspace::new();
+                MnDecoder::new(k).decode_with(&design, &y, &mut ws);
+                let mut h = Digest::new();
+                push_support(&mut h, ws.support());
+                for &s in ws.scores() {
+                    h.push(s as u64);
+                }
+                let mn = h.finish();
+                GeneralMnDecoder::new(k).decode_with(&design, &y, &mut ws);
+                let mut h = Digest::new();
+                push_support(&mut h, ws.support());
+                for &s in ws.scores_wide() {
+                    h.push_i128(s);
+                }
+                (kind, [mn, h.finish()])
+            })
+            .collect()
+    });
+    assert_eq!(got, GOLDEN_PAR.to_vec());
 }
