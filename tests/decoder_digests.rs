@@ -13,6 +13,12 @@
 //! support in ranking order, so the parallel arm of the selection is
 //! pinned too. Its constants were recorded while Γ-general MN still
 //! ranked all `n` scores with a parallel merge sort.
+//!
+//! A third golden decodes every family at the benchmark's `single_large`
+//! shape, whose bitmap rows are 14 words long, so the popcount kernel's
+//! full-width vectors and their masked tails are pinned as well. Its
+//! constants were recorded while the kernel still counted one bitmap
+//! word per instruction.
 
 use pooled_data::baselines::control::PsiOnlyDecoder;
 use pooled_data::baselines::AdditiveDecoder;
@@ -77,6 +83,19 @@ const GOLDEN_PAR: [(DesignKind, [u64; 2]); 4] = [
     (DesignKind::NoReplace, [4664989085350115165, 7841287639295893216]),
     (DesignKind::Bernoulli, [4863086833649167063, 10006578155025668449]),
     (DesignKind::EntryRegular, [6972998663730243587, 15543242375059285425]),
+];
+
+/// `(n, m, c, k)` of the benchmark's `single_large` workload: bitmap rows
+/// of `⌈862/64⌉ = 14` words.
+const LARGE_SHAPE: (usize, usize, f64, usize) = (10_000, 862, 0.5, 16);
+
+/// Per family at [`LARGE_SHAPE`]: the MN, Γ-general MN and Threshold-MN
+/// digests.
+const GOLDEN_LARGE: [(DesignKind, [u64; 3]); 4] = [
+    (DesignKind::RandomRegular, [11942688338358282816, 15709730036927074459, 5149336630232150168]),
+    (DesignKind::NoReplace, [2451169160745905764, 14165643331745715445, 2082426543430985598]),
+    (DesignKind::Bernoulli, [11103172502438337373, 14914343576233855020, 8589028651243858540]),
+    (DesignKind::EntryRegular, [2778794556080123346, 17166242511092192005, 4816587555039737718]),
 ];
 
 fn push_all(h: &mut Digest, values: &[u64]) {
@@ -195,4 +214,19 @@ fn ranking_above_the_parallel_grain_reproduces_its_golden_digests() {
             .collect()
     });
     assert_eq!(got, GOLDEN_PAR.to_vec());
+}
+
+#[test]
+fn single_large_shape_reproduces_its_golden_digests() {
+    let (n, m, c, k) = LARGE_SHAPE;
+    let got: Vec<(DesignKind, [u64; 3])> = GOLDEN_LARGE
+        .iter()
+        .map(|&(kind, _)| {
+            let seed = 1909;
+            let design = kind.sample(n, m, c, &SeedSequence::new(seed).child("design", 0));
+            assert!(design.csr().has_bitmap(), "{} keeps a bitmap", kind.name());
+            (kind, digest_decoders(&design, k, seed))
+        })
+        .collect();
+    assert_eq!(got, GOLDEN_LARGE.to_vec());
 }
