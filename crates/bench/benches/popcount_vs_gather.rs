@@ -1,12 +1,14 @@
-//! Ψ/Δ* by popcount over the entry bitmap vs the index gather over the
-//! transpose, by the number of mixed weight bit-planes: the measurement
-//! behind the crossover constant in `pooled_design::csr`.
+//! Ψ/Δ* by popcount over the entry bitmap, on every instruction arm the
+//! running CPU has, vs the index gather over the transpose, by the number
+//! of mixed weight bit-planes: the measurement behind the crossover
+//! constant in `pooled_design::csr`, and behind serving the fastest arm
+//! at every row width.
 //!
-//! Shapes are the served ones at the paper's `c = ½` (`single_large` and
-//! `cold_churn` of the repository benchmark) and a density sweep down to
-//! the bitmap's cutoff of 1/32. Weights are uniform below `2^p`, so all
-//! `p` planes are mixed. Everything runs on one thread, as engine workers
-//! do.
+//! Shapes are the served ones at the paper's `c = ½` (`single_large`,
+//! `cold_churn` and `cluster_tcp` of the repository benchmark: bitmap rows
+//! of 14, 9 and 6 words) and a density sweep down to the bitmap's cutoff
+//! of 1/32. Weights are uniform below `2^p`, so all `p` planes are mixed.
+//! Everything runs on one thread, as engine workers do.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -23,6 +25,7 @@ fn bench(c: &mut Criterion) {
     let shapes = [
         ("n10000_m862_g2", 10_000usize, 862usize, 5_000usize),
         ("n4000_m564_g2", 4_000, 564, 2_000),
+        ("n1000_m334_g2", 1_000, 334, 500),
         ("n10000_m862_g4", 10_000, 862, 2_500),
         ("n10000_m862_g8", 10_000, 862, 1_250),
         ("n10000_m862_g16", 10_000, 862, 625),
@@ -42,9 +45,8 @@ fn bench(c: &mut Criterion) {
                         black_box(psi[0])
                     });
                 });
-                for (arm, name) in
-                    [(PopcountArm::Native, "popcnt"), (PopcountArm::Portable, "portable")]
-                {
+                for arm in PopcountArm::available() {
+                    let name = format!("{arm:?}").to_lowercase();
                     group.bench_function(format!("{name}/{label}/p{planes}"), |b| {
                         b.iter(|| {
                             design.popcount_distinct_into(&w, &mut psi, &mut dstar, arm);

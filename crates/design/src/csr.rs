@@ -40,10 +40,20 @@
 //! serves designs without a bitmap, and weights with more mixed planes
 //! than the measured crossover: 5/4 of the incidences per bitmap word,
 //! which is 30 planes at the paper's `c = ½` and 2 at the 1/32 cutoff.
-//! The popcount kernel runs per entry and writes nothing shared. On x86-64
-//! it runs the `popcnt` instruction when the CPU has one (detected at run
-//! time; the build targets baseline x86-64), and a portable count
-//! otherwise ([`PopcountArm`]).
+//! The popcount kernel runs per entry and writes nothing shared, so each
+//! row's sums can be counted eight words at a time. It has three
+//! instruction arms ([`PopcountArm`]), and each call runs the fastest one
+//! the CPU has, read once per call at run time; the build targets
+//! baseline x86-64. The AVX-512 arm reads a pass's row as 512-bit vectors,
+//! the last one a masked load of the row's remaining words, and counts
+//! each with `VPOPCNTQ`; the `popcnt` arm counts one word per
+//! instruction; the portable arm runs anywhere. The bitmap keeps its
+//! `⌈m/64⌉`-word rows for every arm: only the weight planes, built once
+//! per pass, start each plane on a whole vector. On one thread of a
+//! 2-vCPU Xeon the AVX-512 arm took 0.3–0.66× the `popcnt` arm's time at
+//! the served rows of 6, 9 and 14 words, with 1 to 24 mixed planes, so
+//! no row width calls for the `popcnt` arm where the vector arm runs
+//! (`cargo bench -p pooled_bench --bench popcount_vs_gather`).
 
 use rayon::prelude::*;
 
@@ -71,6 +81,12 @@ const BITMAP_DENSITY_RECIP: usize = 32;
 /// 1.4 planes per incidence a word; 5/4 sits just below. The paper's
 /// `c = ½` designs allow 30–39 planes; the served weights have 0–12
 /// (`y` 3–5, Bernoulli pool sizes 10–12, every other weight vector 0–1).
+///
+/// It was measured on the `popcnt` arm and stays for every arm. The
+/// AVX-512 arm only widens popcount's lead over the gather, so a
+/// crossover measured on it would send more weights to popcount, never
+/// fewer; one constant keeps the choice between popcount and gather the
+/// same on every CPU, and the served weights sit far below it anyway.
 const CROSSOVER: (usize, usize) = (5, 4);
 
 /// Incidences per block of the transpose scatter (see
@@ -83,26 +99,73 @@ const CROSSOVER: (usize, usize) = (5, 4);
 /// slower.
 const SCATTER_BLOCK: usize = 1 << 14;
 
-/// Words of weight bit-planes one pass of the popcount kernel holds on the
-/// stack (8 KiB). Weights with `p` mixed planes are counted over
-/// `1024 / p` words of queries per pass, so any `m` and any width up to 64
-/// planes decode without allocating; every served shape fits in one pass.
+/// Words of weight bit-planes one pass of the popcount kernel counts.
+/// Weights with `p` mixed planes are counted over `1024 / p` words of
+/// queries per pass, so any `m` and any width up to 64 planes decode
+/// without allocating; every served shape fits in one pass.
 const PLANE_WORDS: usize = 1024;
 
-/// Entries per task of the popcount kernel: one instruction dispatch per
-/// block, not per entry.
+/// 512-bit vectors of the plane buffer a pass holds on the stack
+/// (11.5 KiB): each plane starts on a whole vector, so the
+/// [`PLANE_WORDS`] words a pass counts pad out by at most 7 words for
+/// each of up to 64 planes.
+const PLANE_VECTORS: usize = (PLANE_WORDS + 7 * 64) / 8;
+
+/// Entries per task of the popcount kernel.
 const ENTRY_BLOCK: usize = 256;
 
-/// The two arms of the popcount kernel's instruction dispatch.
+/// The instruction arms of the popcount kernel. Every arm gives the same
+/// sums; they differ in how many bitmap words one instruction counts.
+///
+/// [`CsrDesign::gather_distinct_into`] runs [`PopcountArm::best`], read
+/// from the CPU once per call. The build targets baseline x86-64, so the
+/// AVX-512 and `popcnt` arms are compiled for their instructions alone
+/// and run only where the CPU reports them:
+/// [`CsrDesign::popcount_distinct_into`] refuses an arm the CPU lacks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PopcountArm {
-    /// The `popcnt` instruction when the CPU has one (detected at run
-    /// time on x86-64), else the portable count. What
-    /// [`CsrDesign::gather_distinct_into`] runs.
-    Native,
-    /// The portable count on every CPU: the fallback arm, callable on its
-    /// own so that hosts with `popcnt` still test it.
+    /// AVX-512 `VPOPCNTQ`: eight bitmap words per instruction, on x86-64
+    /// CPUs with `avx512f` and `avx512vpopcntdq`.
+    Avx512,
+    /// The scalar `popcnt` instruction, one word at a time, on x86-64
+    /// CPUs with `popcnt`.
+    Popcnt,
+    /// The portable count as the baseline target compiles it: runs on
+    /// every CPU, and is the only arm on other targets.
     Portable,
+}
+
+impl PopcountArm {
+    /// Every arm, fastest first.
+    const ALL: [Self; 3] = [Self::Avx512, Self::Popcnt, Self::Portable];
+
+    /// Whether the running CPU has this arm's instructions (detected at
+    /// run time).
+    pub fn is_available(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512 => {
+                std::is_x86_feature_detected!("avx512f")
+                    && std::is_x86_feature_detected!("avx512vpopcntdq")
+            }
+            #[cfg(target_arch = "x86_64")]
+            Self::Popcnt => std::is_x86_feature_detected!("popcnt"),
+            Self::Portable => true,
+            #[cfg(not(target_arch = "x86_64"))]
+            Self::Avx512 | Self::Popcnt => false,
+        }
+    }
+
+    /// The arms the running CPU has, fastest first.
+    pub fn available() -> impl Iterator<Item = Self> {
+        Self::ALL.into_iter().filter(|arm| arm.is_available())
+    }
+
+    /// The fastest arm the running CPU has: the one
+    /// [`CsrDesign::gather_distinct_into`] serves.
+    pub fn best() -> Self {
+        Self::available().next().unwrap_or(Self::Portable)
+    }
 }
 
 /// Compressed sparse rows for both orientations of the bipartite multigraph.
@@ -342,7 +405,7 @@ impl CsrDesign {
         self.check_sums_args(w, psi, dstar);
         let planes = WeightPlanes::of(w);
         if self.has_bitmap() && planes.mixed.count_ones() <= self.popcount_planes {
-            self.popcount_sums(w, planes, psi, dstar, PopcountArm::Native);
+            self.popcount_sums(w, planes, psi, dstar, PopcountArm::best());
         } else {
             self.index_gather_sums(w, psi, dstar);
         }
@@ -352,8 +415,9 @@ impl CsrDesign {
     /// any weight width, on the chosen instruction arm.
     ///
     /// # Panics
-    /// Panics if the design keeps no bitmap ([`Self::has_bitmap`]), or on
-    /// the argument checks of [`Self::gather_distinct_into`].
+    /// Panics if the design keeps no bitmap ([`Self::has_bitmap`]), if the
+    /// running CPU lacks `arm` ([`PopcountArm::is_available`]), or on the
+    /// argument checks of [`Self::gather_distinct_into`].
     pub fn popcount_distinct_into(
         &self,
         w: &[u64],
@@ -398,7 +462,11 @@ impl CsrDesign {
 
     /// The popcount kernel: per pass, the mixed planes of a run of query
     /// words go on the stack, then every entry block counts its rows
-    /// against them.
+    /// against them on `arm`.
+    ///
+    /// # Panics
+    /// Panics if the running CPU lacks `arm`, so no arm's instructions
+    /// run on a CPU without them.
     fn popcount_sums(
         &self,
         w: &[u64],
@@ -407,6 +475,7 @@ impl CsrDesign {
         dstar: &mut [u64],
         arm: PopcountArm,
     ) {
+        assert!(arm.is_available(), "popcount arm {arm:?} is not available on this CPU");
         let mut shifts = [0u32; 64];
         let mut count = 0;
         for b in 0..64 {
@@ -417,16 +486,17 @@ impl CsrDesign {
         }
         let shifts = &shifts[..count];
         let span = PLANE_WORDS.checked_div(count).map_or(self.words, |s| s.min(self.words));
-        let mut buf = [0u64; PLANE_WORDS];
+        let mut buf = PlaneBuffer([[0; 8]; PLANE_VECTORS]);
         let mut w0 = 0;
         while w0 < self.words {
             let cw = span.min(self.words - w0);
-            let plane_words = &mut buf[..count * cw];
-            plane_words.fill(0);
+            let vectors = cw.div_ceil(8);
+            let plane_vectors = &mut buf.0[..count * vectors];
+            plane_vectors.fill([0; 8]);
             let q0 = w0 * 64;
             for (q, &v) in w[q0..(q0 + cw * 64).min(self.m)].iter().enumerate() {
                 for (j, &s) in shifts.iter().enumerate() {
-                    plane_words[j * cw + q / 64] |= (v >> s & 1) << (q % 64);
+                    plane_vectors[j * vectors + q / 512][q / 64 % 8] |= (v >> s & 1) << (q % 64);
                 }
             }
             let pass = PopcountPass {
@@ -434,7 +504,8 @@ impl CsrDesign {
                 words: self.words,
                 w0,
                 cw,
-                planes: plane_words,
+                vectors,
+                planes: plane_vectors,
                 shifts,
                 full: planes.full,
                 first: w0 == 0,
@@ -464,6 +535,11 @@ impl WeightPlanes {
     }
 }
 
+/// The weight planes of one pass, each plane starting on a whole 512-bit
+/// vector of 8 words, zero past the pass's `cw` words.
+#[repr(C, align(64))]
+struct PlaneBuffer([[u64; 8]; PLANE_VECTORS]);
+
 /// One pass of the popcount kernel: query words `w0..w0 + cw` of every
 /// bitmap row against the mixed planes of the same words.
 struct PopcountPass<'a> {
@@ -471,8 +547,11 @@ struct PopcountPass<'a> {
     words: usize,
     w0: usize,
     cw: usize,
-    /// Mixed plane `j` is `planes[j·cw..(j+1)·cw]`, shifted by `shifts[j]`.
-    planes: &'a [u64],
+    /// `⌈cw/8⌉`: the 512-bit vectors a row of the pass spans.
+    vectors: usize,
+    /// Mixed plane `j` is `planes[j·vectors..(j+1)·vectors]`, shifted by
+    /// `shifts[j]`; its words past `cw` are zero.
+    planes: &'a [[u64; 8]],
     shifts: &'a [u32],
     full: u64,
     /// The first pass writes the sums; later passes add to them.
@@ -481,15 +560,21 @@ struct PopcountPass<'a> {
 
 impl PopcountPass<'_> {
     /// Count the rows of entries `first_entry..` into `psi`/`dstar` on
-    /// `arm`.
+    /// `arm`, which the running CPU has (checked by
+    /// [`CsrDesign::popcount_sums`] before any pass runs).
     fn run(&self, first_entry: usize, psi: &mut [u64], dstar: &mut [u64], arm: PopcountArm) {
-        #[cfg(target_arch = "x86_64")]
-        if arm == PopcountArm::Native && std::is_x86_feature_detected!("popcnt") {
-            // SAFETY: the running CPU supports `popcnt`, checked just above.
-            return unsafe { self.run_popcnt(first_entry, psi, dstar) };
+        match arm {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the running CPU has `avx512f` and `avx512vpopcntdq`:
+            // `popcount_sums` asserted `arm.is_available()`.
+            PopcountArm::Avx512 => unsafe { self.run_avx512(first_entry, psi, dstar) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the running CPU has `popcnt`: `popcount_sums`
+            // asserted `arm.is_available()`.
+            PopcountArm::Popcnt => unsafe { self.run_popcnt(first_entry, psi, dstar) },
+            // Other targets refuse the x86-64 arms before any pass runs.
+            _ => self.rows(first_entry, psi, dstar),
         }
-        let _ = arm; // other targets have one arm: `count_ones` as compiled
-        self.rows(first_entry, psi, dstar);
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -498,8 +583,8 @@ impl PopcountPass<'_> {
         self.rows(first_entry, psi, dstar);
     }
 
-    /// The kernel body, inlined into each arm so `count_ones` compiles to
-    /// that arm's instruction.
+    /// The scalar kernel body, inlined into each scalar arm so
+    /// `count_ones` compiles to that arm's instruction.
     #[inline(always)]
     fn rows(&self, first_entry: usize, psi: &mut [u64], dstar: &mut [u64]) {
         for (j, (p, d)) in psi.iter_mut().zip(dstar.iter_mut()).enumerate() {
@@ -507,17 +592,75 @@ impl PopcountPass<'_> {
             let row = &self.bits[start..start + self.cw];
             let degree: u64 = row.iter().map(|x| x.count_ones() as u64).sum();
             let mut sum = self.full * degree;
-            for (plane, &s) in self.planes.chunks_exact(self.cw).zip(self.shifts) {
+            for (j, &s) in self.shifts.iter().enumerate() {
+                let plane = self.plane(j).as_flattened();
                 let c: u64 = row.iter().zip(plane).map(|(x, y)| (x & y).count_ones() as u64).sum();
                 sum += c << s;
             }
-            if self.first {
-                *p = sum;
-                *d = degree;
-            } else {
-                *p += sum;
-                *d += degree;
+            self.write(p, d, sum, degree);
+        }
+    }
+
+    /// The vector kernel: each row is read as `⌈cw/8⌉` 512-bit vectors,
+    /// the last one a masked load of the row's remaining words. The Δ*
+    /// lanes add each row vector's popcount; per mixed plane, lanes count
+    /// each row vector ANDed with the plane's vector, and the Ψ lanes add
+    /// that count shifted by the plane's bit. One horizontal add per sum
+    /// ends the row.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn run_avx512(&self, first_entry: usize, psi: &mut [u64], dstar: &mut [u64]) {
+        use std::arch::x86_64::*;
+        // SAFETY: `x` is 8 words, one whole vector.
+        let lanes = |x: &[u64; 8]| unsafe { _mm512_loadu_epi64(x.as_ptr().cast()) };
+        // The row's whole vectors before its last one, and the lanes of
+        // the last one that hold the row's remaining 1 to 8 words.
+        let head = (self.cw - 1) / 8;
+        let tail = 0xFF >> (7 - (self.cw - 1) % 8);
+        for (j, (p, d)) in psi.iter_mut().zip(dstar.iter_mut()).enumerate() {
+            let start = (first_entry + j) * self.words + self.w0;
+            let row = &self.bits[start..start + self.cw];
+            let whole = &row.as_chunks::<8>().0[..head];
+            // SAFETY: `8·head < cw`, and the lanes set in `tail` are words
+            // `8·head..cw` of `row`; the masked load reads no other lane.
+            let last = unsafe { _mm512_maskz_loadu_epi64(tail, row.as_ptr().add(8 * head).cast()) };
+            let mut degree = _mm512_popcnt_epi64(last);
+            for x in whole {
+                degree = _mm512_add_epi64(degree, _mm512_popcnt_epi64(lanes(x)));
             }
+            let mut sum = _mm512_setzero_si512();
+            for (j, &s) in self.shifts.iter().enumerate() {
+                let plane = self.plane(j);
+                let mut c = _mm512_popcnt_epi64(_mm512_and_si512(last, lanes(&plane[head])));
+                for (x, y) in whole.iter().zip(plane) {
+                    let both = _mm512_and_si512(lanes(x), lanes(y));
+                    c = _mm512_add_epi64(c, _mm512_popcnt_epi64(both));
+                }
+                sum = _mm512_add_epi64(sum, _mm512_sll_epi64(c, _mm_cvtsi32_si128(s as i32)));
+            }
+            let degree = _mm512_reduce_add_epi64(degree) as u64;
+            let sum = self.full * degree + _mm512_reduce_add_epi64(sum) as u64;
+            self.write(p, d, sum, degree);
+        }
+    }
+
+    /// Mixed plane `j`'s vectors. (Indexed, not chunked: a chunk iterator
+    /// made per row divides by `vectors` each time.)
+    #[inline(always)]
+    fn plane(&self, j: usize) -> &[[u64; 8]] {
+        &self.planes[j * self.vectors..(j + 1) * self.vectors]
+    }
+
+    /// Every arm's write rule: the first pass writes the sums, later
+    /// passes add to them.
+    #[inline(always)]
+    fn write(&self, p: &mut u64, d: &mut u64, sum: u64, degree: u64) {
+        if self.first {
+            *p = sum;
+            *d = degree;
+        } else {
+            *p += sum;
+            *d += degree;
         }
     }
 }
@@ -763,7 +906,8 @@ mod tests {
         }
     }
 
-    /// Ψ/Δ* of every path: the index gather, then each popcount arm.
+    /// Ψ/Δ* of every path: the index gather, then each popcount arm the
+    /// running CPU has, then the served choice.
     fn all_sums(d: &CsrDesign, w: &[u64]) -> Vec<(Vec<u64>, Vec<u64>)> {
         let run = |f: &dyn Fn(&mut [u64], &mut [u64])| {
             let (mut psi, mut dstar) = (vec![7u64; d.n()], vec![7u64; d.n()]);
@@ -771,7 +915,7 @@ mod tests {
             (psi, dstar)
         };
         let mut out = vec![run(&|p, s| d.index_gather_distinct_into(w, p, s))];
-        for arm in [PopcountArm::Native, PopcountArm::Portable] {
+        for arm in PopcountArm::available() {
             out.push(run(&|p, s| d.popcount_distinct_into(w, p, s, arm)));
         }
         out.push(run(&|p, s| d.gather_distinct_into(w, p, s)));
@@ -793,27 +937,50 @@ mod tests {
 
     #[test]
     fn popcount_arms_match_the_index_gather() {
+        // Rows of 3 words (one masked vector), 8 (one whole vector), 9 (a
+        // whole vector and a 1-word tail) and 17 (two and a 1-word tail).
+        for (m, words) in [(150, 3), (512, 8), (513, 9), (1025, 17)] {
+            let d = CsrDesign::sample(90, m, 45, &SeedSequence::new(6));
+            assert_eq!(d.words, words);
+            let varied: Vec<u64> = (0..m as u64).map(|q| q * q + 1).collect();
+            let constant = vec![5u64; m];
+            let wide: Vec<u64> = (0..m as u64).map(|q| (q << 33) | (q * 7 + 3)).collect();
+            for w in [varied, constant, vec![0; m], wide] {
+                let sums = all_sums(&d, &w);
+                assert!(sums.iter().all(|s| *s == sums[0]), "m {m}, weights {:?}", &w[..4]);
+            }
+        }
+    }
+
+    #[test]
+    fn every_arm_runs_where_the_cpu_has_it_and_is_refused_elsewhere() {
         let d = CsrDesign::sample(90, 150, 45, &SeedSequence::new(6));
-        let varied: Vec<u64> = (0..d.m() as u64).map(|q| q * q + 1).collect();
-        let constant = vec![5u64; d.m()];
-        let wide: Vec<u64> = (0..d.m() as u64).map(|q| (q << 33) | (q * 7 + 3)).collect();
-        for w in [varied, constant, vec![0; d.m()], wide] {
-            let sums = all_sums(&d, &w);
-            assert!(sums.iter().all(|s| *s == sums[0]), "weights {:?}", &w[..4]);
+        let w: Vec<u64> = (0..150).collect();
+        assert!(PopcountArm::Portable.is_available());
+        for arm in PopcountArm::ALL {
+            let run = std::panic::catch_unwind(|| {
+                d.popcount_distinct_into(&w, &mut [0; 90], &mut [0; 90], arm);
+            });
+            assert_eq!(run.is_ok(), arm.is_available(), "{arm:?}");
         }
     }
 
     #[test]
     fn wide_weights_over_many_queries_sum_in_several_passes() {
-        // 40 mixed planes leave 1024 / 40 = 25 words of planes a pass, so
-        // m = 2100 (33 words) takes two passes, the second ending mid-word.
+        // 40 mixed planes leave 1024 / 40 = 25 words of planes a pass (3
+        // vectors and a 1-word tail), so m = 2100 (33 words) takes two
+        // passes, the second of 8 words ending mid-word.
         let d = CsrDesign::sample(40, 2100, 20, &SeedSequence::new(9));
         assert_eq!(d.words, 33);
         let w: Vec<u64> =
             (0..2100u64).map(|q| q.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24).collect();
         assert_eq!(WeightPlanes::of(&w).mixed.count_ones(), 40);
-        let sums = all_sums(&d, &w);
-        assert!(sums.iter().all(|s| *s == sums[0]));
+        // Beside the 40 mixed planes, every weight sets bit 50 (a full
+        // plane) or none do.
+        for w in [w.clone(), w.iter().map(|v| v | 1 << 50).collect()] {
+            let sums = all_sums(&d, &w);
+            assert!(sums.iter().all(|s| *s == sums[0]));
+        }
     }
 
     #[test]
@@ -833,7 +1000,7 @@ mod tests {
     #[should_panic(expected = "no entry bitmap")]
     fn popcount_without_a_bitmap_panics() {
         let d = CsrDesign::sample(100, 64, 2, &SeedSequence::new(7));
-        d.popcount_distinct_into(&[0; 64], &mut [0; 100], &mut [0; 100], PopcountArm::Native);
+        d.popcount_distinct_into(&[0; 64], &mut [0; 100], &mut [0; 100], PopcountArm::Portable);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! | storage | kernel | parallelism | atomics | allocation |
 //! |---|---|---|---|---|
-//! | CSR ([`PoolingDesign::as_csr`] is `Some`) | [`crate::csr::CsrDesign::gather_distinct_into`]: popcount over the entry bitmap (distinct density ≥ 1/32, mixed weight planes ≤ 5/4 of the incidences per bitmap word), else the index gather over the transpose | entry-parallel | no | none |
+//! | CSR ([`PoolingDesign::as_csr`] is `Some`) | [`crate::csr::CsrDesign::gather_distinct_into`]: popcount over the entry bitmap (distinct density ≥ 1/32, mixed weight planes ≤ 5/4 of the incidences per bitmap word) on the fastest [`crate::csr::PopcountArm`] the CPU has (AVX-512 `VPOPCNTQ`, eight words per instruction; else `popcnt`; else portable), else the index gather over the transpose | entry-parallel | no | none |
 //! | streaming (no CSR) | [`crate::streaming::stream_sums_into`]: one pass that regenerates each pool once, and can fold in the query execution `y` | sequential | no | one pool buffer, plus what regenerating a pool allocates |
 //!
 //! The gather writes nothing shared, so it needs no atomics and no

@@ -39,11 +39,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         Self { capacity, clock: 0, map: HashMap::with_capacity(capacity + 1) }
     }
 
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of entries.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -64,11 +59,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         })
     }
 
-    /// Whether `key` is present (does not touch recency).
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
     /// Insert `key → value` as most-recently-used, evicting the
     /// least-recently-used entry if the cache is full. Returns the evicted
     /// `(key, value)` pair, if any.
@@ -81,11 +71,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         };
         self.map.insert(key, (value, self.clock));
         evicted
-    }
-
-    /// Drop every entry (capacity unchanged).
-    pub fn clear(&mut self) {
-        self.map.clear();
     }
 
     /// Iterate over the resident keys, in no particular order (does not
@@ -106,6 +91,13 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 mod tests {
     use super::*;
 
+    /// The resident keys, ascending (read without touching recency).
+    fn resident<K: Eq + Hash + Clone + Ord, V>(lru: &LruCache<K, V>) -> Vec<K> {
+        let mut keys: Vec<K> = lru.keys().cloned().collect();
+        keys.sort_unstable();
+        keys
+    }
+
     #[test]
     fn holds_at_most_capacity_entries() {
         let mut lru = LruCache::new(3);
@@ -115,7 +107,7 @@ mod tests {
         }
         assert_eq!(lru.len(), 3);
         // The three most recent survive.
-        assert!(lru.contains(&7) && lru.contains(&8) && lru.contains(&9));
+        assert_eq!(resident(&lru), vec![7, 8, 9]);
     }
 
     #[test]
@@ -126,7 +118,7 @@ mod tests {
         assert_eq!(lru.get(&"a"), Some(&1)); // "a" becomes most recent
         let evicted = lru.insert("c", 3);
         assert_eq!(evicted, Some(("b", 2)));
-        assert!(lru.contains(&"a") && lru.contains(&"c"));
+        assert_eq!(resident(&lru), vec!["a", "c"]);
     }
 
     #[test]
@@ -152,25 +144,12 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_but_keeps_capacity() {
-        let mut lru = LruCache::new(2);
-        lru.insert(1, 1);
-        lru.clear();
-        assert!(lru.is_empty());
-        assert_eq!(lru.capacity(), 2);
-        lru.insert(2, 2);
-        assert_eq!(lru.get(&2), Some(&2));
-    }
-
-    #[test]
     fn keys_export_the_resident_set_without_touching_recency() {
         let mut lru = LruCache::new(3);
         lru.insert(1, ());
         lru.insert(2, ());
         lru.insert(3, ());
-        let mut keys: Vec<i32> = lru.keys().copied().collect();
-        keys.sort_unstable();
-        assert_eq!(keys, vec![1, 2, 3]);
+        assert_eq!(resident(&lru), vec![1, 2, 3]);
         // Exporting keys must not refresh anyone: 1 is still the LRU entry.
         assert_eq!(lru.insert(4, ()), Some((1, ())));
     }

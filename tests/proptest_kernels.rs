@@ -171,15 +171,16 @@ proptest! {
         prop_assert_eq!(ws.estimate_dense(), want_general.estimate.dense());
     }
 
-    /// The entry-bitmap popcount kernel, on both arms of its `popcnt`
-    /// dispatch, equals the index gather over the transpose: every
+    /// The entry-bitmap popcount kernel, on every instruction arm the
+    /// running CPU has, equals the index gather over the transpose: every
     /// family, densities on both sides of the 1/32 cutoff (below it the
-    /// design keeps no bitmap and still sums), `m` on and around word
-    /// boundaries, `n = 1`, all-zero, constant and up to 40-bit weights.
+    /// design keeps no bitmap and still sums), `m` on and around word and
+    /// 8-word vector boundaries (rows of 7, 8, 9, 14 and 17 words among
+    /// them), `n = 1`, all-zero, constant and up to 40-bit weights.
     #[test]
     fn popcount_sums_match_the_index_gather(
         n_draw in 0usize..160,
-        m_idx in 0usize..8,
+        m_idx in 0usize..14,
         m_draw in 1usize..300,
         c_idx in 0usize..9,
         width in 0u32..=40,
@@ -189,7 +190,7 @@ proptest! {
         use pooled_data::design::csr::PopcountArm;
         use pooled_data::design::factory::DesignKind;
         let n = if n_draw < 10 { 1 } else { n_draw };
-        let m = [1, 63, 64, 65, 128, 129, m_draw, m_draw][m_idx];
+        let m = [1, 63, 64, 65, 128, 129, 448, 512, 513, 575, 862, 1025, m_draw, m_draw][m_idx];
         let c = [0.005, 0.01, 0.02, 0.03, 0.04, 0.06, 0.25, 0.5, 1.0][c_idx];
         let seeds = SeedSequence::new(seed);
         let mut rng = seeds.child("w", 0).rng();
@@ -209,7 +210,7 @@ proptest! {
             prop_assert_eq!(&psi, &want_psi, "{} auto", kind.name());
             prop_assert_eq!(&dstar, &want_dstar, "{} auto", kind.name());
             if csr.has_bitmap() {
-                for arm in [PopcountArm::Native, PopcountArm::Portable] {
+                for arm in PopcountArm::available() {
                     let (mut psi, mut dstar) = (vec![u64::MAX; n], vec![u64::MAX; n]);
                     csr.popcount_distinct_into(&w, &mut psi, &mut dstar, arm);
                     prop_assert_eq!(&psi, &want_psi, "{} {:?}", kind.name(), arm);
@@ -342,4 +343,29 @@ proptest! {
         prop_assert_eq!(sampled.gamma(), gamma);
         assert_matches_reference(&sampled, &replayed, &w);
     }
+}
+
+/// The arm `gather_distinct_into` serves is the fastest one this CPU has,
+/// as detected here apart from `PopcountArm`'s own checks. The printed
+/// line names the arms every kernel test above ran on this host: a host
+/// without AVX-512 tests only the `popcnt` and portable arms.
+#[test]
+fn served_popcount_arm_is_the_best_available() {
+    use pooled_data::design::csr::PopcountArm;
+    let arms: Vec<PopcountArm> = PopcountArm::available().collect();
+    println!("popcount arms on this host: {arms:?}");
+    #[cfg(target_arch = "x86_64")]
+    let best = if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vpopcntdq")
+    {
+        PopcountArm::Avx512
+    } else if is_x86_feature_detected!("popcnt") {
+        PopcountArm::Popcnt
+    } else {
+        PopcountArm::Portable
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let best = PopcountArm::Portable;
+    assert_eq!(PopcountArm::best(), best);
+    assert_eq!(arms.first(), Some(&best));
+    assert_eq!(arms.last(), Some(&PopcountArm::Portable));
 }
