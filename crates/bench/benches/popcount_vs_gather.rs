@@ -1,14 +1,16 @@
 //! Ψ/Δ* by popcount over the entry bitmap, on every instruction arm the
 //! running CPU has, vs the index gather over the transpose, by the number
-//! of mixed weight bit-planes: the measurement behind the crossover
+//! of mixed weight bit-planes: the measurement behind each arm's crossover
 //! constant in `pooled_design::csr`, and behind serving the fastest arm
 //! at every row width.
 //!
 //! Shapes are the served ones at the paper's `c = ½` (`single_large`,
 //! `cold_churn` and `cluster_tcp` of the repository benchmark: bitmap rows
 //! of 14, 9 and 6 words) and a density sweep down to the bitmap's cutoff
-//! of 1/32. Weights are uniform below `2^p`, so all `p` planes are mixed.
-//! Everything runs on one thread, as engine workers do.
+//! of 1/32. Weights are uniform below `2^p`, so all `p` planes are mixed;
+//! the served weights have up to 12 (`single_large`'s `y` has 5, and the
+//! Bernoulli pool sizes Γ-general MN weighs by have 10–12). Everything
+//! runs on one thread, as engine workers do.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -35,7 +37,7 @@ fn bench(c: &mut Criterion) {
         let design = CsrDesign::sample(n, m, gamma, &SeedSequence::new(1905));
         assert!(design.has_bitmap(), "{label} must keep a bitmap");
         let (mut psi, mut dstar) = (vec![0u64; n], vec![0u64; n]);
-        for planes in [1u32, 2, 3, 4, 6, 8, 12, 16, 20, 24] {
+        for planes in [1u32, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24] {
             let mut rng = SeedSequence::new(planes as u64).rng();
             let w: Vec<u64> = (0..m).map(|_| rng.next_u64() >> (64 - planes)).collect();
             pooled_par::pool::install_with_threads(1, || {

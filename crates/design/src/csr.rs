@@ -22,13 +22,21 @@
 //! # The entry bitmap
 //!
 //! A design whose distinct density `nnz/(n·m)` is at least 1/32 also keeps
-//! its distinct incidences as an entry-major bitmap: row `i` is `⌈m/64⌉`
+//! its distinct incidences as an entry bitmap: entry `i`'s row is `⌈m/64⌉`
 //! `u64` words, and bit `q` of it is set when query `q` contains entry `i`.
 //! From that density up the bitmap takes no more bytes than the transpose's
 //! `u32` query indices; at the paper's `c = ½` it is 12–16× smaller (1.1 MiB
 //! against 13.6 MB at n = 10⁴, m = 862), so it stays in L2 while the indices
 //! stream from memory. It is built once, at construction, so sampling and
-//! snapshot reload both produce it, for every design family.
+//! snapshot reload both produce it, for every design family; snapshots
+//! store the forward rows, never the bitmap, so its layout is this
+//! module's alone.
+//!
+//! The rows are interleaved in groups of `LANES` = 8 entries: group `g`
+//! holds entries `8g..8g+7`, and word `w` of lane `l` sits at
+//! `bits[(g·words + w)·8 + l]`, so one 512-bit vector holds the same word
+//! of eight entries. `n` pads up to a whole group with at most 7 zero
+//! rows, whose sums are never written.
 //!
 //! [`CsrDesign::gather_distinct_into`] then sums by popcount. With `B_i`
 //! the row of entry `i` and `Y_b` bit-plane `b` of the query weights,
@@ -38,22 +46,45 @@
 //! `2^b · Δ*_i`. Every sum is an exact integer, so the popcount and the
 //! index gather over the transpose agree bit for bit. The index gather
 //! serves designs without a bitmap, and weights with more mixed planes
-//! than the measured crossover: 5/4 of the incidences per bitmap word,
-//! which is 30 planes at the paper's `c = ½` and 2 at the 1/32 cutoff.
-//! The popcount kernel runs per entry and writes nothing shared, so each
-//! row's sums can be counted eight words at a time. It has three
-//! instruction arms ([`PopcountArm`]), and each call runs the fastest one
-//! the CPU has, read once per call at run time; the build targets
-//! baseline x86-64. The AVX-512 arm reads a pass's row as 512-bit vectors,
-//! the last one a masked load of the row's remaining words, and counts
-//! each with `VPOPCNTQ`; the `popcnt` arm counts one word per
-//! instruction; the portable arm runs anywhere. The bitmap keeps its
-//! `⌈m/64⌉`-word rows for every arm: only the weight planes, built once
-//! per pass, start each plane on a whole vector. On one thread of a
-//! 2-vCPU Xeon the AVX-512 arm took 0.3–0.66× the `popcnt` arm's time at
-//! the served rows of 6, 9 and 14 words, with 1 to 24 mixed planes, so
-//! no row width calls for the `popcnt` arm where the vector arm runs
-//! (`cargo bench -p pooled_bench --bench popcount_vs_gather`).
+//! than the arm's measured crossover (see [`PopcountArm`]).
+//!
+//! # The popcount kernel
+//!
+//! Each group's sums depend only on its own rows, so the kernel counts
+//! group by group, in blocks of 256 entries across threads, and writes
+//! nothing shared. A pass holds the mixed planes of up to `PLANE_WORDS`
+//! words of queries on the stack, word-major: word `w` of every plane,
+//! then word `w + 1`. It has three instruction arms ([`PopcountArm`]),
+//! and each call runs the fastest one the CPU has, read once per call at
+//! run time; the build targets baseline x86-64.
+//!
+//! - The AVX-512 arm loads each of a group's words once, as one vector of
+//!   its eight entries. The Δ* lanes add its `VPOPCNTQ`, and each mixed
+//!   plane's lanes add the `VPOPCNTQ` of it ANDed with that plane's word,
+//!   broadcast. At the end of the group each plane's lanes shift by its
+//!   bit and add up, and the group writes the sums of its lanes below `n`.
+//!   No load is masked and no sum is added across lanes.
+//! - The `popcnt` and portable arms walk a group lane by lane: one run
+//!   over the lane's words, one every 8, counts each into Δ* and, ANDed
+//!   with each plane's word, into that plane's counter.
+//!
+//! Both loops are monomorphised on the mixed-plane count, 1 to 16, so the
+//! counters are arrays of constant length that stay in registers: one
+//! vector each for the AVX-512 arm, and for the scalar arms at most 8
+//! counters in the 16 general registers, so they count 9 to 16 planes in
+//! two runs over a lane's words, the first of 8 planes. No mixed plane,
+//! or more than 16, takes a planes-outer loop: Δ*, then each plane in
+//! turn. Word-major planes put all of a word's plane words behind one
+//! pointer; with one slice per plane, each plane held a register of its
+//! own, and the scalar arms took 1.03–1.33× the row-major kernel's time
+//! at 14-word rows with 8 to 12 planes.
+//!
+//! On one thread of a 2-vCPU Xeon VM, at the served rows of 6, 9 and 14
+//! words with 1 to 12 mixed planes, the kernel took 0.39–0.71× the time
+//! of the row-major kernel it replaced on the AVX-512 arm, 0.63–0.95× on
+//! the `popcnt` arm and 0.89–1.15× on the portable arm (the minimum of 6
+//! alternating rounds of 150 calls to
+//! [`CsrDesign::popcount_distinct_into`] per build).
 
 use rayon::prelude::*;
 
@@ -66,28 +97,31 @@ use crate::PoolingDesign;
 /// density up, `n·m/64` words take no more bytes than `nnz` `u32` indices.
 const BITMAP_DENSITY_RECIP: usize = 32;
 
-/// Crossover of the popcount kernel against the index gather, as the
-/// ratio `CROSSOVER.0 / CROSSOVER.1` of mixed weight bit-planes to
-/// incidences per bitmap word: [`CsrDesign::gather_distinct_into`] counts
-/// by popcount while `planes ≤ 5/4 · nnz / (n·⌈m/64⌉)`, and takes the
-/// index gather for wider weights. Per entry, the popcount kernel does one
-/// word operation per bitmap word and plane where the gather does one load
-/// per incidence, so the crossover scales with the incidences a bitmap
-/// word holds. Measured by `cargo bench -p pooled_bench --bench
-/// popcount_vs_gather` on one thread of a 2-vCPU Xeon (baseline x86-64
-/// build, `popcnt` arm) at n = 10⁴, m = 862: the popcount kernel stayed
-/// faster up to ≥ 24 planes at Γ = n/2 (24 incidences a word), 20 at n/4
-/// (13.6), 10 at n/8 (7.3), 5 at n/16 (3.7) and 3 at n/31 (1.95), about
-/// 1.4 planes per incidence a word; 5/4 sits just below. The paper's
-/// `c = ½` designs allow 30–39 planes; the served weights have 0–12
-/// (`y` 3–5, Bernoulli pool sizes 10–12, every other weight vector 0–1).
-///
-/// It was measured on the `popcnt` arm and stays for every arm. The
-/// AVX-512 arm only widens popcount's lead over the gather, so a
-/// crossover measured on it would send more weights to popcount, never
-/// fewer; one constant keeps the choice between popcount and gather the
-/// same on every CPU, and the served weights sit far below it anyway.
-const CROSSOVER: (usize, usize) = (5, 4);
+/// Crossover of the AVX-512 arm against the index gather, in mixed weight
+/// planes per incidence a bitmap word holds (see
+/// [`PopcountArm::crossover`]). At n = 10⁴, m = 862 the arm stayed faster
+/// than the gather at every measured width, up to 24 planes, from Γ = n/16
+/// (3.7 incidences a word, 0.90× the gather's time at 24 planes) up, and
+/// up to 20 planes at Γ = n/31 (1.95 a word; 0.94× at 20, 1.10× at 24).
+/// Six planes a word keep every measured width on the winning side: 11
+/// planes at n/31, 22 at n/16, and every width up to 64 at `c = ½`.
+const AVX512_CROSSOVER: (usize, usize) = (6, 1);
+
+/// Crossover of the `popcnt` arm against the index gather (see
+/// [`AVX512_CROSSOVER`]). At n = 10⁴, m = 862 the arm stayed faster up to
+/// about 5 planes at Γ = n/31 (1.95 incidences a word), 8 at n/16 (3.7),
+/// 10 at n/8 (7.3), 16 at n/4 (13.6) and 20 at n/2 (24), where it tied at
+/// 24: past 16 planes it counts plane after plane. One plane a word is
+/// the lowest of those ratios; it allows 24 planes at `c = ½`, where the
+/// served weights have 0–12.
+const POPCNT_CROSSOVER: (usize, usize) = (1, 1);
+
+/// Crossover of the portable arm against the index gather (see
+/// [`AVX512_CROSSOVER`]). Without `popcnt` each count takes a dozen
+/// instructions, and at n = 10⁴, m = 862 the arm stayed faster only up
+/// to about 1 plane at Γ = n/31, 2 at n/16, 4 at n/8, 6 at n/4 and 16 at
+/// n/2: half a plane per incidence a word, or a little more.
+const PORTABLE_CROSSOVER: (usize, usize) = (1, 2);
 
 /// Incidences per block of the transpose scatter (see
 /// [`CsrDesign::assemble`]). A block's transpose rows take 128 KiB, which
@@ -101,34 +135,54 @@ const SCATTER_BLOCK: usize = 1 << 14;
 
 /// Words of weight bit-planes one pass of the popcount kernel counts.
 /// Weights with `p` mixed planes are counted over `1024 / p` words of
-/// queries per pass, so any `m` and any width up to 64 planes decode
-/// without allocating; every served shape fits in one pass.
+/// queries per pass, held on the stack as plain words, word-major (word
+/// `w` of plane `j` at `w·p + j`), so any `m` and any width up to 64
+/// planes decode without allocating; every served shape fits in one pass.
 const PLANE_WORDS: usize = 1024;
 
-/// 512-bit vectors of the plane buffer a pass holds on the stack
-/// (11.5 KiB): each plane starts on a whole vector, so the
-/// [`PLANE_WORDS`] words a pass counts pad out by at most 7 words for
-/// each of up to 64 planes.
-const PLANE_VECTORS: usize = (PLANE_WORDS + 7 * 64) / 8;
+/// Entries per group of the entry bitmap, and 64-bit lanes of a 512-bit
+/// vector: word `w` of a group's entries is one vector, lane `l` holding
+/// entry `8g + l`'s word (see module docs).
+const LANES: usize = 8;
 
-/// Entries per task of the popcount kernel.
+/// Entries per task of the popcount kernel: whole groups, so a task
+/// writes only its own entries' sums.
 const ENTRY_BLOCK: usize = 256;
+const _: () = assert!(ENTRY_BLOCK.is_multiple_of(LANES));
 
-/// The instruction arms of the popcount kernel. Every arm gives the same
-/// sums; they differ in how many bitmap words one instruction counts.
+/// `$kernel` with the constant `$P` set to `$planes` when that is one of
+/// the listed counts, `$fallback` otherwise: how a popcount arm is
+/// monomorphised over its mixed-plane count, so its per-plane counters
+/// are arrays of constant length that stay in registers.
+macro_rules! by_plane_count {
+    ($planes:expr, [$($p:literal)*], |$P:ident| $kernel:expr, $fallback:expr) => {
+        match $planes {
+            $($p => {
+                const $P: usize = $p;
+                $kernel
+            })*
+            _ => $fallback,
+        }
+    };
+}
+
+/// The instruction arms of the popcount kernel. Every arm reads the
+/// interleaved entry bitmap (see module docs) and gives the same sums;
+/// they differ in how many bitmap words one instruction counts.
 ///
 /// [`CsrDesign::gather_distinct_into`] runs [`PopcountArm::best`], read
-/// from the CPU once per call. The build targets baseline x86-64, so the
-/// AVX-512 and `popcnt` arms are compiled for their instructions alone
-/// and run only where the CPU reports them:
+/// from the CPU once per call, while the weights' mixed planes stay within
+/// that arm's measured crossover against the index gather. The build
+/// targets baseline x86-64, so the AVX-512 and `popcnt` arms are compiled
+/// for their instructions alone and run only where the CPU reports them:
 /// [`CsrDesign::popcount_distinct_into`] refuses an arm the CPU lacks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PopcountArm {
-    /// AVX-512 `VPOPCNTQ`: eight bitmap words per instruction, on x86-64
-    /// CPUs with `avx512f` and `avx512vpopcntdq`.
+    /// AVX-512 `VPOPCNTQ`: the same word of eight entries per
+    /// instruction, on x86-64 CPUs with `avx512f` and `avx512vpopcntdq`.
     Avx512,
-    /// The scalar `popcnt` instruction, one word at a time, on x86-64
-    /// CPUs with `popcnt`.
+    /// The scalar `popcnt` instruction, one word of one entry at a time,
+    /// on x86-64 CPUs with `popcnt`.
     Popcnt,
     /// The portable count as the baseline target compiles it: runs on
     /// every CPU, and is the only arm on other targets.
@@ -166,6 +220,24 @@ impl PopcountArm {
     pub fn best() -> Self {
         Self::available().next().unwrap_or(Self::Portable)
     }
+
+    /// Crossover of this arm against the index gather, as the ratio
+    /// `num / den` of mixed weight bit-planes to incidences per bitmap
+    /// word: [`CsrDesign::gather_distinct_into`] counts by popcount while
+    /// `planes ≤ num/den · nnz / (n·⌈m/64⌉)`, and takes the index gather
+    /// for wider weights. Per entry, the popcount kernel does one word
+    /// operation per bitmap word and plane where the gather does one load
+    /// per incidence, so the crossover scales with the incidences a bitmap
+    /// word holds. Each arm's ratio is measured on one thread of a 2-vCPU
+    /// Xeon VM (baseline x86-64 build) by `cargo bench -p pooled_bench
+    /// --bench popcount_vs_gather`.
+    fn crossover(self) -> (usize, usize) {
+        match self {
+            Self::Avx512 => AVX512_CROSSOVER,
+            Self::Popcnt => POPCNT_CROSSOVER,
+            Self::Portable => PORTABLE_CROSSOVER,
+        }
+    }
 }
 
 /// Compressed sparse rows for both orientations of the bipartite multigraph.
@@ -193,8 +265,6 @@ pub struct CsrDesign {
     bits: Vec<u64>,
     /// Words per bitmap row, `⌈m/64⌉`; 0 when there is no bitmap.
     words: usize,
-    /// Most mixed weight planes counted by popcount (see [`CROSSOVER`]).
-    popcount_planes: u32,
 }
 
 impl CsrDesign {
@@ -342,29 +412,30 @@ impl CsrDesign {
             t_mults,
             bits: Vec::new(),
             words: 0,
-            popcount_planes: 0,
         };
         design.build_bitmap();
         design
     }
 
     /// Set the entry bitmap from the transpose when the distinct density
-    /// reaches 1/32 (entry-parallel; each row is written by one task).
+    /// reaches 1/32, in groups of [`LANES`] entries with `n` padded to a
+    /// whole group by zero rows (group-parallel; each group is written by
+    /// one task).
     fn build_bitmap(&mut self) {
         if self.m == 0 || BITMAP_DENSITY_RECIP * self.nnz() < self.n * self.m {
             return;
         }
         let words = self.m.div_ceil(64);
-        let mut bits = vec![0u64; self.n * words];
-        bits.par_chunks_mut(words).enumerate().for_each(|(i, row)| {
-            for &q in self.entry_row(i).0 {
-                row[q as usize / 64] |= 1 << (q % 64);
+        let mut bits = vec![0u64; self.n.div_ceil(LANES) * words * LANES];
+        bits.par_chunks_mut(words * LANES).enumerate().for_each(|(g, group)| {
+            for (l, i) in (g * LANES..self.n.min((g + 1) * LANES)).enumerate() {
+                for &q in self.entry_row(i).0 {
+                    group[q as usize / 64 * LANES + l] |= 1 << (q % 64);
+                }
             }
         });
         self.bits = bits;
         self.words = words;
-        let (num, den) = CROSSOVER;
-        self.popcount_planes = (num * self.nnz() / (den * self.n * words)).min(64) as u32;
     }
 
     /// Distinct entries of query `q` (ascending) with multiplicities.
@@ -391,21 +462,30 @@ impl CsrDesign {
         self.words > 0
     }
 
+    /// Most mixed weight planes `arm` counts by popcount on this design's
+    /// bitmap, which it must keep: the arm's crossover times the
+    /// incidences a bitmap word holds, `nnz / (n·⌈m/64⌉)`.
+    fn popcount_planes(&self, arm: PopcountArm) -> u32 {
+        let (num, den) = arm.crossover();
+        (num * self.nnz() / (den * self.n * self.words)).min(64) as u32
+    }
+
     /// Distinct Ψ/Δ* accumulation, entry-parallel and without atomics:
     /// `psi[i] = Σ_{q ∋ i} w[q]` and `dstar[i] = |∂*x_i|`, written into
     /// caller-provided buffers without allocating. By popcount over the
-    /// entry bitmap when the design keeps one and the weights have no more
-    /// mixed bit-planes than the design's crossover (see module docs), by
-    /// the index gather over the transpose otherwise; both give identical
-    /// sums.
+    /// entry bitmap on [`PopcountArm::best`] when the design keeps one and
+    /// the weights have no more mixed bit-planes than that arm's crossover
+    /// allows on this design (see [`PopcountArm`]), by the index gather
+    /// over the transpose otherwise; both give identical sums.
     ///
     /// # Panics
     /// Panics if `w.len() != m` or the outputs are shorter than `n`.
     pub fn gather_distinct_into(&self, w: &[u64], psi: &mut [u64], dstar: &mut [u64]) {
         self.check_sums_args(w, psi, dstar);
         let planes = WeightPlanes::of(w);
-        if self.has_bitmap() && planes.mixed.count_ones() <= self.popcount_planes {
-            self.popcount_sums(w, planes, psi, dstar, PopcountArm::best());
+        let arm = PopcountArm::best();
+        if self.has_bitmap() && planes.mixed.count_ones() <= self.popcount_planes(arm) {
+            self.popcount_sums(w, planes, psi, dstar, arm);
         } else {
             self.index_gather_sums(w, psi, dstar);
         }
@@ -461,7 +541,7 @@ impl CsrDesign {
     }
 
     /// The popcount kernel: per pass, the mixed planes of a run of query
-    /// words go on the stack, then every entry block counts its rows
+    /// words go on the stack, then every entry block counts its groups
     /// against them on `arm`.
     ///
     /// # Panics
@@ -486,17 +566,16 @@ impl CsrDesign {
         }
         let shifts = &shifts[..count];
         let span = PLANE_WORDS.checked_div(count).map_or(self.words, |s| s.min(self.words));
-        let mut buf = PlaneBuffer([[0; 8]; PLANE_VECTORS]);
+        let mut buf = [0u64; PLANE_WORDS];
         let mut w0 = 0;
         while w0 < self.words {
             let cw = span.min(self.words - w0);
-            let vectors = cw.div_ceil(8);
-            let plane_vectors = &mut buf.0[..count * vectors];
-            plane_vectors.fill([0; 8]);
+            let plane_words = &mut buf[..count * cw];
+            plane_words.fill(0);
             let q0 = w0 * 64;
             for (q, &v) in w[q0..(q0 + cw * 64).min(self.m)].iter().enumerate() {
                 for (j, &s) in shifts.iter().enumerate() {
-                    plane_vectors[j * vectors + q / 512][q / 64 % 8] |= (v >> s & 1) << (q % 64);
+                    plane_words[q / 64 * count + j] |= (v >> s & 1) << (q % 64);
                 }
             }
             let pass = PopcountPass {
@@ -504,8 +583,7 @@ impl CsrDesign {
                 words: self.words,
                 w0,
                 cw,
-                vectors,
-                planes: plane_vectors,
+                planes: plane_words,
                 shifts,
                 full: planes.full,
                 first: w0 == 0,
@@ -514,7 +592,7 @@ impl CsrDesign {
                 .par_chunks_mut(ENTRY_BLOCK)
                 .zip(dstar[..self.n].par_chunks_mut(ENTRY_BLOCK))
                 .enumerate()
-                .for_each(|(block, (p, d))| pass.run(block * ENTRY_BLOCK, p, d, arm));
+                .for_each(|(block, (p, d))| pass.run(block * ENTRY_BLOCK / LANES, p, d, arm));
             w0 += cw;
         }
     }
@@ -535,23 +613,16 @@ impl WeightPlanes {
     }
 }
 
-/// The weight planes of one pass, each plane starting on a whole 512-bit
-/// vector of 8 words, zero past the pass's `cw` words.
-#[repr(C, align(64))]
-struct PlaneBuffer([[u64; 8]; PLANE_VECTORS]);
-
 /// One pass of the popcount kernel: query words `w0..w0 + cw` of every
-/// bitmap row against the mixed planes of the same words.
+/// bitmap group against the mixed planes of the same words.
 struct PopcountPass<'a> {
     bits: &'a [u64],
     words: usize,
     w0: usize,
     cw: usize,
-    /// `⌈cw/8⌉`: the 512-bit vectors a row of the pass spans.
-    vectors: usize,
-    /// Mixed plane `j` is `planes[j·vectors..(j+1)·vectors]`, shifted by
-    /// `shifts[j]`; its words past `cw` are zero.
-    planes: &'a [[u64; 8]],
+    /// Word `w` of mixed plane `j` is `planes[w·count + j]` for the
+    /// pass's `count` mixed planes; plane `j` is shifted by `shifts[j]`.
+    planes: &'a [u64],
     shifts: &'a [u32],
     full: u64,
     /// The first pass writes the sums; later passes add to them.
@@ -559,96 +630,211 @@ struct PopcountPass<'a> {
 }
 
 impl PopcountPass<'_> {
-    /// Count the rows of entries `first_entry..` into `psi`/`dstar` on
-    /// `arm`, which the running CPU has (checked by
-    /// [`CsrDesign::popcount_sums`] before any pass runs).
-    fn run(&self, first_entry: usize, psi: &mut [u64], dstar: &mut [u64], arm: PopcountArm) {
+    /// Count the groups `first_group..` into `psi`/`dstar`, [`LANES`] sums
+    /// a group and only as many as the outputs hold, on `arm`, which the
+    /// running CPU has (checked by [`CsrDesign::popcount_sums`] before any
+    /// pass runs).
+    fn run(&self, first_group: usize, psi: &mut [u64], dstar: &mut [u64], arm: PopcountArm) {
         match arm {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the running CPU has `avx512f` and `avx512vpopcntdq`:
             // `popcount_sums` asserted `arm.is_available()`.
-            PopcountArm::Avx512 => unsafe { self.run_avx512(first_entry, psi, dstar) },
+            PopcountArm::Avx512 => unsafe { self.run_avx512(first_group, psi, dstar) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the running CPU has `popcnt`: `popcount_sums`
             // asserted `arm.is_available()`.
-            PopcountArm::Popcnt => unsafe { self.run_popcnt(first_entry, psi, dstar) },
+            PopcountArm::Popcnt => unsafe { self.run_popcnt(first_group, psi, dstar) },
             // Other targets refuse the x86-64 arms before any pass runs.
-            _ => self.rows(first_entry, psi, dstar),
+            _ => self.run_scalar(first_group, psi, dstar),
         }
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "popcnt")]
-    fn run_popcnt(&self, first_entry: usize, psi: &mut [u64], dstar: &mut [u64]) {
-        self.rows(first_entry, psi, dstar);
+    fn run_popcnt(&self, first_group: usize, psi: &mut [u64], dstar: &mut [u64]) {
+        self.run_scalar(first_group, psi, dstar);
     }
 
     /// The scalar kernel body, inlined into each scalar arm so
-    /// `count_ones` compiles to that arm's instruction.
+    /// `count_ones` compiles to that arm's instruction. A lane's counters
+    /// stay in the 16 general registers for at most 8 mixed planes, so 9
+    /// to 16 planes count in two runs over the lane's words, the first of
+    /// 8 planes.
     #[inline(always)]
-    fn rows(&self, first_entry: usize, psi: &mut [u64], dstar: &mut [u64]) {
-        for (j, (p, d)) in psi.iter_mut().zip(dstar.iter_mut()).enumerate() {
-            let start = (first_entry + j) * self.words + self.w0;
-            let row = &self.bits[start..start + self.cw];
-            let degree: u64 = row.iter().map(|x| x.count_ones() as u64).sum();
-            let mut sum = self.full * degree;
-            for (j, &s) in self.shifts.iter().enumerate() {
-                let plane = self.plane(j).as_flattened();
-                let c: u64 = row.iter().zip(plane).map(|(x, y)| (x & y).count_ones() as u64).sum();
-                sum += c << s;
+    fn run_scalar(&self, first_group: usize, psi: &mut [u64], dstar: &mut [u64]) {
+        by_plane_count!(
+            self.shifts.len(),
+            [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16],
+            |P| self.scalar_counted::<P, { if P < 8 { P } else { 8 } }>(first_group, psi, dstar),
+            self.scalar_planes_outer(first_group, psi, dstar)
+        );
+    }
+
+    /// The scalar loop for `P` mixed planes: per lane of a group, one run
+    /// over its words counts each into Δ* and, ANDed with the word of each
+    /// of the first `A` planes, into that plane's counter; a second run
+    /// counts planes `A..P` the same way (none when `A = P`).
+    #[inline(always)]
+    fn scalar_counted<const P: usize, const A: usize>(
+        &self,
+        first_group: usize,
+        psi: &mut [u64],
+        dstar: &mut [u64],
+    ) {
+        let planes = self.planes.as_chunks::<P>().0;
+        let groups = psi.chunks_mut(LANES).zip(dstar.chunks_mut(LANES));
+        for (g, (psi, dstar)) in (first_group..).zip(groups) {
+            let group = self.group(g);
+            for ((p, d), l) in psi.iter_mut().zip(dstar).zip(0..LANES) {
+                let (mut degree, mut counts) = (0, [0u64; P]);
+                for (x, y) in group.iter().zip(planes) {
+                    let x = x[l];
+                    degree += x.count_ones() as u64;
+                    for j in 0..A {
+                        counts[j] += (x & y[j]).count_ones() as u64;
+                    }
+                }
+                // Fold the first run's counters before the second, so they
+                // do not hold registers through it.
+                let shifted = |(c, s): (&u64, &u32)| c << s;
+                let mut sum = self.full * degree;
+                sum += counts[..A].iter().zip(self.shifts).map(shifted).sum::<u64>();
+                for (x, y) in group.iter().zip(planes) {
+                    for j in A..P {
+                        counts[j] += (x[l] & y[j]).count_ones() as u64;
+                    }
+                }
+                sum += counts[A..].iter().zip(&self.shifts[A..]).map(shifted).sum::<u64>();
+                self.write(p, d, sum, degree);
             }
-            self.write(p, d, sum, degree);
         }
     }
 
-    /// The vector kernel: each row is read as `⌈cw/8⌉` 512-bit vectors,
-    /// the last one a masked load of the row's remaining words. The Δ*
-    /// lanes add each row vector's popcount; per mixed plane, lanes count
-    /// each row vector ANDed with the plane's vector, and the Ψ lanes add
-    /// that count shifted by the plane's bit. One horizontal add per sum
-    /// ends the row.
+    /// The scalar loop for no mixed planes or more than 16: per lane of a
+    /// group, Δ* over its words, then each plane over them again.
+    #[inline(always)]
+    fn scalar_planes_outer(&self, first_group: usize, psi: &mut [u64], dstar: &mut [u64]) {
+        let groups = psi.chunks_mut(LANES).zip(dstar.chunks_mut(LANES));
+        for (g, (psi, dstar)) in (first_group..).zip(groups) {
+            let group = self.group(g);
+            for ((p, d), l) in psi.iter_mut().zip(dstar).zip(0..LANES) {
+                let degree: u64 = group.iter().map(|x| x[l].count_ones() as u64).sum();
+                let mut sum = self.full * degree;
+                for (j, &s) in self.shifts.iter().enumerate() {
+                    let both = group.iter().zip(self.plane_words()).map(|(x, y)| x[l] & y[j]);
+                    sum += both.map(|x| x.count_ones() as u64).sum::<u64>() << s;
+                }
+                self.write(p, d, sum, degree);
+            }
+        }
+    }
+
+    /// The vector kernel: dispatches on the mixed-plane count.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    fn run_avx512(&self, first_entry: usize, psi: &mut [u64], dstar: &mut [u64]) {
+    fn run_avx512(&self, first_group: usize, psi: &mut [u64], dstar: &mut [u64]) {
+        by_plane_count!(
+            self.shifts.len(),
+            [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16],
+            |P| self.avx512_counted::<P>(first_group, psi, dstar),
+            self.avx512_planes_outer(first_group, psi, dstar)
+        );
+    }
+
+    /// The vector loop for `P` mixed planes: each of a group's `cw`
+    /// vectors is loaded once; the Δ* lanes add its popcount, and each
+    /// plane's lanes add the popcount of it ANDed with the plane's word,
+    /// broadcast. The group ends with one shift per plane.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn avx512_counted<const P: usize>(
+        &self,
+        first_group: usize,
+        psi: &mut [u64],
+        dstar: &mut [u64],
+    ) {
         use std::arch::x86_64::*;
-        // SAFETY: `x` is 8 words, one whole vector.
-        let lanes = |x: &[u64; 8]| unsafe { _mm512_loadu_epi64(x.as_ptr().cast()) };
-        // The row's whole vectors before its last one, and the lanes of
-        // the last one that hold the row's remaining 1 to 8 words.
-        let head = (self.cw - 1) / 8;
-        let tail = 0xFF >> (7 - (self.cw - 1) % 8);
-        for (j, (p, d)) in psi.iter_mut().zip(dstar.iter_mut()).enumerate() {
-            let start = (first_entry + j) * self.words + self.w0;
-            let row = &self.bits[start..start + self.cw];
-            let whole = &row.as_chunks::<8>().0[..head];
-            // SAFETY: `8·head < cw`, and the lanes set in `tail` are words
-            // `8·head..cw` of `row`; the masked load reads no other lane.
-            let last = unsafe { _mm512_maskz_loadu_epi64(tail, row.as_ptr().add(8 * head).cast()) };
-            let mut degree = _mm512_popcnt_epi64(last);
-            for x in whole {
-                degree = _mm512_add_epi64(degree, _mm512_popcnt_epi64(lanes(x)));
+        let planes = self.planes.as_chunks::<P>().0;
+        let groups = psi.chunks_mut(LANES).zip(dstar.chunks_mut(LANES));
+        for (g, (psi, dstar)) in (first_group..).zip(groups) {
+            let mut degree = _mm512_setzero_si512();
+            let mut counts = [_mm512_setzero_si512(); P];
+            for (x, y) in self.group(g).iter().zip(planes) {
+                let x = load(x);
+                degree = _mm512_add_epi64(degree, _mm512_popcnt_epi64(x));
+                for j in 0..P {
+                    let both = _mm512_and_si512(x, _mm512_set1_epi64(y[j] as i64));
+                    counts[j] = _mm512_add_epi64(counts[j], _mm512_popcnt_epi64(both));
+                }
+            }
+            let mut sum = _mm512_setzero_si512();
+            for (&c, &s) in counts.iter().zip(self.shifts) {
+                sum = _mm512_add_epi64(sum, shifted(c, s));
+            }
+            self.write_lanes(psi, dstar, sum, degree);
+        }
+    }
+
+    /// The vector loop for no mixed planes or more than 16: per group, Δ*
+    /// over its vectors, then each plane over them again.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn avx512_planes_outer(&self, first_group: usize, psi: &mut [u64], dstar: &mut [u64]) {
+        use std::arch::x86_64::*;
+        let groups = psi.chunks_mut(LANES).zip(dstar.chunks_mut(LANES));
+        for (g, (psi, dstar)) in (first_group..).zip(groups) {
+            let group = self.group(g);
+            let mut degree = _mm512_setzero_si512();
+            for x in group {
+                degree = _mm512_add_epi64(degree, _mm512_popcnt_epi64(load(x)));
             }
             let mut sum = _mm512_setzero_si512();
             for (j, &s) in self.shifts.iter().enumerate() {
-                let plane = self.plane(j);
-                let mut c = _mm512_popcnt_epi64(_mm512_and_si512(last, lanes(&plane[head])));
-                for (x, y) in whole.iter().zip(plane) {
-                    let both = _mm512_and_si512(lanes(x), lanes(y));
+                let mut c = _mm512_setzero_si512();
+                for (x, y) in group.iter().zip(self.plane_words()) {
+                    let both = _mm512_and_si512(load(x), _mm512_set1_epi64(y[j] as i64));
                     c = _mm512_add_epi64(c, _mm512_popcnt_epi64(both));
                 }
-                sum = _mm512_add_epi64(sum, _mm512_sll_epi64(c, _mm_cvtsi32_si128(s as i32)));
+                sum = _mm512_add_epi64(sum, shifted(c, s));
             }
-            let degree = _mm512_reduce_add_epi64(degree) as u64;
-            let sum = self.full * degree + _mm512_reduce_add_epi64(sum) as u64;
-            self.write(p, d, sum, degree);
+            self.write_lanes(psi, dstar, sum, degree);
         }
     }
 
-    /// Mixed plane `j`'s vectors. (Indexed, not chunked: a chunk iterator
-    /// made per row divides by `vectors` each time.)
+    /// Write a group's vector sums, only the lanes the outputs hold.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn write_lanes(
+        &self,
+        psi: &mut [u64],
+        dstar: &mut [u64],
+        sum: std::arch::x86_64::__m512i,
+        degree: std::arch::x86_64::__m512i,
+    ) {
+        let (mut sums, mut degrees) = ([0u64; LANES], [0u64; LANES]);
+        // SAFETY: each store writes one whole vector, the 8 words of its
+        // array.
+        unsafe {
+            std::arch::x86_64::_mm512_storeu_epi64(sums.as_mut_ptr().cast(), sum);
+            std::arch::x86_64::_mm512_storeu_epi64(degrees.as_mut_ptr().cast(), degree);
+        }
+        for ((p, d), l) in psi.iter_mut().zip(dstar).zip(0..LANES) {
+            self.write(p, d, self.full * degrees[l] + sums[l], degrees[l]);
+        }
+    }
+
+    /// The pass's words of group `g`: word `w0 + w` of its [`LANES`]
+    /// entries is `group(g)[w]`.
     #[inline(always)]
-    fn plane(&self, j: usize) -> &[[u64; 8]] {
-        &self.planes[j * self.vectors..(j + 1) * self.vectors]
+    fn group(&self, g: usize) -> &[[u64; LANES]] {
+        let start = (g * self.words + self.w0) * LANES;
+        self.bits[start..start + self.cw * LANES].as_chunks().0
+    }
+
+    /// Word `w` of every mixed plane, for each of the pass's `cw` words.
+    #[inline(always)]
+    fn plane_words(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.planes.chunks_exact(self.shifts.len())
     }
 
     /// Every arm's write rule: the first pass writes the sums, later
@@ -663,6 +849,22 @@ impl PopcountPass<'_> {
             *d += degree;
         }
     }
+}
+
+/// One word of a group's [`LANES`] entries as a vector.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn load(x: &[u64; LANES]) -> std::arch::x86_64::__m512i {
+    // SAFETY: `x` is 8 words, one whole vector.
+    unsafe { std::arch::x86_64::_mm512_loadu_epi64(x.as_ptr().cast()) }
+}
+
+/// Every lane of `c` shifted left by `s` bits.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn shifted(c: std::arch::x86_64::__m512i, s: u32) -> std::arch::x86_64::__m512i {
+    use std::arch::x86_64::*;
+    _mm512_sll_epi64(c, _mm_cvtsi32_si128(s as i32))
 }
 
 /// Sort-free assembly of a design's forward rows, one pool at a time:
@@ -924,21 +1126,28 @@ mod tests {
 
     #[test]
     fn bitmap_rows_mirror_the_transpose() {
+        // n = 70 pads to 9 groups of 8, the last holding 6 entries and 2
+        // zero rows.
         let d = CsrDesign::sample(70, 130, 35, &SeedSequence::new(5));
         assert!(d.has_bitmap());
         assert_eq!(d.words, 3);
+        assert_eq!(d.bits.len(), 72 * 3);
+        let word = |i: usize, w: usize| d.bits[(i / LANES * d.words + w) * LANES + i % LANES];
         for i in 0..d.n() {
-            let row = &d.bits[i * d.words..(i + 1) * d.words];
-            let set: Vec<u32> =
-                (0..d.m() as u32).filter(|&q| row[q as usize / 64] >> (q % 64) & 1 == 1).collect();
+            let set: Vec<u32> = (0..d.m() as u32)
+                .filter(|&q| word(i, q as usize / 64) >> (q % 64) & 1 == 1)
+                .collect();
             assert_eq!(set, d.entry_row(i).0, "entry {i}");
+        }
+        for i in d.n()..72 {
+            assert!((0..d.words).all(|w| word(i, w) == 0), "padding lane {i}");
         }
     }
 
     #[test]
     fn popcount_arms_match_the_index_gather() {
-        // Rows of 3 words (one masked vector), 8 (one whole vector), 9 (a
-        // whole vector and a 1-word tail) and 17 (two and a 1-word tail).
+        // Rows of 3, 8, 9 and 17 words over n = 90: 11 whole groups of 8
+        // entries and one of 2.
         for (m, words) in [(150, 3), (512, 8), (513, 9), (1025, 17)] {
             let d = CsrDesign::sample(90, m, 45, &SeedSequence::new(6));
             assert_eq!(d.words, words);
@@ -948,6 +1157,43 @@ mod tests {
             for w in [varied, constant, vec![0; m], wide] {
                 let sums = all_sums(&d, &w);
                 assert!(sums.iter().all(|s| *s == sums[0]), "m {m}, weights {:?}", &w[..4]);
+            }
+        }
+    }
+
+    #[test]
+    fn every_arm_writes_exactly_the_entries_at_group_and_block_edges() {
+        // n on both sides of a group of 8 and of a 256-entry block; outputs
+        // 9 longer than n, so a group's 8-lane write past n would show.
+        // Mixed planes: 1, 5, the scalar arms' split at 8 and 9, the
+        // monomorphisation bound of 16 and one past it, and 40 (two
+        // passes over m = 2100); then none, full planes alone, and 5
+        // mixed beside a full one.
+        const SENTINEL: u64 = 0xA5A5_A5A5_A5A5_A5A5;
+        let m = 2100;
+        let hashed: Vec<u64> =
+            (0..m as u64).map(|q| q.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+        let mut weights: Vec<(u32, Vec<u64>)> = [1, 5, 8, 9, 16, 17, 40]
+            .into_iter()
+            .map(|p| (p, hashed.iter().map(|h| h >> (64 - p)).collect()))
+            .collect();
+        let five_and_full = weights[1].1.iter().map(|v| v | 1 << 50).collect();
+        weights.extend([(0, vec![0; m]), (0, vec![0b1011; m]), (5, five_and_full)]);
+        for n in [1, 7, 8, 9, 255, 256, 257] {
+            let d = CsrDesign::sample(n, m, n.div_ceil(2), &SeedSequence::new(n as u64));
+            assert!(d.has_bitmap(), "n {n}");
+            for (planes, w) in &weights {
+                assert_eq!(WeightPlanes::of(w).mixed.count_ones(), *planes);
+                let (mut want_psi, mut want_dstar) = (vec![0; n], vec![0; n]);
+                d.index_gather_distinct_into(w, &mut want_psi, &mut want_dstar);
+                for arm in PopcountArm::available() {
+                    let (mut psi, mut dstar) = (vec![SENTINEL; n + 9], vec![SENTINEL; n + 9]);
+                    d.popcount_distinct_into(w, &mut psi, &mut dstar, arm);
+                    let at = format!("n {n}, {planes} planes, {arm:?}");
+                    assert_eq!(psi[..n], want_psi, "{at}");
+                    assert_eq!(dstar[..n], want_dstar, "{at}");
+                    assert!(psi[n..].iter().chain(&dstar[n..]).all(|&x| x == SENTINEL), "{at}");
+                }
             }
         }
     }
@@ -967,9 +1213,9 @@ mod tests {
 
     #[test]
     fn wide_weights_over_many_queries_sum_in_several_passes() {
-        // 40 mixed planes leave 1024 / 40 = 25 words of planes a pass (3
-        // vectors and a 1-word tail), so m = 2100 (33 words) takes two
-        // passes, the second of 8 words ending mid-word.
+        // 40 mixed planes leave 1024 / 40 = 25 words of planes a pass, so
+        // m = 2100 (33 words) takes two passes, the second of 8 words
+        // ending mid-word.
         let d = CsrDesign::sample(40, 2100, 20, &SeedSequence::new(9));
         assert_eq!(d.words, 33);
         let w: Vec<u64> =
@@ -1005,14 +1251,22 @@ mod tests {
 
     #[test]
     fn crossover_follows_incidences_per_word() {
-        // c = ½ at the served shape: 24 incidences a word allow 30 planes.
+        // At the served shape, c = ½ puts 24 incidences in a bitmap word
+        // and Γ = n/16 puts 3.7; each arm allows its own planes a word.
         let dense = CsrDesign::sample(2_000, 862, 1_000, &SeedSequence::new(8));
-        assert_eq!(dense.popcount_planes, 30);
-        // Wider weights than that take the index gather, and agree.
+        let sparse = CsrDesign::sample(2_000, 862, 125, &SeedSequence::new(8));
+        for (d, allowed) in [(&dense, [64, 24, 12]), (&sparse, [22, 3, 1])] {
+            for (arm, planes) in PopcountArm::ALL.into_iter().zip(allowed) {
+                assert_eq!(d.popcount_planes(arm), planes, "{arm:?}");
+            }
+        }
+        // Wider weights than an arm allows take the index gather, and agree.
         let w: Vec<u64> =
             (0..862u64).map(|q| q.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24).collect();
-        let sums = all_sums(&dense, &w);
-        assert!(sums.iter().all(|s| *s == sums[0]));
+        for d in [&dense, &sparse] {
+            let sums = all_sums(d, &w);
+            assert!(sums.iter().all(|s| *s == sums[0]));
+        }
     }
 
     #[test]

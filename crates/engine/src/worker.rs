@@ -20,10 +20,10 @@
 //! repository benchmark's `single_large` workload (n=10⁴, k=16, m=862) a
 //! decode reads a 1.1 MiB bitmap that stays in L2 instead of streaming
 //! 13.6 MB of transpose indices. On a 2-vCPU Xeon VM with AVX-512, whose
-//! `VPOPCNTQ` counts eight bitmap words at once, the median decode of two
-//! traced runs took 313–356 µs of a 349–387 µs service time, against
-//! 550–721 of 583–759 µs on the `popcnt` arm in runs alternated with
-//! them on the same VM.
+//! `VPOPCNTQ` counts one bitmap word of eight entries at once, the median
+//! decode of two traced runs took 207–222 µs of a 233–253 µs service
+//! time, against 344–379 of 376–408 µs with each entry's row stored
+//! whole, in runs alternated with them on the same VM.
 //!
 //! A worker serves jobs in **runs**: up to the engine's batch window of
 //! consecutive queued jobs that resolve to one design key, whatever their

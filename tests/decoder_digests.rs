@@ -15,10 +15,10 @@
 //! ranked all `n` scores with a parallel merge sort.
 //!
 //! A third golden decodes every family at the benchmark's `single_large`
-//! shape, whose bitmap rows are 14 words long, so the popcount kernel's
-//! full-width vectors and their masked tails are pinned as well. Its
-//! constants were recorded while the kernel still counted one bitmap
-//! word per instruction.
+//! shape, whose bitmap rows are 14 words long, so the popcount kernel is
+//! pinned at the longest served rows as well. Its constants were recorded
+//! while the kernel still counted one bitmap word per instruction, each
+//! entry's row read whole.
 
 use pooled_data::baselines::control::PsiOnlyDecoder;
 use pooled_data::baselines::AdditiveDecoder;

@@ -174,9 +174,10 @@ proptest! {
     /// The entry-bitmap popcount kernel, on every instruction arm the
     /// running CPU has, equals the index gather over the transpose: every
     /// family, densities on both sides of the 1/32 cutoff (below it the
-    /// design keeps no bitmap and still sums), `m` on and around word and
-    /// 8-word vector boundaries (rows of 7, 8, 9, 14 and 17 words among
-    /// them), `n = 1`, all-zero, constant and up to 40-bit weights.
+    /// design keeps no bitmap and still sums), `m` on and around word
+    /// boundaries (rows of 7, 8, 9, 14 and 17 words among them), `n = 1`
+    /// and `n` from 10 to 159, mostly not a whole number of 8-entry
+    /// groups, all-zero, constant and up to 40-bit weights.
     #[test]
     fn popcount_sums_match_the_index_gather(
         n_draw in 0usize..160,
