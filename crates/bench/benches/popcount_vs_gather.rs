@@ -1,8 +1,8 @@
 //! Ψ/Δ* by popcount over the entry bitmap, on every instruction arm the
 //! running CPU has, vs the index gather over the transpose, by the number
-//! of mixed weight bit-planes: the measurement behind each arm's crossover
-//! constant in `pooled_design::csr`, and behind serving the fastest arm
-//! at every row width.
+//! of mixed weight bit-planes: the measurement behind the crossover
+//! constants in `pooled_design::csr` (one for the AVX-512 arm, one for the
+//! scalar arms), and behind serving the fastest arm at every row width.
 //!
 //! Shapes are the served ones at the paper's `c = ½` (`single_large`,
 //! `cold_churn` and `cluster_tcp` of the repository benchmark: bitmap rows

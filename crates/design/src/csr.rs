@@ -107,21 +107,17 @@ const BITMAP_DENSITY_RECIP: usize = 32;
 /// planes at n/31, 22 at n/16, and every width up to 64 at `c = ½`.
 const AVX512_CROSSOVER: (usize, usize) = (6, 1);
 
-/// Crossover of the `popcnt` arm against the index gather (see
-/// [`AVX512_CROSSOVER`]). At n = 10⁴, m = 862 the arm stayed faster up to
-/// about 5 planes at Γ = n/31 (1.95 incidences a word), 8 at n/16 (3.7),
-/// 10 at n/8 (7.3), 16 at n/4 (13.6) and 20 at n/2 (24), where it tied at
-/// 24: past 16 planes it counts plane after plane. One plane a word is
-/// the lowest of those ratios; it allows 24 planes at `c = ½`, where the
-/// served weights have 0–12.
-const POPCNT_CROSSOVER: (usize, usize) = (1, 1);
-
-/// Crossover of the portable arm against the index gather (see
-/// [`AVX512_CROSSOVER`]). Without `popcnt` each count takes a dozen
-/// instructions, and at n = 10⁴, m = 862 the arm stayed faster only up
-/// to about 1 plane at Γ = n/31, 2 at n/16, 4 at n/8, 6 at n/4 and 16 at
-/// n/2: half a plane per incidence a word, or a little more.
-const PORTABLE_CROSSOVER: (usize, usize) = (1, 2);
+/// Crossover of the scalar arms, `popcnt` and portable, against the index
+/// gather (see [`AVX512_CROSSOVER`]): both run the same loop. Measured on
+/// the `popcnt` arm: at n = 10⁴, m = 862 it stayed faster up to about 5
+/// planes at Γ = n/31 (1.95 incidences a word), 8 at n/16 (3.7), 10 at
+/// n/8 (7.3), 16 at n/4 (13.6) and 20 at n/2 (24), where it tied at 24:
+/// past 16 planes it counts plane after plane. One plane a word is the
+/// lowest of those ratios; it allows 24 planes at `c = ½`, where the
+/// served weights have 0–12. The portable arm serves only targets other
+/// than x86-64, where `count_ones` is a native count, and has not been
+/// measured there.
+const SCALAR_CROSSOVER: (usize, usize) = (1, 1);
 
 /// Incidences per block of the transpose scatter (see
 /// [`CsrDesign::assemble`]). A block's transpose rows take 128 KiB, which
@@ -150,11 +146,14 @@ const LANES: usize = 8;
 const ENTRY_BLOCK: usize = 256;
 const _: () = assert!(ENTRY_BLOCK.is_multiple_of(LANES));
 
-/// `$kernel` with the constant `$P` set to `$planes` when that is one of
-/// the listed counts, `$fallback` otherwise: how a popcount arm is
-/// monomorphised over its mixed-plane count, so its per-plane counters
-/// are arrays of constant length that stay in registers.
+/// `$kernel` with the constant `$P` set to `$planes` when that is 1 to 16,
+/// `$fallback` otherwise: how a popcount arm is monomorphised over its
+/// mixed-plane count, so its per-plane counters are arrays of constant
+/// length that stay in registers.
 macro_rules! by_plane_count {
+    ($planes:expr, |$P:ident| $kernel:expr, $fallback:expr) => {
+        by_plane_count!($planes, [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16], |$P| $kernel, $fallback)
+    };
     ($planes:expr, [$($p:literal)*], |$P:ident| $kernel:expr, $fallback:expr) => {
         match $planes {
             $($p => {
@@ -228,14 +227,14 @@ impl PopcountArm {
     /// for wider weights. Per entry, the popcount kernel does one word
     /// operation per bitmap word and plane where the gather does one load
     /// per incidence, so the crossover scales with the incidences a bitmap
-    /// word holds. Each arm's ratio is measured on one thread of a 2-vCPU
-    /// Xeon VM (baseline x86-64 build) by `cargo bench -p pooled_bench
-    /// --bench popcount_vs_gather`.
+    /// word holds. The ratios are measured on one thread of a 2-vCPU Xeon
+    /// VM (baseline x86-64 build) by `cargo bench -p pooled_bench --bench
+    /// popcount_vs_gather`, one for the AVX-512 arm and one for the
+    /// scalar arms.
     fn crossover(self) -> (usize, usize) {
         match self {
             Self::Avx512 => AVX512_CROSSOVER,
-            Self::Popcnt => POPCNT_CROSSOVER,
-            Self::Portable => PORTABLE_CROSSOVER,
+            Self::Popcnt | Self::Portable => SCALAR_CROSSOVER,
         }
     }
 }
@@ -664,23 +663,23 @@ impl PopcountPass<'_> {
     fn run_scalar(&self, first_group: usize, psi: &mut [u64], dstar: &mut [u64]) {
         by_plane_count!(
             self.shifts.len(),
-            [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16],
-            |P| self.scalar_counted::<P, { if P < 8 { P } else { 8 } }>(first_group, psi, dstar),
+            |P| self.scalar_counted::<P>(first_group, psi, dstar),
             self.scalar_planes_outer(first_group, psi, dstar)
         );
     }
 
     /// The scalar loop for `P` mixed planes: per lane of a group, one run
     /// over its words counts each into Δ* and, ANDed with the word of each
-    /// of the first `A` planes, into that plane's counter; a second run
-    /// counts planes `A..P` the same way (none when `A = P`).
+    /// of the first `a = min(P, 8)` planes, into that plane's counter; a
+    /// second run counts planes `a..P` the same way (none when `P ≤ 8`).
     #[inline(always)]
-    fn scalar_counted<const P: usize, const A: usize>(
+    fn scalar_counted<const P: usize>(
         &self,
         first_group: usize,
         psi: &mut [u64],
         dstar: &mut [u64],
     ) {
+        let a = P.min(8);
         let planes = self.planes.as_chunks::<P>().0;
         let groups = psi.chunks_mut(LANES).zip(dstar.chunks_mut(LANES));
         for (g, (psi, dstar)) in (first_group..).zip(groups) {
@@ -690,7 +689,7 @@ impl PopcountPass<'_> {
                 for (x, y) in group.iter().zip(planes) {
                     let x = x[l];
                     degree += x.count_ones() as u64;
-                    for j in 0..A {
+                    for j in 0..a {
                         counts[j] += (x & y[j]).count_ones() as u64;
                     }
                 }
@@ -698,13 +697,13 @@ impl PopcountPass<'_> {
                 // do not hold registers through it.
                 let shifted = |(c, s): (&u64, &u32)| c << s;
                 let mut sum = self.full * degree;
-                sum += counts[..A].iter().zip(self.shifts).map(shifted).sum::<u64>();
+                sum += counts[..a].iter().zip(self.shifts).map(shifted).sum::<u64>();
                 for (x, y) in group.iter().zip(planes) {
-                    for j in A..P {
+                    for j in a..P {
                         counts[j] += (x[l] & y[j]).count_ones() as u64;
                     }
                 }
-                sum += counts[A..].iter().zip(&self.shifts[A..]).map(shifted).sum::<u64>();
+                sum += counts[a..].iter().zip(&self.shifts[a..]).map(shifted).sum::<u64>();
                 self.write(p, d, sum, degree);
             }
         }
@@ -735,7 +734,6 @@ impl PopcountPass<'_> {
     fn run_avx512(&self, first_group: usize, psi: &mut [u64], dstar: &mut [u64]) {
         by_plane_count!(
             self.shifts.len(),
-            [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16],
             |P| self.avx512_counted::<P>(first_group, psi, dstar),
             self.avx512_planes_outer(first_group, psi, dstar)
         );
@@ -1252,10 +1250,11 @@ mod tests {
     #[test]
     fn crossover_follows_incidences_per_word() {
         // At the served shape, c = ½ puts 24 incidences in a bitmap word
-        // and Γ = n/16 puts 3.7; each arm allows its own planes a word.
+        // and Γ = n/16 puts 3.7; the AVX-512 arm allows 6 planes a word,
+        // the scalar arms 1.
         let dense = CsrDesign::sample(2_000, 862, 1_000, &SeedSequence::new(8));
         let sparse = CsrDesign::sample(2_000, 862, 125, &SeedSequence::new(8));
-        for (d, allowed) in [(&dense, [64, 24, 12]), (&sparse, [22, 3, 1])] {
+        for (d, allowed) in [(&dense, [64, 24, 24]), (&sparse, [22, 3, 3])] {
             for (arm, planes) in PopcountArm::ALL.into_iter().zip(allowed) {
                 assert_eq!(d.popcount_planes(arm), planes, "{arm:?}");
             }

@@ -13,7 +13,7 @@
 //!
 //! | storage | kernel | parallelism | atomics | allocation |
 //! |---|---|---|---|---|
-//! | CSR ([`PoolingDesign::as_csr`] is `Some`) | [`crate::csr::CsrDesign::gather_distinct_into`]: popcount over the entry bitmap, interleaved in groups of 8 entries (distinct density ≥ 1/32, mixed weight planes within the arm's measured crossover: 8 per incidence a bitmap word on AVX-512, 5/4 on `popcnt`, 1/2 portable) on the fastest [`crate::csr::PopcountArm`] the CPU has (AVX-512 `VPOPCNTQ`, one word of 8 entries per instruction; else `popcnt`; else portable), else the index gather over the transpose | group-parallel | no | none |
+//! | CSR ([`PoolingDesign::as_csr`] is `Some`) | [`crate::csr::CsrDesign::gather_distinct_into`]: popcount over the entry bitmap, interleaved in groups of 8 entries (distinct density ≥ 1/32, mixed weight planes within the arm's measured crossover: 6 per incidence a bitmap word on AVX-512, 1 on the scalar arms) on the fastest [`crate::csr::PopcountArm`] the CPU has (AVX-512 `VPOPCNTQ`, one word of 8 entries per instruction; else `popcnt`; else portable), else the index gather over the transpose | group-parallel | no | none |
 //! | streaming (no CSR) | [`crate::streaming::stream_sums_into`]: one pass that regenerates each pool once, and can fold in the query execution `y` | sequential | no | one pool buffer, plus what regenerating a pool allocates |
 //!
 //! The gather writes nothing shared, so it needs no atomics and no

@@ -26,7 +26,7 @@
 //!
 //! | storage | kernel | atomics | extra memory |
 //! |---|---|---|---|
-//! | CSR | `CsrDesign::gather_distinct_into`: group-parallel popcount over the entry bitmap, 8 entries a group (distinct density ≥ 1/32, mixed weight bit-planes within the popcount arm's crossover: 64 planes at the paper's `c = ½` on AVX-512 and 30 on `popcnt`, `y` uses about 5), else the index gather over the transpose | no | `⌈n/8⌉·8·⌈m/64⌉`-word entry bitmap per design |
+//! | CSR | `CsrDesign::gather_distinct_into`: group-parallel popcount over the entry bitmap, 8 entries a group (distinct density ≥ 1/32, mixed weight bit-planes within the popcount arm's crossover: 64 planes at the paper's `c = ½` on AVX-512 and 24 on `popcnt` or portable, `y` uses about 5), else the index gather over the transpose | no | `⌈n/8⌉·8·⌈m/64⌉`-word entry bitmap per design |
 //! | streaming | `pooled_design::streaming::stream_sums_into`: one sequential pass, each pool regenerated once | no | one pool buffer |
 //!
 //! [`scatter::AtomicCounters`] scatters the same sums query by query over
