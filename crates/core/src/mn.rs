@@ -10,21 +10,22 @@
 //!
 //! * Scores are computed in exact integer arithmetic as `2Ψ_i − k·Δ*_i`
 //!   (the ×2 clears the `k/2` fraction), so ranking has no float ties.
-//! * Ψ and Δ* come from one door, `pooled_design::distinct_sums_into`,
-//!   which picks the kernel from what the design stores: the
-//!   entry-parallel gather on a materialized design (by popcount over the
-//!   entry bitmap where the design keeps one), one sequential pass on a
-//!   streaming design.
+//! * Ψ and Δ* come from one door, `pooled_design::distinct_sums_visit`,
+//!   which picks the kernel from what the design stores: the gather on a
+//!   materialized design (by popcount over the entry bitmap where the
+//!   design keeps one), one sequential pass on a streaming design. Each
+//!   entry is scored from its own row alone, so the door's visitor scores
+//!   it as soon as its sums are final: a decode is one pass.
 //! * Lines 7–9 sort all `n` scores only to keep the `k` largest; the
-//!   decoder selects them by `O(n log k)` parallel top-k instead, with the
-//!   deterministic `(score desc, index asc)` tie-break of a stable
-//!   descending sort. The tests hold it to that full sort
-//!   (`pooled_par::topk::top_k_indices_by_sort`).
+//!   decoder offers each score to an `O(n log k)` top-k heap instead, in
+//!   the same pass, with the deterministic `(score desc, index asc)`
+//!   tie-break of a stable descending sort. The tests hold it to that
+//!   full sort (`pooled_par::topk::top_k_indices_by_sort`).
 
-use pooled_design::{distinct_sums_into, PoolingDesign};
+use pooled_design::{distinct_sums_visit, PoolingDesign};
 
 use crate::signal::Signal;
-use crate::workspace::MnWorkspace;
+use crate::workspace::{scoring_visitor, MnWorkspace};
 
 /// Decoder configuration: the target weight `k`, nothing else.
 #[derive(Clone, Copy, Debug)]
@@ -90,31 +91,56 @@ impl MnDecoder {
         y: &[u64],
         ws: &mut MnWorkspace,
     ) {
+        self.decode_observed(design, y, ws, |_| {});
+    }
+
+    /// [`Self::decode_with`], passing each entry's score to `observe`, in
+    /// ascending entry order: one pass in which each entry is scored,
+    /// stored, offered to the selection and observed as soon as the sum
+    /// kernel finishes its Ψ/Δ*.
+    ///
+    /// # Panics
+    /// Panics if `y.len() != design.m()`.
+    pub fn decode_observed<D: PoolingDesign + ?Sized>(
+        &self,
+        design: &D,
+        y: &[u64],
+        ws: &mut MnWorkspace,
+        observe: impl FnMut(i64),
+    ) {
         assert_eq!(y.len(), design.m(), "result vector length must equal m");
-        let n = design.n();
-        ws.prepare(n);
-        let (psi, dstar) = ws.sums_mut();
-        distinct_sums_into(design, y, psi, dstar);
-        self.finish_with(n, ws);
+        ws.prepare(design.n());
+        let (psi, dstar, scores, topk) = ws.pass_mut(self.k);
+        let visit = scoring_visitor(scores, topk, self.score(), observe);
+        distinct_sums_visit(design, y, psi, dstar, visit);
+        ws.finish_selection();
     }
 
     /// Complete Algorithm 1 (scores + selection + estimate) from the Ψ/Δ*
     /// sums already accumulated in `ws` — the entry point for a trial on a
     /// streaming design, whose one pass
     /// (`pooled_design::streaming::stream_sums_into`) executes the queries
-    /// and sums them together.
+    /// and sums them together. Runs the per-entry step of
+    /// [`Self::decode_observed`] over the finished sums.
     ///
     /// # Panics
     /// Panics if `ws` was not prepared for exactly this `n` (a stale
     /// workspace would otherwise decode over leftover prefix sums).
     pub fn finish_with(&self, n: usize, ws: &mut MnWorkspace) {
         assert_eq!(ws.n(), n, "workspace not prepared for this n");
-        let k64 = self.k as i64;
-        let scores = &mut ws.scores[..n];
-        for ((score, &p), &d) in scores.iter_mut().zip(&ws.psi[..n]).zip(&ws.dstar[..n]) {
-            *score = 2 * p as i64 - k64 * d as i64;
+        let (psi, dstar, scores, topk) = ws.pass_mut(self.k);
+        let mut visit = scoring_visitor(scores, topk, self.score(), |_| {});
+        for (i, (&p, &d)) in psi.iter().zip(&*dstar).enumerate() {
+            visit(i, p, d);
         }
-        ws.select_top_k(self.k);
+        drop(visit);
+        ws.finish_selection();
+    }
+
+    /// Algorithm 1's score of an entry, `2Ψ_i − k·Δ*_i`.
+    fn score(&self) -> impl Fn(usize, u64, u64) -> i64 {
+        let k = self.k as i64;
+        move |_, p, d| 2 * p as i64 - k * d as i64
     }
 }
 

@@ -17,13 +17,13 @@
 //! score, so the two decoders rank identically (property-tested).
 //!
 //! The `k` winners come from the same selection as the classic decoder's,
-//! `pooled_par::topk::top_k_into`, run on the exact `i128` scores.
+//! `pooled_par::topk::TopKScratch`, offered the exact `i128` scores as
+//! the sum kernel finishes each entry.
 
-use pooled_design::{distinct_sums_into, PoolingDesign};
-use pooled_par::topk::top_k_into;
+use pooled_design::{distinct_sums_into, distinct_sums_visit, PoolingDesign};
 
 use crate::signal::Signal;
-use crate::workspace::MnWorkspace;
+use crate::workspace::{scoring_visitor, MnWorkspace};
 
 /// MN decoding for designs with arbitrary (even per-query) pool sizes.
 #[derive(Clone, Copy, Debug)]
@@ -77,9 +77,10 @@ impl GeneralMnDecoder {
     /// buffers (including the exact `i128` scores, read back via
     /// [`MnWorkspace::scores_wide`]) reused across calls.
     ///
-    /// Both sums (`y`, and the design's [`PoolingDesign::pool_len`] as
-    /// weights) come from `pooled_design::distinct_sums_into`: by popcount
-    /// over the entry bitmap where a materialized design keeps one.
+    /// Both sums (the design's [`PoolingDesign::pool_len`] as weights,
+    /// then `y`) come from `pooled_design::distinct_sums_visit`: by
+    /// popcount over the entry bitmap where a materialized design keeps
+    /// one.
     ///
     /// # Panics
     /// Panics if `y.len() != design.m()`.
@@ -89,11 +90,27 @@ impl GeneralMnDecoder {
         y: &[u64],
         ws: &mut MnWorkspace,
     ) {
+        self.decode_observed(design, y, ws, |_| {});
+    }
+
+    /// [`Self::decode_with`], passing each entry's exact score to
+    /// `observe`, in ascending entry order. The pool-size sums come
+    /// first; then one pass over `y` scores each entry, stores it, offers
+    /// it to the selection and observes it as soon as the sum kernel
+    /// finishes its Ψ.
+    ///
+    /// # Panics
+    /// Panics if `y.len() != design.m()`.
+    pub fn decode_observed<D: PoolingDesign + ?Sized>(
+        &self,
+        design: &D,
+        y: &[u64],
+        ws: &mut MnWorkspace,
+        observe: impl FnMut(i128),
+    ) {
         assert_eq!(y.len(), design.m(), "result vector length must equal m");
         let n = design.n();
         ws.prepare(n);
-        let (psi, dstar) = ws.sums_mut();
-        distinct_sums_into(design, y, psi, dstar);
         // Per-entry sum of neighbor pool sizes: the same kernel with the
         // pool sizes as the query weights (Δ* recomputed into scratch).
         ws.pool_lens.clear();
@@ -103,23 +120,16 @@ impl GeneralMnDecoder {
         ws.dstar_scratch.clear();
         ws.dstar_scratch.resize(n, 0);
         distinct_sums_into(design, &ws.pool_lens, &mut ws.gamma_sums, &mut ws.dstar_scratch);
-        self.finish_with(n, ws);
-    }
-
-    /// Score `n·Ψ_i − k·Σ|a_q|` from the sums in `ws` and select the `k`
-    /// best.
-    fn finish_with(&self, n: usize, ws: &mut MnWorkspace) {
-        let (n_i, k_i) = (n as i128, self.k as i128);
-        ws.scores_wide.clear();
-        ws.scores_wide.extend(
-            ws.psi[..n]
-                .iter()
-                .zip(&ws.gamma_sums[..n])
-                .map(|(&p, &g)| n_i * p as i128 - k_i * g as i128),
-        );
-        // The k best by (score desc, index asc), through the top-k heap
-        // every decoder selects with.
-        top_k_into(&ws.scores_wide, self.k, &mut ws.support, &mut ws.topk_wide);
+        // Score `n·Ψ_i − k·Σ|a_q|` per entry and select the `k` best by
+        // (score desc, index asc), through the heap every decoder selects
+        // with.
+        let (n_i, k_i, gamma_sums) = (n as i128, self.k as i128, &ws.gamma_sums);
+        let score = move |i: usize, p: u64, _| n_i * p as i128 - k_i * gamma_sums[i] as i128;
+        ws.scores_wide.resize(n, 0);
+        ws.topk_wide.start(self.k.min(n));
+        let visit = scoring_visitor(&mut ws.scores_wide, &mut ws.topk_wide, score, observe);
+        distinct_sums_visit(design, y, &mut ws.psi[..n], &mut ws.dstar[..n], visit);
+        ws.topk_wide.finish_into(&mut ws.support);
         ws.mark_support();
     }
 }

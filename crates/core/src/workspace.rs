@@ -6,7 +6,7 @@
 //! seed implementation allocated fresh `psi`/`dstar`/`scores`/estimate
 //! vectors (plus top-k scratch) on every call. [`MnWorkspace`] keeps them
 //! all across replicates. The sums come from
-//! `pooled_design::distinct_sums_into`, which needs no scratch of its own
+//! `pooled_design::distinct_sums_visit`, which needs no scratch of its own
 //! on a materialized design, so with a single worker installed the decode
 //! path through [`crate::mn::MnDecoder::decode_with`] performs **zero**
 //! heap allocations after warm-up on such a design (pinned by
@@ -117,11 +117,10 @@ impl MnWorkspace {
         &self.estimate[..self.n]
     }
 
-    /// Mutable `(psi, dstar)` at the current problem size, for the sum
-    /// kernel to write into: `pooled_design::distinct_sums_into` in the
-    /// decoders, or a streaming trial's pass that also executes the
-    /// queries (which then calls `MnDecoder::finish_with`). Call
-    /// [`Self::prepare`] first.
+    /// Mutable `(psi, dstar)` at the current problem size, for a streaming
+    /// trial's pass that executes the queries and sums them together
+    /// (which then calls `MnDecoder::finish_with`). Call [`Self::prepare`]
+    /// first.
     pub fn sums_mut(&mut self) -> (&mut [u64], &mut [u64]) {
         let n = self.n;
         (&mut self.psi[..n], &mut self.dstar[..n])
@@ -134,6 +133,27 @@ impl MnWorkspace {
     pub fn sums_and_scores_mut(&mut self) -> (&mut [u64], &mut [u64], &mut [i64]) {
         let n = self.n;
         (&mut self.psi[..n], &mut self.dstar[..n], &mut self.scores[..n])
+    }
+
+    /// Mutable `(psi, dstar, scores, selection)` at the current problem
+    /// size, the selection opened for the `min(k, n)` best: the parts of a
+    /// decoder's one pass, whose [`scoring_visitor`] scores and offers
+    /// each entry as the sum kernel finishes it. Call [`Self::prepare`]
+    /// first and [`Self::finish_selection`] after.
+    pub fn pass_mut(
+        &mut self,
+        k: usize,
+    ) -> (&mut [u64], &mut [u64], &mut [i64], &mut TopKScratch<i64>) {
+        let n = self.n;
+        self.topk.start(k.min(n));
+        (&mut self.psi[..n], &mut self.dstar[..n], &mut self.scores[..n], &mut self.topk)
+    }
+
+    /// Close the selection [`Self::pass_mut`] opened: its winners become
+    /// the support, in ranking order, marked in the dense estimate.
+    pub fn finish_selection(&mut self) {
+        self.topk.finish_into(&mut self.support);
+        self.mark_support();
     }
 
     /// Select the `k` best scores by `(score desc, index asc)` into the
@@ -162,6 +182,24 @@ impl MnWorkspace {
     /// the one-shot decode wrappers.
     pub(crate) fn take_estimate_signal(&mut self, n: usize) -> Signal {
         Signal::from_support(n, std::mem::take(&mut self.support))
+    }
+}
+
+/// The per-entry step of every decoder's one pass, as the visitor of its
+/// Ψ/Δ* sums (`pooled_design::distinct_sums_visit`): entry `i`'s score
+/// `score(i, Ψ_i, Δ*_i)` is stored in `scores[i]`, offered to the open
+/// selection `topk` and passed to `observe`, in ascending `i`.
+pub fn scoring_visitor<'a, S: Ord + Copy>(
+    scores: &'a mut [S],
+    topk: &'a mut TopKScratch<S>,
+    score: impl Fn(usize, u64, u64) -> S + 'a,
+    mut observe: impl FnMut(S) + 'a,
+) -> impl FnMut(usize, u64, u64) + 'a {
+    move |i, p, d| {
+        let s = score(i, p, d);
+        scores[i] = s;
+        topk.offer(s, i);
+        observe(s);
     }
 }
 

@@ -50,34 +50,67 @@
 //!
 //! # The popcount kernel
 //!
-//! Each group's sums depend only on its own rows, so the kernel counts
-//! group by group, in blocks of 256 entries across threads, and writes
+//! Each group's sums depend only on its own rows, so the kernel writes
 //! nothing shared. A pass holds the mixed planes of up to `PLANE_WORDS`
-//! words of queries on the stack, word-major: word `w` of every plane,
-//! then word `w + 1`. It has three instruction arms ([`PopcountArm`]),
-//! and each call runs the fastest one the CPU has, read once per call at
-//! run time; the build targets baseline x86-64.
+//! words of queries on the stack, in runs of planes, each run word-major:
+//! word `w` of every plane of the run, then word `w + 1`. It has three
+//! instruction arms ([`PopcountArm`]), and each call runs the fastest one
+//! the CPU has, read once per call at run time; the build targets
+//! baseline x86-64.
 //!
 //! - The AVX-512 arm loads each of a group's words once, as one vector of
 //!   its eight entries. The Δ* lanes add its `VPOPCNTQ`, and each mixed
 //!   plane's lanes add the `VPOPCNTQ` of it ANDed with that plane's word,
 //!   broadcast. At the end of the group each plane's lanes shift by its
-//!   bit and add up, and the group writes the sums of its lanes below `n`.
-//!   No load is masked and no sum is added across lanes.
+//!   bit and add up, and the group stores its sum and degree lanes. No
+//!   load is masked and no sum is added across lanes.
 //! - The `popcnt` and portable arms walk a group lane by lane: one run
 //!   over the lane's words, one every 8, counts each into Δ* and, ANDed
 //!   with each plane's word, into that plane's counter.
 //!
-//! Both loops are monomorphised on the mixed-plane count, 1 to 16, so the
-//! counters are arrays of constant length that stay in registers: one
-//! vector each for the AVX-512 arm, and for the scalar arms at most 8
-//! counters in the 16 general registers, so they count 9 to 16 planes in
-//! two runs over a lane's words, the first of 8 planes. No mixed plane,
-//! or more than 16, takes a planes-outer loop: Δ*, then each plane in
-//! turn. Word-major planes put all of a word's plane words behind one
-//! pointer; with one slice per plane, each plane held a register of its
-//! own, and the scalar arms took 1.03–1.33× the row-major kernel's time
-//! at 14-word rows with 8 to 12 planes.
+//! Each arm counts its planes in runs over a row's words: up to 16 a run
+//! on AVX-512 (one counter vector each, in the 32 vector registers), up
+//! to 8 on the scalar arms (the 16 general registers). The first run also
+//! counts Δ* and holds the planes left over the whole runs, from none (Δ*
+//! alone, when no plane is mixed) to a whole run. The loop is
+//! monomorphised on the first run's plane count, so its counters are
+//! arrays of constant length that stay in registers; every later run is
+//! a whole one. So each arm has one loop, at any width: served weights
+//! have 0 to 12 mixed planes, one run on AVX-512 and one or two on the
+//! scalar arms.
+//!
+//! ## The visitor
+//!
+//! [`CsrDesign::gather_distinct_visit`] calls a visitor `visit(i, Ψ_i,
+//! Δ*_i)` once per entry, in ascending `i`, when the entry's sums are
+//! final: on the last pass, never for a padding lane. A decoder scores,
+//! ranks and digests each entry there, so a decode is one pass over the
+//! bitmap. The visitor is generic, monomorphised into each arm, and
+//! [`CsrDesign::gather_distinct_into`] is the visiting form with a
+//! visitor that does nothing, so no second kernel is kept beside it.
+//!
+//! - The scalar arms visit each lane right after its count, and the index
+//!   gather each entry right after its sums.
+//! - The AVX-512 arm runs one group behind: during a group's word loop,
+//!   lane `w` of the group before it is written and visited at word `w`,
+//!   and the lanes a row of fewer than 8 words cannot cover are visited
+//!   after the loop; the last group is visited after the last loop. So a
+//!   latency-bound visitor, such as a decoder's serial score digest,
+//!   runs under the throughput-bound popcounts: on one thread of a 2-vCPU
+//!   Xeon VM at `single_large`'s shape, folding a group's 8 lanes right
+//!   after that group hid about half of that digest's chain, lane `w` at
+//!   word `w` of the next group nearly all of it.
+//!
+//! ## Threads
+//!
+//! Past `FANOUT_BYTES` of bitmap (4 MiB, about twice one core's L2)
+//! with more than one thread installed, the kernel counts in blocks of
+//! 256 entries across the threads, and the visitor runs after the last
+//! pass over the finished sums, in one ordered loop. Below it the kernel
+//! runs on the calling thread, visiting inside its loop, whatever the
+//! thread count: engine workers and Monte-Carlo trials run on one thread
+//! anyway, and at the served shapes fanning out measured slower (see
+//! `FANOUT_BYTES`).
 //!
 //! On one thread of a 2-vCPU Xeon VM, at the served rows of 6, 9 and 14
 //! words with 1 to 12 mixed planes, the kernel took 0.39–0.71× the time
@@ -146,21 +179,44 @@ const LANES: usize = 8;
 const ENTRY_BLOCK: usize = 256;
 const _: () = assert!(ENTRY_BLOCK.is_multiple_of(LANES));
 
-/// `$kernel` with the constant `$P` set to `$planes` when that is 1 to 16,
-/// `$fallback` otherwise: how a popcount arm is monomorphised over its
-/// mixed-plane count, so its per-plane counters are arrays of constant
-/// length that stay in registers.
-macro_rules! by_plane_count {
-    ($planes:expr, |$P:ident| $kernel:expr, $fallback:expr) => {
-        by_plane_count!($planes, [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16], |$P| $kernel, $fallback)
-    };
-    ($planes:expr, [$($p:literal)*], |$P:ident| $kernel:expr, $fallback:expr) => {
-        match $planes {
-            $($p => {
-                const $P: usize = $p;
+/// Mixed planes the AVX-512 arm counts per run over a group's words: 16
+/// counter vectors, beside Δ*'s and the loaded word, in the 32 vector
+/// registers.
+const AVX512_RUN: usize = 16;
+
+/// Mixed planes the scalar arms count per run over a lane's words: 8
+/// counters, beside Δ*'s and the word, in the 16 general registers.
+const SCALAR_RUN: usize = 8;
+
+/// Bitmap bytes past which the popcount kernel fans its entry blocks out
+/// across the installed threads; below it the kernel runs on the calling
+/// thread and visits each entry inside its loop, whatever the thread
+/// count. Fanning out pays only once the bitmap no longer fits in one
+/// core's L2 (2 MiB on the VM measured): a fanned-out call spawns its
+/// threads and then visits every entry in a loop of its own. Measured on
+/// a 2-vCPU Xeon VM with the engine's MN decode (kernel, score, selection
+/// and score digest) at `c = ½`, 2 threads fanning out against 1, the
+/// median of 8 rounds of 60 calls: 3.3× the time at n = 1000, m = 334
+/// (47 KiB of bitmap), 1.6× at 281 KiB, 0.98–1.10× at 1.1 to 2 MiB, and
+/// 0.8–1.4× at 2.9 and 4 MiB, with neither side faster in every run;
+/// then 0.82–0.85× at 5 MiB (n = 30 000, m = 1400) in all three runs,
+/// 0.71–0.94× at 9.8 MiB and 0.58–0.70× at 31 MiB (n = 10⁵, m = 2500).
+const FANOUT_BYTES: usize = 4 << 20;
+
+/// `$kernel` with the constant `$F` set to `$first`, one of the listed
+/// first-run plane counts, and `$F1` to `max($F, 1)`: how a popcount arm
+/// is monomorphised over the planes of its first run (see [`first_run`]),
+/// so its per-plane counters are arrays of constant length that stay in
+/// registers.
+macro_rules! by_first_run {
+    ($first:expr, [$($f:literal)*], |$F:ident, $F1:ident| $kernel:expr) => {
+        match $first {
+            $($f => {
+                const $F: usize = $f;
+                const $F1: usize = if $f == 0 { 1 } else { $f };
                 $kernel
             })*
-            _ => $fallback,
+            _ => unreachable!("a first run holds at most one run of planes"),
         }
     };
 }
@@ -235,6 +291,14 @@ impl PopcountArm {
         match self {
             Self::Avx512 => AVX512_CROSSOVER,
             Self::Popcnt | Self::Portable => SCALAR_CROSSOVER,
+        }
+    }
+
+    /// Mixed planes this arm counts per run over a row's words.
+    fn run(self) -> usize {
+        match self {
+            Self::Avx512 => AVX512_RUN,
+            Self::Popcnt | Self::Portable => SCALAR_RUN,
         }
     }
 }
@@ -480,13 +544,30 @@ impl CsrDesign {
     /// # Panics
     /// Panics if `w.len() != m` or the outputs are shorter than `n`.
     pub fn gather_distinct_into(&self, w: &[u64], psi: &mut [u64], dstar: &mut [u64]) {
+        self.gather_distinct_visit(w, psi, dstar, skip);
+    }
+
+    /// [`Self::gather_distinct_into`], calling `visit(i, Ψ_i, Δ*_i)` once
+    /// per entry `i < n`, in ascending `i`, as soon as that entry's sums
+    /// are final (see "The popcount kernel" in the module docs for where
+    /// the call runs).
+    ///
+    /// # Panics
+    /// As [`Self::gather_distinct_into`].
+    pub fn gather_distinct_visit<V: FnMut(usize, u64, u64)>(
+        &self,
+        w: &[u64],
+        psi: &mut [u64],
+        dstar: &mut [u64],
+        visit: V,
+    ) {
         self.check_sums_args(w, psi, dstar);
         let planes = WeightPlanes::of(w);
         let arm = PopcountArm::best();
         if self.has_bitmap() && planes.mixed.count_ones() <= self.popcount_planes(arm) {
-            self.popcount_sums(w, planes, psi, dstar, arm);
+            self.popcount_sums(w, planes, psi, dstar, arm, visit);
         } else {
-            self.index_gather_sums(w, psi, dstar);
+            self.index_gather_sums(w, psi, dstar, visit);
         }
     }
 
@@ -504,9 +585,25 @@ impl CsrDesign {
         dstar: &mut [u64],
         arm: PopcountArm,
     ) {
+        self.popcount_distinct_visit(w, psi, dstar, arm, skip);
+    }
+
+    /// [`Self::popcount_distinct_into`] with the visitor of
+    /// [`Self::gather_distinct_visit`].
+    ///
+    /// # Panics
+    /// As [`Self::popcount_distinct_into`].
+    pub fn popcount_distinct_visit<V: FnMut(usize, u64, u64)>(
+        &self,
+        w: &[u64],
+        psi: &mut [u64],
+        dstar: &mut [u64],
+        arm: PopcountArm,
+        visit: V,
+    ) {
         assert!(self.has_bitmap(), "design keeps no entry bitmap");
         self.check_sums_args(w, psi, dstar);
-        self.popcount_sums(w, WeightPlanes::of(w), psi, dstar, arm);
+        self.popcount_sums(w, WeightPlanes::of(w), psi, dstar, arm, visit);
     }
 
     /// [`Self::gather_distinct_into`] by the index gather over the
@@ -517,7 +614,7 @@ impl CsrDesign {
     /// As [`Self::gather_distinct_into`].
     pub fn index_gather_distinct_into(&self, w: &[u64], psi: &mut [u64], dstar: &mut [u64]) {
         self.check_sums_args(w, psi, dstar);
-        self.index_gather_sums(w, psi, dstar);
+        self.index_gather_sums(w, psi, dstar, skip);
     }
 
     fn check_sums_args(&self, w: &[u64], psi: &[u64], dstar: &[u64]) {
@@ -525,34 +622,53 @@ impl CsrDesign {
         assert!(psi.len() >= self.n && dstar.len() >= self.n, "psi/dstar must have length n");
     }
 
-    fn index_gather_sums(&self, w: &[u64], psi: &mut [u64], dstar: &mut [u64]) {
-        psi[..self.n].par_iter_mut().zip(dstar[..self.n].par_iter_mut()).enumerate().for_each(
-            |(i, (p, d))| {
-                let (qs, _) = self.entry_row(i);
-                let mut acc = 0u64;
-                for &q in qs {
-                    acc += w[q as usize];
-                }
-                *p = acc;
-                *d = qs.len() as u64;
-            },
-        );
+    /// The index gather: entry by entry, each visited right after its
+    /// sums on one thread; across the installed threads, then visited in
+    /// one ordered loop.
+    fn index_gather_sums<V: FnMut(usize, u64, u64)>(
+        &self,
+        w: &[u64],
+        psi: &mut [u64],
+        dstar: &mut [u64],
+        mut visit: V,
+    ) {
+        let sums = |i: usize| {
+            let (qs, _) = self.entry_row(i);
+            (qs.iter().map(|&q| w[q as usize]).sum::<u64>(), qs.len() as u64)
+        };
+        let (psi, dstar) = (&mut psi[..self.n], &mut dstar[..self.n]);
+        if rayon::current_num_threads() > 1 {
+            psi.par_iter_mut()
+                .zip(dstar.par_iter_mut())
+                .enumerate()
+                .for_each(|(i, (p, d))| (*p, *d) = sums(i));
+            visit_each(psi, dstar, visit);
+        } else {
+            for (i, (p, d)) in psi.iter_mut().zip(dstar).enumerate() {
+                (*p, *d) = sums(i);
+                visit(i, *p, *d);
+            }
+        }
     }
 
     /// The popcount kernel: per pass, the mixed planes of a run of query
-    /// words go on the stack, then every entry block counts its groups
-    /// against them on `arm`.
+    /// words go on the stack in `arm`'s runs, then the groups count
+    /// against them on `arm`: on the calling thread, visiting each entry
+    /// on the last pass, or, past [`FANOUT_BYTES`] of bitmap with more
+    /// than one thread installed, in blocks across the threads, visited
+    /// after the last pass in one ordered loop.
     ///
     /// # Panics
     /// Panics if the running CPU lacks `arm`, so no arm's instructions
     /// run on a CPU without them.
-    fn popcount_sums(
+    fn popcount_sums<V: FnMut(usize, u64, u64)>(
         &self,
         w: &[u64],
         planes: WeightPlanes,
         psi: &mut [u64],
         dstar: &mut [u64],
         arm: PopcountArm,
+        mut visit: V,
     ) {
         assert!(arm.is_available(), "popcount arm {arm:?} is not available on this CPU");
         let mut shifts = [0u32; 64];
@@ -564,17 +680,33 @@ impl CsrDesign {
             }
         }
         let shifts = &shifts[..count];
-        let span = PLANE_WORDS.checked_div(count).map_or(self.words, |s| s.min(self.words));
+        let (run, first_run) = (arm.run(), first_run(count, arm.run()));
+        // Every bitmap word takes `max(count, 1)` plane words: a first run
+        // of no planes still holds one, unread (see `PopcountPass::planes`).
+        let stride = count.max(1);
+        let span = (PLANE_WORDS / stride).min(self.words);
+        let fan_out = rayon::current_num_threads() > 1 && self.bits.len() * 8 > FANOUT_BYTES;
+        let (psi, dstar) = (&mut psi[..self.n], &mut dstar[..self.n]);
         let mut buf = [0u64; PLANE_WORDS];
         let mut w0 = 0;
         while w0 < self.words {
             let cw = span.min(self.words - w0);
-            let plane_words = &mut buf[..count * cw];
+            let plane_words = &mut buf[..stride * cw];
             plane_words.fill(0);
+            // Plane `j` of word `w` sits at `base + w·width` of its run.
+            let place = |j: usize| {
+                if j < first_run {
+                    (j, first_run.max(1))
+                } else {
+                    let (r, pos) = ((j - first_run) / run, (j - first_run) % run);
+                    (cw * first_run.max(1) + r * cw * run + pos, run)
+                }
+            };
             let q0 = w0 * 64;
             for (q, &v) in w[q0..(q0 + cw * 64).min(self.m)].iter().enumerate() {
                 for (j, &s) in shifts.iter().enumerate() {
-                    plane_words[q / 64 * count + j] |= (v >> s & 1) << (q % 64);
+                    let (base, width) = place(j);
+                    plane_words[base + q / 64 * width] |= (v >> s & 1) << (q % 64);
                 }
             }
             let pass = PopcountPass {
@@ -587,13 +719,44 @@ impl CsrDesign {
                 full: planes.full,
                 first: w0 == 0,
             };
-            psi[..self.n]
-                .par_chunks_mut(ENTRY_BLOCK)
-                .zip(dstar[..self.n].par_chunks_mut(ENTRY_BLOCK))
-                .enumerate()
-                .for_each(|(block, (p, d))| pass.run(block * ENTRY_BLOCK / LANES, p, d, arm));
             w0 += cw;
+            if fan_out {
+                psi.par_chunks_mut(ENTRY_BLOCK)
+                    .zip(dstar.par_chunks_mut(ENTRY_BLOCK))
+                    .enumerate()
+                    .for_each(|(block, (p, d))| {
+                        pass.run(block * ENTRY_BLOCK / LANES, p, d, arm, &mut skip)
+                    });
+            } else if w0 == self.words {
+                pass.run(0, psi, dstar, arm, &mut visit);
+            } else {
+                pass.run(0, psi, dstar, arm, &mut skip);
+            }
         }
+        if fan_out {
+            visit_each(psi, dstar, visit);
+        }
+    }
+}
+
+/// The visitor that does nothing: the sums alone.
+fn skip(_: usize, _: u64, _: u64) {}
+
+/// Visit every entry's finished sums in one ordered loop.
+pub(crate) fn visit_each(psi: &[u64], dstar: &[u64], mut visit: impl FnMut(usize, u64, u64)) {
+    for (i, (&p, &d)) in psi.iter().zip(dstar).enumerate() {
+        visit(i, p, d);
+    }
+}
+
+/// Planes in the first run of `count` mixed planes counted in runs of
+/// `run`: all of them up to `run`, else what is left over the whole runs,
+/// 1 to `run`. The first run also counts Δ*.
+fn first_run(count: usize, run: usize) -> usize {
+    if count == 0 {
+        0
+    } else {
+        (count - 1) % run + 1
     }
 }
 
@@ -619,8 +782,12 @@ struct PopcountPass<'a> {
     words: usize,
     w0: usize,
     cw: usize,
-    /// Word `w` of mixed plane `j` is `planes[w·count + j]` for the
-    /// pass's `count` mixed planes; plane `j` is shifted by `shifts[j]`.
+    /// The mixed planes' words in the arm's runs (see
+    /// [`PopcountArm::run`]), one run after another, each word-major:
+    /// first the first run of `f` planes (see [`first_run`]), word `w` of
+    /// its plane `j` at `w·max(f, 1) + j`, then each whole run of `r`
+    /// planes, `cw·r` words with word `w` of its plane `j` at `w·r + j`.
+    /// Plane `j` of them all is shifted by `shifts[j]`.
     planes: &'a [u64],
     shifts: &'a [u32],
     full: u64,
@@ -632,193 +799,200 @@ impl PopcountPass<'_> {
     /// Count the groups `first_group..` into `psi`/`dstar`, [`LANES`] sums
     /// a group and only as many as the outputs hold, on `arm`, which the
     /// running CPU has (checked by [`CsrDesign::popcount_sums`] before any
-    /// pass runs).
-    fn run(&self, first_group: usize, psi: &mut [u64], dstar: &mut [u64], arm: PopcountArm) {
+    /// pass runs), visiting each entry written.
+    fn run<V: FnMut(usize, u64, u64)>(
+        &self,
+        first_group: usize,
+        psi: &mut [u64],
+        dstar: &mut [u64],
+        arm: PopcountArm,
+        visit: &mut V,
+    ) {
         match arm {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the running CPU has `avx512f` and `avx512vpopcntdq`:
             // `popcount_sums` asserted `arm.is_available()`.
-            PopcountArm::Avx512 => unsafe { self.run_avx512(first_group, psi, dstar) },
+            PopcountArm::Avx512 => unsafe { self.run_avx512(first_group, psi, dstar, visit) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the running CPU has `popcnt`: `popcount_sums`
             // asserted `arm.is_available()`.
-            PopcountArm::Popcnt => unsafe { self.run_popcnt(first_group, psi, dstar) },
+            PopcountArm::Popcnt => unsafe { self.run_popcnt(first_group, psi, dstar, visit) },
             // Other targets refuse the x86-64 arms before any pass runs.
-            _ => self.run_scalar(first_group, psi, dstar),
+            _ => self.run_scalar(first_group, psi, dstar, visit),
         }
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "popcnt")]
-    fn run_popcnt(&self, first_group: usize, psi: &mut [u64], dstar: &mut [u64]) {
-        self.run_scalar(first_group, psi, dstar);
+    fn run_popcnt<V: FnMut(usize, u64, u64)>(
+        &self,
+        first_group: usize,
+        psi: &mut [u64],
+        dstar: &mut [u64],
+        visit: &mut V,
+    ) {
+        self.run_scalar(first_group, psi, dstar, visit);
     }
 
     /// The scalar kernel body, inlined into each scalar arm so
-    /// `count_ones` compiles to that arm's instruction. A lane's counters
-    /// stay in the 16 general registers for at most 8 mixed planes, so 9
-    /// to 16 planes count in two runs over the lane's words, the first of
-    /// 8 planes.
+    /// `count_ones` compiles to that arm's instruction.
     #[inline(always)]
-    fn run_scalar(&self, first_group: usize, psi: &mut [u64], dstar: &mut [u64]) {
-        by_plane_count!(
-            self.shifts.len(),
-            |P| self.scalar_counted::<P>(first_group, psi, dstar),
-            self.scalar_planes_outer(first_group, psi, dstar)
-        );
-    }
-
-    /// The scalar loop for `P` mixed planes: per lane of a group, one run
-    /// over its words counts each into Δ* and, ANDed with the word of each
-    /// of the first `a = min(P, 8)` planes, into that plane's counter; a
-    /// second run counts planes `a..P` the same way (none when `P ≤ 8`).
-    #[inline(always)]
-    fn scalar_counted<const P: usize>(
+    fn run_scalar<V: FnMut(usize, u64, u64)>(
         &self,
         first_group: usize,
         psi: &mut [u64],
         dstar: &mut [u64],
+        visit: &mut V,
     ) {
-        let a = P.min(8);
-        let planes = self.planes.as_chunks::<P>().0;
+        by_first_run!(
+            first_run(self.shifts.len(), SCALAR_RUN),
+            [0 1 2 3 4 5 6 7 8],
+            |F, F1| self.scalar_counted::<F, F1, V>(first_group, psi, dstar, visit)
+        );
+    }
+
+    /// The scalar loop, for a first run of `F` planes: per lane of a
+    /// group, one run over its words counts each into Δ* and, ANDed with
+    /// the word of each of the first run's planes, into that plane's
+    /// counter; each whole run of [`SCALAR_RUN`] planes after it runs over
+    /// the words again. Then the lane is written and visited.
+    #[inline(always)]
+    fn scalar_counted<const F: usize, const F1: usize, V: FnMut(usize, u64, u64)>(
+        &self,
+        first_group: usize,
+        psi: &mut [u64],
+        dstar: &mut [u64],
+        visit: &mut V,
+    ) {
+        let first = self.first_run::<F1>();
+        let runs = self.whole_runs::<SCALAR_RUN>(F, F1);
         let groups = psi.chunks_mut(LANES).zip(dstar.chunks_mut(LANES));
         for (g, (psi, dstar)) in (first_group..).zip(groups) {
             let group = self.group(g);
             for ((p, d), l) in psi.iter_mut().zip(dstar).zip(0..LANES) {
-                let (mut degree, mut counts) = (0, [0u64; P]);
-                for (x, y) in group.iter().zip(planes) {
+                let (mut degree, mut counts) = (0, [0u64; F]);
+                for (x, y) in group.iter().zip(first) {
                     let x = x[l];
                     degree += x.count_ones() as u64;
-                    for j in 0..a {
+                    for j in 0..F {
                         counts[j] += (x & y[j]).count_ones() as u64;
                     }
                 }
-                // Fold the first run's counters before the second, so they
-                // do not hold registers through it.
+                // Fold each run's counters before the next, so they do
+                // not hold registers through it.
                 let shifted = |(c, s): (&u64, &u32)| c << s;
                 let mut sum = self.full * degree;
-                sum += counts[..a].iter().zip(self.shifts).map(shifted).sum::<u64>();
-                for (x, y) in group.iter().zip(planes) {
-                    for j in a..P {
-                        counts[j] += (x[l] & y[j]).count_ones() as u64;
+                sum += counts.iter().zip(&self.shifts[..F]).map(shifted).sum::<u64>();
+                for (run, shifts) in runs.clone() {
+                    let mut counts = [0u64; SCALAR_RUN];
+                    for (x, y) in group.iter().zip(run) {
+                        for j in 0..SCALAR_RUN {
+                            counts[j] += (x[l] & y[j]).count_ones() as u64;
+                        }
                     }
+                    sum += counts.iter().zip(shifts).map(shifted).sum::<u64>();
                 }
-                sum += counts[a..].iter().zip(&self.shifts[a..]).map(shifted).sum::<u64>();
-                self.write(p, d, sum, degree);
+                let (p, d) = self.write(p, d, sum, degree);
+                visit(g * LANES + l, p, d);
             }
         }
     }
 
-    /// The scalar loop for no mixed planes or more than 16: per lane of a
-    /// group, Δ* over its words, then each plane over them again.
-    #[inline(always)]
-    fn scalar_planes_outer(&self, first_group: usize, psi: &mut [u64], dstar: &mut [u64]) {
-        let groups = psi.chunks_mut(LANES).zip(dstar.chunks_mut(LANES));
-        for (g, (psi, dstar)) in (first_group..).zip(groups) {
-            let group = self.group(g);
-            for ((p, d), l) in psi.iter_mut().zip(dstar).zip(0..LANES) {
-                let degree: u64 = group.iter().map(|x| x[l].count_ones() as u64).sum();
-                let mut sum = self.full * degree;
-                for (j, &s) in self.shifts.iter().enumerate() {
-                    let both = group.iter().zip(self.plane_words()).map(|(x, y)| x[l] & y[j]);
-                    sum += both.map(|x| x.count_ones() as u64).sum::<u64>() << s;
-                }
-                self.write(p, d, sum, degree);
-            }
-        }
-    }
-
-    /// The vector kernel: dispatches on the mixed-plane count.
+    /// The vector kernel: dispatches on the first run's plane count.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    fn run_avx512(&self, first_group: usize, psi: &mut [u64], dstar: &mut [u64]) {
-        by_plane_count!(
-            self.shifts.len(),
-            |P| self.avx512_counted::<P>(first_group, psi, dstar),
-            self.avx512_planes_outer(first_group, psi, dstar)
-        );
-    }
-
-    /// The vector loop for `P` mixed planes: each of a group's `cw`
-    /// vectors is loaded once; the Δ* lanes add its popcount, and each
-    /// plane's lanes add the popcount of it ANDed with the plane's word,
-    /// broadcast. The group ends with one shift per plane.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    fn avx512_counted<const P: usize>(
+    fn run_avx512<V: FnMut(usize, u64, u64)>(
         &self,
         first_group: usize,
         psi: &mut [u64],
         dstar: &mut [u64],
+        visit: &mut V,
+    ) {
+        by_first_run!(
+            first_run(self.shifts.len(), AVX512_RUN),
+            [0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16],
+            |F, F1| self.avx512_counted::<F, F1, V>(first_group, psi, dstar, visit)
+        );
+    }
+
+    /// The vector loop, for a first run of `F` planes: each of a group's
+    /// `cw` vectors is loaded once; the Δ* lanes add its popcount, and
+    /// each of the first run's planes' lanes add the popcount of it ANDed
+    /// with the plane's word, broadcast. Each whole run of [`AVX512_RUN`]
+    /// planes after it loads the vectors again. The group ends with one
+    /// shift per plane and stores its lanes, and the next group's word
+    /// loop writes and visits them, lane `w` at word `w` (see module
+    /// docs), so the visits run under that group's popcounts.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn avx512_counted<const F: usize, const F1: usize, V: FnMut(usize, u64, u64)>(
+        &self,
+        first_group: usize,
+        psi: &mut [u64],
+        dstar: &mut [u64],
+        visit: &mut V,
     ) {
         use std::arch::x86_64::*;
-        let planes = self.planes.as_chunks::<P>().0;
+        let first = self.first_run::<F1>();
+        let runs = self.whole_runs::<AVX512_RUN>(F, F1);
+        let mut lag =
+            Lag { psi: &mut [], dstar: &mut [], entry: 0, sums: [0; LANES], degrees: [0; LANES] };
         let groups = psi.chunks_mut(LANES).zip(dstar.chunks_mut(LANES));
         for (g, (psi, dstar)) in (first_group..).zip(groups) {
             let mut degree = _mm512_setzero_si512();
-            let mut counts = [_mm512_setzero_si512(); P];
-            for (x, y) in self.group(g).iter().zip(planes) {
+            let mut counts = [_mm512_setzero_si512(); F];
+            for (w, (x, y)) in self.group(g).iter().zip(first).enumerate() {
                 let x = load(x);
                 degree = _mm512_add_epi64(degree, _mm512_popcnt_epi64(x));
-                for j in 0..P {
+                for j in 0..F {
                     let both = _mm512_and_si512(x, _mm512_set1_epi64(y[j] as i64));
                     counts[j] = _mm512_add_epi64(counts[j], _mm512_popcnt_epi64(both));
                 }
-            }
-            let mut sum = _mm512_setzero_si512();
-            for (&c, &s) in counts.iter().zip(self.shifts) {
-                sum = _mm512_add_epi64(sum, shifted(c, s));
-            }
-            self.write_lanes(psi, dstar, sum, degree);
-        }
-    }
-
-    /// The vector loop for no mixed planes or more than 16: per group, Δ*
-    /// over its vectors, then each plane over them again.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    fn avx512_planes_outer(&self, first_group: usize, psi: &mut [u64], dstar: &mut [u64]) {
-        use std::arch::x86_64::*;
-        let groups = psi.chunks_mut(LANES).zip(dstar.chunks_mut(LANES));
-        for (g, (psi, dstar)) in (first_group..).zip(groups) {
-            let group = self.group(g);
-            let mut degree = _mm512_setzero_si512();
-            for x in group {
-                degree = _mm512_add_epi64(degree, _mm512_popcnt_epi64(load(x)));
-            }
-            let mut sum = _mm512_setzero_si512();
-            for (j, &s) in self.shifts.iter().enumerate() {
-                let mut c = _mm512_setzero_si512();
-                for (x, y) in group.iter().zip(self.plane_words()) {
-                    let both = _mm512_and_si512(load(x), _mm512_set1_epi64(y[j] as i64));
-                    c = _mm512_add_epi64(c, _mm512_popcnt_epi64(both));
+                if w < lag.psi.len() {
+                    self.settle(&mut lag, w, visit);
                 }
+            }
+            // Lanes a row shorter than a group could not cover.
+            for l in self.cw.min(lag.psi.len())..lag.psi.len() {
+                self.settle(&mut lag, l, visit);
+            }
+            let mut sum = _mm512_setzero_si512();
+            for (&c, &s) in counts.iter().zip(&self.shifts[..F]) {
                 sum = _mm512_add_epi64(sum, shifted(c, s));
             }
-            self.write_lanes(psi, dstar, sum, degree);
+            for (run, shifts) in runs.clone() {
+                let mut counts = [_mm512_setzero_si512(); AVX512_RUN];
+                for (x, y) in self.group(g).iter().zip(run) {
+                    let x = load(x);
+                    for j in 0..AVX512_RUN {
+                        let both = _mm512_and_si512(x, _mm512_set1_epi64(y[j] as i64));
+                        counts[j] = _mm512_add_epi64(counts[j], _mm512_popcnt_epi64(both));
+                    }
+                }
+                for (&c, &s) in counts.iter().zip(shifts) {
+                    sum = _mm512_add_epi64(sum, shifted(c, s));
+                }
+            }
+            lag = Lag { psi, dstar, entry: g * LANES, ..lag };
+            // SAFETY: each store writes one whole vector, the 8 words of
+            // its array.
+            unsafe {
+                _mm512_storeu_epi64(lag.sums.as_mut_ptr().cast(), sum);
+                _mm512_storeu_epi64(lag.degrees.as_mut_ptr().cast(), degree);
+            }
+        }
+        for l in 0..lag.psi.len() {
+            self.settle(&mut lag, l, visit);
         }
     }
 
-    /// Write a group's vector sums, only the lanes the outputs hold.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    fn write_lanes(
-        &self,
-        psi: &mut [u64],
-        dstar: &mut [u64],
-        sum: std::arch::x86_64::__m512i,
-        degree: std::arch::x86_64::__m512i,
-    ) {
-        let (mut sums, mut degrees) = ([0u64; LANES], [0u64; LANES]);
-        // SAFETY: each store writes one whole vector, the 8 words of its
-        // array.
-        unsafe {
-            std::arch::x86_64::_mm512_storeu_epi64(sums.as_mut_ptr().cast(), sum);
-            std::arch::x86_64::_mm512_storeu_epi64(degrees.as_mut_ptr().cast(), degree);
-        }
-        for ((p, d), l) in psi.iter_mut().zip(dstar).zip(0..LANES) {
-            self.write(p, d, self.full * degrees[l] + sums[l], degrees[l]);
-        }
+    /// Write lane `l` of the stored group and visit its entry.
+    #[inline(always)]
+    fn settle<V: FnMut(usize, u64, u64)>(&self, lag: &mut Lag<'_>, l: usize, visit: &mut V) {
+        let degree = lag.degrees[l];
+        let sum = self.full * degree + lag.sums[l];
+        let (p, d) = self.write(&mut lag.psi[l], &mut lag.dstar[l], sum, degree);
+        visit(lag.entry + l, p, d);
     }
 
     /// The pass's words of group `g`: word `w0 + w` of its [`LANES`]
@@ -829,16 +1003,29 @@ impl PopcountPass<'_> {
         self.bits[start..start + self.cw * LANES].as_chunks().0
     }
 
-    /// Word `w` of every mixed plane, for each of the pass's `cw` words.
+    /// The first run's plane words, `F1 = max(F, 1)` a bitmap word, so
+    /// they zip word for word with a group's words even without planes.
     #[inline(always)]
-    fn plane_words(&self) -> std::slice::ChunksExact<'_, u64> {
-        self.planes.chunks_exact(self.shifts.len())
+    fn first_run<const F1: usize>(&self) -> &[[u64; F1]] {
+        self.planes[..self.cw * F1].as_chunks().0
+    }
+
+    /// Each whole run of `R` planes after a first run of `f` planes (held
+    /// `f1` a word): its plane words and its planes' shifts.
+    #[inline(always)]
+    fn whole_runs<const R: usize>(
+        &self,
+        f: usize,
+        f1: usize,
+    ) -> impl Iterator<Item = (&[[u64; R]], &[u32])> + Clone {
+        let words = self.planes[self.cw * f1..].as_chunks::<R>().0;
+        words.chunks_exact(self.cw).zip(self.shifts[f..].chunks_exact(R))
     }
 
     /// Every arm's write rule: the first pass writes the sums, later
-    /// passes add to them.
+    /// passes add to them. Returns the entry's sums as they now stand.
     #[inline(always)]
-    fn write(&self, p: &mut u64, d: &mut u64, sum: u64, degree: u64) {
+    fn write(&self, p: &mut u64, d: &mut u64, sum: u64, degree: u64) -> (u64, u64) {
         if self.first {
             *p = sum;
             *d = degree;
@@ -846,11 +1033,28 @@ impl PopcountPass<'_> {
             *p += sum;
             *d += degree;
         }
+        (*p, *d)
     }
 }
 
-/// One word of a group's [`LANES`] entries as a vector.
+/// The AVX-512 arm's stored group: its lanes' sums, degrees and outputs,
+/// written and visited during the next group's word loop.
+struct Lag<'a> {
+    /// The group's outputs: empty before the first group, and only the
+    /// lanes below `n`.
+    psi: &'a mut [u64],
+    dstar: &'a mut [u64],
+    /// The entry of lane 0.
+    entry: usize,
+    sums: [u64; LANES],
+    degrees: [u64; LANES],
+}
+
+/// One word of a group's [`LANES`] entries as a vector. Inlinable
+/// across crates, as the kernels generic over their visitor are
+/// instantiated in the decoders' crates.
 #[cfg(target_arch = "x86_64")]
+#[inline]
 #[target_feature(enable = "avx512f")]
 fn load(x: &[u64; LANES]) -> std::arch::x86_64::__m512i {
     // SAFETY: `x` is 8 words, one whole vector.
@@ -859,6 +1063,7 @@ fn load(x: &[u64; LANES]) -> std::arch::x86_64::__m512i {
 
 /// Every lane of `c` shifted left by `s` bits.
 #[cfg(target_arch = "x86_64")]
+#[inline]
 #[target_feature(enable = "avx512f")]
 fn shifted(c: std::arch::x86_64::__m512i, s: u32) -> std::arch::x86_64::__m512i {
     use std::arch::x86_64::*;
@@ -1192,6 +1397,87 @@ mod tests {
                     assert_eq!(dstar[..n], want_dstar, "{at}");
                     assert!(psi[n..].iter().chain(&dstar[n..]).all(|&x| x == SENTINEL), "{at}");
                 }
+            }
+        }
+    }
+
+    /// The visits a kernel call made, `(i, Ψ_i, Δ*_i)` in call order,
+    /// and the Ψ and Δ* it wrote.
+    type Visits = (Vec<(usize, u64, u64)>, Vec<u64>, Vec<u64>);
+
+    /// The [`Visits`] of a visiting kernel call; outputs start at a
+    /// sentinel.
+    fn visits(
+        n: usize,
+        call: impl FnOnce(&mut [u64], &mut [u64], &mut dyn FnMut(usize, u64, u64)),
+    ) -> Visits {
+        let (mut psi, mut dstar) = (vec![u64::MAX; n], vec![u64::MAX; n]);
+        let mut seen = Vec::new();
+        call(&mut psi, &mut dstar, &mut |i, p, d| seen.push((i, p, d)));
+        (seen, psi, dstar)
+    }
+
+    /// The visits the contract asks for: every entry once, ascending, with
+    /// its final sums (the index gather's), and none past `n`.
+    fn expected_visits(d: &CsrDesign, w: &[u64]) -> Visits {
+        let (mut psi, mut dstar) = (vec![0; d.n()], vec![0; d.n()]);
+        d.index_gather_distinct_into(w, &mut psi, &mut dstar);
+        let seen = (0..d.n()).map(|i| (i, psi[i], dstar[i])).collect();
+        (seen, psi, dstar)
+    }
+
+    #[test]
+    fn every_arm_visits_each_entry_once_in_order_with_its_final_sums() {
+        // n on both sides of a group of 8 and of a 256-entry block; rows
+        // of 3 words (shorter than a group, so the AVX-512 arm visits
+        // lanes after its word loop) and of 10 and 33; mixed planes
+        // across the run splits (8, 9, 16, 17) and 40 over 33 words (two
+        // passes, visited on the second only); then none, full planes
+        // alone, and 5 mixed beside a full one.
+        for m in [150, 600, 2100] {
+            let hashed: Vec<u64> =
+                (0..m as u64).map(|q| q.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+            let mut weights: Vec<(u32, Vec<u64>)> = [1, 5, 8, 9, 16, 17, 40]
+                .into_iter()
+                .map(|p| (p, hashed.iter().map(|h| h >> (64 - p)).collect()))
+                .collect();
+            let five_and_full = weights[1].1.iter().map(|v| v | 1 << 50).collect();
+            weights.extend([(0, vec![0; m]), (0, vec![0b1011; m]), (5, five_and_full)]);
+            for n in [1, 7, 8, 9, 255, 256, 257] {
+                let d = CsrDesign::sample(n, m, n.div_ceil(2), &SeedSequence::new(n as u64));
+                assert!(d.has_bitmap(), "n {n}");
+                for (planes, w) in &weights {
+                    let want = expected_visits(&d, w);
+                    for arm in PopcountArm::available() {
+                        let got = visits(n, |p, s, v| d.popcount_distinct_visit(w, p, s, arm, v));
+                        assert!(got == want, "n {n}, m {m}, {planes} planes, {arm:?}");
+                    }
+                    let got = visits(n, |p, s, v| d.gather_distinct_visit(w, p, s, v));
+                    assert!(got == want, "n {n}, m {m}, {planes} planes, served");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_index_gather_and_both_thread_counts_visit_alike() {
+        // A design too sparse for a bitmap takes the index gather; a dense
+        // one below the fan-out size stays on the calling thread whatever
+        // the pool; one past it fans out on 2 threads and visits after.
+        let sparse = CsrDesign::sample(300, 200, 3, &SeedSequence::new(3));
+        let small = CsrDesign::sample(257, 600, 128, &SeedSequence::new(4));
+        let large = CsrDesign::sample(2048, 16_400, 72, &SeedSequence::new(5));
+        assert!(!sparse.has_bitmap());
+        assert!(small.has_bitmap() && small.bits.len() * 8 <= FANOUT_BYTES);
+        assert!(large.has_bitmap() && large.bits.len() * 8 > FANOUT_BYTES);
+        for d in [&sparse, &small, &large] {
+            let w: Vec<u64> = (0..d.m() as u64).map(|q| q * q % 37).collect();
+            let want = expected_visits(d, &w);
+            for threads in [1, 2] {
+                let got = pooled_par::pool::install_with_threads(threads, || {
+                    visits(d.n(), |p, s, v| d.gather_distinct_visit(&w, p, s, v))
+                });
+                assert!(got == want, "n {}, m {}, {threads} threads", d.n(), d.m());
             }
         }
     }

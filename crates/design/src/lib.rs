@@ -49,7 +49,7 @@ pub mod streaming;
 
 pub use csr::CsrDesign;
 pub use factory::{AnyDesign, DesignKind};
-pub use matvec::distinct_sums_into;
+pub use matvec::{distinct_sums_into, distinct_sums_visit};
 pub use multigraph::RandomRegularDesign;
 pub use streaming::StreamingDesign;
 

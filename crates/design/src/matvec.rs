@@ -8,13 +8,14 @@
 //!
 //! # One kernel per storage
 //!
-//! Every decoder takes its Ψ/Δ* sums from [`distinct_sums_into`], which
-//! picks the kernel from what the design stores:
+//! Every decoder takes its Ψ/Δ* sums from [`distinct_sums_visit`] (or
+//! [`distinct_sums_into`], the same door without a visitor), which picks
+//! the kernel from what the design stores:
 //!
-//! | storage | kernel | parallelism | atomics | allocation |
-//! |---|---|---|---|---|
-//! | CSR ([`PoolingDesign::as_csr`] is `Some`) | [`crate::csr::CsrDesign::gather_distinct_into`]: popcount over the entry bitmap, interleaved in groups of 8 entries (distinct density ≥ 1/32, mixed weight planes within the arm's measured crossover: 6 per incidence a bitmap word on AVX-512, 1 on the scalar arms) on the fastest [`crate::csr::PopcountArm`] the CPU has (AVX-512 `VPOPCNTQ`, one word of 8 entries per instruction; else `popcnt`; else portable), else the index gather over the transpose | group-parallel | no | none |
-//! | streaming (no CSR) | [`crate::streaming::stream_sums_into`]: one pass that regenerates each pool once, and can fold in the query execution `y` | sequential | no | one pool buffer, plus what regenerating a pool allocates |
+//! | storage | kernel | parallelism | where each entry is visited | atomics | allocation |
+//! |---|---|---|---|---|---|
+//! | CSR ([`PoolingDesign::as_csr`] is `Some`) | [`crate::csr::CsrDesign::gather_distinct_visit`]: popcount over the entry bitmap, interleaved in groups of 8 entries (distinct density ≥ 1/32, mixed weight planes within the arm's measured crossover: 6 per incidence a bitmap word on AVX-512, 1 on the scalar arms) on the fastest [`crate::csr::PopcountArm`] the CPU has (AVX-512 `VPOPCNTQ`, one word of 8 entries per instruction; else `popcnt`; else portable), else the index gather over the transpose | popcount: on the calling thread, group-parallel only past 4 MiB of bitmap with several threads installed; index gather: entry-parallel with several threads installed | on one thread, inside the kernel: the AVX-512 arm one group behind, during the next group's word loop, the scalar arms and the index gather right after each entry's sums; otherwise in one ordered loop after the kernel | no | none |
+//! | streaming (no CSR) | [`crate::streaming::stream_sums_into`]: one pass that regenerates each pool once, and can fold in the query execution `y` | sequential | in one ordered loop after the pass | no | one pool buffer, plus what regenerating a pool allocates |
 //!
 //! The gather writes nothing shared, so it needs no atomics and no
 //! privatized planes, and its popcount arm reads the `⌈n/8⌉·8·⌈m/64⌉`-word
@@ -31,17 +32,15 @@ use rayon::prelude::*;
 
 use pooled_par::scatter::AtomicCounters;
 
+use crate::csr::visit_each;
 use crate::streaming::stream_sums_into;
 use crate::PoolingDesign;
 
 /// The Ψ/Δ* sums of Algorithm 1 and its variants:
 /// `psi[i] = Σ_{q ∋ i} w[q]` over the distinct queries containing entry
-/// `i`, and `dstar[i] = |∂*x_i|`, written into caller buffers.
-///
-/// The one door every decoder takes (see the module docs): by
-/// [`crate::csr::CsrDesign::gather_distinct_into`] when the design stores
-/// a CSR, which is allocation-free, and by
-/// [`crate::streaming::stream_sums_into`] otherwise.
+/// `i`, and `dstar[i] = |∂*x_i|`, written into caller buffers: the one
+/// door every decoder takes (see the module docs), as
+/// [`distinct_sums_visit`] with a visitor that does nothing.
 ///
 /// # Panics
 /// Panics if `w.len() != m` or `psi`/`dstar` are shorter than `n`.
@@ -51,11 +50,39 @@ pub fn distinct_sums_into<D: PoolingDesign + ?Sized>(
     psi: &mut [u64],
     dstar: &mut [u64],
 ) {
+    distinct_sums_visit(design, w, psi, dstar, |_, _, _| {});
+}
+
+/// [`distinct_sums_into`], calling `visit(i, Ψ_i, Δ*_i)` exactly once per
+/// entry `i < n`, in ascending `i`, once that entry's sums are final: the
+/// per-entry work of a decoder (score, selection, digest) runs here.
+///
+/// By [`crate::csr::CsrDesign::gather_distinct_visit`] when the design
+/// stores a CSR, which is allocation-free and on one thread visits each
+/// entry inside the kernel, and by
+/// [`crate::streaming::stream_sums_into`] otherwise, visiting the
+/// finished sums in one ordered loop. `visit` is monomorphised into each
+/// kernel, so a visitor that does nothing compiles to the sums alone.
+///
+/// # Panics
+/// As [`distinct_sums_into`].
+pub fn distinct_sums_visit<D, V>(
+    design: &D,
+    w: &[u64],
+    psi: &mut [u64],
+    dstar: &mut [u64],
+    visit: V,
+) where
+    D: PoolingDesign + ?Sized,
+    V: FnMut(usize, u64, u64),
+{
     match design.as_csr() {
-        Some(csr) => csr.gather_distinct_into(w, psi, dstar),
+        Some(csr) => csr.gather_distinct_visit(w, psi, dstar, visit),
         None => {
             assert_eq!(w.len(), design.m(), "weight vector length must equal m");
             stream_sums_into(design, psi, dstar, |q, _| w[q]);
+            let n = design.n();
+            visit_each(&psi[..n], &dstar[..n], visit);
         }
     }
 }
@@ -136,10 +163,15 @@ mod tests {
         let csr = stream.materialize();
         let w: Vec<u64> = (0..60).map(|q| q % 5).collect();
         let want = scatter_distinct_u64(&csr, &w);
+        let want_visits: Vec<_> = (0..200).map(|i| (i, want.0[i], want.1[i])).collect();
         for design in [&stream as &dyn PoolingDesign, &csr] {
             let (mut psi, mut dstar) = (vec![u64::MAX; 200], vec![u64::MAX; 200]);
             distinct_sums_into(design, &w, &mut psi, &mut dstar);
             assert_eq!((psi, dstar), want, "as_csr: {}", design.as_csr().is_some());
+            // The visiting door: each entry once, ascending, final sums.
+            let (mut psi, mut dstar, mut visits) = (vec![0; 200], vec![0; 200], Vec::new());
+            distinct_sums_visit(design, &w, &mut psi, &mut dstar, |i, p, d| visits.push((i, p, d)));
+            assert_eq!(visits, want_visits, "as_csr: {}", design.as_csr().is_some());
         }
     }
 

@@ -14,16 +14,18 @@
 //!
 //! Decode is then nearly all of a job. Every served decoder (MN,
 //! Γ-general MN, Threshold-MN) takes its Ψ/Δ* sums from
-//! `CsrDesign::gather_distinct_into`, which counts by popcount over the
+//! `CsrDesign::gather_distinct_visit`, which counts by popcount over the
 //! design's entry bitmap, built once when the design is sampled or
-//! reloaded, on the fastest instruction arm the CPU has. On the
-//! repository benchmark's `single_large` workload (n=10⁴, k=16, m=862) a
-//! decode reads a 1.1 MiB bitmap that stays in L2 instead of streaming
-//! 13.6 MB of transpose indices. On a 2-vCPU Xeon VM with AVX-512, whose
+//! reloaded, on the fastest instruction arm the CPU has, and scores,
+//! ranks and digests each entry inside that one pass. On the repository
+//! benchmark's `single_large` workload (n=10⁴, k=16, m=862) a decode
+//! reads a 1.1 MiB bitmap that stays in L2 instead of streaming 13.6 MB
+//! of transpose indices. On a 2-vCPU Xeon VM with AVX-512, whose
 //! `VPOPCNTQ` counts one bitmap word of eight entries at once, the median
-//! decode of two traced runs took 207–222 µs of a 233–253 µs service
-//! time, against 344–379 of 376–408 µs with each entry's row stored
-//! whole, in runs alternated with them on the same VM.
+//! decode of two traced runs took 109–116 µs of a 132–138 µs service
+//! time, against 185–199 of 213–226 µs with the scores, the selection and
+//! the score digest in loops after the kernel, in runs alternated with
+//! them on the same VM.
 //!
 //! A worker serves jobs in **runs**: up to the engine's batch window of
 //! consecutive queued jobs that resolve to one design key, whatever their

@@ -8,12 +8,16 @@
 //! tests hold it to. Scores are any `Ord + Copy` type.
 //!
 //! Strategy: one bounded heap of the k best items, its root the weakest
-//! member. With one worker installed, or at most `PAR_GRAIN` (16 384)
-//! scores, one heap scans everything; otherwise each worker scans a
+//! member, in a [`TopKScratch`] whose one selection loop takes offers one
+//! at a time. The decoders offer each entry as the sum kernel finishes it
+//! (`pooled_design::distinct_sums_visit`), so their ranking is part of
+//! the kernel's one pass. [`top_k_into`] ranks a finished score slice:
+//! with one worker installed, or at most `PAR_GRAIN` (16 384) scores, it
+//! offers every score to one heap; otherwise each worker scans a
 //! contiguous chunk into a local heap and the locals are offered to the
 //! final heap sequentially (k·workers items, negligible). Ties are broken
 //! by ascending index, so the result is deterministic and matches a
-//! stable descending sort.
+//! stable descending sort, whatever the order of the offers.
 
 use rayon::prelude::*;
 use std::collections::BinaryHeap;
@@ -58,17 +62,48 @@ pub fn top_k_indices<S: Ord + Copy + Send + Sync>(scores: &[S], k: usize) -> Vec
     out
 }
 
-/// The one selection loop: offer `items` to `heap`, which keeps the `k`
-/// best under the deterministic `(score desc, index asc)` ranking.
-fn select<S: Ord + Copy>(
-    heap: &mut BinaryHeap<Weakest<S>>,
-    items: impl IntoIterator<Item = Weakest<S>>,
+/// Reusable scratch for [`top_k_into`], and the one selection loop every
+/// ranking runs: [`Self::start`] a selection of the `k` best, [`Self::offer`]
+/// each `(score, index)`, then [`Self::finish_into`] the winners in
+/// ranking order. The heap's storage stays across selections, so
+/// repeated selections allocate nothing after warm-up.
+///
+/// The winners do not depend on the order of the offers: `(score desc,
+/// index asc)` is a strict total order, so a decoder can offer each entry
+/// as soon as its score exists.
+pub struct TopKScratch<S> {
+    /// The `k` best offers so far, the weakest at the root.
+    heap: BinaryHeap<Weakest<S>>,
+    /// Size of the open selection.
     k: usize,
-) {
-    for cand in items {
-        if heap.len() < k {
-            heap.push(cand);
-        } else if let Some(mut root) = heap.peek_mut() {
+}
+
+impl<S> TopKScratch<S> {
+    /// Empty scratch; the buffer grows on first use.
+    pub fn new() -> Self {
+        Self { heap: BinaryHeap::new(), k: 0 }
+    }
+}
+
+impl<S: Ord + Copy> TopKScratch<S> {
+    /// Open a selection of the `k` best offers, dropping any open one.
+    /// Reserves room for `k` offers, so the selection does not regrow
+    /// mid-way.
+    pub fn start(&mut self, k: usize) {
+        self.heap.clear();
+        self.heap.reserve(k);
+        self.k = k;
+    }
+
+    /// Offer entry `index` with `score` to the open selection, which keeps
+    /// the `k` best under the deterministic `(score desc, index asc)`
+    /// ranking.
+    #[inline]
+    pub fn offer(&mut self, score: S, index: usize) {
+        let cand = Weakest { score, index };
+        if self.heap.len() < self.k {
+            self.heap.push(cand);
+        } else if let Some(mut root) = self.heap.peek_mut() {
             // Candidate beats the weakest member: replace the root (the
             // guard sifts it down on drop).
             if cand < *root {
@@ -76,28 +111,17 @@ fn select<S: Ord + Copy>(
             }
         }
     }
-}
 
-/// `scores[range]` as heap entries carrying their global indices.
-fn entries<S: Copy>(
-    scores: &[S],
-    range: std::ops::Range<usize>,
-) -> impl Iterator<Item = Weakest<S>> + '_ {
-    let start = range.start;
-    scores[range].iter().enumerate().map(move |(j, &score)| Weakest { score, index: start + j })
-}
-
-/// Reusable scratch for [`top_k_into`]: holds the selection heap's backing
-/// storage across calls so repeated selections allocate nothing after
-/// warm-up.
-pub struct TopKScratch<S> {
-    heap_buf: Vec<Weakest<S>>,
-}
-
-impl<S> TopKScratch<S> {
-    /// Empty scratch; the buffer grows on first use.
-    pub fn new() -> Self {
-        Self { heap_buf: Vec::new() }
+    /// Close the selection: its winners' indices into `out` (cleared
+    /// first), ranked by `(score desc, index asc)`.
+    pub fn finish_into(&mut self, out: &mut Vec<usize>) {
+        out.clear();
+        // Ascending heap order is the ranking order.
+        let mut ranked = std::mem::take(&mut self.heap).into_sorted_vec();
+        out.extend(ranked.iter().map(|w| w.index));
+        ranked.clear();
+        // The buffer is stored empty, so the conversion heapifies nothing.
+        self.heap = BinaryHeap::from(ranked);
     }
 }
 
@@ -109,7 +133,7 @@ impl<S> Default for TopKScratch<S> {
 
 impl<S> std::fmt::Debug for TopKScratch<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TopKScratch").field("capacity", &self.heap_buf.capacity()).finish()
+        f.debug_struct("TopKScratch").field("capacity", &self.heap.capacity()).finish()
     }
 }
 
@@ -127,36 +151,31 @@ pub fn top_k_into<S: Ord + Copy + Send + Sync>(
     out: &mut Vec<usize>,
     scratch: &mut TopKScratch<S>,
 ) {
-    out.clear();
     let n = scores.len();
     let k = k.min(n);
-    if k == 0 {
-        return;
-    }
-    // The buffer is stored empty, so the conversion heapifies nothing.
-    let mut heap = BinaryHeap::from(std::mem::take(&mut scratch.heap_buf));
-    // `reserve` takes an *additional* count (len is 0 here), so this
-    // guarantees capacity ≥ k+1 outright — no mid-selection regrowth.
-    heap.reserve(k + 1);
+    scratch.start(k);
     let parts = chunk_count(n, PAR_GRAIN.max(k));
-    if parts <= 1 {
-        select(&mut heap, entries(scores, 0..n), k);
+    if parts <= 1 || k == 0 {
+        for (i, &s) in scores.iter().enumerate() {
+            scratch.offer(s, i);
+        }
     } else {
         let locals: Vec<Vec<Weakest<S>>> = even_ranges(n, parts)
             .into_par_iter()
             .map(|range| {
-                let mut local = BinaryHeap::with_capacity(k + 1);
-                select(&mut local, entries(scores, range), k);
-                local.into_vec()
+                let mut local = TopKScratch::new();
+                local.start(k);
+                for i in range {
+                    local.offer(scores[i], i);
+                }
+                local.heap.into_vec()
             })
             .collect();
-        select(&mut heap, locals.into_iter().flatten(), k);
+        for w in locals.into_iter().flatten() {
+            scratch.offer(w.score, w.index);
+        }
     }
-    // Ascending heap order is the ranking order.
-    let mut ranked = heap.into_sorted_vec();
-    out.extend(ranked.iter().map(|w| w.index));
-    ranked.clear();
-    scratch.heap_buf = ranked;
+    scratch.finish_into(out);
 }
 
 /// Reference sequential implementation (full sort): Algorithm 1's

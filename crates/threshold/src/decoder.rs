@@ -14,9 +14,9 @@
 //! global positive rate removes the common drift, and cross-multiplying by
 //! `m` clears the fraction), so ranking has no float ties.
 
-use pooled_core::workspace::MnWorkspace;
+use pooled_core::workspace::{scoring_visitor, MnWorkspace};
 use pooled_core::Signal;
-use pooled_design::{distinct_sums_into, PoolingDesign};
+use pooled_design::{distinct_sums_visit, PoolingDesign};
 
 /// Decoder configuration: the target support size.
 #[derive(Clone, Copy, Debug)]
@@ -77,9 +77,9 @@ impl ThresholdMnDecoder {
     /// Δ*, the scores and the support written into `ws` and read back
     /// through its accessors. The support is ascending, as in
     /// [`ThresholdOutput::estimate`]. `bits` are the 0/1 outcomes as `u64`
-    /// weights for `pooled_design::distinct_sums_into`, so on a design with
-    /// an entry bitmap Ψ⁺ costs one popcount plane. Allocation-free after
-    /// warm-up on a materialized design.
+    /// weights for `pooled_design::distinct_sums_visit`, so on a design
+    /// with an entry bitmap Ψ⁺ costs one popcount plane. Allocation-free
+    /// after warm-up on a materialized design.
     ///
     /// # Panics
     /// Panics if `bits.len() != design.m()` or any bit exceeds 1.
@@ -89,24 +89,34 @@ impl ThresholdMnDecoder {
         bits: &[u64],
         ws: &mut MnWorkspace,
     ) {
-        assert_eq!(bits.len(), design.m(), "bit vector length must equal m");
-        assert!(bits.iter().all(|&b| b <= 1), "threshold bits must be 0 or 1");
-        ws.prepare(design.n());
-        let (psi_pos, delta_star) = ws.sums_mut();
-        distinct_sums_into(design, bits, psi_pos, delta_star);
-        self.finish_with(bits, ws);
+        self.decode_observed(design, bits, ws, |_| {});
     }
 
-    /// Score `m·Ψ⁺_i − P·Δ*_i` from the sums in `ws`, select the top `k`
-    /// and sort them ascending.
-    fn finish_with(&self, bits: &[u64], ws: &mut MnWorkspace) {
+    /// [`Self::decode_with`], passing each entry's score to `observe`, in
+    /// ascending entry order. `P` is counted first; then one pass scores
+    /// each entry `m·Ψ⁺_i − P·Δ*_i`, stores it, offers it to the selection
+    /// and observes it as soon as the sum kernel finishes its sums, and
+    /// the selected support is sorted ascending after it.
+    ///
+    /// # Panics
+    /// Panics if `bits.len() != design.m()` or any bit exceeds 1.
+    pub fn decode_observed<D: PoolingDesign + ?Sized>(
+        &self,
+        design: &D,
+        bits: &[u64],
+        ws: &mut MnWorkspace,
+        observe: impl FnMut(i64),
+    ) {
+        assert_eq!(bits.len(), design.m(), "bit vector length must equal m");
+        assert!(bits.iter().all(|&b| b <= 1), "threshold bits must be 0 or 1");
         let m = bits.len() as i64;
         let positives = bits.iter().sum::<u64>() as i64;
-        let (psi_pos, delta_star, scores) = ws.sums_and_scores_mut();
-        for ((s, &p), &d) in scores.iter_mut().zip(&*psi_pos).zip(&*delta_star) {
-            *s = m * p as i64 - positives * d as i64;
-        }
-        ws.select_top_k(self.k);
+        ws.prepare(design.n());
+        let (psi_pos, delta_star, scores, topk) = ws.pass_mut(self.k);
+        let score = move |_, p: u64, d: u64| m * p as i64 - positives * d as i64;
+        let visit = scoring_visitor(scores, topk, score, observe);
+        distinct_sums_visit(design, bits, psi_pos, delta_star, visit);
+        ws.finish_selection();
         ws.sort_support();
     }
 }

@@ -10,9 +10,12 @@
 //!
 //! A second golden decodes every family above the top-k kernel's
 //! parallel grain on two threads, and folds classic and Γ-general MN's
-//! support in ranking order, so the parallel arm of the selection is
-//! pinned too. Its constants were recorded while Γ-general MN still
-//! ranked all `n` scores with a parallel merge sort.
+//! support in ranking order. Its constants were recorded while Γ-general
+//! MN still ranked all `n` scores with a parallel merge sort, and then
+//! while the decoders ranked a finished score slice, in parallel chunks
+//! at this size; now each entry is offered to one selection heap as the
+//! sum kernel finishes it, so this pins that selection on a 2-thread
+//! pool. `pooled_par::topk`'s own tests pin the parallel chunks.
 //!
 //! A third golden decodes every family at the benchmark's `single_large`
 //! shape, whose bitmap rows are 14 words long, so the popcount kernel is
@@ -73,7 +76,8 @@ const GOLDEN: [(DesignKind, [[u64; 4]; 2]); 4] = [
 const GOLDEN_STREAMING: [u64; 3] = [1155688843086463479, 12580036340811016065, 274057766045849613];
 
 /// `(n, m, c, k)` with `n` above the top-k kernel's parallel grain
-/// (16 384 scores), so a 2-thread selection splits into two chunks.
+/// (16 384 scores), at which a 2-thread selection of a score slice splits
+/// into two chunks.
 const PAR_SHAPE: (usize, usize, f64, usize) = (20_000, 300, 0.5, 50);
 
 /// Per family at [`PAR_SHAPE`] on 2 threads: classic MN's and Γ-general

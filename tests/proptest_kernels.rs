@@ -221,6 +221,112 @@ proptest! {
         }
     }
 
+    /// The visiting door calls its visitor exactly once per entry, in
+    /// ascending order, with the entry's final Ψ/Δ* (the index gather's)
+    /// and never past `n`: on every family (by popcount where a bitmap is
+    /// kept, on every arm this CPU has, and by the index gather where it
+    /// is not), on the streaming twin, and in 1- and 2-thread pools, with
+    /// up to 40 mixed planes (two passes at `m = 1025`).
+    #[test]
+    fn visiting_sums_visit_each_entry_once_with_its_final_sums(
+        n_draw in 0usize..160,
+        m_idx in 0usize..8,
+        m_draw in 1usize..300,
+        c_idx in 0usize..5,
+        width in 0u32..=40,
+        threads in 1usize..=2,
+        seed in any::<u64>(),
+    ) {
+        use pooled_data::design::csr::PopcountArm;
+        use pooled_data::design::distinct_sums_visit;
+        use pooled_data::design::factory::DesignKind;
+        use pooled_data::par::pool::install_with_threads;
+        let n = if n_draw < 10 { 1 } else { n_draw };
+        let m = [1, 64, 65, 448, 513, 1025, m_draw, m_draw][m_idx];
+        let c = [0.01, 0.04, 0.25, 0.5, 1.0][c_idx];
+        let seeds = SeedSequence::new(seed);
+        let mut rng = seeds.child("w", 0).rng();
+        let w: Vec<u64> =
+            (0..m).map(|_| if width == 0 { 3 } else { rng.next_u64() >> (64 - width) }).collect();
+        type Visiting<'a> = dyn FnMut(&mut [u64], &mut [u64], &mut dyn FnMut(usize, u64, u64)) + Send + 'a;
+        let visits = |call: &mut Visiting| {
+            let (mut psi, mut dstar, mut seen) = (vec![u64::MAX; n], vec![u64::MAX; n], Vec::new());
+            install_with_threads(threads, || call(&mut psi, &mut dstar, &mut |i, p, d| seen.push((i, p, d))));
+            (seen, psi, dstar)
+        };
+        let gamma = ((c * n as f64).round() as usize).clamp(1, n);
+        let stream = StreamingDesign::new(n, m, gamma, &seeds.child("d", 0));
+        let (want_psi, want_dstar) = scatter_distinct_u64(&stream, &w);
+        let want_seen: Vec<_> = (0..n).map(|i| (i, want_psi[i], want_dstar[i])).collect();
+        let want = (want_seen, want_psi, want_dstar);
+        let got = visits(&mut |p, s, v| distinct_sums_visit(&stream, &w, p, s, v));
+        prop_assert!(got == want, "streaming");
+        for kind in DesignKind::ALL {
+            let design = kind.sample(n, m, c, &seeds.child("d", 0));
+            let (psi, dstar) = scatter_distinct_u64(&design, &w);
+            let want = ((0..n).map(|i| (i, psi[i], dstar[i])).collect::<Vec<_>>(), psi, dstar);
+            let got = visits(&mut |p, s, v| distinct_sums_visit(&design, &w, p, s, v));
+            prop_assert!(got == want, "{} served", kind.name());
+            let csr = design.csr();
+            if csr.has_bitmap() {
+                for arm in PopcountArm::available() {
+                    let got = visits(&mut |p, s, v| csr.popcount_distinct_visit(&w, p, s, arm, v));
+                    prop_assert!(got == want, "{} {:?}", kind.name(), arm);
+                }
+            }
+        }
+    }
+
+    /// Each served decoder's observer sees exactly the scores its
+    /// workspace holds after the decode, in entry order, and the observed
+    /// decode selects what the plain workspace decode selects: on every
+    /// family and the streaming twin, in 1- and 2-thread pools.
+    #[test]
+    fn observed_decodes_observe_exactly_their_scores(
+        n in 2usize..200,
+        m in 1usize..700,
+        k in 0usize..10,
+        c_idx in 0usize..3,
+        threads in 1usize..=2,
+        seed in any::<u64>(),
+    ) {
+        use pooled_data::design::factory::DesignKind;
+        use pooled_data::par::pool::install_with_threads;
+        use pooled_data::threshold::ThresholdMnDecoder;
+        let c = [0.02, 0.5, 1.0][c_idx];
+        let seeds = SeedSequence::new(seed);
+        let sigma = Signal::random(n, k.min(n), &mut seeds.child("s", 0).rng());
+        let gamma = ((c * n as f64).round() as usize).clamp(1, n);
+        let stream = StreamingDesign::new(n, m, gamma, &seeds.child("d", 0));
+        let families: Vec<_> =
+            DesignKind::ALL.iter().map(|kind| kind.sample(n, m, c, &seeds.child("d", 0))).collect();
+        let mut designs: Vec<&dyn PoolingDesign> =
+            families.iter().map(|d| d as &dyn PoolingDesign).collect();
+        designs.push(&stream);
+        let (mut ws, mut plain) = (MnWorkspace::new(), MnWorkspace::new());
+        for design in designs {
+            let y = execute_queries(design, &sigma);
+            let bits: Vec<u64> = y.iter().map(|&v| u64::from(v * 2 > k as u64)).collect();
+            install_with_threads(threads, || {
+                let mut seen = Vec::new();
+                MnDecoder::new(k).decode_observed(design, &y, &mut ws, |s| seen.push(s));
+                MnDecoder::new(k).decode_with(design, &y, &mut plain);
+                assert_eq!(seen, ws.scores(), "mn");
+                assert_eq!(ws.support(), plain.support(), "mn");
+                let mut seen = Vec::new();
+                GeneralMnDecoder::new(k).decode_observed(design, &y, &mut ws, |s| seen.push(s));
+                GeneralMnDecoder::new(k).decode_with(design, &y, &mut plain);
+                assert_eq!(seen, ws.scores_wide(), "mn_general");
+                assert_eq!(ws.support(), plain.support(), "mn_general");
+                let mut seen = Vec::new();
+                ThresholdMnDecoder::new(k).decode_observed(design, &bits, &mut ws, |s| seen.push(s));
+                ThresholdMnDecoder::new(k).decode_with(design, &bits, &mut plain);
+                assert_eq!(seen, ws.scores(), "threshold_mn");
+                assert_eq!(ws.support(), plain.support(), "threshold_mn");
+            });
+        }
+    }
+
     /// Every decoder's workspace entry, on every family and on the
     /// streaming twin of the random regular design, reproduces its
     /// reference: Ψ/Δ* scattered query by query (`scatter_distinct_u64`),
