@@ -680,7 +680,8 @@ impl CsrDesign {
             }
         }
         let shifts = &shifts[..count];
-        let (run, first_run) = (arm.run(), first_run(count, arm.run()));
+        let run = arm.run();
+        let first_planes = first_run(count, run);
         // Every bitmap word takes `max(count, 1)` plane words: a first run
         // of no planes still holds one, unread (see `PopcountPass::planes`).
         let stride = count.max(1);
@@ -695,11 +696,11 @@ impl CsrDesign {
             plane_words.fill(0);
             // Plane `j` of word `w` sits at `base + w·width` of its run.
             let place = |j: usize| {
-                if j < first_run {
-                    (j, first_run.max(1))
+                if j < first_planes {
+                    (j, first_planes.max(1))
                 } else {
-                    let (r, pos) = ((j - first_run) / run, (j - first_run) % run);
-                    (cw * first_run.max(1) + r * cw * run + pos, run)
+                    let (r, pos) = ((j - first_planes) / run, (j - first_planes) % run);
+                    (cw * first_planes.max(1) + r * cw * run + pos, run)
                 }
             };
             let q0 = w0 * 64;
@@ -864,7 +865,7 @@ impl PopcountPass<'_> {
         dstar: &mut [u64],
         visit: &mut V,
     ) {
-        let first = self.first_run::<F1>();
+        let first = self.first_words::<F1>();
         let runs = self.whole_runs::<SCALAR_RUN>(F, F1);
         let groups = psi.chunks_mut(LANES).zip(dstar.chunks_mut(LANES));
         for (g, (psi, dstar)) in (first_group..).zip(groups) {
@@ -933,7 +934,7 @@ impl PopcountPass<'_> {
         visit: &mut V,
     ) {
         use std::arch::x86_64::*;
-        let first = self.first_run::<F1>();
+        let first = self.first_words::<F1>();
         let runs = self.whole_runs::<AVX512_RUN>(F, F1);
         let mut lag =
             Lag { psi: &mut [], dstar: &mut [], entry: 0, sums: [0; LANES], degrees: [0; LANES] };
@@ -1006,7 +1007,7 @@ impl PopcountPass<'_> {
     /// The first run's plane words, `F1 = max(F, 1)` a bitmap word, so
     /// they zip word for word with a group's words even without planes.
     #[inline(always)]
-    fn first_run<const F1: usize>(&self) -> &[[u64; F1]] {
+    fn first_words<const F1: usize>(&self) -> &[[u64; F1]] {
         self.planes[..self.cw * F1].as_chunks().0
     }
 
