@@ -144,9 +144,11 @@ const AVX512_CROSSOVER: (usize, usize) = (6, 1);
 /// gather (see [`AVX512_CROSSOVER`]): both run the same loop. Measured on
 /// the `popcnt` arm: at n = 10⁴, m = 862 it stayed faster up to about 5
 /// planes at Γ = n/31 (1.95 incidences a word), 8 at n/16 (3.7), 10 at
-/// n/8 (7.3), 16 at n/4 (13.6) and 20 at n/2 (24), where it tied at 24:
-/// past 16 planes it counts plane after plane. One plane a word is the
-/// lowest of those ratios; it allows 24 planes at `c = ½`, where the
+/// n/8 (7.3), 16 at n/4 (13.6) and 20 at n/2 (24), where it tied at 24,
+/// measured while it counted past 16 planes plane after plane; counting
+/// them in runs of 8, its rows at 20 and 24 planes and `c = ½` took
+/// 0.70–0.74× that time. One plane a word is the lowest of those ratios;
+/// it allows 24 planes at `c = ½`, where the
 /// served weights have 0–12. The portable arm serves only targets other
 /// than x86-64, where `count_ones` is a native count, and has not been
 /// measured there.
