@@ -6,9 +6,9 @@
 //!   calls out: it shows how much the degree-fluctuation correction buys.
 
 use pooled_core::signal::Signal;
-use pooled_core::workspace::MnWorkspace;
+use pooled_core::workspace::{scoring_visitor, MnWorkspace};
 use pooled_design::csr::CsrDesign;
-use pooled_design::{distinct_sums_into, PoolingDesign};
+use pooled_design::{distinct_sums_visit, PoolingDesign};
 use pooled_rng::SeedSequence;
 
 use crate::AdditiveDecoder;
@@ -49,8 +49,9 @@ impl PsiOnlyDecoder {
     }
 
     /// Workspace decode: Ψ and Δ* into `ws` from the sum every decoder
-    /// takes (`pooled_design::distinct_sums_into`), the raw Ψ as the
-    /// scores, and the `k` best as an ascending support
+    /// takes (`pooled_design::distinct_sums_visit`), each entry's raw Ψ
+    /// scored and offered as the kernel finishes it, and the `k` best as
+    /// an ascending support
     /// ([`MnWorkspace::support`]). [`AdditiveDecoder::reconstruct`] runs
     /// it on a fresh workspace.
     ///
@@ -65,12 +66,10 @@ impl PsiOnlyDecoder {
     ) {
         assert_eq!(y.len(), design.m(), "result vector length must equal m");
         ws.prepare(design.n());
-        let (psi, dstar, scores) = ws.sums_and_scores_mut();
-        distinct_sums_into(design, y, psi, dstar);
-        for (s, &p) in scores.iter_mut().zip(&*psi) {
-            *s = p as i64;
-        }
-        ws.select_top_k(k);
+        let (psi, dstar, scores, topk) = ws.pass_mut(k);
+        let visit = scoring_visitor(scores, topk, |_, p, _| p as i64, |_| {});
+        distinct_sums_visit(design, y, psi, dstar, visit);
+        ws.finish_selection();
         ws.sort_support();
     }
 }

@@ -17,7 +17,7 @@
 //! fresh workspace and move its buffers into the output — same results,
 //! same allocation profile as before.
 
-use pooled_par::topk::{top_k_into, TopKScratch};
+use pooled_par::topk::TopKScratch;
 
 use crate::signal::Signal;
 
@@ -126,15 +126,6 @@ impl MnWorkspace {
         (&mut self.psi[..n], &mut self.dstar[..n])
     }
 
-    /// Mutable `(psi, dstar, scores)` at the current problem size, for a
-    /// decoder outside this crate that accumulates and scores its own sums
-    /// (Threshold-MN, the Ψ-only baseline). Call [`Self::prepare`] first
-    /// and [`Self::select_top_k`] after.
-    pub fn sums_and_scores_mut(&mut self) -> (&mut [u64], &mut [u64], &mut [i64]) {
-        let n = self.n;
-        (&mut self.psi[..n], &mut self.dstar[..n], &mut self.scores[..n])
-    }
-
     /// Mutable `(psi, dstar, scores, selection)` at the current problem
     /// size, the selection opened for the `min(k, n)` best: the parts of a
     /// decoder's one pass, whose [`scoring_visitor`] scores and offers
@@ -153,13 +144,6 @@ impl MnWorkspace {
     /// the support, in ranking order, marked in the dense estimate.
     pub fn finish_selection(&mut self) {
         self.topk.finish_into(&mut self.support);
-        self.mark_support();
-    }
-
-    /// Select the `k` best scores by `(score desc, index asc)` into the
-    /// support, in ranking order, and mark them in the dense estimate.
-    pub fn select_top_k(&mut self, k: usize) {
-        top_k_into(&self.scores[..self.n], k, &mut self.support, &mut self.topk);
         self.mark_support();
     }
 

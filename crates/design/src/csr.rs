@@ -89,8 +89,7 @@
 //! [`CsrDesign::gather_distinct_into`] is the visiting form with a
 //! visitor that does nothing, so no second kernel is kept beside it.
 //!
-//! - The scalar arms visit each lane right after its count, and the index
-//!   gather each entry right after its sums.
+//! - The scalar arms visit each lane right after its count.
 //! - The AVX-512 arm runs one group behind: during a group's word loop,
 //!   lane `w` of the group before it is written and visited at word `w`,
 //!   and the lanes a row of fewer than 8 words cannot cover are visited
@@ -110,7 +109,9 @@
 //! runs on the calling thread, visiting inside its loop, whatever the
 //! thread count: engine workers and Monte-Carlo trials run on one thread
 //! anyway, and at the served shapes fanning out measured slower (see
-//! `FANOUT_BYTES`).
+//! `FANOUT_BYTES`). The index gather, which no served weight takes,
+//! sums entry-parallel across the installed threads (on the calling
+//! thread when one is installed) and visits in one ordered loop after.
 //!
 //! On one thread of a 2-vCPU Xeon VM, at the served rows of 6, 9 and 14
 //! words with 1 to 12 mixed planes, the kernel took 0.39–0.71× the time
@@ -624,33 +625,22 @@ impl CsrDesign {
         assert!(psi.len() >= self.n && dstar.len() >= self.n, "psi/dstar must have length n");
     }
 
-    /// The index gather: entry by entry, each visited right after its
-    /// sums on one thread; across the installed threads, then visited in
-    /// one ordered loop.
+    /// The index gather: entry-parallel across the installed threads,
+    /// then visited in one ordered loop.
     fn index_gather_sums<V: FnMut(usize, u64, u64)>(
         &self,
         w: &[u64],
         psi: &mut [u64],
         dstar: &mut [u64],
-        mut visit: V,
+        visit: V,
     ) {
-        let sums = |i: usize| {
-            let (qs, _) = self.entry_row(i);
-            (qs.iter().map(|&q| w[q as usize]).sum::<u64>(), qs.len() as u64)
-        };
         let (psi, dstar) = (&mut psi[..self.n], &mut dstar[..self.n]);
-        if rayon::current_num_threads() > 1 {
-            psi.par_iter_mut()
-                .zip(dstar.par_iter_mut())
-                .enumerate()
-                .for_each(|(i, (p, d))| (*p, *d) = sums(i));
-            visit_each(psi, dstar, visit);
-        } else {
-            for (i, (p, d)) in psi.iter_mut().zip(dstar).enumerate() {
-                (*p, *d) = sums(i);
-                visit(i, *p, *d);
-            }
-        }
+        psi.par_iter_mut().zip(dstar.par_iter_mut()).enumerate().for_each(|(i, (p, d))| {
+            let (qs, _) = self.entry_row(i);
+            *p = qs.iter().map(|&q| w[q as usize]).sum();
+            *d = qs.len() as u64;
+        });
+        visit_each(psi, dstar, visit);
     }
 
     /// The popcount kernel: per pass, the mixed planes of a run of query

@@ -14,7 +14,7 @@
 //!
 //! | storage | kernel | parallelism | where each entry is visited | atomics | allocation |
 //! |---|---|---|---|---|---|
-//! | CSR ([`PoolingDesign::as_csr`] is `Some`) | [`crate::csr::CsrDesign::gather_distinct_visit`]: popcount over the entry bitmap, interleaved in groups of 8 entries (distinct density ≥ 1/32, mixed weight planes within the arm's measured crossover: 6 per incidence a bitmap word on AVX-512, 1 on the scalar arms) on the fastest [`crate::csr::PopcountArm`] the CPU has (AVX-512 `VPOPCNTQ`, one word of 8 entries per instruction; else `popcnt`; else portable), else the index gather over the transpose | popcount: on the calling thread, group-parallel only past 4 MiB of bitmap with several threads installed; index gather: entry-parallel with several threads installed | on one thread, inside the kernel: the AVX-512 arm one group behind, during the next group's word loop, the scalar arms and the index gather right after each entry's sums; otherwise in one ordered loop after the kernel | no | none |
+//! | CSR ([`PoolingDesign::as_csr`] is `Some`) | [`crate::csr::CsrDesign::gather_distinct_visit`]: popcount over the entry bitmap, interleaved in groups of 8 entries (distinct density ≥ 1/32, mixed weight planes within the arm's measured crossover: 6 per incidence a bitmap word on AVX-512, 1 on the scalar arms) on the fastest [`crate::csr::PopcountArm`] the CPU has (AVX-512 `VPOPCNTQ`, one word of 8 entries per instruction; else `popcnt`; else portable), else the index gather over the transpose | popcount: on the calling thread, group-parallel only past 4 MiB of bitmap with several threads installed; index gather: entry-parallel with several threads installed | on one thread, inside the kernel: the AVX-512 arm one group behind, during the next group's word loop, the scalar arms right after each entry's count; otherwise (the index gather, a fanned-out kernel) in one ordered loop after the kernel | no | none |
 //! | streaming (no CSR) | [`crate::streaming::stream_sums_into`]: one pass that regenerates each pool once, and can fold in the query execution `y` | sequential | in one ordered loop after the pass | no | one pool buffer, plus what regenerating a pool allocates |
 //!
 //! The gather writes nothing shared, so it needs no atomics and no
@@ -58,8 +58,8 @@ pub fn distinct_sums_into<D: PoolingDesign + ?Sized>(
 /// per-entry work of a decoder (score, selection, digest) runs here.
 ///
 /// By [`crate::csr::CsrDesign::gather_distinct_visit`] when the design
-/// stores a CSR, which is allocation-free and on one thread visits each
-/// entry inside the kernel, and by
+/// stores a CSR, which is allocation-free and whose popcount kernel on
+/// one thread visits each entry inside its loop, and by
 /// [`crate::streaming::stream_sums_into`] otherwise, visiting the
 /// finished sums in one ordered loop. `visit` is monomorphised into each
 /// kernel, so a visitor that does nothing compiles to the sums alone.
